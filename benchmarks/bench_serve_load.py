@@ -174,7 +174,7 @@ def run(tmp_dir):
         else 0.0,
         "region_chunks": region_chunks,
         "chunks_decoded": int(stats["chunks_decoded"]),
-        "shared": stats.get("shared", {}),
+        "shared": service.cache.stats,
         "telemetry": telemetry,
     }
 

@@ -17,12 +17,7 @@ from repro.parallel.engine import (
     SCHEDULER_KINDS,
     default_jobs,
 )
-from repro.parallel.executor import (
-    BlockParallelCompressor,
-    BlockCompressionResult,
-    parallel_imap,
-    parallel_map,
-)
+from repro.parallel.executor import BlockCompressionResult, BlockParallelCompressor
 
 __all__ = [
     "BlockSpec",
@@ -33,6 +28,4 @@ __all__ = [
     "default_jobs",
     "BlockParallelCompressor",
     "BlockCompressionResult",
-    "parallel_map",
-    "parallel_imap",
 ]

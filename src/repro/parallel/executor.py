@@ -27,37 +27,12 @@ from repro.sz.errors import ErrorBound
 from repro.sz.pipeline import CompressionResult, SZCompressor
 from repro.utils.validation import ensure_array, ensure_in
 
-__all__ = ["BlockCompressionResult", "BlockParallelCompressor", "parallel_map", "parallel_imap"]
+__all__ = ["BlockCompressionResult", "BlockParallelCompressor"]
 
 #: Kinds the block compressor accepts.  The shared engine additionally offers
 #: ``"process"``, but the per-block closures here capture the full input array
 #: and are deliberately not picklable, so it is not exposed at this level.
 EXECUTOR_KINDS = ("thread", "serial")
-
-
-def parallel_map(func, items, executor_kind: str = "thread", max_workers: Optional[int] = None) -> List:
-    """Apply ``func`` to every item, optionally with a thread pool.
-
-    A thin wrapper over :class:`~repro.parallel.engine.ChunkScheduler`, kept
-    for callers that want a one-call functional interface: ``"thread"`` uses a
-    pool (NumPy and zlib release the GIL), ``"serial"`` is the in-process
-    reference loop.  Results preserve item order.
-    """
-    return list(parallel_imap(func, items, executor_kind, max_workers))
-
-
-def parallel_imap(func, items, executor_kind: str = "thread", max_workers: Optional[int] = None):
-    """Lazy variant of :func:`parallel_map`: yield results in item order.
-
-    Submissions are windowed (see :meth:`ChunkScheduler.imap`): a caller that
-    processes each result as it arrives holds at most one window of results
-    in memory even when the workers outpace it — never the whole output list.
-    Validation is eager; worker exceptions propagate unwrapped.
-    """
-    # keep this module's narrower kind set (and its error message) for
-    # backwards compatibility before delegating to the shared engine
-    ensure_in(executor_kind, EXECUTOR_KINDS, "executor_kind")
-    return ChunkScheduler(jobs=max_workers, executor_kind=executor_kind).imap(func, items)
 
 
 @dataclass

@@ -216,9 +216,6 @@ class PipelineConfig:
         ``verify``.  ``jobs=None`` sizes the pool to the machine, ``jobs=1``
         forces the serial reference loop; ``executor_kind`` is ``"thread"``
         or ``"serial"``.
-    max_workers:
-        Deprecated alias for ``jobs`` (kept for configs written before the
-        engine existed); ``jobs`` wins when both are set.
     io_backend:
         Archive read backend for ``decompress`` / ``verify``: ``"auto"``
         (default — mmap where possible), ``"mmap"``, or ``"file"`` (see
@@ -244,7 +241,6 @@ class PipelineConfig:
     error_bound: ErrorBound = field(default_factory=lambda: ErrorBound.relative(1e-3))
     chunk_shape: Optional[Tuple[int, ...]] = None
     jobs: Optional[int] = None
-    max_workers: Optional[int] = None
     executor_kind: str = "thread"
     io_backend: str = "auto"
     temporal: Optional[Dict] = None
@@ -264,11 +260,6 @@ class PipelineConfig:
     def rule_for(self, field_name: str) -> FieldRule:
         """The rule for ``field_name`` (an all-defaults rule when absent)."""
         return self.fields.get(field_name, FieldRule())
-
-    @property
-    def effective_jobs(self) -> Optional[int]:
-        """Engine worker count: ``jobs``, falling back to legacy ``max_workers``."""
-        return self.jobs if self.jobs is not None else self.max_workers
 
     def codec_for(self, field_name: str) -> str:
         """Effective codec registry name for ``field_name``."""
@@ -322,14 +313,11 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"io_backend must be one of {_IO_BACKENDS}, got {self.io_backend!r}"
             )
-        for knob in ("jobs", "max_workers"):
-            value = getattr(self, knob)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise PipelineConfigError(f"{knob} must be an integer, got {value!r}")
-            if value < 1:
-                raise PipelineConfigError(f"{knob} must be >= 1, got {value}")
+        if self.jobs is not None:
+            if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
+                raise PipelineConfigError(f"jobs must be an integer, got {self.jobs!r}")
+            if self.jobs < 1:
+                raise PipelineConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not isinstance(self.attrs, dict):
             raise PipelineConfigError(
                 f"attrs must be an object, got {type(self.attrs).__name__}"
@@ -429,8 +417,6 @@ class PipelineConfig:
             payload["chunk_shape"] = list(self.chunk_shape)
         if self.jobs is not None:
             payload["jobs"] = int(self.jobs)
-        if self.max_workers is not None:
-            payload["max_workers"] = int(self.max_workers)
         if self.io_backend != "auto":
             # emitted only when overridden: existing configs (and the config
             # JSON archives record in their attrs) stay byte-identical
@@ -452,6 +438,8 @@ class PipelineConfig:
         """Parse the dict form strictly and validate the result."""
         if not isinstance(payload, dict):
             raise PipelineConfigError(f"config must be an object, got {type(payload).__name__}")
+        if "max_workers" in payload:
+            raise PipelineConfigError("config: 'max_workers' was removed; set 'jobs' instead")
         _check_keys(
             payload,
             (
@@ -460,7 +448,6 @@ class PipelineConfig:
                 "error_bound",
                 "chunk_shape",
                 "jobs",
-                "max_workers",
                 "executor_kind",
                 "io_backend",
                 "temporal",
@@ -489,7 +476,6 @@ class PipelineConfig:
             ),
             chunk_shape=payload.get("chunk_shape"),
             jobs=payload.get("jobs"),
-            max_workers=payload.get("max_workers"),
             executor_kind=payload.get("executor_kind", "thread"),
             io_backend=payload.get("io_backend", "auto"),
             temporal=payload.get("temporal"),

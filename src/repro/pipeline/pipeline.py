@@ -219,7 +219,7 @@ class CompressionPipeline:
             codec=config.codec,
             error_bound=config.error_bound,
             chunk_shape=config.chunk_shape,
-            max_workers=config.effective_jobs,
+            max_workers=config.jobs,
             executor_kind=config.executor_kind,
             attrs=attrs,
         ) as writer:
@@ -339,7 +339,7 @@ class CompressionPipeline:
             codec=config.codec,
             error_bound=config.error_bound,
             chunk_shape=config.chunk_shape,
-            max_workers=config.effective_jobs,
+            max_workers=config.jobs,
             executor_kind=config.executor_kind,
             attrs=attrs,
         ) as writer:
@@ -375,7 +375,7 @@ class CompressionPipeline:
             codec=self.config.codec,
             error_bound=self.config.error_bound,
             chunk_shape=self.config.chunk_shape,
-            max_workers=self.config.effective_jobs,
+            max_workers=self.config.jobs,
             executor_kind=self.config.executor_kind,
             mode="a",
             recover=recover,
@@ -439,7 +439,7 @@ class CompressionPipeline:
         """An :class:`ArchiveReader` wired to the config's engine knobs."""
         return ArchiveReader(
             path,
-            jobs=self.config.effective_jobs,
+            jobs=self.config.jobs,
             executor_kind=self.config.executor_kind,
             backend=self.config.io_backend,
         )

@@ -60,8 +60,7 @@ from urllib.parse import unquote
 import numpy as np
 
 from repro.obs import recorder as _obs
-from repro.store.cli import parse_region
-from repro.store.manifest import ArchiveCorruptionError, ArchiveError
+from repro.store.manifest import ArchiveCorruptionError, ArchiveError, parse_region
 from repro.store.reader import ArchiveReader
 from repro.store.shared_cache import SharedChunkCache, process_chunk_cache
 
@@ -312,9 +311,9 @@ class ArchiveService:
         self._handles: Dict[str, ArchiveHandle] = {}
         self._handles_lock = threading.Lock()
         self._closed = False
-        # Always-on per-service recorder (mirrors ChunkFetcher.telemetry):
-        # request counts/latencies are available for stats and load tests even
-        # when global telemetry is disabled.
+        # Always-on per-service recorder: request counts/latencies are
+        # available for stats and load tests even when global telemetry is
+        # disabled.
         self.telemetry = _obs.Recorder()
         if archives:
             items = archives.items() if isinstance(archives, dict) else [
@@ -395,10 +394,9 @@ class ArchiveService:
     def _execute(
         self, endpoint: str, fn: Callable[[], ServiceResponse], **span_args
     ) -> ServiceResponse:
-        recorder = _obs.get_recorder()
         started = time.perf_counter()
         try:
-            with recorder.span(f"http.{endpoint}", **span_args):
+            with _obs.get_recorder().span(f"http.{endpoint}", **span_args):
                 response = fn()
         except ServiceError as exc:
             response = exc.to_response()
@@ -416,18 +414,17 @@ class ArchiveService:
             response = ServiceResponse.error(422, str(exc))
         except OSError as exc:
             response = ServiceResponse.error(500, str(exc))
-        elapsed = time.perf_counter() - started
-        self.telemetry.count("http.request.count")
-        self.telemetry.count(f"http.request.status.{response.status}")
-        self.telemetry.count("http.request.bytes_out", len(response.body))
-        self.telemetry.observe("http.request.seconds", elapsed)
-        self.telemetry.observe(f"http.endpoint.{endpoint}.seconds", elapsed)
-        if recorder.enabled:
-            recorder.count("http.request.count")
-            recorder.count(f"http.request.status.{response.status}")
-            recorder.count("http.request.bytes_out", len(response.body))
-            recorder.observe("http.request.seconds", elapsed)
-            recorder.observe(f"http.endpoint.{endpoint}.seconds", elapsed)
+        return self._record(endpoint, response, time.perf_counter() - started)
+
+    def _record(self, endpoint: str, response: ServiceResponse, elapsed: float) -> ServiceResponse:
+        """Count one answered request on the service recorder and the global one."""
+        for recorder in (self.telemetry, _obs.get_recorder()):
+            if recorder.enabled:
+                recorder.count("http.request.count")
+                recorder.count(f"http.request.status.{response.status}")
+                recorder.count("http.request.bytes_out", len(response.body))
+                recorder.observe("http.request.seconds", elapsed)
+                recorder.observe(f"http.endpoint.{endpoint}.seconds", elapsed)
         return response
 
     # ------------------------------------------------------------------ #
@@ -773,11 +770,7 @@ class ArchiveService:
                     document["archive"] = {
                         "id": handle.id,
                         "generation": reader.generation,
-                        "cache": {
-                            key: value
-                            for key, value in reader.cache_stats().items()
-                            if not isinstance(value, dict)
-                        },
+                        "cache": reader.cache_stats(),
                     }
             return ServiceResponse.json(document)
 
@@ -840,6 +833,7 @@ class ArchiveService:
         HTTP server and by in-process callers (scenario smoke traffic); the
         FastAPI app routes natively onto the same ``handle_*`` methods.
         """
+        started = time.perf_counter()
         query = dict(query or {})
         lowered = {str(k).lower(): v for k, v in (headers or {}).items()}
         if_none_match = lowered.get("if-none-match")
@@ -902,9 +896,7 @@ class ArchiveService:
             response = ServiceResponse.error(405, f"method {method} not allowed for {path}")
         else:
             response = ServiceResponse.error(404, f"no route for {method} {path}")
-        self.telemetry.count("http.request.count")
-        self.telemetry.count(f"http.request.status.{response.status}")
-        return response
+        return self._record("unrouted", response, time.perf_counter() - started)
 
 
 def _split_fields(fields: Optional[str]) -> Optional[List[str]]:

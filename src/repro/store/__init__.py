@@ -22,8 +22,9 @@ every K steps bound random access in time), and
 - :mod:`repro.store.temporal` — the :class:`TemporalSpec` time-coding policy.
 - :mod:`repro.store.bytestore` — the :class:`ByteStore` I/O abstraction
   (file / mmap / in-memory backends) both directions read through.
-- :mod:`repro.store.shared_cache` — the process-wide
-  :class:`SharedChunkCache` with single-flight decode deduplication.
+- :mod:`repro.store.shared_cache` — :class:`SharedChunkCache`, the chunk
+  cache every fetch goes through (single-flight decode deduplication;
+  private to one reader or shared process-wide).
 - :mod:`repro.store.writer` — streaming-append :class:`ArchiveWriter` with
   parallel per-chunk compression, append/reopen mode and
   :meth:`~repro.store.writer.ArchiveWriter.add_timestep`.

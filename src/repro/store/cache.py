@@ -6,6 +6,12 @@ latency.  Caching decompressed chunks keyed by ``(field, chunk_index)`` turns
 repeated reads into memcpy-speed operations.  The cache is bounded by total
 ndarray bytes (and optionally entry count) and evicts least-recently-used
 chunks first.
+
+A cache value is a decoded chunk, or a ``(chunk, report)`` pair: a preview
+decode travels with its codec's decode report as one value, budgeted by the
+chunk's bytes.  :class:`LRUChunkCache` is the unsynchronised storage;
+readers reach it through the thread-safe, single-flight
+:class:`~repro.store.shared_cache.SharedChunkCache` that wraps it.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ __all__ = ["LRUChunkCache", "freeze_chunk"]
 DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
 
 
-def freeze_chunk(chunk: np.ndarray) -> np.ndarray:
-    """Return a read-only array safe to hand out from a cache.
+def freeze_chunk(chunk):
+    """Return a read-only array (or ``(array, report)`` pair) safe to cache.
 
     Cached chunks are shared across callers (and, through the shared cache,
     across readers), so a caller mutating a returned chunk must never corrupt
@@ -30,8 +36,11 @@ def freeze_chunk(chunk: np.ndarray) -> np.ndarray:
     not own (an mmap page, a codec scratch array).  Arrays that borrow their
     memory are copied; the result is then marked non-writeable.  Arrays that
     already own their data are frozen in place without a copy, which is the
-    common case: codec decodes end in a fresh ``.copy()``.
+    common case: codec decodes end in a fresh ``.copy()``.  A pair is frozen
+    by its array; the report rides along untouched.
     """
+    if isinstance(chunk, tuple):
+        return (freeze_chunk(chunk[0]),) + chunk[1:]
     arr = np.asarray(chunk)
     if arr.base is not None or not arr.flags.owndata:
         arr = arr.copy()
@@ -40,8 +49,13 @@ def freeze_chunk(chunk: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _nbytes(value) -> int:
+    """Budgeted size of a cache value: its array's bytes."""
+    return int((value[0] if isinstance(value, tuple) else value).nbytes)
+
+
 class LRUChunkCache:
-    """LRU mapping of hashable keys to ndarrays with a byte budget.
+    """LRU mapping of hashable keys to decoded chunks with a byte budget.
 
     Parameters
     ----------
@@ -96,8 +110,8 @@ class LRUChunkCache:
             return
         chunk = freeze_chunk(chunk)
         if key in self._entries:
-            self._nbytes -= int(self._entries.pop(key).nbytes)
-        nbytes = int(chunk.nbytes)
+            self._nbytes -= _nbytes(self._entries.pop(key))
+        nbytes = _nbytes(chunk)
         if nbytes > self.max_bytes:
             # a chunk larger than the whole budget is never cached (any stale
             # entry under this key was already dropped above)
@@ -108,7 +122,7 @@ class LRUChunkCache:
             self.max_entries is not None and len(self._entries) > self.max_entries
         ):
             _, evicted = self._entries.popitem(last=False)
-            self._nbytes -= int(evicted.nbytes)
+            self._nbytes -= _nbytes(evicted)
             self.evictions += 1
 
     def clear(self) -> None:
@@ -124,7 +138,7 @@ class LRUChunkCache:
         """Drop ``key`` if present (no-op otherwise; not counted as eviction)."""
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self._nbytes -= int(entry.nbytes)
+            self._nbytes -= _nbytes(entry)
 
     @property
     def stats(self) -> Dict[str, int]:

@@ -42,11 +42,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.store.manifest import ArchiveError
+from repro.store.manifest import ArchiveError, parse_region
 
 __all__ = ["main", "build_parser", "parse_region"]
 
@@ -54,33 +54,6 @@ __all__ = ["main", "build_parser", "parse_region"]
 # --------------------------------------------------------------------------- #
 # argument helpers
 # --------------------------------------------------------------------------- #
-def parse_region(text: str) -> Tuple[slice, ...]:
-    """Parse a region string like ``"0:10,5:20"`` / ``"3,:,40:80"`` into slices.
-
-    Every comma-separated token is either ``start:stop`` (half-open, either
-    side may be empty), a bare integer (single index, axis kept), or ``:``
-    (full axis).
-    """
-    region: List = []
-    for token in text.split(","):
-        token = token.strip()
-        if token == ":" or token == "":
-            region.append(slice(None))
-        elif ":" in token:
-            parts = token.split(":")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"region token {token!r} must be start:stop (step is not supported; "
-                    "chunked reads materialise contiguous spans)"
-                )
-            lo = int(parts[0]) if parts[0].strip() else None
-            hi = int(parts[1]) if parts[1].strip() else None
-            region.append(slice(lo, hi))
-        else:
-            region.append(int(token))
-    return tuple(region)
-
-
 def _parse_chunk_shape(text: Optional[str]) -> Optional[Tuple[int, ...]]:
     if not text:
         return None

@@ -57,6 +57,7 @@ __all__ = [
     "chunk_grid_counts",
     "chunks_intersecting_region",
     "normalize_region",
+    "parse_region",
 ]
 
 MAGIC = b"XFA1"  # cross-field archive, format version 1
@@ -553,6 +554,33 @@ def recover_manifest(fh) -> Tuple["ArchiveManifest", int]:
 def chunk_grid_counts(shape: Sequence[int], chunk_shape: Sequence[int]) -> Tuple[int, ...]:
     """Number of chunks along every axis when tiling ``shape`` with ``chunk_shape``."""
     return tuple(int(np.ceil(s / c)) for s, c in zip(shape, chunk_shape))
+
+
+def parse_region(text: str) -> Tuple[slice, ...]:
+    """Parse a region string like ``"0:10,5:20"`` / ``"3,:,40:80"`` into slices.
+
+    Every comma-separated token is either ``start:stop`` (half-open, either
+    side may be empty), a bare integer (single index, axis kept), or ``:``
+    (full axis).
+    """
+    region: List = []
+    for token in text.split(","):
+        token = token.strip()
+        if token == ":" or token == "":
+            region.append(slice(None))
+        elif ":" in token:
+            parts = token.split(":")
+            if len(parts) != 2:
+                raise ValueError(
+                    f"region token {token!r} must be start:stop (step is not supported; "
+                    "chunked reads materialise contiguous spans)"
+                )
+            lo = int(parts[0]) if parts[0].strip() else None
+            hi = int(parts[1]) if parts[1].strip() else None
+            region.append(slice(lo, hi))
+        else:
+            region.append(int(token))
+    return tuple(region)
 
 
 def normalize_region(shape: Sequence[int], region) -> Tuple[slice, ...]:

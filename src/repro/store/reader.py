@@ -4,7 +4,8 @@
 in memory, and serves :meth:`~ArchiveReader.read_region` requests by touching
 only the chunks that intersect the requested slices — each chunk is one
 ``seek`` + ``read`` + CRC check + decode, with decoded chunks kept in an LRU
-cache so repeated reads of nearby regions are served hot.
+cache so repeated reads of nearby regions are served hot.  A coarse *preview*
+read is the same path with a byte-budget ``fraction`` set.
 
 Multi-chunk reads and :meth:`~ArchiveReader.verify` fan chunks out through the
 shared :class:`~repro.parallel.engine.ChunkScheduler` (the same engine the
@@ -18,10 +19,10 @@ preallocated output array as they arrive, in completion order.  ``jobs=1``
 The chunk-fetch engine lives in :class:`ChunkFetcher`, shared with
 :class:`~repro.store.writer.ArchiveWriter`: the writer uses the same code to
 reconstruct anchor chunks for cross-field fields, guaranteeing that encode and
-decode see bit-identical anchor data.  Readers can additionally plug into a
-process-wide :class:`~repro.store.shared_cache.SharedChunkCache`
-(``shared_cache=True``) so concurrent readers of one archive decode every hot
-chunk exactly once.
+decode see bit-identical anchor data.  Every fetcher talks to one
+:class:`~repro.store.shared_cache.SharedChunkCache`; readers handed the same
+instance (``shared_cache=True`` for the process-wide one) decode every hot
+chunk exactly once between them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import os
 import threading
 import time
 import zlib
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -41,7 +41,7 @@ import numpy as np
 from repro.obs import recorder as _obs
 from repro.parallel.engine import ChunkScheduler
 from repro.store.bytestore import ByteStore, FileByteStore, open_bytestore
-from repro.store.cache import DEFAULT_CACHE_BYTES, LRUChunkCache, freeze_chunk
+from repro.store.cache import DEFAULT_CACHE_BYTES, freeze_chunk
 from repro.store.codecs import Codec, get_codec
 from repro.store.shared_cache import SharedChunkCache, process_chunk_cache
 from repro.store.manifest import (
@@ -88,68 +88,47 @@ class ChunkFetcher:
     recursively through the same cache, so decoding one cross-field chunk
     warms the cache for its anchors too.
 
-    When ``shared`` is given, it replaces the private LRU: lookups and
-    inserts go to the process-wide
-    :class:`~repro.store.shared_cache.SharedChunkCache` under keys prefixed
+    ``cache`` holds every decoded chunk, full or preview, under keys prefixed
     with ``archive_id`` (the reader's ``(st_dev, st_ino, generation)``
-    identity), and concurrent misses on one chunk coalesce onto a single
-    decode.
+    identity), and concurrent misses on one key coalesce onto a single
+    decode — across every fetcher handed the same cache instance.
     """
 
     def __init__(
         self,
         store,
         lookup: Callable[[str], FieldEntry],
-        cache: Optional[LRUChunkCache] = None,
-        shared: Optional[SharedChunkCache] = None,
+        cache: SharedChunkCache,
         archive_id: Tuple = (),
     ) -> None:
         if not isinstance(store, ByteStore):
             store = FileByteStore(fh=store)
-        self._store = store
+        self.store = store
         self._lookup = lookup
-        self.cache = cache if cache is not None else LRUChunkCache()
-        self.shared = shared
+        self.cache = cache
         self._archive_id = tuple(archive_id)
         self._codecs: Dict[str, Codec] = {}
-        # The LRU cache is not thread-safe, and the file backend serialises
-        # seek+read on its own lock; codec decodes run outside both locks so
-        # concurrent fetchers (the writer's compression workers reconstructing
-        # anchors) only serialise on the cheap I/O and cache bookkeeping.
-        # ``io_lock`` is the store's lock where it has one (the file backend)
-        # so the writer can take it around its own appends to the handle; the
-        # mmap/memory backends read lock-free and the attribute is a dummy.
+        # The file backend serialises seek+read on its own lock; codec decodes
+        # run outside every lock so concurrent fetchers (the writer's
+        # compression workers reconstructing anchors) only serialise on the
+        # cheap I/O and cache bookkeeping.  ``io_lock`` is the store's lock
+        # where it has one (the file backend) so the writer can take it around
+        # its own appends to the handle; the mmap/memory backends read
+        # lock-free and the attribute is a dummy.
         self.io_lock = getattr(store, "lock", None) or threading.Lock()
-        self._cache_lock = threading.Lock()
-        # Per-instance accounting recorder: always on, backs the public
-        # ``chunks_decoded`` / ``bytes_read`` properties and ``cache_stats``.
-        # The *global* recorder additionally receives stage timings and cache
-        # hit/miss counts, but only when telemetry is enabled (its methods are
-        # no-ops otherwise).
-        self.telemetry = _obs.Recorder()
-        # Preview decode reports, keyed like their cache entries; bounded so a
-        # long-lived fetcher sweeping many (chunk, fraction) pairs cannot grow
-        # it without limit.  Guarded by ``_cache_lock``.
-        self._preview_info: "OrderedDict[Tuple, Dict]" = OrderedDict()
-
-    @property
-    def store(self) -> ByteStore:
-        """The byte-store backend this fetcher reads from."""
-        return self._store
-
-    @property
-    def chunks_decoded(self) -> int:
-        """Number of actual codec decodes performed (cache hits excluded)."""
-        return int(self.telemetry.counter("store.read.chunks_decoded"))
-
-    @property
-    def bytes_read(self) -> int:
-        """Total payload bytes read from disk."""
-        return int(self.telemetry.counter("store.read.bytes_in"))
+        # guards the codec table and the counters below
+        self._lock = threading.Lock()
+        #: Always-on accounting of this fetcher's own work (cache hits
+        #: excluded): full codec decodes, preview decodes, payload bytes read.
+        #: Stage timings and cache traffic go to the global recorder instead,
+        #: and only when telemetry is enabled.
+        self.chunks_decoded = 0
+        self.previews_decoded = 0
+        self.bytes_read = 0
 
     def codec_for(self, entry: FieldEntry) -> Codec:
         """Instantiate (once) the codec recorded in a field entry."""
-        with self._cache_lock:
+        with self._lock:
             if entry.name not in self._codecs:
                 self._codecs[entry.name] = get_codec(entry.codec, **entry.codec_params)
             return self._codecs[entry.name]
@@ -188,27 +167,130 @@ class ChunkFetcher:
         """
         recorder = _obs.get_recorder()
         io_start = time.perf_counter()
-        payload = self._store.view(chunk.offset, chunk.length)
+        payload = self.store.view(chunk.offset, chunk.length)
         recorder.observe("store.read.io_seconds", time.perf_counter() - io_start)
-        self.telemetry.count("store.read.bytes_in", len(payload))
+        with self._lock:
+            self.bytes_read += len(payload)
         recorder.count("store.read.bytes_in", len(payload))
         if len(payload) != chunk.length:
-            if isinstance(payload, memoryview):
-                payload.release()
-            raise ArchiveCorruptionError(
-                f"field {entry.name!r} chunk {chunk.index}: archive truncated "
-                f"(wanted {chunk.length} bytes at offset {chunk.offset}, got {len(payload)})"
+            problem = (
+                f"archive truncated (wanted {chunk.length} bytes at offset "
+                f"{chunk.offset}, got {len(payload)})"
             )
-        crc_start = time.perf_counter()
-        crc_ok = (zlib.crc32(payload) & 0xFFFFFFFF) == chunk.crc32
-        recorder.observe("store.read.crc_seconds", time.perf_counter() - crc_start)
-        if not crc_ok:
-            if isinstance(payload, memoryview):
-                payload.release()
-            raise ArchiveCorruptionError(
-                f"field {entry.name!r} chunk {chunk.index}: CRC mismatch, chunk is corrupted"
-            )
-        return payload
+        else:
+            crc_start = time.perf_counter()
+            crc_ok = (zlib.crc32(payload) & 0xFFFFFFFF) == chunk.crc32
+            recorder.observe("store.read.crc_seconds", time.perf_counter() - crc_start)
+            if crc_ok:
+                return payload
+            problem = "CRC mismatch, chunk is corrupted"
+        if isinstance(payload, memoryview):
+            payload.release()
+        raise ArchiveCorruptionError(f"field {entry.name!r} chunk {chunk.index}: {problem}")
+
+    def _fetch(
+        self,
+        name: str,
+        index: int,
+        fraction: Optional[float],
+        scheduler: Optional[ChunkScheduler],
+        refresh: bool = False,
+        _fresh: Optional[set] = None,
+    ):
+        """The one chunk path: cache lookup, then read, CRC-check and decode.
+
+        ``fraction=None`` decodes in full and yields the chunk; a fraction
+        decodes a progressive prefix and yields ``(chunk, report)``, cached
+        as one value under a key extended with the fraction so it never
+        aliases the full-precision entry.  Returned arrays are always
+        read-only (:func:`~repro.store.cache.freeze_chunk`).
+        """
+        index = int(index)
+        key = self._archive_id + (name, index)
+        if fraction is not None:
+            key += ("preview", fraction)
+
+        def decode():
+            entry = self._lookup(name)
+            if not 0 <= index < len(entry.chunks):
+                raise ArchiveCorruptionError(
+                    f"field {name!r}: manifest lists {len(entry.chunks)} chunks but the "
+                    f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
+                )
+            chunk = entry.chunks[index]
+            if chunk.index != index:  # pragma: no cover - manifest is written in order
+                raise ArchiveCorruptionError(
+                    f"field {name!r}: chunk list out of order ({chunk.index} at position {index})"
+                )
+            codec = self.codec_for(entry)
+            payload = self.read_payload(entry, chunk)
+            payload_len = len(payload)
+            try:
+                # refresh propagates: a deep verify must not decode the target
+                # against stale cached anchors (the memo keeps that one-decode-
+                # per-chunk within a single pass)
+                anchors = [
+                    self._fetch(anchor, index, None, scheduler, refresh, _fresh)
+                    for anchor in entry.anchors
+                ] or None
+                if isinstance(payload, memoryview) and not getattr(
+                    codec, "decode_accepts_buffer", False
+                ):
+                    # codec insists on real bytes: materialise the view once
+                    buf = payload.tobytes()
+                    payload.release()
+                    payload = buf
+                decode_start = time.perf_counter()
+                if fraction is None:
+                    decoded, report = self._decode_with(codec, payload, anchors, scheduler), None
+                else:
+                    decoded, report = codec.decode_preview(payload, fraction, scheduler=scheduler)
+                decode_seconds = time.perf_counter() - decode_start
+            finally:
+                if isinstance(payload, memoryview):
+                    payload.release()
+            if decoded.shape != chunk.shape:
+                raise ArchiveCorruptionError(
+                    f"field {name!r} chunk {index}: decoded shape {decoded.shape} "
+                    f"does not match manifest shape {chunk.shape}"
+                )
+            if decoded.dtype != np.dtype(entry.dtype):
+                decoded = decoded.astype(entry.dtype)
+            # cached chunks are shared; freeze before anyone can alias the buffer
+            decoded = freeze_chunk(decoded)
+            recorder = _obs.get_recorder()
+            if report is None:
+                with self._lock:
+                    self.chunks_decoded += 1
+                if recorder.enabled:
+                    recorder.observe("store.read.decode_seconds", decode_seconds)
+                    recorder.observe(f"store.codec.{entry.codec}.decode_seconds", decode_seconds)
+                    recorder.count(f"store.codec.{entry.codec}.bytes_in", payload_len)
+                    recorder.count(f"store.codec.{entry.codec}.bytes_out", int(decoded.nbytes))
+                    recorder.count("store.read.chunks_decoded")
+                    recorder.count("store.read.bytes_out", int(decoded.nbytes))
+                return decoded
+            with self._lock:
+                self.previews_decoded += 1
+            if recorder.enabled:
+                recorder.observe("store.preview.decode_seconds", decode_seconds)
+                recorder.count("store.preview.chunks")
+                recorder.count("store.preview.bytes_decoded", int(report["bytes_decoded"]))
+                recorder.count("store.preview.bytes_total", int(report["bytes_total"]))
+            # progressive codecs predate the fallback flag; normalise it here
+            # so every preview report carries an explicit verdict
+            return decoded, {"fallback": False, **report}
+
+        if not refresh or (_fresh is not None and key in _fresh):
+            # single-flight: concurrent misses on this key (across every
+            # reader sharing the cache) coalesce onto one decode; a chunk deep
+            # verification re-decoded earlier in its pass is as good as cached
+            return self.cache.get_or_compute(key, decode)
+        value = decode()
+        self.cache.put(key, value)
+        if _fresh is not None:
+            _fresh.add(key)
+        return value
 
     def get_chunk(
         self,
@@ -231,126 +313,7 @@ class ChunkFetcher:
         once per pass even when several cross-field targets share it as an
         anchor).
         """
-        recorder = _obs.get_recorder()
-        key = (name, int(index))
-        if refresh and _fresh is not None and key in _fresh:
-            cached = self._cache_get(key, recorder)
-            if cached is not None:
-                return cached
-            # evicted since it was verified: fall through to a fresh decode
-        if not refresh:
-            if self.shared is not None:
-                # single-flight: concurrent misses on this chunk (across every
-                # reader sharing the cache) coalesce onto one decode
-                return self.shared.get_or_compute(
-                    self._archive_id + key,
-                    lambda: self._decode_chunk(
-                        name, index, refresh, scheduler, _fresh, cache_result=False
-                    ),
-                )
-            cached = self._cache_get(key, recorder)
-            if cached is not None:
-                return cached
-        return self._decode_chunk(name, index, refresh, scheduler, _fresh)
-
-    def _cache_get(self, key, recorder) -> Optional[np.ndarray]:
-        """Cache lookup through whichever cache is active, with hit/miss counts."""
-        if self.shared is not None:
-            return self.shared.get(self._archive_id + key)
-        with self._cache_lock:
-            cached = self.cache.get(key)
-        recorder.count("store.cache.hits" if cached is not None else "store.cache.misses")
-        return cached
-
-    def _decode_chunk(
-        self,
-        name: str,
-        index: int,
-        refresh: bool,
-        scheduler: Optional[ChunkScheduler],
-        _fresh: Optional[set],
-        cache_result: bool = True,
-    ) -> np.ndarray:
-        """Read, CRC-check and decode one chunk from the store (no cache lookup).
-
-        ``cache_result=False`` skips the cache insert — the shared cache's
-        single-flight path stores the result itself.  The returned array is
-        always read-only (:func:`~repro.store.cache.freeze_chunk`).
-        """
-        recorder = _obs.get_recorder()
-        key = (name, int(index))
-        entry = self._lookup(name)
-        if not 0 <= index < len(entry.chunks):
-            raise ArchiveCorruptionError(
-                f"field {name!r}: manifest lists {len(entry.chunks)} chunks but the "
-                f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
-            )
-        chunk = entry.chunks[index]
-        if chunk.index != index:  # pragma: no cover - manifest is written in order
-            raise ArchiveCorruptionError(
-                f"field {name!r}: chunk list out of order ({chunk.index} at position {index})"
-            )
-        payload = self.read_payload(entry, chunk)
-        payload_len = len(payload)
-        try:
-            anchors = None
-            if entry.anchors:
-                # refresh propagates: a deep verify must not decode the target
-                # against stale cached anchors (the memo keeps that one-decode-
-                # per-chunk within a single pass)
-                anchors = [
-                    self.get_chunk(
-                        anchor, index, refresh=refresh, scheduler=scheduler, _fresh=_fresh
-                    )
-                    for anchor in entry.anchors
-                ]
-            codec = self.codec_for(entry)
-            if isinstance(payload, memoryview) and not getattr(
-                codec, "decode_accepts_buffer", False
-            ):
-                # codec insists on real bytes: materialise the view once
-                buf = payload.tobytes()
-                payload.release()
-                payload = buf
-            decode_start = time.perf_counter()
-            decoded = self._decode_with(codec, payload, anchors, scheduler)
-            decode_seconds = time.perf_counter() - decode_start
-        finally:
-            if isinstance(payload, memoryview):
-                payload.release()
-        recorder.observe("store.read.decode_seconds", decode_seconds)
-        if recorder.enabled:
-            recorder.observe(f"store.codec.{entry.codec}.decode_seconds", decode_seconds)
-            recorder.count(f"store.codec.{entry.codec}.bytes_in", payload_len)
-            recorder.count(f"store.codec.{entry.codec}.bytes_out", int(decoded.nbytes))
-        expected_dtype = np.dtype(entry.dtype)
-        if decoded.shape != chunk.shape:
-            raise ArchiveCorruptionError(
-                f"field {name!r} chunk {index}: decoded shape {decoded.shape} "
-                f"does not match manifest shape {chunk.shape}"
-            )
-        if decoded.dtype != expected_dtype:
-            decoded = decoded.astype(expected_dtype)
-        # cached chunks are shared; freeze before anyone can alias the buffer
-        decoded = freeze_chunk(decoded)
-        if cache_result:
-            if self.shared is not None:
-                self.shared.put(self._archive_id + key, decoded)
-            else:
-                with self._cache_lock:
-                    evictions_before = self.cache.evictions
-                    self.cache.put(key, decoded)
-                    evicted = self.cache.evictions - evictions_before
-                if evicted:
-                    recorder.count("store.cache.evictions", evicted)
-        self.telemetry.count("store.read.chunks_decoded")
-        recorder.count("store.read.chunks_decoded")
-        recorder.count("store.read.bytes_out", int(decoded.nbytes))
-        if _fresh is not None:
-            _fresh.add(key)
-        return decoded
-
-    _PREVIEW_INFO_MAX = 4096
+        return self._fetch(name, index, None, scheduler, refresh, _fresh)
 
     def get_chunk_preview(
         self,
@@ -368,92 +331,27 @@ class ChunkFetcher:
         ``fallback: True`` (progressive decodes report ``fallback: False``).
         ``fraction`` must be a finite value in ``(0, 1]``; anything else
         raises :class:`ValueError` here, at the reader boundary, instead of
-        flowing into the codec and the preview cache key.  Preview chunks are
-        cached in the *private* LRU under keys extended with the fraction, so
-        they never alias full-precision entries (and never enter the shared
-        cache, which is reserved for full decodes).
+        flowing into the codec and the preview cache key.  A preview is
+        cached with its report, so a hit — from this fetcher or any other
+        sharing the cache — returns the report of the decode that filled it.
         """
         fraction = _validate_preview_fraction(fraction)
-        recorder = _obs.get_recorder()
         entry = self._lookup(name)
-        codec = self.codec_for(entry)
-        if not getattr(codec, "supports_preview", False):
-            if not 0 <= index < len(entry.chunks):
-                raise ArchiveCorruptionError(
-                    f"field {name!r}: manifest lists {len(entry.chunks)} chunks but the "
-                    f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
-                )
-            nbytes = int(entry.chunks[index].length)
-            info = {
-                "groups_decoded": 1,
-                "groups_total": 1,
-                "bytes_decoded": nbytes,
-                "bytes_total": nbytes,
-                "rms_error_estimate": 0.0,
-                "fallback": True,
-            }
-            self.telemetry.count("store.preview.fallback_chunks")
-            if recorder.enabled:
-                recorder.count("store.preview.fallback_chunks")
-            return self.get_chunk(name, index, scheduler=scheduler), info
-
-        key = (name, int(index), "preview", float(fraction))
-        with self._cache_lock:
-            cached = self.cache.get(key)
-            cached_info = self._preview_info.get(key) if cached is not None else None
-        if cached is not None and cached_info is not None:
-            recorder.count("store.cache.hits")
-            return cached, dict(cached_info)
-        recorder.count("store.cache.misses")
-
-        if not 0 <= index < len(entry.chunks):
-            raise ArchiveCorruptionError(
-                f"field {name!r}: manifest lists {len(entry.chunks)} chunks but the "
-                f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
-            )
-        chunk = entry.chunks[index]
-        payload = self.read_payload(entry, chunk)
-        try:
-            if isinstance(payload, memoryview) and not getattr(
-                codec, "decode_accepts_buffer", False
-            ):
-                buf = payload.tobytes()
-                payload.release()
-                payload = buf
-            decode_start = time.perf_counter()
-            decoded, info = codec.decode_preview(payload, fraction, scheduler=scheduler)
-            decode_seconds = time.perf_counter() - decode_start
-            # progressive codecs predate the fallback flag; normalise it here
-            # so every preview report carries an explicit verdict
-            info = dict(info)
-            info.setdefault("fallback", False)
-        finally:
-            if isinstance(payload, memoryview):
-                payload.release()
-        if decoded.shape != chunk.shape:
-            raise ArchiveCorruptionError(
-                f"field {name!r} chunk {index}: preview shape {decoded.shape} "
-                f"does not match manifest shape {chunk.shape}"
-            )
-        expected_dtype = np.dtype(entry.dtype)
-        if decoded.dtype != expected_dtype:
-            decoded = decoded.astype(expected_dtype)
-        decoded = freeze_chunk(decoded)
-        with self._cache_lock:
-            self.cache.put(key, decoded)
-            self._preview_info[key] = dict(info)
-            self._preview_info.move_to_end(key)
-            while len(self._preview_info) > self._PREVIEW_INFO_MAX:
-                self._preview_info.popitem(last=False)
-        self.telemetry.count("store.preview.chunks")
-        self.telemetry.count("store.preview.bytes_decoded", int(info["bytes_decoded"]))
-        self.telemetry.count("store.preview.bytes_total", int(info["bytes_total"]))
-        if recorder.enabled:
-            recorder.observe("store.preview.decode_seconds", decode_seconds)
-            recorder.count("store.preview.chunks")
-            recorder.count("store.preview.bytes_decoded", int(info["bytes_decoded"]))
-            recorder.count("store.preview.bytes_total", int(info["bytes_total"]))
-        return decoded, dict(info)
+        if getattr(self.codec_for(entry), "supports_preview", False):
+            chunk, info = self._fetch(name, index, fraction, scheduler)
+            return chunk, dict(info)
+        # the full fetch bounds-checks ``index`` before it is used below
+        chunk = self._fetch(name, index, None, scheduler)
+        nbytes = int(entry.chunks[index].length)
+        _obs.count("store.preview.fallback_chunks")
+        return chunk, {
+            "groups_decoded": 1,
+            "groups_total": 1,
+            "bytes_decoded": nbytes,
+            "bytes_total": nbytes,
+            "rms_error_estimate": 0.0,
+            "fallback": True,
+        }
 
 
 class ArchiveReader:
@@ -464,8 +362,9 @@ class ArchiveReader:
     path:
         The archive file.
     cache_bytes / cache_entries:
-        Decoded-chunk LRU cache budget (see :class:`LRUChunkCache`); ignored
-        when ``shared_cache`` routes chunks to the process-wide cache.
+        Budget of this reader's own decoded-chunk cache (see
+        :class:`~repro.store.cache.LRUChunkCache`); ignored when
+        ``shared_cache`` names a cache to use instead.
     jobs:
         Worker count for multi-chunk reads and verification: ``None`` sizes
         the pool to the machine, ``1`` decodes serially in the calling thread.
@@ -483,13 +382,13 @@ class ArchiveReader:
         (classic seek/read under one lock).  See
         :mod:`repro.store.bytestore`.
     shared_cache:
-        ``None``/``False`` keeps the private per-reader LRU.  ``True`` plugs
-        into the lazily created process-wide
+        ``None``/``False`` gives the reader a cache of its own.  ``True``
+        plugs into the lazily created process-wide
         :class:`~repro.store.shared_cache.SharedChunkCache`; a
-        ``SharedChunkCache`` instance uses that cache.  Shared entries are
-        keyed by archive identity *and* manifest generation (the published
-        footer's end offset), so readers opened before and after an append
-        never see each other's chunks.
+        ``SharedChunkCache`` instance uses that cache.  Entries are keyed by
+        archive identity *and* manifest generation (the published footer's
+        end offset), so readers opened before and after an append never see
+        each other's chunks.
 
     The reader is safe to share between threads: the byte store and the
     chunk cache are internally synchronised, and decodes run outside every
@@ -520,11 +419,12 @@ class ArchiveReader:
                 "(chunk fetches share one byte store and cache)"
             )
         if shared_cache is True:
-            shared: Optional[SharedChunkCache] = process_chunk_cache()
+            cache = process_chunk_cache()
         elif isinstance(shared_cache, SharedChunkCache):
-            shared = shared_cache
+            cache = shared_cache
         elif shared_cache in (None, False):
-            shared = None
+            # a private cache is simply an instance nobody else holds
+            cache = SharedChunkCache(max_bytes=cache_bytes, max_entries=cache_entries)
         else:
             raise ValueError(
                 "shared_cache must be None, a bool, or a SharedChunkCache instance"
@@ -554,14 +454,8 @@ class ArchiveReader:
         #: as the shared-cache generation token.
         self.generation = int(published_end)
         stat = os.stat(self.path)
-        self._archive_id = (stat.st_dev, stat.st_ino, self.generation)
-        self._fetcher = ChunkFetcher(
-            self._store,
-            self.manifest.__getitem__,
-            LRUChunkCache(max_bytes=cache_bytes, max_entries=cache_entries),
-            shared=shared,
-            archive_id=self._archive_id,
-        )
+        archive_id = (stat.st_dev, stat.st_ino, self.generation)
+        self._fetcher = ChunkFetcher(self._store, self.manifest.__getitem__, cache, archive_id)
 
     @property
     def backend(self) -> str:
@@ -618,15 +512,16 @@ class ArchiveReader:
     def cache_stats(self) -> Dict[str, int]:
         """Chunk-cache statistics plus decode/IO counters.
 
-        ``chunks_decoded`` / ``bytes_read`` are always this reader's own work;
-        with a shared cache the hit/miss/coalesced numbers come from the
-        (process-wide) shared cache under the ``"shared"`` key.
+        The cache numbers (``hits`` / ``misses`` / ``evictions`` /
+        ``coalesced`` / occupancy) describe the cache this reader uses — all
+        of its traffic when it is shared with other readers.
+        ``chunks_decoded`` / ``previews_decoded`` / ``bytes_read`` are always
+        this reader's own work.
         """
-        stats: Dict = self._fetcher.cache.stats
+        stats = self._fetcher.cache.stats
         stats["chunks_decoded"] = self._fetcher.chunks_decoded
+        stats["previews_decoded"] = self._fetcher.previews_decoded
         stats["bytes_read"] = self._fetcher.bytes_read
-        if self._fetcher.shared is not None:
-            stats["shared"] = self._fetcher.shared.stats
         return stats
 
     # ------------------------------------------------------------------ #
@@ -658,37 +553,7 @@ class ArchiveReader:
         :meth:`read_region_preview` to also get the decode report (bytes
         touched, error estimate).
         """
-        if preview_fraction is not None:
-            out, _ = self.read_region_preview(name, region, fraction=preview_fraction)
-            return out
-        self._require_open()
-        entry = self.manifest[name]
-        sls = normalize_region(entry.shape, region)
-        out_shape = tuple(sl.stop - sl.start for sl in sls)
-        out = np.empty(out_shape, dtype=np.dtype(entry.dtype))
-        indices = chunks_intersecting_region(entry.shape, entry.chunk_shape, sls)
-
-        # A single-chunk read has no chunk-level parallelism to exploit, so
-        # hand the reader's scheduler *into* the decode instead: the codec can
-        # fan checkpointed entropy sub-blocks out across the same pool.  Safe
-        # precisely because the one-task case below runs in the calling
-        # thread, never inside one of the scheduler's own workers.
-        intra = self._scheduler if len(indices) == 1 else None
-
-        def fetch(index: int) -> Tuple[int, np.ndarray]:
-            # get_chunk first: it bounds-checks `index` against the (possibly
-            # malformed) manifest chunk list before we index into it
-            return index, self._fetcher.get_chunk(name, index, scheduler=intra)
-
-        # Unordered collection: each worker does one seek+read under io_lock
-        # and decodes outside every lock; the main thread writes each decoded
-        # chunk into its slot as soon as it arrives (slots are disjoint).
-        with _obs.span("store.read.region_seconds", field=name, chunks=len(indices)):
-            for _, (index, chunk) in self._scheduler.imap_unordered(fetch, indices):
-                chunk_entry = entry.chunks[index]
-                dest, src = _overlap(sls, chunk_entry.start, chunk_entry.stop)
-                out[dest] = chunk[src]
-        return out
+        return self._read(name, region, preview_fraction)[0]
 
     def read_region_preview(
         self, name: str, region=None, fraction: float = 0.25
@@ -709,50 +574,51 @@ class ArchiveReader:
         a cheap prefix read.  ``fraction`` must be finite and in ``(0, 1]``
         (``ValueError`` otherwise).
         """
-        fraction = _validate_preview_fraction(fraction)
+        return self._read(name, region, fraction)
+
+    def _read(self, name: str, region, fraction: Optional[float]):
+        """The one region loop; ``fraction=None`` is a full-precision read."""
+        if fraction is not None:
+            fraction = _validate_preview_fraction(fraction)
         self._require_open()
         entry = self.manifest[name]
         sls = normalize_region(entry.shape, region)
         out_shape = tuple(sl.stop - sl.start for sl in sls)
         out = np.empty(out_shape, dtype=np.dtype(entry.dtype))
         indices = chunks_intersecting_region(entry.shape, entry.chunk_shape, sls)
+
+        # A single-chunk read has no chunk-level parallelism to exploit, so
+        # hand the reader's scheduler *into* the decode instead: the codec can
+        # fan checkpointed entropy sub-blocks out across the same pool.  Safe
+        # precisely because the one-task case below runs in the calling
+        # thread, never inside one of the scheduler's own workers.
         intra = self._scheduler if len(indices) == 1 else None
 
-        def fetch(index: int) -> Tuple[int, Tuple[np.ndarray, Dict]]:
-            return index, self._fetcher.get_chunk_preview(
-                name, index, fraction, scheduler=intra
-            )
+        # the fetcher bounds-checks each index against the (possibly
+        # malformed) manifest chunk list before the loop indexes into it
+        if fraction is None:
+            span = "store.read.region_seconds"
 
-        totals = {
-            "chunks": 0,
-            "groups_decoded": 0,
-            "groups_total": 0,
-            "bytes_decoded": 0,
-            "bytes_total": 0,
-        }
-        energy = 0.0
-        points = 0
-        fallback_chunks = 0
-        with _obs.span("store.preview.region_seconds", field=name, chunks=len(indices)):
-            for _, (index, (chunk, info)) in self._scheduler.imap_unordered(fetch, indices):
-                chunk_entry = entry.chunks[index]
+            def fetch(index: int):
+                return self._fetcher.get_chunk(name, index, scheduler=intra), None
+        else:
+            span = "store.preview.region_seconds"
+
+            def fetch(index: int):
+                return self._fetcher.get_chunk_preview(name, index, fraction, scheduler=intra)
+
+        reports: List[Tuple[int, Dict]] = []  # (points, report) per preview chunk
+        # Unordered collection: each worker does one seek+read under io_lock
+        # and decodes outside every lock; the main thread writes each decoded
+        # chunk into its slot as soon as it arrives (slots are disjoint).
+        with _obs.span(span, field=name, chunks=len(indices)):
+            for position, (chunk, info) in self._scheduler.imap_unordered(fetch, indices):
+                chunk_entry = entry.chunks[indices[position]]
                 dest, src = _overlap(sls, chunk_entry.start, chunk_entry.stop)
                 out[dest] = chunk[src]
-                totals["chunks"] += 1
-                totals["groups_decoded"] += int(info["groups_decoded"])
-                totals["groups_total"] += int(info["groups_total"])
-                totals["bytes_decoded"] += int(info["bytes_decoded"])
-                totals["bytes_total"] += int(info["bytes_total"])
-                if info.get("fallback"):
-                    fallback_chunks += 1
-                n = int(np.prod(chunk_entry.shape))
-                energy += float(info["rms_error_estimate"]) ** 2 * n
-                points += n
-        totals["fraction"] = float(fraction)
-        totals["rms_error_estimate"] = float(np.sqrt(energy / points)) if points else 0.0
-        # one codec per field: either every chunk fell back or none did
-        totals["fallback"] = fallback_chunks > 0
-        return out, totals
+                if info is not None:
+                    reports.append((chunk.size, info))
+        return out, _preview_totals(fraction, reports) if fraction is not None else None
 
     # ------------------------------------------------------------------ #
     # time-stepped reads
@@ -886,6 +752,19 @@ def _chunk_error_message(name: str, index: int, exc: Exception) -> str:
     if prefix in message:
         return message
     return f"{prefix}: {message}"
+
+
+def _preview_totals(fraction: float, reports: List[Tuple[int, Dict]]) -> Dict:
+    """Fold per-chunk preview reports (with their point counts) into a region's."""
+    totals: Dict = {"chunks": len(reports)}
+    for key in ("groups_decoded", "groups_total", "bytes_decoded", "bytes_total"):
+        totals[key] = sum(int(info[key]) for _, info in reports)
+    energy = sum(float(info["rms_error_estimate"]) ** 2 * points for points, info in reports)
+    totals["fraction"] = fraction
+    totals["rms_error_estimate"] = float(np.sqrt(energy / sum(n for n, _ in reports)))
+    # one codec per field: either every chunk fell back or none did
+    totals["fallback"] = any(info["fallback"] for _, info in reports)
+    return totals
 
 
 def _overlap(

@@ -1,31 +1,35 @@
-"""Process-wide chunk cache with single-flight decode deduplication.
+"""The chunk cache: thread-safe LRU with single-flight decode deduplication.
 
-Every :class:`~repro.store.reader.ArchiveReader` historically owned a private
-LRU, so N concurrent readers of one archive decoded the same hot chunk N
-times.  :class:`SharedChunkCache` is the fix: one thread-safe cache many
-readers (and, later, many service-layer requests) share, keyed per archive
-*generation* so entries can never leak across archives or across append
-publications:
+Every chunk fetch — full or preview, reader, writer or service — goes through
+one :class:`SharedChunkCache`.  Handing the same instance to many readers
+(``ArchiveReader(shared_cache=...)``, the HTTP service) makes N concurrent
+readers of one archive decode each hot chunk once instead of N times; a
+*private* cache is simply an instance nobody else holds.  Keys carry the
+archive *generation* so entries can never leak across archives or across
+append publications:
 
 ``key = (st_dev, st_ino, generation, field_name, chunk_index)``
 
-where ``generation`` is the archive's published end offset — the byte just
-past the footer the reader's manifest came from.  Appends only ever publish
-*new* footers at larger offsets, so a new generation means new keys; entries
-cached for generation G stay byte-correct for every reader still holding G
-and simply age out of the LRU once those readers are gone.  No cross-thread
-invalidation race exists because stale entries are never *wrong*, only old.
-:meth:`invalidate` exists for callers that want eager eviction anyway.
+(preview entries append ``"preview", fraction``, so they never alias the full
+decode of their chunk) where ``generation`` is the archive's published end
+offset — the byte just past the footer the reader's manifest came from.
+Appends only ever publish *new* footers at larger offsets, so a new
+generation means new keys; entries cached for generation G stay byte-correct
+for every reader still holding G and simply age out of the LRU once those
+readers are gone.  No cross-thread invalidation race exists because stale
+entries are never *wrong*, only old.  :meth:`invalidate` exists for callers
+that want eager eviction anyway.
 
 **Single-flight:** concurrent misses on one key do not decode redundantly.
 The first caller (the *leader*) runs the decode; every other caller blocks on
-the leader's in-flight entry and receives the same array.  If the decode
+the leader's in-flight entry and receives the same value.  If the decode
 raises, the exception propagates to the leader *and* every waiter, and the
 in-flight entry is removed so a later call retries cleanly.
 
-Telemetry (``store.cache.shared.*``): ``hits`` / ``misses`` count resolved
-lookups, ``coalesced`` counts callers that piggybacked on another thread's
-in-flight decode, and ``wait_seconds`` times how long they blocked.
+Telemetry (``store.cache.*``, recorded here and nowhere else): ``hits`` /
+``misses`` count resolved lookups, ``evictions`` entries pushed out by an
+insert, ``coalesced`` callers that piggybacked on another thread's in-flight
+decode, and ``wait_seconds`` how long they blocked.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class SharedChunkCache:
 
     All stored arrays are read-only (see
     :func:`~repro.store.cache.freeze_chunk`); callers needing a writable
-    chunk copy it, exactly as with the per-reader cache.
+    chunk copy it.
     """
 
     def __init__(
@@ -87,14 +91,22 @@ class SharedChunkCache:
             chunk = self._lru.get(key)
         recorder = _obs.get_recorder()
         if recorder.enabled:
-            recorder.count("store.cache.shared.hit" if chunk is not None else "store.cache.shared.miss")
+            recorder.count("store.cache.hits" if chunk is not None else "store.cache.misses")
         return chunk
 
     def put(self, key: Hashable, chunk: np.ndarray) -> None:
         """Insert a chunk (frozen read-only) outside any single-flight path."""
         chunk = freeze_chunk(chunk)
         with self._lock:
-            self._lru.put(key, chunk)
+            self._insert(key, chunk)
+
+    def _insert(self, key: Hashable, chunk: np.ndarray) -> None:
+        """Store under the held lock, counting what the insert pushed out."""
+        before = self._lru.evictions
+        self._lru.put(key, chunk)
+        evicted = self._lru.evictions - before
+        if evicted:
+            _obs.count("store.cache.evictions", evicted)
 
     def get_or_compute(
         self, key: Hashable, factory: Callable[[], np.ndarray]
@@ -111,7 +123,7 @@ class SharedChunkCache:
             chunk = self._lru.get(key)
             if chunk is not None:
                 if recorder.enabled:
-                    recorder.count("store.cache.shared.hit")
+                    recorder.count("store.cache.hits")
                 return chunk
             flight = self._inflight.get(key)
             if flight is None:
@@ -123,18 +135,16 @@ class SharedChunkCache:
         if not leader:
             self.coalesced += 1
             if recorder.enabled:
-                recorder.count("store.cache.shared.coalesced")
+                recorder.count("store.cache.coalesced")
                 started = time.perf_counter()
                 try:
                     return flight.wait()
                 finally:
-                    recorder.observe(
-                        "store.cache.shared.wait_seconds", time.perf_counter() - started
-                    )
+                    recorder.observe("store.cache.wait_seconds", time.perf_counter() - started)
             return flight.wait()
 
         if recorder.enabled:
-            recorder.count("store.cache.shared.miss")
+            recorder.count("store.cache.misses")
         try:
             value = freeze_chunk(factory())
         except BaseException as exc:
@@ -144,7 +154,7 @@ class SharedChunkCache:
             flight.event.set()
             raise
         with self._lock:
-            self._lru.put(key, value)
+            self._insert(key, value)
             self._inflight.pop(key, None)
         flight.value = value
         flight.event.set()

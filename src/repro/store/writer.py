@@ -53,7 +53,6 @@ from repro.obs import recorder as _obs
 from repro.parallel.blocks import plan_blocks
 from repro.parallel.engine import ChunkScheduler
 from repro.store.bytestore import FileByteStore
-from repro.store.cache import LRUChunkCache
 from repro.store.codecs import codec_class, get_codec
 from repro.store.manifest import (
     FOOTER_SIZE,
@@ -68,6 +67,7 @@ from repro.store.manifest import (
     recover_manifest,
 )
 from repro.store.reader import ChunkFetcher
+from repro.store.shared_cache import SharedChunkCache
 from repro.store.temporal import TemporalSpec
 from repro.sz.errors import ErrorBound
 
@@ -236,7 +236,7 @@ class ArchiveWriter:
         self._fetcher = ChunkFetcher(
             FileByteStore(fh=self._fh),
             self.manifest.__getitem__,
-            LRUChunkCache(max_bytes=32 * 1024 * 1024),
+            SharedChunkCache(max_bytes=32 * 1024 * 1024),
         )
 
     def _ensure_open(self) -> None:
@@ -265,7 +265,7 @@ class ArchiveWriter:
             self._fetcher = ChunkFetcher(
                 FileByteStore(fh=self._fh),
                 self.manifest.__getitem__,
-                LRUChunkCache(max_bytes=32 * 1024 * 1024),
+                SharedChunkCache(max_bytes=32 * 1024 * 1024),
             )
 
     def flush(self) -> Path:

@@ -1,4 +1,4 @@
-"""Shared utilities: argument validation, lightweight logging, and timing helpers.
+"""Shared utilities: argument validation and lightweight logging.
 
 These helpers are intentionally dependency-free (NumPy only) so that every other
 subpackage can rely on them without import cycles.
@@ -12,7 +12,6 @@ from repro.utils.validation import (
     ensure_shape_match,
     ensure_ndim,
 )
-from repro.utils.timing import Timer, timed
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -22,7 +21,5 @@ __all__ = [
     "ensure_in",
     "ensure_shape_match",
     "ensure_ndim",
-    "Timer",
-    "timed",
     "get_logger",
 ]

@@ -121,58 +121,3 @@ class TestBlockParallelCompressor:
             n_blocks=1,
         )
         assert legacy.bit_rate == 8.0  # falls back to 4-byte elements
-
-    def test_parallel_map_orders_and_validates(self):
-        from repro.parallel import parallel_map
-
-        items = list(range(20))
-        assert parallel_map(lambda x: x * x, items, "thread", 4) == [x * x for x in items]
-        assert parallel_map(lambda x: x + 1, items, "serial") == [x + 1 for x in items]
-        with pytest.raises(ValueError):
-            parallel_map(lambda x: x, items, "gpu")
-
-    def test_parallel_imap_windows_submissions(self):
-        import threading
-        import time
-
-        from repro.parallel import parallel_imap
-
-        submitted = []
-        lock = threading.Lock()
-
-        def work(x):
-            with lock:
-                submitted.append(x)
-            return x
-
-        with pytest.raises(ValueError):  # validation is eager, not deferred
-            parallel_imap(work, range(5), "gpu")
-
-        gen = parallel_imap(work, range(50), "thread", max_workers=2)
-        first = next(gen)  # fills the 2*2 submission window, yields item 0
-        assert first == 0
-        time.sleep(0.05)  # workers drain the window; no new submissions yet
-        assert len(submitted) <= 4
-        assert list(gen) == list(range(1, 50))  # remaining results, in order
-
-    def test_parallel_imap_cancels_window_on_failure(self):
-        import threading
-
-        from repro.parallel import parallel_imap
-
-        executed = []
-        lock = threading.Lock()
-
-        def work(x):
-            with lock:
-                executed.append(x)
-            if x == 0:
-                raise RuntimeError("chunk failed")
-            return x
-
-        gen = parallel_imap(work, range(40), "thread", max_workers=1)
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            list(gen)
-        # queued window items are cancelled on failure; only items already
-        # running (at most the 2*workers window) may have executed
-        assert len(executed) <= 2

@@ -15,7 +15,6 @@ def _full_config() -> PipelineConfig:
         error_bound=ErrorBound.relative(1e-3),
         chunk_shape=(8, 16, 16),
         jobs=3,
-        max_workers=2,
         executor_kind="thread",
         temporal={"mode": "delta", "anchor_every": 6},
         fields={
@@ -67,17 +66,9 @@ class TestRoundTrip:
         assert config.error_bound_for("Uf") == ErrorBound.relative(1e-3)
         assert config.error_bound_for("Wf") == ErrorBound.absolute(0.5)
 
-    def test_jobs_round_trips_and_wins_over_max_workers(self):
-        config = _full_config()
-        assert config.jobs == 3 and config.max_workers == 2
-        assert config.effective_jobs == 3  # jobs wins when both are set
-        restored = PipelineConfig.from_json(config.to_json())
-        assert restored.jobs == 3 and restored.max_workers == 2
-
-    def test_effective_jobs_falls_back_to_legacy_max_workers(self):
-        assert PipelineConfig(max_workers=5).effective_jobs == 5
-        assert PipelineConfig().effective_jobs is None
-        assert PipelineConfig(jobs=1).effective_jobs == 1
+    def test_jobs_round_trips(self):
+        assert PipelineConfig.from_json(_full_config().to_json()).jobs == 3
+        assert PipelineConfig.from_json(PipelineConfig().to_json()).jobs is None
 
 
 class TestValidationErrors:
@@ -106,8 +97,9 @@ class TestValidationErrors:
             PipelineConfig(executor_kind="fork").validate()
 
     def test_bad_max_workers(self):
-        with pytest.raises(PipelineConfigError, match="max_workers"):
-            PipelineConfig(max_workers=0).validate()
+        # the legacy alias is gone: an old config is told which knob replaced it
+        with pytest.raises(PipelineConfigError, match="max_workers.*'jobs'"):
+            PipelineConfig.from_dict({"max_workers": 2})
 
     def test_bad_jobs(self):
         with pytest.raises(PipelineConfigError, match="jobs"):
@@ -191,12 +183,6 @@ class TestValidationErrors:
             PipelineConfig(attrs=5).validate()  # type: ignore[arg-type]
         with pytest.raises(PipelineConfigError, match="codec_params"):
             PipelineConfig.from_dict({"fields": {"A": {"codec_params": 5}}})
-
-    def test_non_integer_max_workers(self):
-        with pytest.raises(PipelineConfigError, match="integer"):
-            PipelineConfig(max_workers=2.5).validate()
-        with pytest.raises(PipelineConfigError, match="integer"):
-            PipelineConfig.from_dict({"max_workers": "two"})
 
     def test_anchor_chunk_grid_mismatch(self):
         config = PipelineConfig(

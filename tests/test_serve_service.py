@@ -333,9 +333,15 @@ class TestAppendWhileServing:
 
 
 class TestSharedCacheDedup:
-    def test_concurrent_requests_decode_each_chunk_once(self, snapshot_archive):
+    @pytest.mark.parametrize(
+        "endpoint, counter",
+        [("region", "chunks_decoded"), ("preview", "previews_decoded")],
+        ids=["region", "preview"],
+    )
+    def test_concurrent_requests_decode_each_chunk_once(self, snapshot_archive, endpoint, counter):
         path, _ = snapshot_archive
         with make_service(path) as service:
+            request = getattr(service, f"handle_{endpoint}")
             n_threads, per_thread = 8, 4
             barrier = threading.Barrier(n_threads)
             failures = []
@@ -343,7 +349,7 @@ class TestSharedCacheDedup:
             def client() -> None:
                 barrier.wait()
                 for _ in range(per_thread):
-                    response = service.handle_region("a", "T", region="0:32,0:64")
+                    response = request("a", "T", region="0:32,0:64")
                     if response.status != 200:
                         failures.append(response.status)
 
@@ -357,13 +363,14 @@ class TestSharedCacheDedup:
             with service.handle("a").reader() as reader:
                 stats = reader.cache_stats()
                 total_chunks = len(reader.field("T").chunks)
-            # 32 requests x 4 chunks each, but the single-flight shared cache
-            # decodes each chunk exactly once (LRU miss counts are racy —
-            # several threads can observe the gap before the leader lands the
-            # value — so the decode counter is the authoritative assertion)
-            assert stats["chunks_decoded"] == total_chunks
-            shared = stats["shared"]
-            assert shared["hits"] + shared["coalesced"] > 0
+            # 32 requests x 4 chunks each, but the single-flight cache decodes
+            # each chunk exactly once, full or preview (LRU miss counts are
+            # racy — several threads can observe the gap before the leader
+            # lands the value — so the decode counter is the authoritative
+            # assertion)
+            assert stats[counter] == total_chunks
+            assert stats["chunks_decoded"] + stats["previews_decoded"] == total_chunks
+            assert stats["hits"] + stats["coalesced"] > 0
 
     def test_distinct_archives_do_not_collide(self, snapshot_archive, tmp_path):
         path, data = snapshot_archive
@@ -433,9 +440,11 @@ class TestDispatchAndStats:
         try:
             with make_service(path) as service:
                 service.handle_region("a", "T", region="0:8,0:8")
+                assert service.dispatch("GET", "/nonsense", {}, {}).status == 404
             snapshot = recorder.snapshot()
-            assert snapshot.counters["http.request.count"] == 1
-            assert "http.request.seconds" in snapshot.histograms
+            assert snapshot.counters["http.request.count"] == 2
+            assert snapshot.counters["http.request.status.404"] == 1  # unrouted ones too
+            assert snapshot.histograms["http.request.seconds"].count == 2
             assert any(span.name == "http.region" for span in snapshot.spans)
         finally:
             obs.set_recorder(previous)

@@ -1,5 +1,6 @@
 """SharedChunkCache: single-flight dedup, invalidation, reader integration."""
 
+import os
 import threading
 import time
 
@@ -216,7 +217,7 @@ class TestReaderSharing:
     def test_shared_true_uses_process_singleton(self, lossless_archive):
         path, data = lossless_archive
         with ArchiveReader(path, shared_cache=True) as reader:
-            assert reader._fetcher.shared is process_chunk_cache()
+            assert reader._fetcher.cache is process_chunk_cache()
             assert np.array_equal(reader.read_field("hot"), data)
 
     def test_many_threads_many_readers_decode_each_chunk_once(self, lossless_archive):
@@ -255,15 +256,42 @@ class TestReaderSharing:
                 reader.close()
 
     def test_cache_stats_exposes_shared_section(self, lossless_archive):
+        """Top-level numbers are the cache the reader uses, shared or its own."""
         path, _ = lossless_archive
         shared = SharedChunkCache(max_bytes=1 << 24)
         with ArchiveReader(path, shared_cache=shared) as reader:
             reader.read_field("hot")
             stats = reader.cache_stats()
-            assert "shared" in stats
-            assert stats["shared"]["entries"] == 16
+            assert "shared" not in stats
+            assert stats["entries"] == shared.stats["entries"] == 16
+            assert stats["misses"] == shared.stats["misses"] == 16
         with ArchiveReader(path) as reader:
-            assert "shared" not in reader.cache_stats()
+            reader.read_field("hot")
+            assert reader.cache_stats()["entries"] == 16
+            assert shared.stats["misses"] == 16  # a private cache is its own instance
+
+    def test_second_reader_preview_comes_from_the_shared_cache(self, tmp_path):
+        data = np.random.default_rng(3).normal(size=(32, 64)).astype(np.float32)
+        path = tmp_path / "zfp.xfa"
+        with ArchiveWriter(path, chunk_shape=(16, 32)) as writer:
+            writer.add_field("T", data, codec="zfp")
+        shared = SharedChunkCache(max_bytes=1 << 24)
+        # jobs=1: the region report sums chunk reports in arrival order
+        with ArchiveReader(path, shared_cache=shared, jobs=1) as first, ArchiveReader(
+            path, shared_cache=shared, jobs=1
+        ) as second:
+            coarse, info = first.read_region_preview("T", None, fraction=0.25)
+            again, info_again = second.read_region_preview("T", None, fraction=0.25)
+            assert first.cache_stats()["previews_decoded"] == 4
+            assert second.cache_stats()["previews_decoded"] == 0
+            assert np.array_equal(again, coarse)
+            assert info_again == info  # the report is cached with its chunk
+            # a chunk's preview and its full decode are separate entries...
+            assert not np.array_equal(second.read_field("T"), coarse)
+            assert shared.stats["entries"] == 8
+            # ...and eager invalidation drops both kinds
+            stat = os.stat(path)
+            assert shared.invalidate((stat.st_dev, stat.st_ino)) == 8
 
     def test_append_gets_fresh_generation_keys(self, lossless_archive):
         path, data = lossless_archive
@@ -303,5 +331,5 @@ class TestReaderSharing:
         finally:
             obs.set_recorder(previous)
         snapshot = recorder.snapshot()
-        assert snapshot.counter("store.cache.shared.miss") == 16
-        assert snapshot.counter("store.cache.shared.hit") >= 16
+        assert snapshot.counter("store.cache.misses") == 16
+        assert snapshot.counter("store.cache.hits") == 16  # one lookup per chunk fetch

@@ -1,55 +1,8 @@
-"""Unit tests for repro.utils.timing and repro.utils.logging."""
+"""Unit tests for repro.utils.logging."""
 
 import logging
-import time
 
 from repro.utils.logging import get_logger
-from repro.utils.timing import Timer, timed
-
-
-class TestTimer:
-    def test_section_accumulates(self):
-        timer = Timer()
-        with timer.section("work"):
-            time.sleep(0.01)
-        with timer.section("work"):
-            time.sleep(0.01)
-        assert timer.total("work") >= 0.02
-        assert timer.counts["work"] == 2
-
-    def test_unknown_section_is_zero(self):
-        assert Timer().total("missing") == 0.0
-
-    def test_reset(self):
-        timer = Timer()
-        with timer.section("a"):
-            pass
-        timer.reset()
-        assert timer.totals == {}
-
-    def test_summary_contains_sections(self):
-        timer = Timer()
-        with timer.section("alpha"):
-            pass
-        assert "alpha" in timer.summary()
-
-    def test_nested_sections(self):
-        timer = Timer()
-        with timer.section("outer"):
-            with timer.section("inner"):
-                pass
-        assert "outer" in timer.totals and "inner" in timer.totals
-
-
-class TestTimed:
-    def test_records_elapsed(self):
-        @timed
-        def work():
-            time.sleep(0.005)
-            return 42
-
-        assert work() == 42
-        assert work.last_elapsed > 0
 
 
 class TestLogging:
