@@ -16,12 +16,19 @@ Design points carried over from the paper:
 
 Inference over a full field is tiled with a halo so memory stays bounded; the
 tiling is deterministic and recorded in the compressed metadata, so compressor
-and decompressor always produce identical predictions.
+and decompressor always produce identical predictions.  Inside a tile every
+convolution walks the flattened grid in fixed-width blocks (see
+``repro.nn.functional``), so its temporaries stay cache-sized whatever the
+tile size.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import itertools
+import json
+import math
+import struct
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,9 +51,19 @@ from repro.nn import (
     state_from_bytes,
     state_to_bytes,
 )
+from repro.nn.serialization import read_json_header
+from repro.obs import recorder as _obs
 from repro.utils.validation import ensure_array
 
 __all__ = ["CFNNConfig", "build_cfnn_network", "CFNN"]
+
+#: Caps on what a serialised model may declare.  A model blob comes out of an
+#: archive, so :meth:`CFNN.from_bytes` checks them before it builds anything;
+#: the paper's models have thousands of parameters and 8-32 channels.
+MAX_CHANNELS = 1024
+MAX_KERNEL_SIZE = 15
+MAX_TILE_SIZE = 4096
+MAX_PARAMETERS = 1 << 24
 
 
 @dataclass
@@ -85,14 +102,57 @@ class CFNNConfig:
         # three k-sized convolutions (initial, depthwise, final) with 'same' padding
         return 3 * (self.kernel_size // 2)
 
+    @property
+    def num_parameters(self) -> int:
+        """Scalar parameters of the network :func:`build_cfnn_network` builds,
+        computed without building it (what :meth:`CFNN.from_bytes` checks a
+        blob's length against before it allocates anything)."""
+        taps = self.kernel_size**self.ndim
+        hidden, expanded = self.hidden_channels, self.expanded_channels
+        squeezed = max(1, expanded // self.attention_reduction)
+        return (
+            hidden * (self.in_channels * taps + 1)  # initial convolution
+            + hidden * (taps + 1)  # depthwise
+            + expanded * (hidden + 1)  # pointwise
+            + squeezed * (expanded + 1) + expanded * (squeezed + 1)  # attention MLP
+            + self.out_channels * (expanded * taps + 1)  # final convolution
+        )
+
     def to_dict(self) -> Dict:
         """JSON-serialisable representation stored in the compressed metadata."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "CFNNConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**payload)
+        """Inverse of :meth:`to_dict`.
+
+        ``payload`` may come out of an archive: anything but exactly this
+        class's integer fields, within the module's caps, is a ``ValueError``.
+        """
+        names = [f.name for f in fields(cls)]
+        if not isinstance(payload, dict) or sorted(payload) != sorted(names):
+            raise ValueError(f"CFNN config must be an object with exactly the keys {names}")
+        for name, value in payload.items():
+            if type(value) is not int:
+                raise ValueError(f"CFNN config field {name!r} must be an integer, got {value!r}")
+        config = cls(**payload)
+        if not (
+            config.in_channels <= MAX_CHANNELS
+            and 1 <= config.hidden_channels <= MAX_CHANNELS
+            and 1 <= config.expanded_channels <= MAX_CHANNELS
+            and 1 <= config.kernel_size <= MAX_KERNEL_SIZE
+            and config.attention_reduction >= 1
+        ):
+            raise ValueError(
+                f"CFNN config out of range (at most {MAX_CHANNELS} channels, "
+                f"kernel size 1-{MAX_KERNEL_SIZE}, positive sizes): {payload}"
+            )
+        if config.num_parameters > MAX_PARAMETERS:
+            raise ValueError(
+                f"CFNN config declares {config.num_parameters} parameters, "
+                f"more than the {MAX_PARAMETERS} allowed"
+            )
+        return config
 
 
 def build_cfnn_network(config: CFNNConfig, rng: Optional[np.random.Generator] = None) -> Sequential:
@@ -111,6 +171,8 @@ def build_cfnn_network(config: CFNNConfig, rng: Optional[np.random.Generator] = 
         )
         final = Conv3d(config.expanded_channels, config.out_channels, config.kernel_size, rng=rng)
     attention = ChannelAttention(config.expanded_channels, config.attention_reduction, rng=rng)
+    # the first layer is fed anchor differences, not another layer's output
+    initial.needs_input_grad = False
     return Sequential(initial, ReLU(), separable, ReLU(), attention, final)
 
 
@@ -182,29 +244,32 @@ class CFNN:
                 f"expected {self.config.n_anchors} anchor arrays, got {len(anchor_arrays)}"
             )
         training = training if training is not None else TrainingConfig()
-        rng = np.random.default_rng(training.seed)
-        inputs, targets, anchor_scales, target_scales = make_difference_patches(
-            anchor_arrays, target_array, training, rng=rng
-        )
-        self.anchor_scales = anchor_scales
-        self.target_scales = target_scales
+        with _obs.span("core.cfnn.train_seconds", epochs=training.epochs):
+            rng = np.random.default_rng(training.seed)
+            inputs, targets, anchor_scales, target_scales = make_difference_patches(
+                anchor_arrays, target_array, training, rng=rng
+            )
+            self.anchor_scales = anchor_scales
+            self.target_scales = target_scales
 
-        n_val = int(round(training.validation_fraction * inputs.shape[0]))
-        validation = None
-        if n_val > 0 and inputs.shape[0] - n_val >= training.batch_size:
-            validation = (inputs[-n_val:], targets[-n_val:])
-            inputs, targets = inputs[:-n_val], targets[:-n_val]
+            n_val = int(round(training.validation_fraction * inputs.shape[0]))
+            validation = None
+            if n_val > 0 and inputs.shape[0] - n_val >= training.batch_size:
+                validation = (inputs[-n_val:], targets[-n_val:])
+                inputs, targets = inputs[:-n_val], targets[:-n_val]
 
-        optimizer = Adam(self.network.parameters(), lr=training.learning_rate)
-        trainer = Trainer(
-            self.network,
-            optimizer,
-            MSELoss(),
-            batch_size=training.batch_size,
-            clip_grad_norm=training.clip_grad_norm,
-            rng=rng,
-        )
-        self.history = trainer.fit(inputs, targets, epochs=training.epochs, validation=validation)
+            optimizer = Adam(self.network.parameters(), lr=training.learning_rate)
+            trainer = Trainer(
+                self.network,
+                optimizer,
+                MSELoss(),
+                batch_size=training.batch_size,
+                clip_grad_norm=training.clip_grad_norm,
+                rng=rng,
+            )
+            self.history = trainer.fit(
+                inputs, targets, epochs=training.epochs, validation=validation
+            )
         return self.history
 
     # ------------------------------------------------------------------ #
@@ -239,8 +304,6 @@ class CFNN:
         halo = self.config.halo
         tile = self.tile_size
         starts = [range(0, s, tile) for s in spatial_shape]
-        import itertools
-
         for combo in itertools.product(*starts):
             core = tuple(
                 slice(start, min(start + tile, size)) for start, size in zip(combo, spatial_shape)
@@ -265,25 +328,23 @@ class CFNN:
         """
         if self.target_scales is None:
             raise RuntimeError("CFNN has no normalisation state; train or load it first")
-        batch = self._prepare_input(anchor_arrays)
-        spatial_shape = batch.shape[2:]
-        output = np.zeros((self.config.out_channels,) + spatial_shape, dtype=np.float64)
-        for core, padded, crop in self._tiles(spatial_shape):
-            tile_input = batch[(slice(None), slice(None)) + padded]
-            tile_output = self.network(tile_input)[0]
-            output[(slice(None),) + core] = tile_output[(slice(None),) + crop]
-        return [output[d] * self.target_scales[d] for d in range(self.config.out_channels)]
+        with _obs.span("core.cfnn.infer_seconds"):
+            batch = self._prepare_input(anchor_arrays)
+            spatial_shape = batch.shape[2:]
+            output = np.zeros((self.config.out_channels,) + spatial_shape, dtype=np.float64)
+            for core, padded, crop in self._tiles(spatial_shape):
+                tile_input = batch[(slice(None), slice(None)) + padded]
+                tile_output = self.network(tile_input)[0]
+                output[(slice(None),) + core] = tile_output[(slice(None),) + crop]
+            return [output[d] * self.target_scales[d] for d in range(self.config.out_channels)]
 
     # ------------------------------------------------------------------ #
     # serialization (weights + scales travel inside the compressed stream)
     # ------------------------------------------------------------------ #
     def to_bytes(self) -> bytes:
-        """Serialise weights and normalisation scales to bytes (float32 payload)."""
+        """Serialise weights (as float16) and normalisation scales to bytes."""
         if not self.is_trained:
             raise RuntimeError("cannot serialise an untrained CFNN")
-        import json
-        import struct
-
         # float16 weight storage halves the embedded-model overhead; the
         # decompressor reloads the same rounded weights, so predictions stay
         # bit-identical between compression and decompression.
@@ -299,15 +360,36 @@ class CFNN:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "CFNN":
-        """Reconstruct a trained CFNN serialised by :meth:`to_bytes`."""
-        import json
-        import struct
+        """Reconstruct a trained CFNN serialised by :meth:`to_bytes`.
 
-        (header_len,) = struct.unpack_from("<I", payload, 0)
-        header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
+        The blob is untrusted (it is read out of an archive): a truncated or
+        mutated one raises ``ValueError``, and it does so before the network
+        it declares is built, so a small blob cannot request a large model.
+        """
+        header, offset = read_json_header(payload, "CFNN model")
+        if sorted(header) != ["anchor_scales", "config", "target_scales", "tile_size"]:
+            raise ValueError("CFNN model: header must hold config, tile_size and both scale lists")
         config = CFNNConfig.from_dict(header["config"])
-        model = cls(config, tile_size=int(header["tile_size"]))
-        model.anchor_scales = np.asarray(header["anchor_scales"], dtype=np.float64)
-        model.target_scales = np.asarray(header["target_scales"], dtype=np.float64)
-        state_from_bytes(model.network, payload[4 + header_len :])
+        tile_size = header["tile_size"]
+        if type(tile_size) is not int or not 1 <= tile_size <= MAX_TILE_SIZE:
+            raise ValueError(f"CFNN model: tile_size must be an integer in 1-{MAX_TILE_SIZE}")
+        scales = []
+        for key, length in (("anchor_scales", config.in_channels), ("target_scales", config.out_channels)):
+            values = header[key]
+            if (
+                not isinstance(values, list)
+                or len(values) != length
+                or not all(type(v) is float and math.isfinite(v) and v > 0 for v in values)
+            ):
+                raise ValueError(f"CFNN model: {key} must be {length} positive finite numbers")
+            scales.append(np.asarray(values, dtype=np.float64))
+        # float16 is the narrowest stored dtype: fewer bytes than that cannot be this model
+        if len(payload) - offset < 2 * config.num_parameters:
+            raise ValueError(
+                f"CFNN model: {len(payload) - offset} bytes of weights cannot hold "
+                f"the {config.num_parameters} parameters the config declares"
+            )
+        model = cls(config, tile_size=tile_size)
+        model.anchor_scales, model.target_scales = scales
+        state_from_bytes(model.network, payload[offset:])
         return model

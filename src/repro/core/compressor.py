@@ -40,9 +40,11 @@ from repro.data.fields import FieldSet
 from repro.encoding.container import CompressedBlob
 from repro.encoding.entropy import get_entropy_coder
 from repro.encoding.lossless import get_backend
+from repro.obs import recorder as _obs
 from repro.sz.decode import decode_weighted_sequential, decode_weighted_wavefront, weighted_predict_full
 from repro.sz.errors import ErrorBound
 from repro.sz.pipeline import CompressionResult, SZCompressor, decode_integer_stream, encode_integer_stream
+from repro.sz.predictors import lorenzo_predict
 from repro.sz.quantizer import (
     QUANT_RADIUS_DEFAULT,
     dequantize,
@@ -207,9 +209,9 @@ class CrossFieldCompressor:
             cfnn.train(anchors, np.asarray(target_data, dtype=np.float64), self.training)
         elif not cfnn.is_trained:
             raise ValueError("a supplied CFNN must already be trained")
-        # Round-trip the model through its serialised (float32) form so that the
-        # predictions used for residual coding are bit-identical to what the
-        # decompressor will compute from the embedded weights.
+        # Round-trip the model through its serialised form (float16 weights) so
+        # that the predictions used for residual coding are bit-identical to
+        # what the decompressor will compute from the embedded weights.
         model_bytes = cfnn.to_bytes()
         inference_model = CFNN.from_bytes(model_bytes)
         timings["train_cfnn"] = time.perf_counter() - t0
@@ -222,12 +224,11 @@ class CrossFieldCompressor:
         # stage 2b: hybrid combination
         t0 = time.perf_counter()
         hybrid = HybridPredictor(ndim=target_data.ndim)
-        hybrid.fit(codes, diff_codes, method=self.hybrid_method)
+        with _obs.span("core.hybrid.fit_seconds", method=self.hybrid_method):
+            hybrid.fit(codes, diff_codes, method=self.hybrid_method)
         weights = np.asarray(hybrid.weights, dtype=np.float64)
         prediction = weighted_predict_full(codes, diff_codes, weights)
         residuals = codes - prediction
-        from repro.sz.predictors import lorenzo_predict
-
         candidate_lorenzo = lorenzo_predict(codes)
         timings["hybrid_predict"] = time.perf_counter() - t0
 
@@ -247,8 +248,6 @@ class CrossFieldCompressor:
             model_section = backend.compress(model_bytes)
             hybrid_total += len(model_section)
 
-        from repro.sz.predictors import lorenzo_transform
-
         lorenzo_sections, lorenzo_meta = encode_integer_stream(
             codes - candidate_lorenzo, self.entropy, self.backend, self.quant_radius
         )
@@ -263,6 +262,7 @@ class CrossFieldCompressor:
             if self.include_model:
                 sections["model.cfnn"] = model_section
         timings["encode"] = time.perf_counter() - t0
+        _obs.count(f"core.mode.{mode}")
 
         metadata = {
             "format": self.format_name,

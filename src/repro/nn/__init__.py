@@ -2,7 +2,7 @@
 
 PyTorch is not available in the offline reproduction environment, so the CFNN
 and the hybrid prediction model are built on this small, self-contained NN
-library: N-dimensional convolutions (2D and 3D) via ``sliding_window_view``,
+library: N-dimensional convolutions (1D-3D) as flat-shift GEMM kernels,
 depthwise-separable convolutions, a CBAM-style channel attention block, fully
 connected layers, MSE loss, SGD/Adam optimizers, a mini-batch trainer, and
 parameter (de)serialisation used for the model-size accounting of paper

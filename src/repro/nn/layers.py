@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.nn.functional import (
+    Workspace,
     conv_backward,
     conv_forward,
     depthwise_conv_backward,
@@ -102,6 +103,7 @@ class ConvNd(Module):
             else None
         )
         self._cache: Optional[Tuple] = None
+        self._workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -112,15 +114,21 @@ class ConvNd(Module):
         if x.shape[1] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {x.shape[1]}")
         out, self._cache = conv_forward(
-            x, self.weight.data, self.bias.data if self.bias is not None else None, self.padding
+            x,
+            self.weight.data,
+            self.bias.data if self.bias is not None else None,
+            self.padding,
+            workspace=self._workspace,
         )
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         grad_input, grad_weight, grad_bias = conv_backward(
-            np.asarray(grad_output, dtype=np.float64), self._cache
+            np.asarray(grad_output, dtype=np.float64),
+            self._cache,
+            need_input_grad=self.needs_input_grad,
         )
         self.weight.grad += grad_weight
         if self.bias is not None:
@@ -172,6 +180,7 @@ class DepthwiseConvNd(Module):
             else None
         )
         self._cache: Optional[Tuple] = None
+        self._workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -182,15 +191,21 @@ class DepthwiseConvNd(Module):
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         out, self._cache = depthwise_conv_forward(
-            x, self.weight.data, self.bias.data if self.bias is not None else None, self.padding
+            x,
+            self.weight.data,
+            self.bias.data if self.bias is not None else None,
+            self.padding,
+            workspace=self._workspace,
         )
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         grad_input, grad_weight, grad_bias = depthwise_conv_backward(
-            np.asarray(grad_output, dtype=np.float64), self._cache
+            np.asarray(grad_output, dtype=np.float64),
+            self._cache,
+            need_input_grad=self.needs_input_grad,
         )
         self.weight.grad += grad_weight
         if self.bias is not None:

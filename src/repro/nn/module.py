@@ -48,6 +48,10 @@ class Module:
     def __init__(self) -> None:
         self._parameters: Dict[str, Parameter] = {}
         self._modules: Dict[str, "Module"] = {}
+        #: Cleared on a model's first layer, which is fed data rather than
+        #: another layer's output: layers whose input gradient is costly then
+        #: skip it and ``backward`` returns ``None``.
+        self.needs_input_grad = True
 
     # ------------------------------------------------------------------ #
     # registration
@@ -96,8 +100,9 @@ class Module:
         """Compute the layer output (must cache what backward needs)."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad_output``, returning the gradient w.r.t. the input."""
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
+        """Backpropagate ``grad_output``, returning the gradient w.r.t. the input
+        (``None`` from a layer whose :attr:`needs_input_grad` is cleared)."""
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -459,6 +459,24 @@ class TestCliProfile:
         assert doc["traceEvents"], "deep verify must emit at least one span"
         assert all(event["ph"] == "X" for event in doc["traceEvents"])
 
+    def test_profile_lists_the_cross_field_compute_path(self, tmp_path, capsys):
+        """`repro --profile run cross-field`: the paper's own path reports its
+        training, inference, hybrid fit, stored mode and conv kernel time."""
+        from repro.store.cli import main
+
+        assert main(["--profile", "run", "cross-field", "-o", str(tmp_path / "cf.xfa")]) == 0
+        table = capsys.readouterr().err
+        for name in (
+            "core.cfnn.train_seconds",
+            "core.cfnn.infer_seconds",
+            "core.hybrid.fit_seconds",
+            "nn.conv.forward_seconds",
+            "nn.conv.backward_seconds",
+            "nn.conv.calls",
+        ):
+            assert name in table, name
+        assert "core.mode.hybrid" in table or "core.mode.lorenzo-fallback" in table
+
     def test_no_profile_leaves_recorder_untouched(self, archive, capsys):
         from repro.store.cli import main
 
