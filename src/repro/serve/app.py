@@ -1,9 +1,9 @@
 """FastAPI frontend for :class:`~repro.serve.service.ArchiveService`.
 
-Routes map one-to-one onto the service's ``handle_*`` methods, so behaviour
-(ETag/304 semantics, 404/416/422 error mapping, ``http.*`` telemetry) is
-identical to the stdlib server — FastAPI only contributes the ASGI surface,
-OpenAPI docs at ``/docs``, and uvicorn's event-loop concurrency.
+One route per :data:`~repro.serve.service.ROUTES` entry, each ending in
+:meth:`ArchiveService.call` as the stdlib server does, so behaviour (ETag/304
+semantics, error mapping, query defaults, ``http.*`` telemetry) is identical —
+FastAPI only adds the ASGI surface, OpenAPI docs at ``/docs``, and uvicorn.
 
 This module requires the optional ``[serve]`` extra (``pip install
 repro[serve]``); importing it without fastapi installed raises an
@@ -14,10 +14,8 @@ work without the extra.
 
 from __future__ import annotations
 
-from typing import Optional
-
 try:
-    from fastapi import FastAPI, Header, Query, Request, Response
+    from fastapi import FastAPI, Request, Response
 except ImportError as exc:  # pragma: no cover - exercised only without the extra
     raise ImportError(
         "the FastAPI frontend requires the optional [serve] extra; "
@@ -26,19 +24,23 @@ except ImportError as exc:  # pragma: no cover - exercised only without the extr
         "offers the same endpoints without it."
     ) from exc
 
-from repro.serve.service import ArchiveService, ServiceResponse
+from repro.serve.service import ROUTES, ArchiveService, Route
 
 __all__ = ["create_app"]
 
 
-def _transmit(result: ServiceResponse) -> Response:
-    """Render a service-core response as a FastAPI/Starlette response."""
-    return Response(
-        content=result.body,
-        status_code=result.status,
-        media_type=result.media_type,
-        headers=result.headers,
-    )
+def _endpoint(service: ArchiveService, route: Route):
+    """The FastAPI endpoint answering ``route`` through ``service.call``."""
+    def endpoint(request: Request) -> Response:
+        result = service.call(route, request.path_params, request.query_params, request.headers)
+        return Response(
+            content=result.body,
+            status_code=result.status,
+            media_type=result.media_type,
+            headers=result.headers,
+        )
+
+    return endpoint
 
 
 def create_app(service: ArchiveService) -> "FastAPI":
@@ -52,94 +54,12 @@ def create_app(service: ArchiveService) -> "FastAPI":
         version="1.0",
     )
     app.state.service = service
-
-    @app.get("/healthz")
-    def healthz() -> Response:
-        return _transmit(service.handle_health())
-
-    @app.get("/stats")
-    def stats() -> Response:
-        return _transmit(service.handle_stats())
-
-    @app.get("/archives")
-    def archives() -> Response:
-        return _transmit(service.handle_archives())
-
-    @app.get("/archives/{archive_id}/manifest")
-    def manifest(
-        archive_id: str, if_none_match: Optional[str] = Header(default=None)
-    ) -> Response:
-        return _transmit(service.handle_manifest(archive_id, if_none_match=if_none_match))
-
-    @app.get("/archives/{archive_id}/stats")
-    def archive_stats(archive_id: str) -> Response:
-        return _transmit(service.handle_stats(archive_id))
-
-    @app.get("/archives/{archive_id}/fields/{field_name}/region")
-    def region(
-        archive_id: str,
-        field_name: str,
-        region: Optional[str] = Query(default=None, description="slice syntax, e.g. 0:10,20:40"),
-        format: str = Query(default="npy", description="npy | json"),
-        if_none_match: Optional[str] = Header(default=None),
-    ) -> Response:
-        return _transmit(
-            service.handle_region(
-                archive_id, field_name, region=region, fmt=format, if_none_match=if_none_match
-            )
+    for route in ROUTES:
+        app.add_api_route(
+            route.path,
+            _endpoint(service, route),
+            methods=[route.method],
+            name=route.handler,
+            description=getattr(ArchiveService, route.handler).__doc__,
         )
-
-    @app.get("/archives/{archive_id}/fields/{field_name}/preview")
-    def preview(
-        archive_id: str,
-        field_name: str,
-        fraction: str = Query(default="0.25", description="entropy-byte budget in (0, 1]"),
-        region: Optional[str] = Query(default=None),
-        format: str = Query(default="npy", description="npy | json"),
-        if_none_match: Optional[str] = Header(default=None),
-    ) -> Response:
-        return _transmit(
-            service.handle_preview(
-                archive_id,
-                field_name,
-                fraction=fraction,
-                region=region,
-                fmt=format,
-                if_none_match=if_none_match,
-            )
-        )
-
-    @app.get("/archives/{archive_id}/timesteps")
-    def timesteps(
-        archive_id: str, if_none_match: Optional[str] = Header(default=None)
-    ) -> Response:
-        return _transmit(service.handle_timesteps(archive_id, if_none_match=if_none_match))
-
-    @app.get("/archives/{archive_id}/timesteps/{step}")
-    def timestep(
-        archive_id: str,
-        step: str,
-        fields: Optional[str] = Query(default=None, description="comma-separated field names"),
-        format: str = Query(default="json", description="json | npz"),
-    ) -> Response:
-        return _transmit(service.handle_timestep(archive_id, step, fields=fields, fmt=format))
-
-    @app.get("/archives/{archive_id}/timerange")
-    def timerange(
-        archive_id: str,
-        start: Optional[str] = Query(default=None),
-        stop: Optional[str] = Query(default=None),
-        fields: Optional[str] = Query(default=None),
-        include: str = Query(default="stats", description="stats | data"),
-    ) -> Response:
-        return _transmit(
-            service.handle_timerange(
-                archive_id, start=start, stop=stop, fields=fields, include=include
-            )
-        )
-
-    @app.post("/archives/{archive_id}/refresh")
-    def refresh(archive_id: str) -> Response:
-        return _transmit(service.handle_refresh(archive_id))
-
     return app

@@ -5,8 +5,8 @@ calls :meth:`ArchiveService.dispatch`, and writes the
 :class:`~repro.serve.service.ServiceResponse` back — nothing more.  Because
 the service core owns routing, ETags, error mapping and telemetry, this
 frontend stays ~100 lines and needs only the stdlib, which keeps ``repro
-serve`` runnable (and the serve test suite + load benchmark meaningful) in
-environments without the optional FastAPI/uvicorn extra.
+serve`` runnable (and the serve tests + the spine's ``serve-http`` workload
+meaningful) in environments without the optional FastAPI/uvicorn extra.
 
 Concurrency model: one thread per connection (``ThreadingHTTPServer``), with
 all decoded-chunk reuse delegated to the service's

@@ -4,11 +4,11 @@
 archives as HTTP-shaped request handlers: manifest listings, binary/JSON
 region reads, progressive previews, timestep and time-range reads.  The class
 itself speaks no socket protocol — every handler returns a
-:class:`ServiceResponse` (status, headers, body) that an adapter transmits:
-the stdlib threaded server in :mod:`repro.serve.http` (always available) and
-the FastAPI app in :mod:`repro.serve.app` (the optional ``[serve]`` extra)
-both delegate to the same handlers, so behaviour, error mapping and telemetry
-are identical regardless of the frontend.
+:class:`ServiceResponse` (status, headers, body) that an adapter transmits.
+Both adapters — the stdlib threaded server in :mod:`repro.serve.http` and the
+FastAPI app in :mod:`repro.serve.app` (the optional ``[serve]`` extra) —
+iterate the one route table :data:`ROUTES` and end in :meth:`ArchiveService.call`,
+so routing, query defaults, error mapping and telemetry are identical.
 
 **Shared decode cache.**  Every served archive is opened with
 ``ArchiveReader(shared_cache=...)`` on one
@@ -54,7 +54,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 from urllib.parse import unquote
 
 import numpy as np
@@ -69,6 +69,8 @@ __all__ = [
     "ServiceResponse",
     "ArchiveHandle",
     "ArchiveService",
+    "Route",
+    "ROUTES",
 ]
 
 PathLike = Union[str, os.PathLike]
@@ -96,15 +98,6 @@ class ServiceResponse:
     @classmethod
     def error(cls, status: int, detail: str):
         return cls.json({"detail": str(detail)}, status=status)
-
-    @classmethod
-    def not_modified(cls, etag: str, generation: int):
-        return cls(
-            status=304,
-            body=b"",
-            media_type=JSON_MEDIA_TYPE,
-            headers={"ETag": etag, "X-Repro-Generation": str(generation)},
-        )
 
 
 class ServiceError(Exception):
@@ -137,6 +130,77 @@ def _etag_matches(if_none_match: Optional[str], etag: str) -> bool:
         if candidate == etag:
             return True
     return False
+
+
+# --------------------------------------------------------------------------- #
+# query parsing and array rendering shared by the endpoints
+# --------------------------------------------------------------------------- #
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _choice(name: str, value: Optional[str], allowed: Tuple[str, ...]) -> str:
+    """``value`` lower-cased when it is one of ``allowed`` (blank picks the first)."""
+    choice = (value or allowed[0]).lower()
+    if choice not in allowed:
+        raise ValueError(f"{name} must be one of {list(allowed)}, got {choice!r}")
+    return choice
+
+
+def _integer(name: str, value: Union[None, str, int]) -> Optional[int]:
+    """A decimal integer (``int()`` alone also takes ``"1_0"`` and padding)."""
+    if value is None:
+        return None
+    if _DECIMAL.fullmatch(str(value)) is None:
+        raise ValueError(f"{name} must be a decimal integer, got {value!r}")
+    return int(value)
+
+
+def _split_fields(fields: Optional[str]) -> Optional[List[str]]:
+    """Parse a ``fields=a,b`` query value (``None``/empty selects everything)."""
+    if fields is None:
+        return None
+    names = [token.strip() for token in str(fields).split(",") if token.strip()]
+    return names or None
+
+
+def _array_document(data: np.ndarray, include: str = "data") -> Dict:
+    """One array as JSON: shape, dtype, and its values or a min/max/mean summary."""
+    document: Dict = {"shape": list(data.shape), "dtype": str(data.dtype)}
+    if include == "data":
+        document["data"] = data.tolist()
+    else:
+        document.update(min=float(data.min()), max=float(data.max()), mean=float(data.mean()))
+    return document
+
+
+def _step_document(entry, fieldset, include: str = "data") -> Dict:
+    """One decoded timestep as JSON: its step, time tag and every field."""
+    return {
+        "step": entry.step,
+        "time": entry.time,
+        "fields": {name: _array_document(fieldset[name].data, include) for name in fieldset.names},
+    }
+
+
+def _array_response(
+    data: np.ndarray,
+    fmt: str,
+    generation: int,
+    headers: Optional[Dict[str, str]] = None,
+    payload: Optional[Dict] = None,
+) -> ServiceResponse:
+    """One array as an ``.npy`` body (``fmt="npy"``) or a JSON document."""
+    headers = {
+        "X-Repro-Shape": ",".join(map(str, data.shape)),
+        "X-Repro-Dtype": str(data.dtype),
+        **(headers or {}),
+    }
+    if fmt == "npy":
+        buffer = io.BytesIO()
+        np.save(buffer, data, allow_pickle=False)
+        return ServiceResponse(200, buffer.getvalue(), NPY_MEDIA_TYPE, headers)
+    document = {**_array_document(data), "generation": int(generation), **(payload or {})}
+    return ServiceResponse.json(document, headers=headers)
 
 
 class _ReaderLease:
@@ -268,6 +332,51 @@ class ArchiveHandle:
             close_now = lease.refs == 0
         if close_now:
             lease.reader.close()
+
+
+# --------------------------------------------------------------------------- #
+# the route table both frontends iterate
+# --------------------------------------------------------------------------- #
+@dataclass
+class Route:
+    """One endpoint: ``method path`` answered by the service method ``handler``.
+
+    Each ``{name}`` segment of ``path`` becomes the handler keyword ``name``;
+    ``query`` maps query keys to handler keywords (an absent key keeps the
+    handler's default), and a ``conditional`` route's handler receives the
+    request's ``If-None-Match`` header as ``if_none_match``.
+    """
+
+    method: str
+    path: str
+    handler: str
+    query: Dict[str, str] = field(default_factory=dict)
+    conditional: bool = False
+    pattern: "re.Pattern" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # a placeholder matches one path segment; a trailing slash is optional
+        self.pattern = re.compile("^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", self.path) + "/?$")
+
+
+ROUTES: Tuple[Route, ...] = (
+    Route("GET", "/healthz", "handle_health"),
+    Route("GET", "/stats", "handle_stats"),
+    Route("GET", "/archives", "handle_archives"),
+    Route("GET", "/archives/{archive_id}/manifest", "handle_manifest", conditional=True),
+    Route("GET", "/archives/{archive_id}/stats", "handle_stats"),
+    Route("GET", "/archives/{archive_id}/fields/{field_name}/region", "handle_region",
+          {"region": "region", "format": "fmt"}, conditional=True),
+    Route("GET", "/archives/{archive_id}/fields/{field_name}/preview", "handle_preview",
+          {"fraction": "fraction", "region": "region", "format": "fmt"}, conditional=True),
+    Route("GET", "/archives/{archive_id}/timesteps", "handle_timesteps", conditional=True),
+    Route("GET", "/archives/{archive_id}/timesteps/{step}", "handle_timestep",
+          {"fields": "fields", "format": "fmt"}, conditional=True),
+    Route("GET", "/archives/{archive_id}/timerange", "handle_timerange",
+          {"start": "start", "stop": "stop", "fields": "fields", "include": "include"},
+          conditional=True),
+    Route("POST", "/archives/{archive_id}/refresh", "handle_refresh"),
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -427,48 +536,34 @@ class ArchiveService:
                 recorder.observe(f"http.endpoint.{endpoint}.seconds", elapsed)
         return response
 
-    # ------------------------------------------------------------------ #
-    # response builders
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _check_format(fmt: str, allowed: Tuple[str, ...]) -> str:
-        fmt = (fmt or allowed[0]).lower()
-        if fmt not in allowed:
-            raise ServiceError(
-                422, f"format must be one of {list(allowed)}, got {fmt!r}"
-            )
-        return fmt
-
-    @staticmethod
-    def _array_response(
-        data: np.ndarray,
-        fmt: str,
-        etag: str,
-        generation: int,
-        extra_headers: Optional[Dict[str, str]] = None,
-        extra_payload: Optional[Dict] = None,
+    def _conditional(
+        self,
+        endpoint: str,
+        archive_id: str,
+        if_none_match: Optional[str],
+        prepare: Callable[[], Callable[[ArchiveReader], ServiceResponse]],
+        **span_args,
     ) -> ServiceResponse:
-        headers = {
-            "ETag": etag,
-            "X-Repro-Generation": str(generation),
-            "X-Repro-Shape": ",".join(map(str, data.shape)),
-            "X-Repro-Dtype": str(data.dtype),
-        }
-        headers.update(extra_headers or {})
-        if fmt == "npy":
-            buffer = io.BytesIO()
-            np.save(buffer, data, allow_pickle=False)
-            return ServiceResponse(
-                status=200, body=buffer.getvalue(), media_type=NPY_MEDIA_TYPE, headers=headers
-            )
-        payload = {
-            "shape": list(data.shape),
-            "dtype": str(data.dtype),
-            "generation": int(generation),
-            "data": data.tolist(),
-        }
-        payload.update(extra_payload or {})
-        return ServiceResponse.json(payload, headers=headers)
+        """One conditional GET on the current snapshot of ``archive_id``.
+
+        ``prepare()`` parses the request and returns ``render(reader)``, so a
+        bad parameter (422) is reported before an unknown archive (404) and
+        before a ``304``.  A client whose ``If-None-Match`` names the snapshot
+        gets a body-less ``304``, anyone else ``render``'s response; either
+        carries the snapshot's ``ETag`` and ``X-Repro-Generation``.
+        """
+        def run() -> ServiceResponse:
+            render = prepare()
+            handle = self.handle(archive_id)
+            with handle.reader() as reader:
+                etag = _etag_for(handle.id, reader.generation)
+                stamp = {"ETag": etag, "X-Repro-Generation": str(reader.generation)}
+                cached = _etag_matches(if_none_match, etag)
+                response = ServiceResponse(304) if cached else render(reader)
+            response.headers = {**stamp, **response.headers}
+            return response
+
+        return self._execute(endpoint, run, archive=archive_id, **span_args)
 
     # ------------------------------------------------------------------ #
     # endpoints
@@ -507,34 +602,27 @@ class ArchiveService:
         self, archive_id: str, if_none_match: Optional[str] = None
     ) -> ServiceResponse:
         """``GET /archives/{id}/manifest`` — fields, codec params, timestep index."""
-        def run() -> ServiceResponse:
-            handle = self.handle(archive_id)
-            with handle.reader() as reader:
-                etag = _etag_for(handle.id, reader.generation)
-                if _etag_matches(if_none_match, etag):
-                    return ServiceResponse.not_modified(etag, reader.generation)
-                fields = []
-                for entry in reader.fields():
-                    payload = entry.to_dict()
-                    payload.pop("chunks")  # offsets are server-internal noise
-                    payload["chunk_count"] = len(entry.chunks)
-                    payload["compressed_nbytes"] = entry.compressed_nbytes
-                    payload["grid_counts"] = list(entry.grid_counts)
-                    fields.append(payload)
-                document = {
-                    "id": handle.id,
+        def render(reader: ArchiveReader) -> ServiceResponse:
+            fields = []
+            for entry in reader.fields():
+                payload = entry.to_dict()
+                payload.pop("chunks")  # offsets are server-internal noise
+                payload["chunk_count"] = len(entry.chunks)
+                payload["compressed_nbytes"] = entry.compressed_nbytes
+                payload["grid_counts"] = list(entry.grid_counts)
+                fields.append(payload)
+            return ServiceResponse.json(
+                {
+                    "id": archive_id,
                     "format": "XFA1",
                     "generation": reader.generation,
                     "attrs": reader.attrs,
                     "fields": fields,
                     "timesteps": [ts.to_dict() for ts in reader.timesteps],
                 }
-                return ServiceResponse.json(
-                    document,
-                    headers={"ETag": etag, "X-Repro-Generation": str(reader.generation)},
-                )
+            )
 
-        return self._execute("manifest", run, archive=archive_id)
+        return self._conditional("manifest", archive_id, if_none_match, lambda: render)
 
     def handle_region(
         self,
@@ -550,24 +638,17 @@ class ArchiveService:
         whole field).  Unknown fields map to 404, out-of-bounds regions to
         416, malformed slice strings to 422.
         """
-        def run() -> ServiceResponse:
-            response_format = self._check_format(fmt, ("npy", "json"))
+        def prepare():
+            response_format = _choice("format", fmt, ("npy", "json"))
             sls = parse_region(region) if region else None
-            handle = self.handle(archive_id)
-            with handle.reader() as reader:
-                etag = _etag_for(handle.id, reader.generation)
-                if _etag_matches(if_none_match, etag):
-                    return ServiceResponse.not_modified(etag, reader.generation)
-                data = reader.read_region(field_name, sls)
-                return self._array_response(
-                    data,
-                    response_format,
-                    etag,
-                    reader.generation,
-                    extra_payload={"field": field_name, "region": region},
-                )
+            return lambda reader: _array_response(
+                reader.read_region(field_name, sls),
+                response_format,
+                reader.generation,
+                payload={"field": field_name, "region": region},
+            )
 
-        return self._execute("region", run, archive=archive_id, field=field_name)
+        return self._conditional("region", archive_id, if_none_match, prepare, field=field_name)
 
     def handle_preview(
         self,
@@ -586,15 +667,12 @@ class ArchiveService:
         tell a real prefix decode from a full-price one.  An out-of-range
         ``fraction`` maps to 422.
         """
-        def run() -> ServiceResponse:
-            response_format = self._check_format(fmt, ("npy", "json"))
+        def prepare():
+            response_format = _choice("format", fmt, ("npy", "json"))
             budget = float(fraction)  # ValueError -> 422
             sls = parse_region(region) if region else None
-            handle = self.handle(archive_id)
-            with handle.reader() as reader:
-                etag = _etag_for(handle.id, reader.generation)
-                if _etag_matches(if_none_match, etag):
-                    return ServiceResponse.not_modified(etag, reader.generation)
+
+            def render(reader: ArchiveReader) -> ServiceResponse:
                 data, info = reader.read_region_preview(field_name, sls, fraction=budget)
                 headers = {
                     "X-Repro-Preview-Fraction": f"{info['fraction']:g}",
@@ -605,39 +683,33 @@ class ArchiveService:
                     "X-Repro-Preview-RMS-Estimate": f"{info['rms_error_estimate']:g}",
                     "X-Repro-Preview-Fallback": "true" if info["fallback"] else "false",
                 }
-                return self._array_response(
+                return _array_response(
                     data,
                     response_format,
-                    etag,
                     reader.generation,
-                    extra_headers=headers,
-                    extra_payload={"field": field_name, "region": region, "preview": info},
+                    headers,
+                    {"field": field_name, "region": region, "preview": info},
                 )
 
-        return self._execute("preview", run, archive=archive_id, field=field_name)
+            return render
+
+        return self._conditional("preview", archive_id, if_none_match, prepare, field=field_name)
 
     def handle_timesteps(self, archive_id: str, if_none_match: Optional[str] = None) -> ServiceResponse:
         """``GET /archives/{id}/timesteps`` — the timestep index with sizes."""
-        def run() -> ServiceResponse:
-            handle = self.handle(archive_id)
-            with handle.reader() as reader:
-                etag = _etag_for(handle.id, reader.generation)
-                if _etag_matches(if_none_match, etag):
-                    return ServiceResponse.not_modified(etag, reader.generation)
-                steps = []
-                for ts in reader.timesteps:
-                    entry = ts.to_dict()
-                    entry["compressed_nbytes"] = sum(
-                        reader.field(stored).compressed_nbytes
-                        for stored in ts.fields.values()
-                    )
-                    steps.append(entry)
-                return ServiceResponse.json(
-                    {"id": handle.id, "generation": reader.generation, "steps": steps},
-                    headers={"ETag": etag, "X-Repro-Generation": str(reader.generation)},
+        def render(reader: ArchiveReader) -> ServiceResponse:
+            steps = []
+            for ts in reader.timesteps:
+                entry = ts.to_dict()
+                entry["compressed_nbytes"] = sum(
+                    reader.field(stored).compressed_nbytes for stored in ts.fields.values()
                 )
+                steps.append(entry)
+            return ServiceResponse.json(
+                {"id": archive_id, "generation": reader.generation, "steps": steps}
+            )
 
-        return self._execute("timesteps", run, archive=archive_id)
+        return self._conditional("timesteps", archive_id, if_none_match, lambda: render)
 
     def handle_timestep(
         self,
@@ -645,6 +717,7 @@ class ArchiveService:
         step: Union[str, int],
         fields: Optional[str] = None,
         fmt: str = "json",
+        if_none_match: Optional[str] = None,
     ) -> ServiceResponse:
         """``GET /archives/{id}/timesteps/{step}`` — one decoded timestep.
 
@@ -652,13 +725,12 @@ class ArchiveService:
         ``fmt="json"`` nests them as lists.  Unknown steps and unknown field
         selections map to 404.
         """
-        def run() -> ServiceResponse:
-            response_format = self._check_format(fmt, ("json", "npz"))
-            step_id = int(step)  # ValueError -> 422
+        def prepare():
+            response_format = _choice("format", fmt, ("json", "npz"))
+            step_id = _integer("step", step)
             names = _split_fields(fields)
-            handle = self.handle(archive_id)
-            with handle.reader() as reader:
-                etag = _etag_for(handle.id, reader.generation)
+
+            def render(reader: ArchiveReader) -> ServiceResponse:
                 try:
                     entry = reader.manifest.timestep(step_id)
                     fieldset = reader.read_timestep(step_id, fields=names)
@@ -666,36 +738,18 @@ class ArchiveService:
                     # a missing step / missing field selection is Not Found,
                     # not an unsatisfiable range
                     raise ServiceError(404, str(exc))
-                headers = {"ETag": etag, "X-Repro-Generation": str(reader.generation)}
                 if response_format == "npz":
                     buffer = io.BytesIO()
-                    np.savez(
-                        buffer, **{name: fieldset[name].data for name in fieldset.names}
-                    )
-                    headers["X-Repro-Step"] = str(entry.step)
-                    return ServiceResponse(
-                        status=200,
-                        body=buffer.getvalue(),
-                        media_type=NPZ_MEDIA_TYPE,
-                        headers=headers,
-                    )
-                payload = {
-                    "id": handle.id,
-                    "generation": reader.generation,
-                    "step": entry.step,
-                    "time": entry.time,
-                    "fields": {
-                        name: {
-                            "shape": list(fieldset[name].data.shape),
-                            "dtype": str(fieldset[name].data.dtype),
-                            "data": fieldset[name].data.tolist(),
-                        }
-                        for name in fieldset.names
-                    },
-                }
-                return ServiceResponse.json(payload, headers=headers)
+                    np.savez(buffer, **{name: fieldset[name].data for name in fieldset.names})
+                    headers = {"X-Repro-Step": str(entry.step)}
+                    return ServiceResponse(200, buffer.getvalue(), NPZ_MEDIA_TYPE, headers)
+                document = _step_document(entry, fieldset)
+                document.update(id=archive_id, generation=reader.generation)
+                return ServiceResponse.json(document)
 
-        return self._execute("timestep", run, archive=archive_id, step=str(step))
+            return render
+
+        return self._conditional("timestep", archive_id, if_none_match, prepare, step=str(step))
 
     def handle_timerange(
         self,
@@ -704,6 +758,7 @@ class ArchiveService:
         stop: Union[None, str, int] = None,
         fields: Optional[str] = None,
         include: str = "stats",
+        if_none_match: Optional[str] = None,
     ) -> ServiceResponse:
         """``GET /archives/{id}/timerange?start=&stop=`` — a decoded step range.
 
@@ -711,40 +766,24 @@ class ArchiveService:
         mean) so long ranges stay cheap to transfer; ``include="data"`` nests
         the full arrays.
         """
-        def run() -> ServiceResponse:
-            mode = self._check_format(include, ("stats", "data"))
-            lo = int(start) if start is not None else None  # ValueError -> 422
-            hi = int(stop) if stop is not None else None
+        def prepare():
+            mode = _choice("include", include, ("stats", "data"))
+            lo, hi = _integer("start", start), _integer("stop", stop)
             names = _split_fields(fields)
-            handle = self.handle(archive_id)
-            with handle.reader() as reader:
-                etag = _etag_for(handle.id, reader.generation)
+
+            def render(reader: ArchiveReader) -> ServiceResponse:
                 try:
                     selected = reader.read_time_range(lo, hi, fields=names)
                 except ArchiveError as exc:
                     raise ServiceError(404, str(exc))
-                steps = []
-                for entry, fieldset in selected:
-                    rendered: Dict = {"step": entry.step, "time": entry.time, "fields": {}}
-                    for name in fieldset.names:
-                        data = fieldset[name].data
-                        item: Dict = {"shape": list(data.shape), "dtype": str(data.dtype)}
-                        if mode == "data":
-                            item["data"] = data.tolist()
-                        else:
-                            item.update(
-                                min=float(data.min()),
-                                max=float(data.max()),
-                                mean=float(data.mean()),
-                            )
-                        rendered["fields"][name] = item
-                    steps.append(rendered)
+                steps = [_step_document(entry, fieldset, mode) for entry, fieldset in selected]
                 return ServiceResponse.json(
-                    {"id": handle.id, "generation": reader.generation, "steps": steps},
-                    headers={"ETag": etag, "X-Repro-Generation": str(reader.generation)},
+                    {"id": archive_id, "generation": reader.generation, "steps": steps}
                 )
 
-        return self._execute("timerange", run, archive=archive_id)
+            return render
+
+        return self._conditional("timerange", archive_id, if_none_match, prepare)
 
     def handle_refresh(self, archive_id: str) -> ServiceResponse:
         """``POST /archives/{id}/refresh`` — explicit reopen-on-new-generation."""
@@ -791,33 +830,29 @@ class ArchiveService:
         return stats
 
     # ------------------------------------------------------------------ #
-    # transport-agnostic dispatch (used by the stdlib server)
+    # routing: both frontends end in call()
     # ------------------------------------------------------------------ #
-    _ROUTES: List[Tuple[str, "re.Pattern", str]] = [
-        ("GET", re.compile(r"^/healthz/?$"), "health"),
-        ("GET", re.compile(r"^/stats/?$"), "stats"),
-        ("GET", re.compile(r"^/archives/?$"), "archives"),
-        ("GET", re.compile(r"^/archives/(?P<archive_id>[^/]+)/manifest/?$"), "manifest"),
-        ("GET", re.compile(r"^/archives/(?P<archive_id>[^/]+)/stats/?$"), "archive_stats"),
-        (
-            "GET",
-            re.compile(r"^/archives/(?P<archive_id>[^/]+)/fields/(?P<field>[^/]+)/region/?$"),
-            "region",
-        ),
-        (
-            "GET",
-            re.compile(r"^/archives/(?P<archive_id>[^/]+)/fields/(?P<field>[^/]+)/preview/?$"),
-            "preview",
-        ),
-        ("GET", re.compile(r"^/archives/(?P<archive_id>[^/]+)/timesteps/?$"), "timesteps"),
-        (
-            "GET",
-            re.compile(r"^/archives/(?P<archive_id>[^/]+)/timesteps/(?P<step>[^/]+)/?$"),
-            "timestep",
-        ),
-        ("GET", re.compile(r"^/archives/(?P<archive_id>[^/]+)/timerange/?$"), "timerange"),
-        ("POST", re.compile(r"^/archives/(?P<archive_id>[^/]+)/refresh/?$"), "refresh"),
-    ]
+    def call(
+        self,
+        route: Route,
+        path_params: Mapping[str, str],
+        query: Optional[Mapping[str, str]] = None,
+        headers: Optional[Mapping[str, str]] = None,
+    ) -> ServiceResponse:
+        """Answer one request for ``route``.
+
+        ``path_params`` are the decoded ``{name}`` segments, ``query`` holds
+        one string per key, and ``headers`` keys are matched
+        case-insensitively.  The handler is looked up by name on every call,
+        so a method replaced on the class is the one that runs.
+        """
+        kwargs = dict(path_params)
+        query = query or {}
+        kwargs.update((word, query[key]) for key, word in route.query.items() if key in query)
+        if route.conditional:
+            lowered = {str(k).lower(): v for k, v in (headers or {}).items()}
+            kwargs["if_none_match"] = lowered.get("if-none-match")
+        return getattr(self, route.handler)(**kwargs)
 
     def dispatch(
         self,
@@ -826,82 +861,26 @@ class ArchiveService:
         query: Optional[Dict[str, str]] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> ServiceResponse:
-        """Route one request to its endpoint handler.
+        """Route one request through :data:`ROUTES` to :meth:`call`.
 
-        ``query`` values are plain strings (last value wins for repeats);
-        ``headers`` keys are matched case-insensitively.  Used by the stdlib
-        HTTP server and by in-process callers (scenario smoke traffic); the
-        FastAPI app routes natively onto the same ``handle_*`` methods.
+        ``query`` values are plain strings (last value wins for repeats).  A
+        path served under other methods answers ``405`` with an ``Allow``
+        header; an unknown path answers ``404``.  Used by the stdlib HTTP
+        server and by in-process callers (scenario smoke traffic).
         """
         started = time.perf_counter()
-        query = dict(query or {})
-        lowered = {str(k).lower(): v for k, v in (headers or {}).items()}
-        if_none_match = lowered.get("if-none-match")
-        matched_path = False
-        for route_method, pattern, endpoint in self._ROUTES:
-            match = pattern.match(path)
+        allowed = []
+        for route in ROUTES:
+            match = route.pattern.match(path)
             if match is None:
                 continue
-            matched_path = True
-            if method.upper() != route_method:
-                continue
-            params = {key: unquote(value) for key, value in match.groupdict().items()}
-            if endpoint == "health":
-                return self.handle_health()
-            if endpoint == "stats":
-                return self.handle_stats()
-            if endpoint == "archives":
-                return self.handle_archives()
-            if endpoint == "manifest":
-                return self.handle_manifest(params["archive_id"], if_none_match=if_none_match)
-            if endpoint == "archive_stats":
-                return self.handle_stats(params["archive_id"])
-            if endpoint == "region":
-                return self.handle_region(
-                    params["archive_id"],
-                    params["field"],
-                    region=query.get("region"),
-                    fmt=query.get("format", "npy"),
-                    if_none_match=if_none_match,
-                )
-            if endpoint == "preview":
-                return self.handle_preview(
-                    params["archive_id"],
-                    params["field"],
-                    fraction=query.get("fraction", 0.25),
-                    region=query.get("region"),
-                    fmt=query.get("format", "npy"),
-                    if_none_match=if_none_match,
-                )
-            if endpoint == "timesteps":
-                return self.handle_timesteps(params["archive_id"], if_none_match=if_none_match)
-            if endpoint == "timestep":
-                return self.handle_timestep(
-                    params["archive_id"],
-                    params["step"],
-                    fields=query.get("fields"),
-                    fmt=query.get("format", "json"),
-                )
-            if endpoint == "timerange":
-                return self.handle_timerange(
-                    params["archive_id"],
-                    start=query.get("start"),
-                    stop=query.get("stop"),
-                    fields=query.get("fields"),
-                    include=query.get("include", "stats"),
-                )
-            if endpoint == "refresh":
-                return self.handle_refresh(params["archive_id"])
-        if matched_path:
+            if method.upper() == route.method:
+                params = {key: unquote(value) for key, value in match.groupdict().items()}
+                return self.call(route, params, query, headers)
+            allowed.append(route.method)
+        if allowed:
             response = ServiceResponse.error(405, f"method {method} not allowed for {path}")
+            response.headers["Allow"] = ", ".join(allowed)
         else:
             response = ServiceResponse.error(404, f"no route for {method} {path}")
         return self._record("unrouted", response, time.perf_counter() - started)
-
-
-def _split_fields(fields: Optional[str]) -> Optional[List[str]]:
-    """Parse a ``fields=a,b`` query value (``None``/empty selects everything)."""
-    if fields is None:
-        return None
-    names = [token.strip() for token in str(fields).split(",") if token.strip()]
-    return names or None

@@ -126,14 +126,13 @@ class SharedChunkCache:
                     recorder.count("store.cache.hits")
                 return chunk
             flight = self._inflight.get(key)
-            if flight is None:
+            leader = flight is None
+            if leader:
                 flight = self._inflight[key] = _InFlight()
-                leader = True
             else:
-                leader = False
+                self.coalesced += 1
 
         if not leader:
-            self.coalesced += 1
             if recorder.enabled:
                 recorder.count("store.cache.coalesced")
                 started = time.perf_counter()

@@ -12,8 +12,10 @@ serve-smoke job.
 
 import io
 import json
+import sys
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.serve.http import serve_in_thread
-from repro.serve.service import ArchiveService
+from repro.serve.service import ROUTES, ArchiveService
 from repro.store.cli import main
 from repro.store.shared_cache import SharedChunkCache
 from repro.store.writer import ArchiveWriter
@@ -238,6 +240,76 @@ class TestServeCLI:
     def test_serve_missing_archive_errors(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.xfa")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestFastAPIFrontendOnStub:
+    """``create_app`` against a stand-in ``fastapi`` module, so tier-1 covers it."""
+
+    class _Response:
+        def __init__(self, content, status_code, media_type, headers):
+            self.body, self.status, self.media_type = content, status_code, media_type
+            self.headers = dict(headers)
+
+    class _FastAPI:
+        def __init__(self, **metadata):
+            self.state = types.SimpleNamespace()
+            self.registered = []
+
+        def add_api_route(self, path, endpoint, *, methods, **options):
+            self.registered.append((tuple(methods), path, endpoint))
+
+    @pytest.fixture()
+    def app(self, snapshot_archive, monkeypatch):
+        stub = types.ModuleType("fastapi")
+        stub.FastAPI, stub.Response, stub.Request = self._FastAPI, self._Response, object
+        monkeypatch.setitem(sys.modules, "fastapi", stub)
+        monkeypatch.delitem(sys.modules, "repro.serve.app", raising=False)
+        from repro.serve.app import create_app
+
+        path, _ = snapshot_archive
+        service = ArchiveService({"a": path}, cache=SharedChunkCache())
+        try:
+            yield create_app(service), service
+        finally:
+            sys.modules.pop("repro.serve.app", None)  # the next import sees real fastapi
+            service.close()
+
+    def test_every_route_registered_once(self, app):
+        fastapi_app, service = app
+        assert fastapi_app.state.service is service
+        registered = sorted((methods, path) for methods, path, _ in fastapi_app.registered)
+        assert registered == sorted(((route.method,), route.path) for route in ROUTES)
+
+    @pytest.mark.parametrize(
+        "path, query, conditional",
+        [
+            ("/archives/a/fields/T/region", {"region": "0:4,0:8", "format": "json"}, False),
+            ("/archives/a/fields/T/region", {"region": "0:4,0:8"}, True),
+            ("/archives/a/fields/T/preview", {"fraction": "7"}, False),
+            ("/archives/missing/manifest", {}, False),
+        ],
+        ids=["json", "304", "422", "404"],
+    )
+    def test_endpoint_answers_like_dispatch(self, app, path, query, conditional):
+        fastapi_app, service = app
+        headers = {}
+        if conditional:
+            headers["if-none-match"] = service.handle_manifest("a").headers["ETag"]
+        expected = service.dispatch("GET", path, query, headers)
+        route = next(r for r in ROUTES if r.method == "GET" and r.pattern.match(path))
+        (endpoint,) = [
+            endpoint
+            for methods, template, endpoint in fastapi_app.registered
+            if (methods, template) == (("GET",), route.path)
+        ]
+        request = types.SimpleNamespace(
+            path_params=route.pattern.match(path).groupdict(), query_params=query, headers=headers
+        )
+        response = endpoint(request)
+        assert response.status == expected.status
+        assert response.headers == expected.headers
+        assert response.media_type == expected.media_type
+        assert response.body == expected.body
 
 
 class TestFastAPIApp:

@@ -10,12 +10,15 @@ append, shared-cache dedup) lives here.
 
 import io
 import json
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.serve.service import (
+    ROUTES,
     ArchiveService,
     ServiceError,
     ServiceResponse,
@@ -270,6 +273,53 @@ class TestTimesteps:
             assert len(full["steps"]) == 1
             assert "data" in full["steps"][0]["fields"]["T"]
 
+    @pytest.mark.parametrize(
+        "path", ["/archives/a/timesteps/1", "/archives/a/timerange"], ids=["timestep", "timerange"]
+    )
+    def test_step_reads_honour_if_none_match(self, series_archive, path):
+        archive, base = series_archive
+        with make_service(archive, refresh="manual") as service:
+            etag = service.dispatch("GET", path, {}, {}).headers["ETag"]
+            cached = service.dispatch("GET", path, {}, {"If-None-Match": etag})
+            assert cached.status == 304
+            assert cached.body == b""
+            assert cached.headers["ETag"] == etag
+
+            with ArchiveWriter(archive, mode="a") as writer:
+                writer.add_timestep({"T": base + 0.2}, step=2, time=1.0)
+            assert body_json(service.handle_refresh("a"))["reopened"] is True
+            fresh = service.dispatch("GET", path, {}, {"If-None-Match": etag})
+            assert fresh.status == 200
+            assert fresh.headers["ETag"] != etag
+
+    @pytest.mark.parametrize(
+        "path, query, name",
+        [
+            ("/archives/a/timerange", {"include": "bogus"}, "include"),
+            ("/archives/a/timesteps/0", {"format": "xml"}, "format"),
+            ("/archives/a/timesteps/0_1", {}, "step"),
+            ("/archives/a/timesteps/1_0", {}, "step"),
+            ("/archives/a/timesteps/%201", {}, "step"),
+            ("/archives/a/timesteps/1.0", {}, "step"),
+            ("/archives/a/timerange", {"start": "1_0"}, "start"),
+            ("/archives/a/timerange", {"stop": "0x1"}, "stop"),
+        ],
+    )
+    def test_bad_parameter_is_422_naming_it(self, series_archive, path, query, name):
+        archive, _ = series_archive
+        with make_service(archive) as service:
+            response = service.dispatch("GET", path, query, {})
+            assert response.status == 422
+            assert body_json(response)["detail"].startswith(f"{name} must be")
+
+    def test_signed_decimal_steps_still_parse(self, series_archive):
+        archive, _ = series_archive
+        with make_service(archive) as service:
+            response = service.dispatch("GET", "/archives/a/timesteps/+1", {}, {})
+            assert body_json(response)["step"] == 1
+            steps = body_json(service.handle_timerange("a", start="-5", stop="+1"))["steps"]
+            assert [entry["step"] for entry in steps] == [0]
+
 
 class TestAppendWhileServing:
     def test_manual_mode_pins_generation_until_refresh(self, series_archive):
@@ -394,6 +444,27 @@ class TestDispatchAndStats:
             assert service.dispatch("GET", "/nonsense", {}, {}).status == 404
             assert service.dispatch("DELETE", "/archives/a/manifest", {}, {}).status == 405
             assert service.dispatch("GET", "/archives/a/refresh", {}, {}).status == 405
+            # RFC 9110 §15.5.6: a 405 lists the methods the path does accept
+            assert service.dispatch("DELETE", "/archives/a/manifest", {}, {}).headers == {
+                "Allow": "GET"
+            }
+            assert service.dispatch("GET", "/archives/a/refresh", {}, {}).headers == {
+                "Allow": "POST"
+            }
+            assert "Allow" not in service.dispatch("GET", "/nonsense", {}, {}).headers
+
+    def test_docs_endpoint_table_matches_routes(self):
+        """``docs/service.md``'s Endpoints table lists exactly the routes served."""
+        text = (Path(__file__).resolve().parents[1] / "docs" / "service.md").read_text()
+        table = text.split("## Endpoints", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        documented = [
+            (method, re.sub(r"\{\w+\}", "{}", path))
+            for row in rows
+            for method, path in re.findall(r"`(GET|POST|PUT|DELETE|PATCH) ([^`?\s]+)", row)
+        ]
+        served = [(route.method, re.sub(r"\{\w+\}", "{}", route.path)) for route in ROUTES]
+        assert sorted(documented) == sorted(served)
 
     def test_dispatch_passes_query_and_headers(self, snapshot_archive):
         path, _ = snapshot_archive

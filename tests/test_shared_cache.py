@@ -1,6 +1,7 @@
 """SharedChunkCache: single-flight dedup, invalidation, reader integration."""
 
 import os
+import sys
 import threading
 import time
 
@@ -112,6 +113,53 @@ class TestSingleFlight:
             assert value is first  # everyone shares the one decoded array
         assert cache.stats["inflight"] == 0
         assert cache.stats["coalesced"] == n_followers
+
+    def test_coalesced_count_survives_contention(self):
+        """Many followers per key on fast thread switches: no follower goes uncounted."""
+        cache = SharedChunkCache(max_bytes=1 << 20)
+        n_keys, per_key = 4, 24
+        release = threading.Event()
+        results = []
+
+        def leader_factory():
+            release.wait(timeout=10.0)
+            return np.ones(4)
+
+        def follower_factory():
+            raise AssertionError("a follower must never run the decode")
+
+        def call(key, factory):
+            results.append(cache.get_or_compute(key, factory))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            leaders = [
+                threading.Thread(target=call, args=((k,), leader_factory)) for k in range(n_keys)
+            ]
+            for t in leaders:
+                t.start()
+            _poll(lambda: cache.stats["inflight"] == n_keys)
+            followers = [
+                threading.Thread(target=call, args=((k,), follower_factory))
+                for k in range(n_keys)
+                for _ in range(per_key)
+            ]
+            for t in followers:
+                t.start()
+            # a lost update leaves the count short for good: wait, then judge
+            deadline = time.monotonic() + 5.0
+            while cache.stats["coalesced"] < len(followers) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
+            for t in leaders + followers:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+
+        assert len(results) == n_keys + len(followers)
+        assert cache.stats["coalesced"] == len(followers)
 
     def test_factory_exception_propagates_to_all_waiters(self):
         cache = SharedChunkCache(max_bytes=1 << 20)
