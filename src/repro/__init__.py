@@ -15,7 +15,8 @@ Scientific Applications" (SC 2024).  The package provides:
   synthetic multi-field datasets emulating SCALE-LETKF, CESM-ATM and Hurricane.
 - :mod:`repro.metrics` — PSNR, SSIM, compression ratio, rate-distortion curves
   and cross-field correlation measures.
-- :mod:`repro.parallel` — block-parallel compression enabled by dual quantization.
+- :mod:`repro.parallel` — the chunk execution engine behind parallel archive
+  writes and reads (chunks compress independently thanks to dual quantization).
 - :mod:`repro.zfp` — a ZFP-style transform-based compressor for ablations.
 - :mod:`repro.store` — a chunked random-access archive store (``XFA1``) with a
   codec registry over all compressors and the ``repro`` command line interface.

@@ -15,11 +15,7 @@ from repro.core.anchors import AnchorSpec, get_anchor_spec, ANCHOR_TABLE, list_a
 from repro.core.cfnn import CFNN, CFNNConfig, build_cfnn_network
 from repro.core.hybrid import HybridPredictor
 from repro.core.training import TrainingConfig, make_difference_patches
-from repro.core.compressor import (
-    CrossFieldCompressor,
-    FieldSetCompressionReport,
-    compress_fieldset,
-)
+from repro.core.compressor import CrossFieldCompressor
 
 __all__ = [
     "AnchorSpec",
@@ -33,6 +29,4 @@ __all__ = [
     "TrainingConfig",
     "make_difference_patches",
     "CrossFieldCompressor",
-    "FieldSetCompressionReport",
-    "compress_fieldset",
 ]

@@ -18,32 +18,28 @@ predictions from the *same anchor arrays* (callers must supply the anchors that
 were used at compression time — normally the decompressed anchor fields), and
 replays the prediction recurrence with the wavefront decoder.
 
-:func:`compress_fieldset` orchestrates a whole dataset: anchors are compressed
-with the baseline first, their reconstructions feed the cross-field compression
-of the target, and a baseline result for the target is produced alongside for
-the Table II style comparison.
+Whole field sets go through :class:`~repro.pipeline.CompressionPipeline` (or
+:class:`~repro.store.ArchiveWriter`), which stores anchors first and feeds their
+reconstructions to this compressor through the ``cross-field`` codec.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.anchors import AnchorSpec
 from repro.core.cfnn import CFNN, CFNNConfig
 from repro.core.hybrid import HybridPredictor
 from repro.core.training import TrainingConfig
-from repro.data.fields import FieldSet
 from repro.encoding.container import CompressedBlob
 from repro.encoding.entropy import get_entropy_coder
 from repro.encoding.lossless import get_backend
 from repro.obs import recorder as _obs
-from repro.sz.decode import decode_weighted_sequential, decode_weighted_wavefront, weighted_predict_full
+from repro.sz.decode import decode_weighted_wavefront, weighted_predict_full
 from repro.sz.errors import ErrorBound
-from repro.sz.pipeline import CompressionResult, SZCompressor, decode_integer_stream, encode_integer_stream
+from repro.sz.pipeline import CompressionResult, decode_integer_stream, encode_integer_stream
 from repro.sz.predictors import lorenzo_predict
 from repro.sz.quantizer import (
     QUANT_RADIUS_DEFAULT,
@@ -53,7 +49,7 @@ from repro.sz.quantizer import (
 )
 from repro.utils.validation import ensure_array, ensure_in
 
-__all__ = ["CrossFieldCompressor", "FieldSetCompressionReport", "compress_fieldset"]
+__all__ = ["CrossFieldCompressor"]
 
 
 class CrossFieldCompressor:
@@ -81,11 +77,6 @@ class CrossFieldCompressor:
         model vs. local-only) is smaller, so weak cross-field signal can never
         make the output larger than the baseline by more than the metadata
         overhead.  Set to ``False`` to always store the hybrid stream.
-    decoder:
-        ``"wavefront"`` (default, the batched index-table decoder described in
-        ``docs/architecture.md`` "The wavefront batch decoder") or
-        ``"sequential"`` (the scalar reference path, bit-identical by the
-        parity contract in ``tests/test_sz_parity.py``).
 
     Examples
     --------
@@ -117,12 +108,10 @@ class CrossFieldCompressor:
         hybrid_method: str = "lstsq",
         include_model: bool = True,
         allow_fallback: bool = True,
-        decoder: str = "wavefront",
     ) -> None:
         if not isinstance(error_bound, ErrorBound):
             raise TypeError("error_bound must be an ErrorBound instance")
         ensure_in(hybrid_method, ("lstsq", "sgd"), "hybrid_method")
-        ensure_in(decoder, ("wavefront", "sequential"), "decoder")
         get_entropy_coder(entropy)  # unknown names raise, listing the registry
         self.error_bound = error_bound
         self.cfnn_config = cfnn_config
@@ -134,7 +123,6 @@ class CrossFieldCompressor:
         self.hybrid_method = hybrid_method
         self.include_model = bool(include_model)
         self.allow_fallback = bool(allow_fallback)
-        self.decoder = decoder
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -360,94 +348,5 @@ class CrossFieldCompressor:
                 HybridPredictor.from_dict(metadata["hybrid"]).weights, dtype=np.float64
             )
 
-        if self.decoder == "wavefront":
-            codes = decode_weighted_wavefront(residuals, diff_codes, weights)
-        else:
-            codes = decode_weighted_sequential(residuals, diff_codes, weights)
+        codes = decode_weighted_wavefront(residuals, diff_codes, weights)
         return dequantize(codes, quant_eb, dtype=dtype)
-
-
-# --------------------------------------------------------------------------- #
-# whole-dataset orchestration
-# --------------------------------------------------------------------------- #
-@dataclass
-class FieldSetCompressionReport:
-    """Results of compressing one target field of a dataset with both methods."""
-
-    dataset: str
-    target: str
-    anchors: Tuple[str, ...]
-    error_bound: ErrorBound
-    baseline: CompressionResult
-    cross_field: CompressionResult
-    anchor_results: Dict[str, CompressionResult] = field(default_factory=dict)
-
-    @property
-    def improvement_percent(self) -> float:
-        """Relative compression-ratio improvement of ours over the baseline (in %)."""
-        return 100.0 * (self.cross_field.ratio / self.baseline.ratio - 1.0)
-
-    def row(self) -> Dict[str, float]:
-        """Flat dictionary matching one cell group of paper Table II."""
-        return {
-            "dataset": self.dataset,
-            "field": self.target,
-            "error_bound": self.error_bound.value,
-            "baseline_ratio": self.baseline.ratio,
-            "ours_ratio": self.cross_field.ratio,
-            "improvement_percent": self.improvement_percent,
-        }
-
-
-def compress_fieldset(
-    fieldset: FieldSet,
-    spec: AnchorSpec,
-    error_bound: ErrorBound,
-    training: Optional[TrainingConfig] = None,
-    cfnn: Optional[CFNN] = None,
-    entropy: str = "huffman",
-    backend: str = "zlib",
-    baseline_predictor: str = "lorenzo",
-) -> FieldSetCompressionReport:
-    """Compress one target field of ``fieldset`` with both the baseline and ours.
-
-    The anchor fields are first compressed/decompressed with the baseline at the
-    same error bound (that is what would happen in a real multi-field snapshot),
-    and their *reconstructions* drive the cross-field compression of the target —
-    so the decompressor has exactly the same anchors available.
-    """
-    spec.validate(fieldset)
-    training = training if training is not None else TrainingConfig()
-
-    baseline_compressor = SZCompressor(
-        error_bound=error_bound, predictor=baseline_predictor, entropy=entropy, backend=backend
-    )
-
-    anchor_results: Dict[str, CompressionResult] = {}
-    decompressed_anchors: List[np.ndarray] = []
-    for name in spec.anchors:
-        anchor_result = baseline_compressor.compress(fieldset[name].data, field_name=name)
-        anchor_results[name] = anchor_result
-        decompressed_anchors.append(
-            baseline_compressor.decompress(anchor_result.payload).astype(np.float64)
-        )
-
-    target_data = fieldset[spec.target].data
-    baseline_result = baseline_compressor.compress(target_data, field_name=spec.target)
-
-    cross_compressor = CrossFieldCompressor(
-        error_bound=error_bound, training=training, entropy=entropy, backend=backend
-    )
-    cross_result = cross_compressor.compress(
-        target_data, decompressed_anchors, field_name=spec.target, cfnn=cfnn
-    )
-
-    return FieldSetCompressionReport(
-        dataset=spec.dataset,
-        target=spec.target,
-        anchors=spec.anchors,
-        error_bound=error_bound,
-        baseline=baseline_result,
-        cross_field=cross_result,
-        anchor_results=anchor_results,
-    )

@@ -19,7 +19,6 @@ from repro.data.slicing import (
     extract_patches,
     extract_patches_nd,
     iter_blocks,
-    reassemble_blocks,
     take_slice,
 )
 from repro.data.synthetic import (
@@ -48,7 +47,6 @@ __all__ = [
     "extract_patches",
     "extract_patches_nd",
     "iter_blocks",
-    "reassemble_blocks",
     "take_slice",
     "gaussian_random_field",
     "fourier_shift",

@@ -1,9 +1,9 @@
 """Patch extraction, block decomposition and slicing utilities.
 
 Training the CFNN uses random patches sampled from the anchor/target difference
-fields; the block-parallel compressor decomposes a grid into independent blocks
-(made possible by dual quantization); the visual experiments (paper Figures 1,
-6, 7, 9) extract 2D slices and zoom windows.  All of that lives here.
+fields; the archive writer decomposes a field into independently compressed
+chunks (made possible by dual quantization); the visual experiments (paper
+Figures 1, 6, 7, 9) extract 2D slices and zoom windows.  All of that lives here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "extract_patches",
     "extract_patches_nd",
     "iter_blocks",
-    "reassemble_blocks",
     "take_slice",
     "zoom_window",
 ]
@@ -106,8 +105,8 @@ def iter_blocks(
 ) -> Iterator[Tuple[slice, ...]]:
     """Yield index tuples tiling ``shape`` with blocks of at most ``block_shape``.
 
-    Edge blocks are truncated to fit.  Blocks are yielded in C order so that
-    :func:`reassemble_blocks` can restore the original array.
+    Edge blocks are truncated to fit.  Blocks are yielded in C order; the
+    archive writer numbers its chunks in this order.
     """
     shape = tuple(int(s) for s in shape)
     block_shape = tuple(int(b) for b in block_shape)
@@ -121,27 +120,6 @@ def iter_blocks(
         yield tuple(
             slice(int(i) * b, min((int(i) + 1) * b, s)) for i, b, s in zip(idx, block_shape, shape)
         )
-
-
-def reassemble_blocks(
-    blocks: Sequence[np.ndarray],
-    shape: Sequence[int],
-    block_shape: Sequence[int],
-    dtype=None,
-) -> np.ndarray:
-    """Inverse of decomposing with :func:`iter_blocks`: paste blocks back together."""
-    shape = tuple(int(s) for s in shape)
-    out_dtype = dtype if dtype is not None else blocks[0].dtype
-    out = np.empty(shape, dtype=out_dtype)
-    slices = list(iter_blocks(shape, block_shape))
-    if len(slices) != len(blocks):
-        raise ValueError(f"expected {len(slices)} blocks, got {len(blocks)}")
-    for sl, block in zip(slices, blocks):
-        expected_shape = tuple(s.stop - s.start for s in sl)
-        if block.shape != expected_shape:
-            raise ValueError(f"block shape {block.shape} does not match slot {expected_shape}")
-        out[sl] = block
-    return out
 
 
 def take_slice(data: np.ndarray, axis: int, index: int) -> np.ndarray:

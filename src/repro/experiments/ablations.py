@@ -2,14 +2,16 @@
 
 These go beyond the paper's tables/figures and probe the individual design
 decisions: dual quantization vs the classic sequential quantizer, the choice of
-local predictor, the entropy backend, block-parallel execution, and the anchor
+local predictor, the entropy backend, chunked parallel packing, and the anchor
 selection heuristic (the paper's stated future work).
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -20,7 +22,7 @@ from repro.data import make_dataset
 from repro.experiments.config import dataset_shapes, default_training_config, resolve_scale
 from repro.experiments.report import format_table
 from repro.metrics import psnr
-from repro.parallel import BlockParallelCompressor
+from repro.store import ArchiveReader, ArchiveWriter
 from repro.sz import ErrorBound, SZCompressor
 from repro.sz.pipeline import encode_integer_stream
 from repro.sz.predictors import lorenzo_transform
@@ -159,7 +161,12 @@ def run_parallel_block_ablation(
     block_size: int = 64,
     max_workers: int = 4,
 ) -> AblationResult:
-    """Serial vs thread-pool block compression (enabled by dual quantization)."""
+    """Single-shot vs chunked archive packs, serial and threaded (enabled by dual quantization).
+
+    Each chunked row is one :class:`~repro.store.ArchiveWriter` pack of the
+    field; its ratio comes from the manifest entry and its bound is checked on
+    the archive read back.
+    """
     shapes = dataset_shapes(scale)
     data = make_dataset(dataset, shape=shapes[dataset])[target].data
     eb = ErrorBound.relative(error_bound)
@@ -170,20 +177,20 @@ def run_parallel_block_ablation(
     single_seconds = time.perf_counter() - start
 
     rows = [["single-shot", single_result.ratio, single_seconds, 1]]
-    block_shape = tuple(block_size for _ in data.shape)
-    for kind, workers in (("serial", 1), ("thread", max_workers)):
-        parallel = BlockParallelCompressor(
-            compressor=SZCompressor(error_bound=eb),
-            block_shape=block_shape,
-            max_workers=workers,
-            executor_kind=kind,
-        )
-        start = time.perf_counter()
-        result = parallel.compress(data)
-        seconds = time.perf_counter() - start
-        recon = parallel.decompress(result.payload)
-        assert np.max(np.abs(recon.astype(np.float64) - data.astype(np.float64))) <= result.abs_error_bound * (1 + 1e-9)
-        rows.append([f"blocks-{kind}", result.ratio, seconds, workers])
+    chunk_shape = tuple(block_size for _ in data.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, workers in (("serial", 1), ("thread", max_workers)):
+            path = Path(tmp) / f"{kind}.xfa"
+            start = time.perf_counter()
+            with ArchiveWriter(
+                path, error_bound=eb, chunk_shape=chunk_shape, max_workers=workers, executor_kind=kind
+            ) as writer:
+                entry = writer.add_field(target, data)
+            seconds = time.perf_counter() - start
+            with ArchiveReader(path) as reader:
+                recon = reader.read_field(target)
+            assert np.max(np.abs(recon.astype(np.float64) - data.astype(np.float64))) <= entry.abs_error_bound * (1 + 1e-9)
+            rows.append([f"blocks-{kind}", entry.ratio, seconds, workers])
     return AblationResult(
         name=f"block-parallel ablation ({dataset}:{target} @ rel {error_bound:g})",
         headers=["configuration", "ratio", "compress seconds", "workers"],

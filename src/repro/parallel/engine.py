@@ -2,10 +2,10 @@
 
 Every layer of this system ultimately reduces to the same shape of work —
 *plan* a list of independent chunk tasks, *submit* them to a pool, *collect*
-the results — yet the write path (archive packing), the read path (region
-reads, full-field decode, verification) and the in-memory block compressor
-each used to carry their own copy of that orchestration.  :class:`ChunkScheduler`
-is the single implementation they all share now:
+the results — yet the write path (archive packing) and the read path (region
+reads, full-field decode, verification) each used to carry their own copy of
+that orchestration.  :class:`ChunkScheduler` is the single implementation they
+share now:
 
 - **Backends**: ``"thread"`` (the default — NumPy ufuncs and zlib release the
   GIL, so chunk codecs scale across cores in one process), ``"process"`` (for

@@ -3,7 +3,7 @@
 This package is the high-level API over the rest of the system: one validated,
 JSON-round-trippable configuration object drives the core compressors
 (:mod:`repro.sz`, :mod:`repro.zfp`, :mod:`repro.core` via the store codec
-registry), block-parallel execution (:mod:`repro.parallel`), and the chunked
+registry), parallel chunk execution (:mod:`repro.parallel`), and the chunked
 ``XFA1`` archive store (:mod:`repro.store`), so every workload — baseline,
 mixed-codec, cross-field, lossless — is expressed as data instead of ad-hoc
 scripts.

@@ -160,7 +160,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         codec=args.codec,
         error_bound=error_bound,
         chunk_shape=_parse_chunk_shape(args.chunk),
-        max_workers=args.workers if args.workers is not None else args.jobs,
+        max_workers=args.jobs,
         attrs={"source": str(args.source), "dataset": fieldset.name},
     ) as writer:
         entries = writer.add_fieldset(fieldset, cross_field=cross_field, **codec_params)
@@ -741,7 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument("--mode", choices=("rel", "abs"), default="rel", help="error bound mode (default: rel)")
     pack.add_argument("--chunk", help="chunk shape, comma separated (default: 64 per axis)")
     pack.add_argument("--fields", help="comma-separated subset of fields to pack")
-    pack.add_argument("--workers", type=int, default=None, help="compression worker threads")
     pack.add_argument("--shape", help="grid shape for synthetic datasets, comma separated")
     pack.add_argument("--seed", type=int, default=None, help="seed for synthetic datasets")
     pack.add_argument(

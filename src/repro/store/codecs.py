@@ -14,7 +14,7 @@ manifest so a reader can reconstruct the codec without out-of-band knowledge).
 Error bounds travel as ``{"mode": ..., "value": ...}`` dictionaries; the
 :class:`~repro.store.writer.ArchiveWriter` resolves relative bounds against the
 *full* field before chunking, so every chunk honours the same absolute bound —
-the same semantics as :class:`~repro.parallel.executor.BlockParallelCompressor`.
+the same bound as a single-shot compression of the whole field.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Streaming-append writer for ``XFA1`` archives.
 
 :class:`ArchiveWriter` compresses each added field chunk-by-chunk (the chunk
-grid comes from :func:`repro.parallel.blocks.plan_blocks`, the worker pool from
+grid comes from :func:`repro.data.slicing.iter_blocks`, the worker pool from
 the shared :class:`~repro.parallel.engine.ChunkScheduler`) and appends the
 payloads to the archive file as soon as they are ready — the scheduler's
 windowed, in-order streaming is what keeps the full compressed archive out of
@@ -27,10 +27,10 @@ the manifest's timestep index, and — per the
 independently or as a ``temporal-delta`` residual against its decoded previous
 step, with an independent anchor step every ``anchor_every`` occurrences.
 
-Error-bound semantics match :class:`~repro.parallel.executor.BlockParallelCompressor`:
-a relative bound is resolved once against the *full* field, and every chunk is
-compressed with the resulting absolute bound, so the stored field satisfies
-exactly the same per-point guarantee as a single-shot compression.
+Error bounds are the same as a single-shot compression: a relative bound is
+resolved once against the *full* field, and every chunk is compressed with the
+resulting absolute bound, so the stored field satisfies exactly the same
+per-point guarantee as compressing the whole field in one piece.
 
 Cross-field fields name previously written fields as anchors.  The writer
 *reconstructs* each anchor chunk by decoding it from the archive (through the
@@ -49,8 +49,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.data.slicing import iter_blocks
 from repro.obs import recorder as _obs
-from repro.parallel.blocks import plan_blocks
 from repro.parallel.engine import ChunkScheduler
 from repro.store.bytestore import FileByteStore
 from repro.store.codecs import codec_class, get_codec
@@ -101,8 +101,9 @@ class ArchiveWriter:
     chunk_shape:
         Default chunk tile; ``None`` uses 64 along every axis (clamped).
     max_workers / executor_kind:
-        Worker-pool configuration for per-chunk compression, identical to
-        :class:`~repro.parallel.executor.BlockParallelCompressor`.
+        Worker-pool configuration for per-chunk compression, passed to the
+        shared :class:`~repro.parallel.engine.ChunkScheduler` as ``jobs`` /
+        ``executor_kind``.
     attrs:
         Free-form JSON-serialisable archive attributes (provenance, units, …).
         In append mode they are merged into the existing attributes.
@@ -459,7 +460,7 @@ class ArchiveWriter:
             codec_params = dict(codec_params, error_bound=ErrorBound.absolute(abs_eb))
         instance = get_codec(codec_name, **codec_params)
 
-        specs = plan_blocks(data.shape, resolved_chunk_shape)
+        blocks = list(enumerate(iter_blocks(data.shape, resolved_chunk_shape)))
         recorder = _obs.get_recorder()
 
         # Anchor chunks are reconstructed per target chunk, on demand — the
@@ -467,10 +468,11 @@ class ArchiveWriter:
         # internally, so anchor decodes and target encodes both run in
         # parallel while memory stays bounded by the in-flight workers plus
         # the fetcher's cache budget, not the whole anchor fields.
-        def encode(spec):
-            chunk_data = spec.extract(data)
+        def encode(block):
+            index, slices = block
+            chunk_data = np.ascontiguousarray(data[slices])
             anchor_arrays = (
-                [self._fetcher.get_chunk(a, spec.index) for a in anchors]
+                [self._fetcher.get_chunk(a, index) for a in anchors]
                 if anchors
                 else None
             )
@@ -504,17 +506,17 @@ class ArchiveWriter:
         # never the field's whole compressed output.  Appends share the file
         # handle with the fetcher's anchor reads, hence the io_lock.
         with _obs.span(
-            "store.write.field_seconds", field=name, codec=cls.name, chunks=len(specs)
+            "store.write.field_seconds", field=name, codec=cls.name, chunks=len(blocks)
         ):
             payloads = self._scheduler.imap(
-                encode, specs, context=lambda i, spec: f"field {name!r} chunk {i}"
+                encode, blocks, context=lambda i, block: f"field {name!r} chunk {i}"
             )
-            for spec, payload in zip(specs, payloads):
+            for (index, slices), payload in zip(blocks, payloads):
                 entry.chunks.append(
                     ChunkEntry(
-                        index=spec.index,
-                        start=tuple(s.start for s in spec.slices),
-                        stop=tuple(s.stop for s in spec.slices),
+                        index=index,
+                        start=tuple(s.start for s in slices),
+                        stop=tuple(s.stop for s in slices),
                         offset=self._offset,
                         length=len(payload),
                         crc32=zlib.crc32(payload) & 0xFFFFFFFF,

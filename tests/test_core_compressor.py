@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CFNN, CFNNConfig, CrossFieldCompressor, TrainingConfig, compress_fieldset
-from repro.core.anchors import get_anchor_spec
-from repro.sz import ErrorBound, SZCompressor
+from repro.core import CFNN, CFNNConfig, CrossFieldCompressor, TrainingConfig
+from repro.sz import ErrorBound
 
 FAST_TRAINING = TrainingConfig(epochs=2, n_patches=16, batch_size=4, patch_size_2d=16, patch_size_3d=8)
 
@@ -34,12 +33,6 @@ class TestCrossFieldCompressor2D:
         assert result.metadata["hybrid_parameters"] == 3
         assert "model.cfnn" in result.section_sizes
         assert len(result.metadata["hybrid"]["weights"]) == 3
-
-    def test_sequential_and_wavefront_decoders_agree(self, compressed):
-        _, result, target, anchors = compressed
-        wavefront = CrossFieldCompressor(decoder="wavefront").decompress(result.payload, anchors)
-        sequential = CrossFieldCompressor(decoder="sequential").decompress(result.payload, anchors)
-        assert np.array_equal(wavefront, sequential)
 
     def test_wrong_anchor_count_rejected(self, compressed):
         comp, result, _, anchors = compressed
@@ -110,33 +103,6 @@ class TestModelReuseAndOptions:
     def test_invalid_constructor_options(self):
         with pytest.raises(ValueError):
             CrossFieldCompressor(hybrid_method="magic")
-        with pytest.raises(ValueError):
-            CrossFieldCompressor(decoder="unknown")
         with pytest.raises(TypeError):
             CrossFieldCompressor(error_bound=0.001)
 
-
-class TestFieldSetOrchestration:
-    def test_compress_fieldset_report(self, cesm_small):
-        spec = get_anchor_spec("cesm", "LWCF")
-        report = compress_fieldset(
-            cesm_small, spec, ErrorBound.relative(1e-3), training=FAST_TRAINING
-        )
-        assert report.target == "LWCF"
-        assert set(report.anchor_results) == set(spec.anchors)
-        assert report.baseline.ratio > 1.0
-        assert report.cross_field.ratio > 1.0
-        row = report.row()
-        assert row["field"] == "LWCF"
-        assert np.isclose(
-            row["improvement_percent"],
-            100.0 * (report.cross_field.ratio / report.baseline.ratio - 1.0),
-        )
-
-    def test_baseline_and_ours_share_error_bound_guarantee(self, cesm_small):
-        spec = get_anchor_spec("cesm", "CLDTOT")
-        eb = ErrorBound.relative(2e-3)
-        report = compress_fieldset(cesm_small, spec, eb, training=FAST_TRAINING)
-        target = cesm_small["CLDTOT"].data.astype(np.float64)
-        baseline_recon = SZCompressor(error_bound=eb).decompress(report.baseline.payload)
-        assert np.max(np.abs(baseline_recon.astype(np.float64) - target)) <= report.baseline.abs_error_bound * (1 + 1e-9)

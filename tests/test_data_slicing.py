@@ -7,7 +7,6 @@ from repro.data.slicing import (
     extract_patches,
     extract_patches_nd,
     iter_blocks,
-    reassemble_blocks,
     take_slice,
     zoom_window,
 )
@@ -50,21 +49,11 @@ class TestBlocks:
             covered[sl] += 1
         assert np.all(covered == 1)
 
-    def test_reassemble_round_trip(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(size=(9, 11, 5))
-        block_shape = (4, 4, 3)
-        blocks = [data[sl].copy() for sl in iter_blocks(data.shape, block_shape)]
-        rebuilt = reassemble_blocks(blocks, data.shape, block_shape)
-        assert np.array_equal(rebuilt, data)
-
-    def test_reassemble_wrong_count(self):
-        with pytest.raises(ValueError):
-            reassemble_blocks([np.zeros((2, 2))], (4, 4), (2, 2))
-
     def test_invalid_block_shape(self):
         with pytest.raises(ValueError):
             list(iter_blocks((4, 4), (0, 2)))
+        with pytest.raises(ValueError, match="rank"):
+            list(iter_blocks((4, 4), (2,)))
 
 
 class TestSliceAndZoom:

@@ -3,13 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.core import CrossFieldCompressor, TrainingConfig, compress_fieldset
+from repro.core import CrossFieldCompressor, TrainingConfig
 from repro.core.anchors import get_anchor_spec
 from repro.data import make_dataset, read_fieldset, write_fieldset
 from repro.metrics import psnr, ssim
+from repro.pipeline import CompressionPipeline, FieldRule, PipelineConfig, reconstruct_anchors
+from repro.store import ArchiveReader
 from repro.sz import ErrorBound, SZCompressor
 
-FAST = TrainingConfig(epochs=2, n_patches=16, batch_size=4, patch_size_2d=16, patch_size_3d=8)
+def _pack_whole_fields(fieldset, target, eb, path, **codec_params):
+    """Pipeline pack with one chunk per field and a cross-field rule for ``target``."""
+    spec = get_anchor_spec(fieldset.name, target)
+    config = PipelineConfig(
+        error_bound=eb,
+        chunk_shape=fieldset.shape,
+        fields={target: FieldRule(codec="cross-field", anchors=spec.anchors, codec_params=codec_params)},
+    )
+    CompressionPipeline(config).compress(fieldset, path, fields=[*spec.anchors, target])
+    return spec
 
 
 class TestEndToEnd:
@@ -37,20 +48,20 @@ class TestEndToEnd:
         assert ratios[0] > ratios[1] > ratios[2]
         assert psnrs[0] < psnrs[1] < psnrs[2]
 
-    def test_full_cross_field_workflow_matches_manual_pipeline(self, cesm_small):
-        """compress_fieldset == manually compressing anchors then the target."""
-        spec = get_anchor_spec("cesm", "LWCF")
+    def test_full_cross_field_workflow_matches_manual_pipeline(self, cesm_small, tmp_path):
+        """A pipeline pack == manually compressing anchors, then the target on their reconstructions."""
         eb = ErrorBound.relative(1e-3)
-        report = compress_fieldset(cesm_small, spec, eb, training=FAST)
+        spec = _pack_whole_fields(cesm_small, "LWCF", eb, tmp_path / "a.xfa", epochs=2, n_patches=16)
+        with ArchiveReader(tmp_path / "a.xfa") as reader:
+            stored = reader.read_field("LWCF")
 
         target = cesm_small["LWCF"].data
-        # reconstruct anchors exactly as the orchestration does
-        anchors = []
-        baseline = SZCompressor(error_bound=eb)
-        for name in spec.anchors:
-            anchors.append(baseline.decompress(baseline.compress(cesm_small[name].data).payload).astype(np.float64))
-        recon = CrossFieldCompressor(error_bound=eb).decompress(report.cross_field.payload, anchors)
-        assert np.max(np.abs(recon.astype(np.float64) - target.astype(np.float64))) <= report.cross_field.abs_error_bound * (1 + 1e-9)
+        anchors = reconstruct_anchors(cesm_small, spec.anchors, eb)
+        manual = CrossFieldCompressor(
+            error_bound=eb, training=TrainingConfig(epochs=2, n_patches=16, seed=1234)
+        )
+        recon = manual.decompress(manual.compress(target, anchors).payload, anchors)
+        assert np.array_equal(stored, recon)
         assert ssim(target, recon) > 0.8
 
     def test_cross_field_beats_or_matches_baseline_on_favourable_field(self):
@@ -71,7 +82,12 @@ class TestEndToEnd:
         ).compress(target, anchors)
         assert ours.ratio > 0.5 * baseline.ratio
 
-    def test_3d_cross_field_full_stack(self, hurricane_small):
-        spec = get_anchor_spec("hurricane", "Wf")
-        report = compress_fieldset(hurricane_small, spec, ErrorBound.relative(2e-3), training=FAST)
-        assert report.cross_field.metadata["stream"]["count"] == hurricane_small["Wf"].data.size
+    def test_3d_cross_field_full_stack(self, hurricane_small, tmp_path):
+        eb = ErrorBound.relative(2e-3)
+        _pack_whole_fields(hurricane_small, "Wf", eb, tmp_path / "h.xfa", epochs=2, n_patches=16)
+        with ArchiveReader(tmp_path / "h.xfa") as reader:
+            entry = reader.field("Wf")
+            recon = reader.read_field("Wf")
+        target = hurricane_small["Wf"].data
+        assert entry.codec == "cross-field" and len(entry.chunks) == 1
+        assert np.max(np.abs(recon.astype(np.float64) - target.astype(np.float64))) <= entry.abs_error_bound * (1 + 1e-9)

@@ -19,6 +19,7 @@ from repro.store.manifest import (
     chunks_intersecting_region,
     normalize_region,
 )
+from repro.sz import SZCompressor
 from repro.sz.errors import ErrorBound
 
 
@@ -106,6 +107,35 @@ class TestRoundTrip:
             )
             region = reader.read_region("Uf", (slice(3, 9), slice(10, 20), 5))
             assert np.array_equal(region, recon[3:9, 10:20, 5:6])
+
+    def test_relative_bound_resolved_on_full_field(self, tmp_path, rng):
+        # four 32x32 chunks whose local value ranges differ by up to 1000x: a
+        # relative bound resolved per chunk would differ from chunk to chunk
+        scales = np.kron(np.array([[1.0, 10.0], [100.0, 1000.0]]), np.ones((32, 32)))
+        data = rng.normal(size=(64, 64)) * scales
+        eb = ErrorBound.relative(1e-3)
+        with ArchiveWriter(tmp_path / "a.xfa", chunk_shape=(32, 32), error_bound=eb) as writer:
+            writer.add_field("x", data)
+        with ArchiveReader(tmp_path / "a.xfa") as reader:
+            entry = reader.field("x")
+            bound = eb.resolve(data)
+            assert entry.abs_error_bound == bound
+            errors = []
+            for chunk in entry.chunks:
+                region = tuple(slice(a, b) for a, b in zip(chunk.start, chunk.stop))
+                errors.append(np.max(np.abs(reader.read_region("x", region) - data[region])))
+        assert max(errors) <= bound * (1 + 1e-9)
+        # the quiet chunk 0 was coded with the field's bound, not its own
+        assert errors[0] > 1e-3 * np.ptp(data[:32, :32])
+
+    def test_chunked_ratio_close_to_single_shot(self, tmp_path, cesm_small):
+        data = cesm_small["CLDTOT"].data
+        eb = ErrorBound.relative(1e-3)
+        single = SZCompressor(error_bound=eb).compress(data)
+        with ArchiveWriter(tmp_path / "a.xfa", chunk_shape=(24, 24), error_bound=eb) as writer:
+            entry = writer.add_field("CLDTOT", data)
+        # per-chunk headers and tables cost something, but not an order of magnitude
+        assert entry.ratio > 0.3 * single.ratio
 
 
 class TestWriterValidation:
