@@ -1,13 +1,12 @@
 """Entropy coding and byte-stream substrate for the compression pipeline.
 
 Implements the third SZ stage ("customized Huffman coding and additional
-lossless compression"): a bit-level stream writer/reader, a canonical Huffman
-coder with vectorised encode *and* decode, a pluggable entropy-coder registry
-(:mod:`repro.encoding.entropy`), zigzag/RLE integer transforms, pluggable
+lossless compression"): a canonical Huffman coder with vectorised encode
+*and* decode, a pluggable entropy-coder registry
+(:mod:`repro.encoding.entropy`), the zigzag integer transform, pluggable
 lossless backends, and the on-disk container format for compressed payloads.
 """
 
-from repro.encoding.bitstream import BitWriter, BitReader
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
 from repro.encoding.entropy import (
     EntropyCoder,
@@ -18,7 +17,7 @@ from repro.encoding.entropy import (
     get_entropy_coder,
     available_entropy_coders,
 )
-from repro.encoding.rle import zigzag_encode, zigzag_decode, rle_encode, rle_decode
+from repro.encoding.rle import zigzag_encode, zigzag_decode
 from repro.encoding.lossless import (
     LosslessBackend,
     ZlibBackend,
@@ -26,11 +25,9 @@ from repro.encoding.lossless import (
     get_backend,
     available_backends,
 )
-from repro.encoding.container import CompressedBlob, pack_sections, unpack_sections
+from repro.encoding.container import CompressedBlob
 
 __all__ = [
-    "BitWriter",
-    "BitReader",
     "HuffmanCodec",
     "HuffmanTable",
     "EntropyCoder",
@@ -42,14 +39,10 @@ __all__ = [
     "available_entropy_coders",
     "zigzag_encode",
     "zigzag_decode",
-    "rle_encode",
-    "rle_decode",
     "LosslessBackend",
     "ZlibBackend",
     "RawBackend",
     "get_backend",
     "available_backends",
     "CompressedBlob",
-    "pack_sections",
-    "unpack_sections",
 ]

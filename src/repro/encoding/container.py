@@ -14,9 +14,9 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, ItemsView, Iterable, List, Mapping, Tuple
+from typing import Dict
 
-__all__ = ["CompressedBlob", "pack_sections", "unpack_sections"]
+__all__ = ["CompressedBlob"]
 
 MAGIC = b"XFC1"  # cross-field compression, container version 1
 _HEADER_FMT = "<4sBII"  # magic, version, n_sections, crc32 of the body
@@ -131,17 +131,3 @@ class CompressedBlob:
             sections[name] = bytes(body[offset : offset + payload_len])
             offset += payload_len
         return cls(metadata=metadata, sections=sections)
-
-
-def pack_sections(metadata: Mapping, sections: Mapping[str, bytes]) -> bytes:
-    """Convenience: build and serialize a :class:`CompressedBlob` in one call."""
-    blob = CompressedBlob(metadata=dict(metadata))
-    for name, payload in sections.items():
-        blob.add_section(name, payload)
-    return blob.to_bytes()
-
-
-def unpack_sections(payload: bytes) -> Tuple[Dict, Dict[str, bytes]]:
-    """Convenience: parse bytes into ``(metadata, sections)``."""
-    blob = CompressedBlob.from_bytes(payload)
-    return blob.metadata, blob.sections

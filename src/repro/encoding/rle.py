@@ -1,18 +1,14 @@
-"""Integer stream transforms: zigzag mapping and run-length encoding.
+"""Zigzag mapping of signed integers onto non-negative symbols.
 
 Quantization residuals are signed and centred on zero; Huffman symbols must be
-non-negative, so the residuals are zigzag-mapped first.  Long runs of the
-zero-error bin are common at loose error bounds, which run-length encoding
-captures cheaply before the entropy stage.
+non-negative, so the residuals are zigzag-mapped first.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["zigzag_encode", "zigzag_decode", "rle_encode", "rle_decode"]
+__all__ = ["zigzag_encode", "zigzag_decode"]
 
 
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
@@ -33,28 +29,3 @@ def zigzag_decode(values: np.ndarray) -> np.ndarray:
     if v.size and v.min() < 0:
         raise ValueError("zigzag-encoded values must be non-negative")
     return np.where(v % 2 == 0, v // 2, -(v + 1) // 2).astype(np.int64)
-
-
-def rle_encode(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Run-length encode a 1D integer array into ``(run_values, run_lengths)``."""
-    values = np.asarray(values).ravel()
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    values = values.astype(np.int64)
-    change = np.nonzero(np.diff(values))[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [values.size]))
-    run_values = values[starts]
-    run_lengths = (ends - starts).astype(np.int64)
-    return run_values, run_lengths
-
-
-def rle_decode(run_values: np.ndarray, run_lengths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rle_encode`."""
-    run_values = np.asarray(run_values, dtype=np.int64).ravel()
-    run_lengths = np.asarray(run_lengths, dtype=np.int64).ravel()
-    if run_values.shape != run_lengths.shape:
-        raise ValueError("run_values and run_lengths must have the same length")
-    if run_lengths.size and run_lengths.min() <= 0:
-        raise ValueError("run lengths must be positive")
-    return np.repeat(run_values, run_lengths)

@@ -10,7 +10,6 @@ along the first axis and averaged.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.utils.validation import ensure_array, ensure_shape_match
 
@@ -25,6 +24,10 @@ def _ssim_2d(
     k1: float,
     k2: float,
 ) -> float:
+    # scipy is needed here only: importing it at module level would make every
+    # importer of repro.metrics (the cross-field codec among them) require it
+    from scipy.ndimage import gaussian_filter
+
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.encoding.entropy import get_entropy_coder
-from repro.store.codecs import codec_class
+from repro.store.codecs import check_codec_params, codec_class
 from repro.store.temporal import TemporalSpec
 from repro.sz.errors import ErrorBound
 
@@ -299,7 +299,8 @@ class PipelineConfig:
         unknown codec names, anchor rules that do not match their codec's
         ``requires_anchors`` declaration, anchors that are themselves anchored
         targets (the store requires anchors to decode without further
-        anchors), self-anchoring, duplicate anchors, bad executor kinds, or
+        anchors), self-anchoring, duplicate anchors, ``codec_params`` the
+        codec's constructor does not take, bad executor kinds, or
         non-serialisable ``attrs``.
         """
         if not isinstance(self.name, str) or not self.name:
@@ -387,6 +388,10 @@ class PipelineConfig:
                     f"{context}: codec_params must not set {reserved}; use the "
                     "dedicated rule key(s) instead"
                 )
+            try:
+                check_codec_params(codec_name, rule.codec_params)
+            except ValueError as exc:
+                raise PipelineConfigError(f"{context}: {exc}") from exc
             if "entropy" in rule.codec_params:
                 # entropy modes come from the pluggable coder registry, so a
                 # typo fails here — at validation time — not mid-compression

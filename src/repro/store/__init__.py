@@ -33,8 +33,8 @@ every K steps bound random access in time), and
   opens (``recover=True``).
 - :mod:`repro.store.cli` — the ``repro`` console script
   (``pack`` / ``unpack`` / ``ls`` / ``extract`` / ``verify`` plus the
-  time-stepped ``append`` / ``steps`` and the pipeline-driven
-  ``run`` / ``compress`` / ``decompress``).
+  time-stepped ``append`` / ``steps``, the pipeline-driven
+  ``run`` / ``compress`` and ``serve``).
 
 The byte-level format is specified in ``docs/xfa1-format.md`` (append
 semantics and the manifest log included); the streaming workflow is

@@ -6,7 +6,7 @@ Store subcommands drive the ``XFA1`` archive end-to-end::
     repro pack ./fieldset_dir snapshot.xfa --codec zfp       # SDRBench-style dir
     repro ls snapshot.xfa
     repro extract snapshot.xfa FLNT --region 10:40,80:160 -o flnt.npy
-    repro preview snapshot.xfa FLNT --fraction 0.25         # coarse prefix decode
+    repro extract snapshot.xfa FLNT --fraction 0.25         # coarse prefix decode
     repro verify snapshot.xfa --deep
     repro unpack snapshot.xfa ./restored
 
@@ -23,7 +23,6 @@ run configuration-driven workloads::
     repro run --list                         # registered scenarios
     repro run cross-field -o cf.xfa          # scenario -> verified archive
     repro compress config.json               # PipelineConfig JSON -> archive
-    repro decompress snapshot.xfa ./restored # archive -> fieldset directory
 
 ``pack`` accepts either a directory previously written by
 :func:`repro.data.io.write_fieldset` (a ``manifest.json`` plus raw binary
@@ -31,6 +30,8 @@ fields) or the name of a synthetic dataset generator (``cesm``, ``scale``,
 ``hurricane``).  ``--cross-field TARGET=A1,A2`` stores a field with the
 cross-field codec anchored on other fields of the same archive; ``compress``
 expresses the same (and per-field codecs/bounds) declaratively in JSON.
+Both run through :class:`~repro.pipeline.CompressionPipeline`, as does
+``unpack``: each verb is a front end over the API that does its job.
 
 Installed as a console script via ``setup.py`` (``pip install -e .`` puts
 ``repro`` on the PATH); ``python -m repro.store.cli`` works without install.
@@ -110,24 +111,6 @@ def _load_source_fieldset(source: str, shape: Optional[str], seed: Optional[int]
     )
 
 
-def _check_entropy(entropy: str, codec: str) -> str:
-    """Validate ``--entropy`` against the coder registry and the chosen codec."""
-    import inspect
-
-    from repro.encoding.entropy import get_entropy_coder
-    from repro.store.codecs import codec_class
-
-    get_entropy_coder(entropy)  # unknown names raise, listing the registry
-    parameters = inspect.signature(codec_class(codec).__init__).parameters
-    if "entropy" not in parameters and not any(
-        p.kind is p.VAR_KEYWORD for p in parameters.values()
-    ):
-        raise ArchiveError(
-            f"--entropy does not apply to codec {codec!r} (it has no entropy stage)"
-        )
-    return entropy
-
-
 def _human_bytes(n: float) -> str:
     for unit in ("B", "KB", "MB", "GB"):
         if abs(n) < 1024.0 or unit == "GB":
@@ -140,36 +123,40 @@ def _human_bytes(n: float) -> str:
 # subcommands
 # --------------------------------------------------------------------------- #
 def _cmd_pack(args: argparse.Namespace) -> int:
-    from repro.store.writer import ArchiveWriter
+    from repro.pipeline import CompressionPipeline, FieldRule, PipelineConfig
     from repro.sz.errors import ErrorBound
 
-    codec_params = {}
-    if args.entropy is not None:
-        codec_params["entropy"] = _check_entropy(args.entropy, args.codec)
     fieldset = _load_source_fieldset(args.source, args.shape, args.seed)
     if args.fields:
         fieldset = fieldset.subset([f.strip() for f in args.fields.split(",")])
-    cross_field = _parse_cross_field(args.cross_field)
+    codec_params = {} if args.entropy is None else {"entropy": args.entropy}
+    rules = {}
+    for target, anchors in _parse_cross_field(args.cross_field).items():
+        # the pipeline ignores rules for fields it is not given
+        if target not in fieldset:
+            raise ArchiveError(f"cross-field target {target!r} is not in the fieldset")
+        rules[target] = FieldRule(codec="cross-field", anchors=anchors, codec_params=codec_params)
+    if codec_params:
+        for name in fieldset.names:
+            rules.setdefault(name, FieldRule(codec_params=codec_params))
     error_bound = (
         ErrorBound.absolute(args.error_bound)
         if args.mode == "abs"
         else ErrorBound.relative(args.error_bound)
     )
-    with ArchiveWriter(
-        args.archive,
+    config = PipelineConfig(
         codec=args.codec,
         error_bound=error_bound,
         chunk_shape=_parse_chunk_shape(args.chunk),
-        max_workers=args.jobs,
-        attrs={"source": str(args.source), "dataset": fieldset.name},
-    ) as writer:
-        entries = writer.add_fieldset(fieldset, cross_field=cross_field, **codec_params)
-    total_in = sum(e.original_nbytes for e in entries.values())
-    total_out = sum(e.compressed_nbytes for e in entries.values())
-    ratio = total_in / total_out if total_out else float("inf")
+        jobs=args.jobs,
+        fields=rules,
+        attrs={"source": str(args.source)},
+    )
+    result = CompressionPipeline(config).compress(fieldset, args.archive)
     print(
-        f"packed {len(entries)} fields into {args.archive}: "
-        f"{_human_bytes(total_in)} -> {_human_bytes(total_out)} (ratio {ratio:.2f}x)"
+        f"packed {len(result.fields)} fields into {args.archive}: "
+        f"{_human_bytes(result.original_nbytes)} -> {_human_bytes(result.compressed_nbytes)} "
+        f"(ratio {result.ratio:.2f}x)"
     )
     return 0
 
@@ -225,38 +212,25 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
     region = parse_region(args.region) if args.region else None
     with ArchiveReader(args.archive, jobs=args.jobs, backend=args.io_backend) as reader:
-        data = reader.read_region(args.field, region)
-        stats = reader.cache_stats()
+        if args.fraction is None:
+            data = reader.read_region(args.field, region)
+            chunks_decoded = reader.cache_stats()["chunks_decoded"]
+        else:
+            data, info = reader.read_region_preview(args.field, region, fraction=args.fraction)
     if args.output:
         np.save(args.output, data)
         destination = args.output if str(args.output).endswith(".npy") else f"{args.output}.npy"
         print(f"wrote {destination}: shape {data.shape}, dtype {data.dtype}")
-    print(
-        f"{args.field}{' ' + args.region if args.region else ''}: shape {tuple(data.shape)}, "
-        f"min {data.min():.6g}, max {data.max():.6g}, mean {data.mean():.6g} "
-        f"({stats['chunks_decoded']} chunks decompressed)"
-    )
-    return 0
-
-
-def _cmd_preview(args: argparse.Namespace) -> int:
-    from repro.store.reader import ArchiveReader
-
-    region = parse_region(args.region) if args.region else None
-    with ArchiveReader(args.archive, jobs=args.jobs, backend=args.io_backend) as reader:
-        data, info = reader.read_region_preview(
-            args.field, region, fraction=args.fraction
-        )
-    if args.output:
-        np.save(args.output, data)
-        destination = args.output if str(args.output).endswith(".npy") else f"{args.output}.npy"
-        print(f"wrote {destination}: shape {data.shape}, dtype {data.dtype}")
-    pct = 100.0 * info["bytes_decoded"] / info["bytes_total"] if info["bytes_total"] else 100.0
-    print(
-        f"{args.field}{' ' + args.region if args.region else ''} @ fraction {args.fraction:g}: "
+    label = f"{args.field}{' ' + args.region if args.region else ''}"
+    summary = (
         f"shape {tuple(data.shape)}, min {data.min():.6g}, max {data.max():.6g}, "
         f"mean {data.mean():.6g}"
     )
+    if args.fraction is None:
+        print(f"{label}: {summary} ({chunks_decoded} chunks decompressed)")
+        return 0
+    pct = 100.0 * info["bytes_decoded"] / info["bytes_total"] if info["bytes_total"] else 100.0
+    print(f"{label} @ fraction {args.fraction:g}: {summary}")
     print(
         f"decoded {info['groups_decoded']}/{info['groups_total']} coefficient groups, "
         f"{_human_bytes(info['bytes_decoded'])} of {_human_bytes(info['bytes_total'])} "
@@ -287,23 +261,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_unpack(args: argparse.Namespace) -> int:
-    from repro.data.fields import Field, FieldSet
     from repro.data.io import write_fieldset
-    from repro.store.reader import ArchiveReader
+    from repro.pipeline import CompressionPipeline, PipelineConfig
 
-    with ArchiveReader(args.archive, jobs=args.jobs, backend=args.io_backend) as reader:
-        names = (
-            [f.strip() for f in args.fields.split(",")] if args.fields else reader.names
-        )
-        fieldset = FieldSet(
-            [Field(name, reader.read_field(name)) for name in names],
-            name=str(reader.attrs.get("dataset", "archive")),
-        )
-        # preserve the archive's precision: write_fieldset stores one dtype
-        # for the whole set, so promote to the widest stored dtype
-        dtype = np.result_type(*[np.dtype(reader.field(name).dtype) for name in names])
+    names = [f.strip() for f in args.fields.split(",")] if args.fields else None
+    pipeline = CompressionPipeline(PipelineConfig(jobs=args.jobs, io_backend=args.io_backend))
+    fieldset = pipeline.decompress(args.archive, fields=names)
+    # preserve the archive's precision: write_fieldset stores one dtype for
+    # the whole set, so promote to the widest restored dtype
+    dtype = np.result_type(*[field.data.dtype for field in fieldset])
     write_fieldset(fieldset, args.destination, dtype=dtype)
-    print(f"unpacked {len(names)} fields to {args.destination} (dtype {dtype})")
+    print(f"unpacked {len(fieldset)} fields to {args.destination} (dtype {dtype})")
     return 0
 
 
@@ -357,15 +325,19 @@ def _append_inherited_rules(manifest, names, inherit_bound, inherit_codec, entro
 def _cmd_append(args: argparse.Namespace) -> int:
     from pathlib import Path as _Path
 
+    from repro.encoding.entropy import get_entropy_coder
+    from repro.store.codecs import check_codec_params
     from repro.store.temporal import TemporalSpec
     from repro.store.writer import ArchiveWriter
     from repro.sz.errors import ErrorBound
 
     codec_params = {}
     if args.entropy is not None:
-        # validated here against the explicit flags; re-checked below against
-        # each field's *effective* (possibly inherited) codec
-        codec_params["entropy"] = _check_entropy(args.entropy, args.base or args.codec or "sz")
+        # fail before loading any data; a field's inherited codec is checked
+        # when the writer builds it (and the writer rolls the step back)
+        get_entropy_coder(args.entropy)
+        codec_params["entropy"] = args.entropy
+        check_codec_params(args.base or args.codec or "sz", codec_params)
     fieldset = _load_source_fieldset(args.source, args.shape, args.seed)
     if args.fields:
         fieldset = fieldset.subset([f.strip() for f in args.fields.split(",")])
@@ -424,16 +396,6 @@ def _cmd_append(args: argparse.Namespace) -> int:
             if exists
             else {}
         )
-        if args.entropy is not None:
-            # an inherited codec may have no entropy stage (e.g. lossless);
-            # fail with the same clean error `pack` gives, not a TypeError
-            # from the codec constructor (the writer rolls back cleanly)
-            for name in fieldset.names:
-                effective = (
-                    field_rules.get(name, {}).get("codec")
-                    or args.base or args.codec or "sz"
-                )
-                _check_entropy(args.entropy, effective)
         entry = writer.add_timestep(
             fieldset,
             step=args.step,
@@ -611,21 +573,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         fieldset = fieldset.subset([f.strip() for f in args.fields.split(",")])
     result = CompressionPipeline(config).compress(fieldset, output)
     print(result.format())
-    return 0
-
-
-def _cmd_decompress(args: argparse.Namespace) -> int:
-    from repro.data.io import write_fieldset
-    from repro.pipeline import CompressionPipeline, PipelineConfig
-
-    names = [f.strip() for f in args.fields.split(",")] if args.fields else None
-    pipeline = CompressionPipeline(PipelineConfig(jobs=args.jobs))
-    fieldset = pipeline.decompress(args.archive, fields=names)
-    # preserve the archive's precision: write_fieldset stores one dtype for
-    # the whole set, so promote to the widest restored dtype (as `unpack` does)
-    dtype = np.result_type(*[fieldset[name].data.dtype for name in fieldset.names])
-    write_fieldset(fieldset, args.destination, dtype=dtype)
-    print(f"decompressed {len(fieldset)} fields to {args.destination} (dtype {dtype})")
     return 0
 
 
@@ -815,7 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--json", action="store_true", help="machine-readable output")
     ls.set_defaults(func=_cmd_ls)
 
-    extract = sub.add_parser("extract", help="read a field (or region) out of an archive", parents=[jobs_parent])
+    extract = sub.add_parser(
+        "extract",
+        help="read a field (or region) out of an archive, in full or as a coarse preview",
+        parents=[jobs_parent],
+    )
     extract.add_argument("archive")
     extract.add_argument("field")
     extract.add_argument(
@@ -823,30 +774,17 @@ def build_parser() -> argparse.ArgumentParser:
         help='region slices, e.g. "0:10,5:20" or "3,:,40:80"; negative bounds need '
         'the = form: --region=-10:,:-5',
     )
-    extract.add_argument("-o", "--output", help="write the region to a .npy file")
-    extract.set_defaults(func=_cmd_extract)
-
-    preview = sub.add_parser(
-        "preview",
-        help="coarse progressive read of a field (or region) from payload prefixes",
-        parents=[jobs_parent],
-    )
-    preview.add_argument("archive")
-    preview.add_argument("field")
-    preview.add_argument(
-        "--region",
-        help="comma-separated slices, e.g. 10:40,80:160 (default: whole field)",
-    )
-    preview.add_argument(
+    extract.add_argument(
         "--fraction",
         type=float,
-        default=0.25,
-        help="entropy-byte budget per chunk as a fraction of the full payload "
-        "(default: 0.25; zfp grouped-layout fields decode a prefix of their "
-        "significance groups, other codecs fall back to a full decode)",
+        default=None,
+        help="coarse progressive read: entropy-byte budget per chunk as a fraction "
+        "of the full payload, e.g. 0.25 (zfp grouped-layout fields decode a prefix "
+        "of their significance groups, other codecs fall back to a full decode; "
+        "default: full read)",
     )
-    preview.add_argument("-o", "--output", help="write the preview to a .npy file")
-    preview.set_defaults(func=_cmd_preview)
+    extract.add_argument("-o", "--output", help="write the region to a .npy file")
+    extract.set_defaults(func=_cmd_extract)
 
     verify = sub.add_parser("verify", help="check chunk CRCs (and optionally decode)", parents=[jobs_parent])
     verify.add_argument("archive")
@@ -927,16 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument("--shape", help="grid shape for synthetic dataset sources")
     compress.add_argument("--seed", type=int, default=None, help="seed for synthetic dataset sources")
     compress.set_defaults(func=_cmd_compress)
-
-    decompress = sub.add_parser(
-        "decompress",
-        help="decompress an archive into a fieldset directory via the pipeline",
-        parents=[jobs_parent],
-    )
-    decompress.add_argument("archive")
-    decompress.add_argument("destination")
-    decompress.add_argument("--fields", help="comma-separated subset of fields to restore")
-    decompress.set_defaults(func=_cmd_decompress)
 
     return parser
 

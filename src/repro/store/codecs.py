@@ -19,8 +19,9 @@ the same bound as a single-shot compression of the whole field.
 
 from __future__ import annotations
 
+import inspect
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Type, Union
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "TemporalDeltaCodec",
     "register_codec",
     "get_codec",
+    "check_codec_params",
     "codec_class",
     "available_codecs",
 ]
@@ -480,10 +482,23 @@ def get_codec(name: Union[str, Codec], **params) -> Codec:
     """Instantiate a codec by registry name (instances pass through)."""
     if isinstance(name, Codec):
         return name
-    key = str(name).lower()
-    if key not in _REGISTRY:
-        raise ValueError(f"unknown codec {name!r}; available: {available_codecs()}")
-    return _REGISTRY[key](**params)
+    check_codec_params(name, params)
+    return codec_class(name)(**params)
+
+
+def check_codec_params(name: str, params: Mapping) -> None:
+    """Raise ``ValueError`` unless codec ``name``'s constructor takes every key of ``params``."""
+    cls = codec_class(name)
+    accepted = dict(inspect.signature(cls.__init__).parameters)
+    accepted.pop("self", None)
+    if any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+        return
+    for key in params:
+        if key not in accepted:
+            raise ValueError(
+                f"codec {cls.name!r} does not accept parameter {key!r} "
+                f"(accepted: {', '.join(accepted) or 'none'})"
+            )
 
 
 def codec_class(name: str) -> Type[Codec]:

@@ -770,58 +770,3 @@ class ArchiveWriter:
                 if spec is not None:
                     temporal_meta[name] = spec.to_dict()
             stored[name] = stored_name
-
-    def add_fieldset(
-        self,
-        fieldset,
-        codec: Optional[str] = None,
-        error_bound: Optional[ErrorBound] = None,
-        chunk_shape: Optional[Sequence[int]] = None,
-        cross_field: Optional[Dict[str, Sequence[str]]] = None,
-        **codec_params,
-    ) -> Dict[str, FieldEntry]:
-        """Add every field of a :class:`~repro.data.fields.FieldSet`.
-
-        ``cross_field`` maps target field names to anchor-name sequences; the
-        targets are written *after* all other fields (anchors must exist
-        first) with the cross-field codec, everything else uses ``codec``.
-        Extra keyword arguments (an ``entropy`` mode from the
-        :mod:`repro.encoding.entropy` registry, a ``backend`` name, ...) are
-        forwarded to every field's codec constructor, exactly as
-        :meth:`add_field` forwards its own.
-        """
-        cross_field = dict(cross_field or {})
-        for target, target_anchors in cross_field.items():
-            if target not in fieldset:
-                raise ArchiveError(f"cross-field target {target!r} is not in the fieldset")
-            for anchor in target_anchors:
-                if anchor not in fieldset:
-                    raise ArchiveError(f"cross-field anchor {anchor!r} is not in the fieldset")
-                if anchor in cross_field:
-                    raise ArchiveError(
-                        f"anchor {anchor!r} is itself a cross-field target; anchors must be "
-                        "stored with a non-anchored codec"
-                    )
-        entries: Dict[str, FieldEntry] = {}
-        for field in fieldset:
-            if field.name in cross_field:
-                continue
-            entries[field.name] = self.add_field(
-                field.name,
-                field.data,
-                codec=codec,
-                error_bound=error_bound,
-                chunk_shape=chunk_shape,
-                **codec_params,
-            )
-        for target, target_anchors in cross_field.items():
-            entries[target] = self.add_field(
-                target,
-                fieldset[target].data,
-                codec="cross-field",
-                error_bound=error_bound,
-                chunk_shape=chunk_shape,
-                anchors=tuple(target_anchors),
-                **codec_params,
-            )
-        return entries

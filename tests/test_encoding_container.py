@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.encoding.container import CompressedBlob, pack_sections, unpack_sections
+from repro.encoding.container import CompressedBlob
 
 
 class TestCompressedBlob:
@@ -118,10 +118,3 @@ class TestCorruptionPaths:
         with pytest.raises(ValueError, match="version"):
             CompressedBlob.from_bytes(bytes(payload))
 
-
-class TestHelpers:
-    def test_pack_unpack(self):
-        payload = pack_sections({"name": "field"}, {"data": b"123"})
-        metadata, sections = unpack_sections(payload)
-        assert metadata["name"] == "field"
-        assert sections["data"] == b"123"

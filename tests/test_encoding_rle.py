@@ -1,11 +1,11 @@
-"""Unit tests for zigzag and run-length transforms."""
+"""Unit tests for the zigzag transform."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.rle import rle_decode, rle_encode, zigzag_decode, zigzag_encode
+from repro.encoding.rle import zigzag_decode, zigzag_encode
 
 
 class TestZigzag:
@@ -32,27 +32,3 @@ class TestZigzag:
         arr = np.asarray(values, dtype=np.int64)
         assert np.array_equal(zigzag_decode(zigzag_encode(arr)), arr)
 
-
-class TestRLE:
-    def test_basic(self):
-        values, lengths = rle_encode(np.array([5, 5, 5, 2, 2, 9]))
-        assert np.array_equal(values, [5, 2, 9])
-        assert np.array_equal(lengths, [3, 2, 1])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        data = rng.integers(0, 3, size=500)
-        assert np.array_equal(rle_decode(*rle_encode(data)), data)
-
-    def test_empty(self):
-        values, lengths = rle_encode(np.array([], dtype=np.int64))
-        assert values.size == 0
-        assert rle_decode(values, lengths).size == 0
-
-    def test_mismatched_inputs(self):
-        with pytest.raises(ValueError):
-            rle_decode(np.array([1, 2]), np.array([3]))
-
-    def test_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            rle_decode(np.array([1]), np.array([0]))

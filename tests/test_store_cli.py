@@ -5,13 +5,38 @@ Packing dominates CLI test runtime, so tests share the session-scoped
 (built once); tests that corrupt archive bytes take a ``copy_archive`` copy.
 """
 
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.data.io import read_fieldset, write_fieldset
-from repro.store.cli import main, parse_region
+from repro.store.cli import build_parser, main, parse_region
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: ``pack --cross-field`` then ``extract`` with every ``scipy`` import failing:
+#: the cross-field codec must not need it (only SSIM does).
+NO_SCIPY_SCRIPT = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(name + " is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from repro.store.cli import main
+assert main(["pack", "cesm", "cf.xfa", "--shape", "32,48", "--chunk", "32,48",
+             "--fields", "CLDLOW,CLDMED,CLDTOT", "--cross-field", "CLDTOT=CLDLOW,CLDMED"]) == 0
+sys.exit(main(["extract", "cf.xfa", "CLDTOT"]))
+"""
 
 
 class TestParseRegion:
@@ -89,6 +114,34 @@ class TestCLI:
         assert entries["CLDTOT"]["codec"] == "cross-field"
         assert entries["CLDTOT"]["anchors"] == ["CLDLOW", "CLDMED"]
         assert entries["CLDLOW"]["codec"] == "sz"
+
+    def test_pack_records_pipeline_config(self, cli_archive_master, cli_fieldset_dir):
+        from repro.pipeline import PipelineConfig
+        from repro.store.reader import ArchiveReader
+
+        with ArchiveReader(cli_archive_master) as reader:
+            attrs = reader.attrs
+        assert attrs["source"] == str(cli_fieldset_dir)
+        assert attrs["pipeline"] == "pipeline"
+        config = PipelineConfig.from_dict(attrs["pipeline_config"])
+        assert config.chunk_shape == (24, 24)
+
+    def test_cross_field_target_outside_fieldset_reports_error(self, tmp_path, capsys):
+        code = main([
+            "pack", "cesm", str(tmp_path / "x.xfa"), "--shape", "16,16",
+            "--fields", "CLDLOW,CLDMED", "--cross-field", "CLDTOT=CLDLOW,CLDMED",
+        ])
+        assert code == 2
+        assert "cross-field target 'CLDTOT' is not in the fieldset" in capsys.readouterr().err
+
+    def test_cross_field_pack_and_extract_without_scipy(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "CLDTOT: shape (32, 48)" in done.stdout
 
     def test_ls_surfaces_codec_params(self, cli_archive_master, capsys):
         # the listing must show the manifest-recorded codec parameters
@@ -183,7 +236,33 @@ class TestCLI:
             "--codec", "lossless", "--entropy", "huffman",
         ])
         assert code == 2
-        assert "no entropy stage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "codec 'lossless' does not accept parameter 'entropy'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"codec": "lossless", "fields": {"FLNT": {"codec_params": {"entropy": "huffman"}}}},
+            {"codec": "sz", "fields": {"FLNT": {"codec_params": {"bogus": 1}}}},
+        ],
+        ids=["entropy-on-lossless", "unknown-sz-param"],
+    )
+    def test_compress_rejects_codec_params_the_codec_does_not_take(
+        self, tmp_path, capsys, config
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main([
+            "compress", str(path), "--source", "cesm", "--shape", "16,16",
+            "--output", str(tmp_path / "x.xfa"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'FLNT': codec ")
+        assert "does not accept parameter" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.xfa").exists()
 
     def test_extract_unknown_field_reports_error(self, cli_archive_master, capsys):
         assert main(["extract", str(cli_archive_master), "NOPE"]) == 2
@@ -215,7 +294,7 @@ class TestCLI:
         assert main(["run", "climate-small", "-o", str(archive), "--jobs", "1"]) == 0
         capsys.readouterr()
         dest = tmp_path / "restored"
-        assert main(["decompress", str(archive), str(dest), "--jobs", "2"]) == 0
+        assert main(["unpack", str(archive), str(dest), "--jobs", "2"]) == 0
         capsys.readouterr()
         assert sorted(read_fieldset(dest).names) == ["CLDTOT", "FLNT", "FLNTC", "LWCF"]
 
@@ -382,7 +461,7 @@ class TestAppendSteps:
         # the inherited codec has no entropy stage: clean exit 2, no traceback
         code = main(["append", str(archive), str(step_dirs[1]), "--entropy", "huffman"])
         assert code == 2
-        assert "no entropy stage" in capsys.readouterr().err
+        assert "codec 'lossless' does not accept parameter 'entropy'" in capsys.readouterr().err
 
     def test_append_temporal_none_conflicts_with_cadence_flags(self, tmp_path, step_dirs, capsys):
         code = main([
@@ -434,7 +513,7 @@ class TestPreviewCommand:
 
     def test_preview_reports_prefix_decode(self, zfp_archive, capsys):
         capsys.readouterr()
-        assert main(["preview", str(zfp_archive), "FLNT", "--fraction", "0.25"]) == 0
+        assert main(["extract", str(zfp_archive), "FLNT", "--fraction", "0.25"]) == 0
         out = capsys.readouterr().out
         assert "@ fraction 0.25" in out
         assert "coefficient groups" in out
@@ -443,7 +522,7 @@ class TestPreviewCommand:
     def test_preview_writes_npy(self, zfp_archive, tmp_path, capsys):
         out_npy = tmp_path / "coarse.npy"
         assert main([
-            "preview", str(zfp_archive), "FLNT",
+            "extract", str(zfp_archive), "FLNT",
             "--region", "0:24,0:48", "--fraction", "0.5", "-o", str(out_npy),
         ]) == 0
         capsys.readouterr()
@@ -453,11 +532,54 @@ class TestPreviewCommand:
         self, cli_archive_master, capsys
     ):
         # sz fields have no prefix layout: the CLI still works, reporting 100%
-        assert main(["preview", str(cli_archive_master), "FLNT"]) == 0
+        assert main(["extract", str(cli_archive_master), "FLNT", "--fraction", "0.25"]) == 0
         out = capsys.readouterr().out
         assert "(100.0%)" in out
 
     def test_preview_unknown_field_reports_error(self, zfp_archive, capsys):
-        assert main(["preview", str(zfp_archive), "NOPE"]) == 2
+        assert main(["extract", str(zfp_archive), "NOPE", "--fraction", "0.25"]) == 2
         err = capsys.readouterr().err
         assert "NOPE" in err
+
+
+class TestVerbs:
+    """One verb per job, and the docs name only verbs that exist."""
+
+    @staticmethod
+    def _subcommands(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return set(action.choices)
+
+    def test_one_verb_per_job(self):
+        assert self._subcommands(build_parser()) == {
+            "pack", "append", "steps", "ls", "extract", "verify", "unpack",
+            "run", "serve", "compress",
+        }
+
+    def test_documented_verbs_exist(self):
+        parser = build_parser()
+        # root options that consume the next token (`repro --jobs 2 unpack ...`)
+        takes_value = {
+            option
+            for action in parser._actions
+            if action.nargs != 0
+            for option in action.option_strings
+        }
+        paths = [REPO_ROOT / "README.md", REPO_ROOT / ".github" / "workflows" / "ci.yml"]
+        paths += sorted((REPO_ROOT / "docs").glob("*.md"))
+        documented = {}
+        for path in paths:
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                for match in re.finditer(r"(?<![\w./=-])(?<!from )repro +(.+)", line):
+                    tokens = iter(match.group(1).replace("`", " ").split())
+                    for token in tokens:
+                        if not token.startswith("-"):
+                            if re.fullmatch(r"[a-z][\w-]*", token):
+                                documented.setdefault(token, f"{path.name}:{lineno}")
+                            break
+                        if token in takes_value:
+                            next(tokens, None)
+        unknown = {verb: where for verb, where in documented.items()
+                   if verb not in self._subcommands(parser)}
+        assert not unknown, f"docs name verbs that build_parser() lacks: {unknown}"
+        assert {"pack", "extract", "unpack", "serve"} <= set(documented)
