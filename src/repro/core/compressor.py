@@ -25,8 +25,7 @@ reconstructions to this compressor through the ``cross-field`` codec.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -181,17 +180,13 @@ class CrossFieldCompressor:
         if target_data.ndim not in (2, 3):
             raise ValueError("CrossFieldCompressor supports 2D and 3D data")
         anchors = self._validate_anchors(target_data, anchor_arrays)
-        timings: Dict[str, float] = {}
 
         # stage 1: prequantization (identical to the baseline)
-        t0 = time.perf_counter()
         abs_eb = self.error_bound.resolve(target_data)
         quant_eb = effective_error_bound(abs_eb)
         codes = prequantize(target_data, quant_eb)
-        timings["prequantize"] = time.perf_counter() - t0
 
         # stage 2a: cross-field model
-        t0 = time.perf_counter()
         if cfnn is None:
             cfnn = self._build_cfnn(len(anchors), target_data.ndim)
             cfnn.train(anchors, np.asarray(target_data, dtype=np.float64), self.training)
@@ -202,15 +197,11 @@ class CrossFieldCompressor:
         # what the decompressor will compute from the embedded weights.
         model_bytes = cfnn.to_bytes()
         inference_model = CFNN.from_bytes(model_bytes)
-        timings["train_cfnn"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
         predicted_diffs = inference_model.predict_differences(anchors)
         diff_codes = self._quantize_differences(predicted_diffs, quant_eb)
-        timings["cross_field_predict"] = time.perf_counter() - t0
 
         # stage 2b: hybrid combination
-        t0 = time.perf_counter()
         hybrid = HybridPredictor(ndim=target_data.ndim)
         with _obs.span("core.hybrid.fit_seconds", method=self.hybrid_method):
             hybrid.fit(codes, diff_codes, method=self.hybrid_method)
@@ -218,7 +209,6 @@ class CrossFieldCompressor:
         prediction = weighted_predict_full(codes, diff_codes, weights)
         residuals = codes - prediction
         candidate_lorenzo = lorenzo_predict(codes)
-        timings["hybrid_predict"] = time.perf_counter() - t0
 
         # stage 3: entropy coding.  The hybrid stream carries the embedded CFNN,
         # so its total size is compared against a plain Lorenzo encoding of the
@@ -226,7 +216,6 @@ class CrossFieldCompressor:
         # the cross-field signal is weak and the model overhead dominates), the
         # compressor falls back to it — mirroring SZ's "best-fit predictor"
         # philosophy while keeping the error bound untouched.
-        t0 = time.perf_counter()
         backend = get_backend(self.backend)
         sections, stream_meta = encode_integer_stream(
             residuals, self.entropy, self.backend, self.quant_radius
@@ -249,7 +238,6 @@ class CrossFieldCompressor:
             mode = "hybrid"
             if self.include_model:
                 sections["model.cfnn"] = model_section
-        timings["encode"] = time.perf_counter() - t0
         _obs.count(f"core.mode.{mode}")
 
         metadata = {
@@ -278,7 +266,6 @@ class CrossFieldCompressor:
             element_count=int(target_data.size),
             element_size=int(target_data.dtype.itemsize),
             section_sizes=blob.section_sizes(),
-            timings=timings,
             metadata=metadata,
         )
         return result

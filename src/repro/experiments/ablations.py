@@ -183,7 +183,7 @@ def run_parallel_block_ablation(
             path = Path(tmp) / f"{kind}.xfa"
             start = time.perf_counter()
             with ArchiveWriter(
-                path, error_bound=eb, chunk_shape=chunk_shape, max_workers=workers, executor_kind=kind
+                path, error_bound=eb, chunk_shape=chunk_shape, max_workers=workers
             ) as writer:
                 entry = writer.add_field(target, data)
             seconds = time.perf_counter() - start

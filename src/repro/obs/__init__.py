@@ -3,9 +3,9 @@
 Counters, gauges, log-bucketed latency histograms and nestable trace spans
 behind one module-level registry.  The default recorder is a true no-op;
 enable collection with :func:`enable`, the ``REPRO_TELEMETRY`` environment
-variable, or the ``repro`` CLI's global ``--profile`` flag.  Snapshots are
-picklable and mergeable, so process workers ship their deltas back to the
-parent (see :class:`~repro.parallel.engine.ChunkScheduler`).
+variable, or the ``repro`` CLI's global ``--profile`` flag.  Scheduler
+workers are threads, so every task records into the one global recorder (see
+:class:`~repro.parallel.engine.ChunkScheduler`).
 
 See ``docs/observability.md`` for the recorder API, the metric naming scheme,
 and the ``--profile`` / ``--profile-json`` / ``--trace`` walkthrough.

@@ -23,16 +23,13 @@ Metric kinds
   table.  :meth:`Recorder.timer` is the histogram-only variant for hot paths
   that do not need a timeline entry.
 
-Snapshots (:meth:`Recorder.snapshot`) are plain-dataclass
-:class:`TelemetrySnapshot` objects: picklable (process workers ship their
-deltas back with task results) and mergeable (:meth:`TelemetrySnapshot.merge`
-adds counters/histograms and concatenates spans), which is how the
-:class:`~repro.parallel.engine.ChunkScheduler` aggregates worker telemetry in
-the parent.
+Snapshots (:meth:`Recorder.snapshot`) are plain-dataclass, picklable
+:class:`TelemetrySnapshot` objects with a JSON form
+(:meth:`TelemetrySnapshot.to_dict` / :meth:`TelemetrySnapshot.from_dict`).
+Scheduler workers are threads of this process, so they record straight into
+the one global recorder; nothing is merged after the fact.
 
-Span timestamps come from ``time.perf_counter()``; on Linux that is
-``CLOCK_MONOTONIC``, which is system-wide, so spans shipped from forked worker
-processes land on the same timeline as the parent's.
+Span timestamps come from ``time.perf_counter()``.
 """
 
 from __future__ import annotations
@@ -108,14 +105,6 @@ class Histogram:
             self.max = value
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
 
     @property
     def mean(self) -> float:
@@ -205,32 +194,14 @@ SNAPSHOT_SCHEMA = "repro-telemetry/1"
 class TelemetrySnapshot:
     """Immutable-by-convention copy of a recorder's state.
 
-    Plain dicts and dataclasses throughout: picklable (ships across the
-    process boundary with scheduler task results) and JSON-serialisable via
-    :meth:`to_dict`.  :meth:`merge` folds another snapshot in, in place.
+    Plain dicts and dataclasses throughout: picklable and JSON-serialisable
+    via :meth:`to_dict`.
     """
 
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
     spans: List[SpanRecord] = field(default_factory=list)
-
-    def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
-        """Fold ``other`` into this snapshot (sums, bucket adds, span concat)."""
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(other.gauges)
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = Histogram(
-                    count=hist.count, sum=hist.sum, min=hist.min, max=hist.max,
-                    buckets=dict(hist.buckets),
-                )
-            else:
-                mine.merge(hist)
-        self.spans.extend(other.spans)
-        return self
 
     def counter(self, name: str) -> float:
         """Value of one counter (0 when never incremented)."""
@@ -385,29 +356,6 @@ class Recorder:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def merge_snapshot(self, snapshot: TelemetrySnapshot) -> None:
-        """Fold a (worker-shipped) snapshot into this recorder's state."""
-        with self._lock:
-            for name, value in snapshot.counters.items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            self._gauges.update(snapshot.gauges)
-            for name, hist in snapshot.histograms.items():
-                mine = self._histograms.get(name)
-                if mine is None:
-                    self._histograms[name] = Histogram(
-                        count=hist.count, sum=hist.sum, min=hist.min, max=hist.max,
-                        buckets=dict(hist.buckets),
-                    )
-                else:
-                    mine.merge(hist)
-            room = self._max_spans - len(self._spans)
-            if len(snapshot.spans) > room:
-                self._counters["obs.spans_dropped"] = (
-                    self._counters.get("obs.spans_dropped", 0)
-                    + len(snapshot.spans) - room
-                )
-            self._spans.extend(snapshot.spans[:room])
-
     def snapshot(self, reset: bool = False) -> TelemetrySnapshot:
         """Deep-copied snapshot of the current state; ``reset`` clears after."""
         with self._lock:
@@ -480,9 +428,6 @@ class NullRecorder:
 
     def snapshot(self, reset: bool = False) -> TelemetrySnapshot:
         return TelemetrySnapshot()
-
-    def merge_snapshot(self, snapshot: TelemetrySnapshot) -> None:
-        return None
 
     def reset(self) -> None:
         return None

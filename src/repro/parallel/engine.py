@@ -7,13 +7,12 @@ reads, full-field decode, verification) each used to carry their own copy of
 that orchestration.  :class:`ChunkScheduler` is the single implementation they
 share now:
 
-- **Backends**: ``"thread"`` (the default — NumPy ufuncs and zlib release the
-  GIL, so chunk codecs scale across cores in one process), ``"process"`` (for
-  pure-Python-dominated workloads; tasks and results must be picklable) and
-  ``"serial"`` (the in-process reference loop, used for debugging and as the
-  baseline in speedup measurements).
+- **One backend, threads**: NumPy ufuncs and zlib release the GIL, so chunk
+  codecs scale across cores in one process.  ``jobs=1`` runs the serial
+  in-process reference loop instead (debugging, and the baseline in speedup
+  measurements).
 - **Windowed submission**: ordered streaming submits at most
-  ``window_factor * jobs`` tasks ahead of the consumer, so a caller that
+  ``WINDOW_FACTOR * jobs`` tasks ahead of the consumer, so a caller that
   processes results as they arrive (the archive writer appending payloads to
   disk) holds one window of results in memory, never the whole output.
 - **Ordered and unordered collection**: :meth:`imap` preserves task order
@@ -41,12 +40,11 @@ from collections import deque
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs import recorder as _obs
-from repro.utils.validation import ensure_in
 
-__all__ = ["SCHEDULER_KINDS", "ChunkScheduler", "ChunkTaskError", "default_jobs"]
+__all__ = ["ChunkScheduler", "ChunkTaskError", "default_jobs"]
 
-#: Executor backends understood by :class:`ChunkScheduler`.
-SCHEDULER_KINDS = ("thread", "process", "serial")
+#: In-flight tasks per worker on the ordered streaming path.
+WINDOW_FACTOR = 2
 
 #: Description callback: maps ``(task_index, item)`` to a human-readable label.
 ContextFn = Callable[[int, Any], str]
@@ -71,59 +69,6 @@ class ChunkTaskError(RuntimeError):
         self.original = original
 
 
-class _ShippedResult:
-    """A task result travelling with the worker's telemetry delta.
-
-    Process workers cannot record into the parent's recorder, so the task
-    wrapper snapshots a worker-local recorder after each task and ships the
-    delta alongside the result; the parent merges it at collection time.
-    """
-
-    __slots__ = ("result", "telemetry")
-
-    def __init__(self, result, telemetry) -> None:
-        self.result = result
-        self.telemetry = telemetry
-
-
-class _TelemetryTask:
-    """Wraps a task callable with queue-wait/duration metrics (picklable).
-
-    Called as ``task(item, submitted)`` where ``submitted`` is the submitting
-    thread's ``perf_counter()``; on Linux ``perf_counter`` is the system-wide
-    ``CLOCK_MONOTONIC``, so the queue-wait measurement also holds across the
-    process boundary.  With ``ship=True`` (process backend) the task runs
-    against a fresh worker-local recorder — never the recorder state a forked
-    child inherited, which the parent already owns — and returns a
-    :class:`_ShippedResult` carrying the per-task delta.
-    """
-
-    __slots__ = ("func", "ship")
-
-    def __init__(self, func: Callable, ship: bool) -> None:
-        self.func = func
-        self.ship = ship
-
-    def __call__(self, item, submitted: float):
-        if self.ship:
-            local = _obs.Recorder()
-            previous = _obs.set_recorder(local)
-            try:
-                result = self._run(local, item, submitted)
-            finally:
-                _obs.set_recorder(previous)
-            return _ShippedResult(result, local.snapshot())
-        return self._run(_obs.get_recorder(), item, submitted)
-
-    def _run(self, recorder, item, submitted: float):
-        start = time.perf_counter()
-        recorder.observe("scheduler.queue_wait_seconds", max(0.0, start - submitted))
-        result = self.func(item)
-        recorder.observe("scheduler.task_seconds", time.perf_counter() - start)
-        recorder.count("scheduler.tasks")
-        return result
-
-
 class ChunkScheduler:
     """Plan → submit → collect orchestration for independent chunk tasks.
 
@@ -132,12 +77,6 @@ class ChunkScheduler:
     jobs:
         Worker count.  ``None`` uses :func:`default_jobs`; ``1`` executes
         serially in the calling thread (no pool); values below 1 are rejected.
-    executor_kind:
-        One of :data:`SCHEDULER_KINDS`.  ``"process"`` requires picklable
-        callables, items and results.
-    window_factor:
-        In-flight tasks per worker for the ordered streaming path; the
-        submission window is ``window_factor * jobs``.
     reuse_pool:
         By default each call creates and tears down its own pool, which keeps
         the scheduler stateless.  ``reuse_pool=True`` lazily creates one pool
@@ -151,26 +90,15 @@ class ChunkScheduler:
     threads issuing :meth:`imap_unordered` reads against one archive reader.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        executor_kind: str = "thread",
-        window_factor: int = 2,
-        reuse_pool: bool = False,
-    ) -> None:
-        ensure_in(executor_kind, SCHEDULER_KINDS, "executor_kind")
+    def __init__(self, jobs: Optional[int] = None, reuse_pool: bool = False) -> None:
         if jobs is not None:
             if isinstance(jobs, bool) or not isinstance(jobs, int):
                 raise ValueError(f"jobs must be an integer or None, got {jobs!r}")
             if jobs < 1:
                 raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if window_factor < 1:
-            raise ValueError(f"window_factor must be >= 1, got {window_factor}")
         self.jobs = jobs
-        self.executor_kind = executor_kind
-        self.window_factor = int(window_factor)
         self.reuse_pool = bool(reuse_pool)
-        self._pool: Optional[concurrent.futures.Executor] = None
+        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -178,14 +106,12 @@ class ChunkScheduler:
     # ------------------------------------------------------------------ #
     @property
     def effective_jobs(self) -> int:
-        """The worker count a parallel backend would actually use."""
+        """The worker count the thread pool would actually use."""
         return self.jobs if self.jobs is not None else default_jobs()
 
     def is_serial(self, n_tasks: Optional[int] = None) -> bool:
         """True when execution falls back to the in-process serial loop."""
-        if self.executor_kind == "serial" or self.effective_jobs == 1:
-            return True
-        return n_tasks is not None and n_tasks <= 1
+        return self.effective_jobs == 1 or (n_tasks is not None and n_tasks <= 1)
 
     # ------------------------------------------------------------------ #
     # collection
@@ -202,9 +128,8 @@ class ChunkScheduler:
         configuration errors.
         """
         items = list(items)
-        serial = self.is_serial(len(items))
-        task = self._instrument(func, serial)
-        if serial:
+        task = self._instrument(func)
+        if self.is_serial(len(items)):
             return self._serial_iter(func, items, context, task)
         return self._imap_ordered(func, items, context, task)
 
@@ -220,9 +145,8 @@ class ChunkScheduler:
         :meth:`imap` when results must stream to an ordered sink.
         """
         items = list(items)
-        serial = self.is_serial(len(items))
-        task = self._instrument(func, serial)
-        if serial:
+        task = self._instrument(func)
+        if self.is_serial(len(items)):
             return (
                 (i, result)
                 for i, result in enumerate(self._serial_iter(func, items, context, task))
@@ -230,14 +154,12 @@ class ChunkScheduler:
         return self._imap_unordered(func, items, context, task)
 
     # ------------------------------------------------------------------ #
-    # backends
+    # execution
     # ------------------------------------------------------------------ #
-    def _make_pool(self) -> concurrent.futures.Executor:
-        if self.executor_kind == "process":
-            return concurrent.futures.ProcessPoolExecutor(max_workers=self.effective_jobs)
+    def _make_pool(self) -> concurrent.futures.ThreadPoolExecutor:
         return concurrent.futures.ThreadPoolExecutor(max_workers=self.effective_jobs)
 
-    def _acquire_pool(self) -> Tuple[concurrent.futures.Executor, bool]:
+    def _acquire_pool(self) -> Tuple[concurrent.futures.ThreadPoolExecutor, bool]:
         """The pool for one call and whether the call owns (must tear down) it."""
         if not self.reuse_pool:
             return self._make_pool(), True
@@ -253,25 +175,29 @@ class ChunkScheduler:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def _instrument(self, func: Callable, serial: bool) -> Optional[_TelemetryTask]:
-        """The telemetry task wrapper for one call, or ``None`` when disabled.
+    @staticmethod
+    def _instrument(func: Callable) -> Optional[Callable]:
+        """``func`` wrapped with queue-wait/duration metrics, or ``None`` when disabled.
 
-        Serial execution records directly into the global recorder (delta
-        shipping would only copy state within one process); a process pool
-        ships per-task deltas instead.  With telemetry disabled the raw
-        ``func`` runs unwrapped — the instrumented path costs nothing.
+        The wrapper is called as ``task(item, submitted)`` where ``submitted``
+        is the submitting thread's ``perf_counter()``.  Workers are threads of
+        this process, so it records straight into the global recorder.  With
+        telemetry disabled the raw ``func`` runs unwrapped — the instrumented
+        path costs nothing.
         """
         if not _obs.enabled():
             return None
-        return _TelemetryTask(func, ship=not serial and self.executor_kind == "process")
 
-    @staticmethod
-    def _unwrap(result):
-        """Merge a shipped worker delta into the global recorder, if present."""
-        if isinstance(result, _ShippedResult):
-            _obs.get_recorder().merge_snapshot(result.telemetry)
-            return result.result
-        return result
+        def task(item, submitted: float):
+            recorder = _obs.get_recorder()
+            start = time.perf_counter()
+            recorder.observe("scheduler.queue_wait_seconds", max(0.0, start - submitted))
+            result = func(item)
+            recorder.observe("scheduler.task_seconds", time.perf_counter() - start)
+            recorder.count("scheduler.tasks")
+            return result
+
+        return task
 
     @staticmethod
     def _wrap_error(
@@ -286,7 +212,7 @@ class ChunkScheduler:
         for index, item in enumerate(items):
             try:
                 if task is not None:
-                    yield self._unwrap(task(item, time.perf_counter()))
+                    yield task(item, time.perf_counter())
                 else:
                     yield func(item)
             except Exception as exc:
@@ -300,7 +226,7 @@ class ChunkScheduler:
             submit = lambda item: pool.submit(func, item)  # noqa: E731
         else:
             submit = lambda item: pool.submit(task, item, time.perf_counter())  # noqa: E731
-        window = self.window_factor * self.effective_jobs
+        window = WINDOW_FACTOR * self.effective_jobs
         pool, owned = self._acquire_pool()
         try:
             pending = deque(
@@ -364,7 +290,7 @@ class ChunkScheduler:
     def _collect(self, task: Tuple[int, Any, concurrent.futures.Future], context):
         index, item, future = task
         try:
-            return self._unwrap(future.result())
+            return future.result()
         except Exception as exc:
             wrapped = self._wrap_error(exc, index, item, context)
             if wrapped is exc:

@@ -35,8 +35,6 @@ __all__ = ["PipelineConfigError", "FieldRule", "PipelineConfig"]
 
 PathLike = Union[str, os.PathLike]
 
-_EXECUTOR_KINDS = ("thread", "serial")
-
 _IO_BACKENDS = ("auto", "file", "mmap")
 
 
@@ -209,13 +207,12 @@ class PipelineConfig:
         against each full field, matching single-shot semantics).
     chunk_shape:
         Default chunk tile; ``None`` lets the archive writer pick 64 per axis.
-    jobs / executor_kind:
-        Worker pool for the shared chunk execution engine, used by *both*
+    jobs:
+        Worker count for the shared chunk execution engine, used by *both*
         directions: per-chunk compression on write and per-chunk decode on
         :meth:`~repro.pipeline.pipeline.CompressionPipeline.decompress` /
-        ``verify``.  ``jobs=None`` sizes the pool to the machine, ``jobs=1``
-        forces the serial reference loop; ``executor_kind`` is ``"thread"``
-        or ``"serial"``.
+        ``verify``.  ``jobs=None`` sizes the thread pool to the machine,
+        ``jobs=1`` forces the serial reference loop.
     io_backend:
         Archive read backend for ``decompress`` / ``verify``: ``"auto"``
         (default — mmap where possible), ``"mmap"``, or ``"file"`` (see
@@ -241,7 +238,6 @@ class PipelineConfig:
     error_bound: ErrorBound = field(default_factory=lambda: ErrorBound.relative(1e-3))
     chunk_shape: Optional[Tuple[int, ...]] = None
     jobs: Optional[int] = None
-    executor_kind: str = "thread"
     io_backend: str = "auto"
     temporal: Optional[Dict] = None
     fields: Dict[str, FieldRule] = field(default_factory=dict)
@@ -300,16 +296,12 @@ class PipelineConfig:
         ``requires_anchors`` declaration, anchors that are themselves anchored
         targets (the store requires anchors to decode without further
         anchors), self-anchoring, duplicate anchors, ``codec_params`` the
-        codec's constructor does not take, bad executor kinds, or
-        non-serialisable ``attrs``.
+        codec's constructor does not take, bad ``jobs`` / ``io_backend``
+        values, or non-serialisable ``attrs``.
         """
         if not isinstance(self.name, str) or not self.name:
             raise PipelineConfigError("pipeline name must be a non-empty string")
         _check_codec(self.codec, "pipeline codec")
-        if self.executor_kind not in _EXECUTOR_KINDS:
-            raise PipelineConfigError(
-                f"executor_kind must be one of {_EXECUTOR_KINDS}, got {self.executor_kind!r}"
-            )
         if self.io_backend not in _IO_BACKENDS:
             raise PipelineConfigError(
                 f"io_backend must be one of {_IO_BACKENDS}, got {self.io_backend!r}"
@@ -416,7 +408,6 @@ class PipelineConfig:
             "name": self.name,
             "codec": self.codec,
             "error_bound": self.error_bound.to_dict(),
-            "executor_kind": self.executor_kind,
         }
         if self.chunk_shape is not None:
             payload["chunk_shape"] = list(self.chunk_shape)
@@ -445,6 +436,10 @@ class PipelineConfig:
             raise PipelineConfigError(f"config must be an object, got {type(payload).__name__}")
         if "max_workers" in payload:
             raise PipelineConfigError("config: 'max_workers' was removed; set 'jobs' instead")
+        if "executor_kind" in payload:
+            raise PipelineConfigError(
+                "config: 'executor_kind' was removed; set 'jobs' (1 = serial) instead"
+            )
         _check_keys(
             payload,
             (
@@ -453,7 +448,6 @@ class PipelineConfig:
                 "error_bound",
                 "chunk_shape",
                 "jobs",
-                "executor_kind",
                 "io_backend",
                 "temporal",
                 "fields",
@@ -481,7 +475,6 @@ class PipelineConfig:
             ),
             chunk_shape=payload.get("chunk_shape"),
             jobs=payload.get("jobs"),
-            executor_kind=payload.get("executor_kind", "thread"),
             io_backend=payload.get("io_backend", "auto"),
             temporal=payload.get("temporal"),
             fields={

@@ -220,7 +220,6 @@ class CompressionPipeline:
             error_bound=config.error_bound,
             chunk_shape=config.chunk_shape,
             max_workers=config.jobs,
-            executor_kind=config.executor_kind,
             attrs=attrs,
         ) as writer:
             entries: List[FieldEntry] = []
@@ -340,7 +339,6 @@ class CompressionPipeline:
             error_bound=config.error_bound,
             chunk_shape=config.chunk_shape,
             max_workers=config.jobs,
-            executor_kind=config.executor_kind,
             attrs=attrs,
         ) as writer:
             count = self._write_steps(writer, steps, times)
@@ -376,7 +374,6 @@ class CompressionPipeline:
             error_bound=self.config.error_bound,
             chunk_shape=self.config.chunk_shape,
             max_workers=self.config.jobs,
-            executor_kind=self.config.executor_kind,
             mode="a",
             recover=recover,
         ) as writer:
@@ -410,7 +407,7 @@ class CompressionPipeline:
         every codec and parameter — so this works on any XFA1 archive, not
         just ones this pipeline wrote.  ``fields`` selects a subset.  Chunk
         decodes run through the shared execution engine, honouring the
-        config's ``jobs`` / ``executor_kind`` knobs.
+        config's ``jobs`` knob.
         """
         with self._open_reader(path) as reader:
             names = list(fields) if fields is not None else reader.names
@@ -429,7 +426,7 @@ class CompressionPipeline:
 
         Returns the :meth:`~repro.store.reader.ArchiveReader.verify` report:
         ``{"ok": bool, "fields": {...}, "errors": [...]}``.  Chunk checks run
-        through the shared execution engine (``jobs`` / ``executor_kind``).
+        through the shared execution engine (``jobs``).
         """
         with self._open_reader(path) as reader:
             with _obs.span("pipeline.verify_seconds", deep=deep):
@@ -440,7 +437,6 @@ class CompressionPipeline:
         return ArchiveReader(
             path,
             jobs=self.config.jobs,
-            executor_kind=self.config.executor_kind,
             backend=self.config.io_backend,
         )
 

@@ -136,6 +136,7 @@ def _etag_matches(if_none_match: Optional[str], etag: str) -> bool:
 # query parsing and array rendering shared by the endpoints
 # --------------------------------------------------------------------------- #
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+_REAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _choice(name: str, value: Optional[str], allowed: Tuple[str, ...]) -> str:
@@ -153,6 +154,13 @@ def _integer(name: str, value: Union[None, str, int]) -> Optional[int]:
     if _DECIMAL.fullmatch(str(value)) is None:
         raise ValueError(f"{name} must be a decimal integer, got {value!r}")
     return int(value)
+
+
+def _fraction(name: str, value: Union[str, float]) -> float:
+    """A plain decimal number (``float()`` alone also takes ``"0.2_5"`` and padding)."""
+    if _REAL.fullmatch(str(value)) is None:
+        raise ValueError(f"{name} must be a decimal number, got {value!r}")
+    return float(value)
 
 
 def _split_fields(fields: Optional[str]) -> Optional[List[str]]:
@@ -669,7 +677,7 @@ class ArchiveService:
         """
         def prepare():
             response_format = _choice("format", fmt, ("npy", "json"))
-            budget = float(fraction)  # ValueError -> 422
+            budget = _fraction("fraction", fraction)  # ValueError -> 422
             sls = parse_region(region) if region else None
 
             def render(reader: ArchiveReader) -> ServiceResponse:

@@ -64,6 +64,14 @@ class Codec(ABC):
     :attr:`requires_anchors` (decode needs aligned anchor-field chunks, as the
     cross-field compressor does), and must keep every constructor argument
     JSON-serialisable and reported by :meth:`params`.
+
+    A codec that sets :attr:`supports_preview` also implements
+    ``decode_preview(payload, fraction, anchors=None, scheduler=None)``: a
+    coarse decode within a byte-budget ``fraction``, returning ``(array,
+    info)`` where ``info`` reports ``groups_decoded`` / ``groups_total`` /
+    ``bytes_decoded`` / ``bytes_total`` / ``rms_error_estimate`` /
+    ``fallback``.  The reader calls it for no other codec; their previews are
+    the cached full decode, reported with ``fallback: True``.
     """
 
     #: Registry key.
@@ -77,38 +85,9 @@ class Codec(ABC):
     #: Codecs that require a real ``bytes`` object keep the default; the
     #: reader then materialises the payload before calling them.
     decode_accepts_buffer: bool = False
-    #: True when :meth:`decode_preview` can reconstruct a coarse chunk from a
-    #: payload prefix (progressive layouts).  Codecs without progressive
-    #: payloads keep the default; their previews fall back to a full decode.
+    #: True when the codec implements ``decode_preview``, reconstructing a
+    #: coarse chunk from a payload prefix (progressive layouts).
     supports_preview: bool = False
-
-    def decode_preview(
-        self,
-        payload: bytes,
-        fraction: float,
-        anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
-    ):
-        """Decode a coarse preview within a byte-budget ``fraction``.
-
-        Returns ``(array, info)`` where ``info`` reports ``groups_decoded`` /
-        ``groups_total`` / ``bytes_decoded`` / ``bytes_total`` /
-        ``rms_error_estimate`` / ``fallback``.  The base implementation is the
-        non-progressive fallback: a full decode billed at its full payload
-        size, flagged with ``fallback: True`` so callers never mistake it for
-        a cheap prefix read.
-        """
-        array = self.decode(payload, anchors=anchors, scheduler=scheduler)
-        nbytes = len(payload)
-        info = {
-            "groups_decoded": 1,
-            "groups_total": 1,
-            "bytes_decoded": nbytes,
-            "bytes_total": nbytes,
-            "rms_error_estimate": 0.0,
-            "fallback": True,
-        }
-        return array, info
 
     @abstractmethod
     def encode(self, chunk: np.ndarray, anchors: Optional[Sequence[np.ndarray]] = None) -> bytes:

@@ -14,7 +14,7 @@ writer compresses through): payload I/O goes through a
 on the default mmap backend, one seek/read mutex on the file backend — codec
 decodes run outside every lock, and decoded chunks are assembled into a
 preallocated output array as they arrive, in completion order.  ``jobs=1``
-(or ``executor_kind="serial"``) restores the serial reference loop.
+restores the serial reference loop.
 
 The chunk-fetch engine lives in :class:`ChunkFetcher`, shared with
 :class:`~repro.store.writer.ArchiveWriter`: the writer uses the same code to
@@ -368,8 +368,6 @@ class ArchiveReader:
     jobs:
         Worker count for multi-chunk reads and verification: ``None`` sizes
         the pool to the machine, ``1`` decodes serially in the calling thread.
-    executor_kind:
-        ``"thread"`` (default — codecs release the GIL) or ``"serial"``.
     recover:
         When the newest footer is torn (an append session crashed mid-write,
         or the file was truncated), scan backwards for the last fully flushed
@@ -407,17 +405,10 @@ class ArchiveReader:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         cache_entries: Optional[int] = None,
         jobs: Optional[int] = None,
-        executor_kind: str = "thread",
         recover: bool = False,
         backend: str = "auto",
         shared_cache: Union[None, bool, SharedChunkCache] = None,
     ) -> None:
-        if executor_kind == "process":
-            # chunk fetches close over the reader's byte store and cache
-            raise ValueError(
-                "archive reads support executor_kind 'thread' or 'serial' "
-                "(chunk fetches share one byte store and cache)"
-            )
         if shared_cache is True:
             cache = process_chunk_cache()
         elif isinstance(shared_cache, SharedChunkCache):
@@ -431,7 +422,7 @@ class ArchiveReader:
             )
         # reuse_pool: region reads are many-small-batches; per-call pool
         # construction would rival the decode cost of a few-chunk read
-        self._scheduler = ChunkScheduler(jobs=jobs, executor_kind=executor_kind, reuse_pool=True)
+        self._scheduler = ChunkScheduler(jobs=jobs, reuse_pool=True)
         self.path = Path(path)
         self._closed = False
         self._store: Optional[ByteStore] = open_bytestore(self.path, backend)

@@ -100,10 +100,15 @@ class ArchiveWriter:
         Default error bound for lossy codecs.
     chunk_shape:
         Default chunk tile; ``None`` uses 64 along every axis (clamped).
-    max_workers / executor_kind:
-        Worker-pool configuration for per-chunk compression, passed to the
-        shared :class:`~repro.parallel.engine.ChunkScheduler` as ``jobs`` /
-        ``executor_kind``.
+    max_workers:
+        Worker count for per-chunk compression, passed to the shared
+        :class:`~repro.parallel.engine.ChunkScheduler` as ``jobs``: ``None``
+        sizes the pool to the machine, ``1`` compresses serially.
+    executor_kind:
+        Legacy alias: ``"serial"`` means ``max_workers=1`` and ``"thread"``
+        (default) changes nothing; any other value is rejected.  Its last
+        caller is the benchmark spine's writer, and it goes away together
+        with ``max_workers`` when that call site moves to ``jobs``.
     attrs:
         Free-form JSON-serialisable archive attributes (provenance, units, …).
         In append mode they are merged into the existing attributes.
@@ -147,16 +152,12 @@ class ArchiveWriter:
         self.default_codec = codec
         self.default_error_bound = error_bound
         self.default_chunk_shape = tuple(int(c) for c in chunk_shape) if chunk_shape else None
-        self.max_workers = max_workers
-        self.executor_kind = executor_kind
-        if executor_kind == "process":
-            # chunk encodes close over the input array and the shared fetcher
+        if executor_kind not in ("thread", "serial"):
             raise ValueError(
-                "archive writes support executor_kind 'thread' or 'serial' "
-                "(chunk encodes share one file handle and anchor cache)"
+                f"executor_kind must be 'thread' or 'serial', got {executor_kind!r}"
             )
-        # validates jobs/kind eagerly, before any file is created
-        self._scheduler = ChunkScheduler(jobs=max_workers, executor_kind=executor_kind)
+        # validates jobs eagerly, before any file is created
+        self._scheduler = ChunkScheduler(jobs=1 if executor_kind == "serial" else max_workers)
         attrs = dict(attrs or {})
         try:
             # sort_keys matches the manifest serialization in flush(), so

@@ -64,7 +64,10 @@ _PREDICTORS = ("lorenzo", "regression", "interpolation")
 # --------------------------------------------------------------------------- #
 @dataclass
 class CompressionResult:
-    """Outcome of one compression call: payload plus size/timing accounting."""
+    """Outcome of one compression call: payload plus size accounting.
+
+    Stage timings are recorded through :mod:`repro.obs`.
+    """
 
     payload: bytes
     original_nbytes: int
@@ -73,7 +76,6 @@ class CompressionResult:
     element_count: int
     element_size: int
     section_sizes: Dict[str, int] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
     metadata: Dict = field(default_factory=dict)
 
     @property
@@ -282,47 +284,36 @@ class SZCompressor:
         data = ensure_array(data, "data")
         if data.ndim not in (1, 2, 3):
             raise ValueError("SZCompressor supports 1D, 2D and 3D data")
-        timings: Dict[str, float] = {}
         recorder = _obs.get_recorder()
 
-        t0 = time.perf_counter()
-        abs_eb = self.error_bound.resolve(data)
-        codes = prequantize(data, effective_error_bound(abs_eb))
-        timings["prequantize"] = time.perf_counter() - t0
-        if recorder.enabled:
-            recorder.observe("sz.quantize.prequantize_seconds", timings["prequantize"])
+        with recorder.timer("sz.quantize.prequantize_seconds"):
+            abs_eb = self.error_bound.resolve(data)
+            codes = prequantize(data, effective_error_bound(abs_eb))
 
-        t0 = time.perf_counter()
         extra_sections: Dict[str, bytes] = {}
         extra_meta: Dict = {}
-        if self.predictor == "lorenzo":
-            residuals = lorenzo_transform(codes)
-        elif self.predictor == "interpolation":
-            residuals = InterpolationPredictor().encode(codes)
-        else:  # regression
-            reg = RegressionPredictor(self.regression_block_size)
-            residuals, coefficients = reg.encode(codes)
-            backend = get_backend(self.backend)
-            extra_sections["regression.coefficients"] = backend.compress(
-                coefficients.coefficients.astype(np.float32).tobytes()
-            )
-            extra_meta["regression"] = {
-                "block_size": self.regression_block_size,
-                "n_blocks": int(coefficients.coefficients.shape[0]),
-            }
-        timings["predict"] = time.perf_counter() - t0
-        if recorder.enabled:
-            recorder.observe(
-                f"sz.predict.{self.predictor}.encode_seconds", timings["predict"]
-            )
-            recorder.count("sz.predict.points", int(data.size))
+        with recorder.timer(f"sz.predict.{self.predictor}.encode_seconds"):
+            if self.predictor == "lorenzo":
+                residuals = lorenzo_transform(codes)
+            elif self.predictor == "interpolation":
+                residuals = InterpolationPredictor().encode(codes)
+            else:  # regression
+                reg = RegressionPredictor(self.regression_block_size)
+                residuals, coefficients = reg.encode(codes)
+                backend = get_backend(self.backend)
+                extra_sections["regression.coefficients"] = backend.compress(
+                    coefficients.coefficients.astype(np.float32).tobytes()
+                )
+                extra_meta["regression"] = {
+                    "block_size": self.regression_block_size,
+                    "n_blocks": int(coefficients.coefficients.shape[0]),
+                }
+        recorder.count("sz.predict.points", int(data.size))
 
-        t0 = time.perf_counter()
         sections, stream_meta = encode_integer_stream(
             residuals, self.entropy, self.backend, self.quant_radius
         )
         sections.update(extra_sections)
-        timings["encode"] = time.perf_counter() - t0
 
         metadata = {
             "format": self.format_name,
@@ -346,7 +337,6 @@ class SZCompressor:
             element_count=int(data.size),
             element_size=int(data.dtype.itemsize),
             section_sizes=blob.section_sizes(),
-            timings=timings,
             metadata=metadata,
         )
 

@@ -103,23 +103,19 @@ class ZFPLikeCompressor:
         if data.ndim not in (1, 2, 3):
             raise ValueError("ZFPLikeCompressor supports 1D, 2D and 3D data")
         recorder = _obs.get_recorder()
-        timings: Dict[str, float] = {}
 
-        t0 = time.perf_counter()
-        abs_eb = self.error_bound.resolve(data)
-        plan = significance_plan(data.shape, self.block_size)
-        transformed = field_transform_forward(data, self.block_size)
-        if self.layout == "grouped":
-            step_flat = self._step_array(abs_eb, plan.point_counts)
-        else:
-            # the interleaved decoder applies one scalar step everywhere, so
-            # the encoder must quantize with it too (the legacy behaviour)
-            step_flat = self._step(abs_eb, data.ndim)
-        quantized = np.rint(transformed.ravel() / step_flat).astype(np.int64)
-        timings["transform"] = time.perf_counter() - t0
-        if recorder.enabled:
-            recorder.observe("zfp.transform.forward_seconds", timings["transform"])
-            recorder.count("zfp.transform.points", int(data.size))
+        with recorder.timer("zfp.transform.forward_seconds"):
+            abs_eb = self.error_bound.resolve(data)
+            plan = significance_plan(data.shape, self.block_size)
+            transformed = field_transform_forward(data, self.block_size)
+            if self.layout == "grouped":
+                step_flat = self._step_array(abs_eb, plan.point_counts)
+            else:
+                # the interleaved decoder applies one scalar step everywhere, so
+                # the encoder must quantize with it too (the legacy behaviour)
+                step_flat = self._step(abs_eb, data.ndim)
+            quantized = np.rint(transformed.ravel() / step_flat).astype(np.int64)
+        recorder.count("zfp.transform.points", int(data.size))
 
         metadata = {
             "format": self.format_name,
@@ -133,7 +129,6 @@ class ZFPLikeCompressor:
             "layout": self.layout,
         }
 
-        t0 = time.perf_counter()
         sections: Dict[str, bytes] = {}
         if self.layout == "grouped":
             grouped = quantized[plan.perm]
@@ -165,7 +160,6 @@ class ZFPLikeCompressor:
             )
             sections.update(stream_sections)
             metadata["stream"] = stream_meta
-        timings["encode"] = time.perf_counter() - t0
 
         blob = CompressedBlob(metadata=metadata, sections=sections)
         payload = blob.to_bytes()
@@ -177,7 +171,6 @@ class ZFPLikeCompressor:
             element_count=int(data.size),
             element_size=int(data.dtype.itemsize),
             section_sizes=blob.section_sizes(),
-            timings=timings,
             metadata=metadata,
         )
 

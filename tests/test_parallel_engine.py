@@ -5,30 +5,18 @@ import time
 
 import pytest
 
-from repro.parallel import ChunkScheduler, ChunkTaskError, SCHEDULER_KINDS, default_jobs
+from repro.parallel import ChunkScheduler, ChunkTaskError, default_jobs
 
 
 def _square(x):
-    # module-level so the process backend can pickle it
     return x * x
 
 
 class TestConstruction:
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError, match="executor_kind"):
-            ChunkScheduler(executor_kind="gpu")
-
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
     def test_invalid_jobs(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             ChunkScheduler(jobs=jobs)
-
-    def test_invalid_window_factor(self):
-        with pytest.raises(ValueError, match="window_factor"):
-            ChunkScheduler(window_factor=0)
-
-    def test_kinds_exported(self):
-        assert set(SCHEDULER_KINDS) == {"thread", "process", "serial"}
 
     def test_effective_jobs(self):
         assert ChunkScheduler(jobs=3).effective_jobs == 3
@@ -36,9 +24,9 @@ class TestConstruction:
 
 
 class TestOrderedCollection:
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
-    def test_map_preserves_order(self, kind):
-        scheduler = ChunkScheduler(jobs=4, executor_kind=kind)
+    @pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "thread"])
+    def test_map_preserves_order(self, jobs):
+        scheduler = ChunkScheduler(jobs=jobs)
         items = list(range(40))
         assert scheduler.map(_square, items) == [x * x for x in items]
 
@@ -63,15 +51,11 @@ class TestOrderedCollection:
         assert len(submitted) <= 4
         assert list(gen) == list(range(1, 50))
 
-    def test_process_backend_round_trip(self):
-        scheduler = ChunkScheduler(jobs=2, executor_kind="process")
-        assert scheduler.map(_square, range(8)) == [x * x for x in range(8)]
-
 
 class TestUnorderedCollection:
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
-    def test_yields_every_indexed_result(self, kind):
-        scheduler = ChunkScheduler(jobs=4, executor_kind=kind)
+    @pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "thread"])
+    def test_yields_every_indexed_result(self, jobs):
+        scheduler = ChunkScheduler(jobs=jobs)
         pairs = list(scheduler.imap_unordered(_square, [3, 1, 4, 1, 5, 9]))
         assert sorted(pairs) == [(0, 9), (1, 1), (2, 16), (3, 1), (4, 25), (5, 81)]
 
@@ -112,7 +96,7 @@ class TestSerialFallback:
 
     def test_is_serial(self):
         assert ChunkScheduler(jobs=1).is_serial()
-        assert ChunkScheduler(executor_kind="serial").is_serial()
+        assert ChunkScheduler(jobs=1).is_serial(n_tasks=10)
         assert not ChunkScheduler(jobs=2).is_serial()
         assert ChunkScheduler(jobs=2).is_serial(n_tasks=1)
 
@@ -163,15 +147,15 @@ class TestErrorPropagation:
             raise ValueError("bad payload")
         return x
 
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
-    def test_without_context_raises_raw(self, kind):
-        scheduler = ChunkScheduler(jobs=2, executor_kind=kind)
+    @pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "thread"])
+    def test_without_context_raises_raw(self, jobs):
+        scheduler = ChunkScheduler(jobs=jobs)
         with pytest.raises(ValueError, match="bad payload"):
             scheduler.map(self._boom, range(8))
 
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
-    def test_context_wraps_with_chunk_coordinates(self, kind):
-        scheduler = ChunkScheduler(jobs=2, executor_kind=kind)
+    @pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "thread"])
+    def test_context_wraps_with_chunk_coordinates(self, jobs):
+        scheduler = ChunkScheduler(jobs=jobs)
         with pytest.raises(ChunkTaskError, match=r"field 'T' chunk 3: bad payload") as excinfo:
             scheduler.map(
                 self._boom, range(8), context=lambda i, item: f"field 'T' chunk {i}"

@@ -1,6 +1,8 @@
 """PipelineConfig / FieldRule: JSON round-trip, strict parsing, validation."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ def _full_config() -> PipelineConfig:
         error_bound=ErrorBound.relative(1e-3),
         chunk_shape=(8, 16, 16),
         jobs=3,
-        executor_kind="thread",
         temporal={"mode": "delta", "anchor_every": 6},
         fields={
             "Wf": FieldRule(
@@ -93,8 +94,11 @@ class TestValidationErrors:
             PipelineConfig(fields={"A": FieldRule(codec_params={"entropy": entropy})}).validate()
 
     def test_bad_executor_kind(self):
-        with pytest.raises(PipelineConfigError, match="executor_kind"):
-            PipelineConfig(executor_kind="fork").validate()
+        # the key is gone: an old config is told which knob replaced it
+        message = r"'executor_kind' was removed; set 'jobs' \(1 = serial\)"
+        for kind in ("thread", "serial"):
+            with pytest.raises(PipelineConfigError, match=message):
+                PipelineConfig.from_dict({"executor_kind": kind})
 
     def test_bad_max_workers(self):
         # the legacy alias is gone: an old config is told which knob replaced it
@@ -289,3 +293,20 @@ class TestTemporalRules:
         )
         with pytest.raises(PipelineConfigError, match="requires at least one anchor"):
             bad.validate()
+
+
+class TestDocs:
+    @staticmethod
+    def _documented_keys(table_heading):
+        """First-column keys of the ``docs/pipeline.md`` table after ``table_heading``."""
+        text = (Path(__file__).resolve().parents[1] / "docs" / "pipeline.md").read_text()
+        table = text.split(table_heading, 1)[1].split("\n\n", 2)[1]
+        return [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+
+    def test_top_level_key_table_matches_config_fields(self):
+        documented = self._documented_keys("Top-level keys")
+        assert sorted(documented) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
+
+    def test_field_rule_key_table_matches_rule_fields(self):
+        documented = self._documented_keys("Per-field rule keys")
+        assert sorted(documented) == sorted(f.name for f in dataclasses.fields(FieldRule))

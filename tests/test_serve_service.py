@@ -172,6 +172,21 @@ class TestPreview:
         with make_service(path) as service:
             assert service.handle_preview("a", "T", fraction="lots").status == 422
 
+    @pytest.mark.parametrize("fraction", ["abc", "0.2_5", " 0.25 "])
+    def test_non_decimal_fraction_is_422_naming_it(self, snapshot_archive, fraction):
+        # float() alone would serve "0.2_5" and " 0.25 " as 0.25
+        path, _ = snapshot_archive
+        with make_service(path) as service:
+            response = service.handle_preview("a", "T", fraction=fraction)
+            assert response.status == 422
+            assert body_json(response)["detail"].startswith("fraction must be")
+
+    @pytest.mark.parametrize("fraction", ["0.25", "1", "2.5e-1"])
+    def test_decimal_fractions_still_parse(self, snapshot_archive, fraction):
+        path, _ = snapshot_archive
+        with make_service(path) as service:
+            assert service.handle_preview("a", "T", fraction=fraction).status == 200
+
 
 class TestErrorMapping:
     def test_unknown_archive_404(self, snapshot_archive):

@@ -307,17 +307,15 @@ class TestParallelReads:
                 serial.read_region("FLNT", region), parallel.read_region("FLNT", region)
             )
 
-    def test_serial_executor_kind_matches_thread(self, archive):
-        with ArchiveReader(archive, executor_kind="serial") as serial:
-            with ArchiveReader(archive, executor_kind="thread", jobs=4) as threaded:
-                assert np.array_equal(serial.read_field("LWCF"), threaded.read_field("LWCF"))
-
     def test_process_kind_rejected(self, archive, tmp_path):
-        with pytest.raises(ValueError, match="thread"):
+        # reads have one knob, jobs; there is no process backend to select
+        with pytest.raises(TypeError, match="executor_kind"):
             ArchiveReader(archive, executor_kind="process")
-        # the writer rejects it eagerly too (encodes are not picklable)
+        # the writer's legacy alias takes only "thread" or "serial", and
+        # rejects anything else before a file is created
         with pytest.raises(ValueError, match="thread"):
             ArchiveWriter(tmp_path / "a.xfa", executor_kind="process")
+        assert not (tmp_path / "a.xfa").exists()
 
     def test_parallel_verify_matches_serial(self, archive):
         with ArchiveReader(archive, jobs=1) as serial:

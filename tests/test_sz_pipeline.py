@@ -79,7 +79,6 @@ class TestSZCompressor:
         assert result.compressed_nbytes == len(result.payload)
         assert np.isclose(result.bit_rate, 8 * result.compressed_nbytes / data.size)
         assert "residual.symbols" in result.section_sizes
-        assert "prequantize" in result.timings
         assert "ratio" in result.summary() or "x" in result.summary()
 
     def test_smooth_data_compresses_well(self):
