@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.encoding.huffman import HuffmanCodec, HuffmanTable
+from repro.encoding.huffman import MAX_ALPHABET, HuffmanCodec, HuffmanTable
 from repro.encoding.lossless import LosslessBackend
 
 __all__ = [
@@ -99,7 +99,8 @@ class HuffmanEntropyCoder(EntropyCoder):
     Sections: ``symbols`` (the checkpointed bit stream) and ``huffman_table``
     (sparse code lengths), both through the lossless backend.  Falls back to
     ``"zlib"`` when the stream has more than :data:`HUFFMAN_SYMBOL_LIMIT`
-    distinct symbols.
+    distinct symbols or a symbol of at least
+    :data:`~repro.encoding.huffman.MAX_ALPHABET`.
     """
 
     name = "huffman"
@@ -113,7 +114,12 @@ class HuffmanEntropyCoder(EntropyCoder):
         )
 
     def supports(self, symbols: np.ndarray) -> bool:
-        return np.unique(symbols).size <= HUFFMAN_SYMBOL_LIMIT
+        if symbols.size == 0:
+            return True
+        # a table over a wider alphabet is one HuffmanTable.from_bytes refuses
+        if int(symbols.max()) >= MAX_ALPHABET:
+            return False
+        return np.count_nonzero(np.bincount(symbols)) <= HUFFMAN_SYMBOL_LIMIT
 
     def encode(
         self, symbols: np.ndarray, backend: LosslessBackend

@@ -2,55 +2,43 @@
 
 SZ-style compressors emit one small integer "quantization code" per data point
 (centred on the zero-error bin), whose distribution is heavily peaked — exactly
-the regime where Huffman coding shines.  This module implements:
+the regime where Huffman coding shines.  The codec maps any array of
+non-negative integers to bytes and back, for the SZ baseline, the ZFP-like
+coder and the cross-field compressor alike (via :mod:`repro.encoding.entropy`):
 
-- length-limited Huffman code construction (so the decoder can use a single
-  lookup table),
-- canonical code assignment (so only the code *lengths* need to be stored),
-- a vectorised encoder that packs code words with NumPy bit arithmetic, and
-- a vectorised, checkpointed decoder.
+- the table: length-limited code lengths from a two-queue merge (so the
+  decoder needs a single lookup table), then canonical codes as in DEFLATE
+  (RFC 1951 §3.2.2), so that only the lengths are stored;
+- the encoder scatters code words into 64-bit words;
+- the decoder runs the lookup table as a state machine over bit positions
+  with NumPy batch gathers that release the GIL: a lockstep wavefront over
+  the sub-blocks a v2 (``HFV2``) payload checkpoints, or pointer doubling.
 
-The decoder treats the prefix lookup table as a state machine over bit
-positions: every bit position of the stream is resolved to "the code word
-starting here is ``step`` bits long" in one batch LUT gather, which turns the
-table into a jump table ``position -> position + step``.  The positions that
-actually start code words are then enumerated with pointer doubling (jump
-tables for 1, 2, 4, ... symbols composed with batch gathers), so the whole
-decode is NumPy array operations that release the GIL — no per-symbol Python
-loop.  See ``docs/entropy.md`` for the full walk-through.
-
-Payloads come in two wire formats (both decoded transparently):
-
-- **v1** (legacy): ``<n_symbols:u64><n_bits:u64><bit data>`` — one opaque bit
-  stream that must be decoded front to back.
-- **v2** (default): a ``HFV2`` header that additionally records the bit offset
-  of every ``checkpoint_interval``-th symbol.  Checkpoints split the stream
-  into independently decodable sub-blocks, so one decode call can fan the
-  sub-blocks out across a :class:`~repro.parallel.engine.ChunkScheduler`.
-
-The codec is completely generic: it maps any array of non-negative integers to
-bytes and back, and is reused by both the baseline SZ pipeline and the
-cross-field compressor (via :mod:`repro.encoding.entropy`).
+``docs/entropy.md`` walks through both directions and the v1/v2 wire formats.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "HuffmanTable",
     "HuffmanCodec",
+    "MAX_ALPHABET",
     "MAX_CODE_LENGTH",
     "DEFAULT_CHECKPOINT_INTERVAL",
 ]
 
 #: Maximum code length: keeps the decoder lookup table at 2**16 entries.
 MAX_CODE_LENGTH = 16
+
+#: Largest alphabet a table may declare (the default quantisation radius gives
+#: at most 65 537 symbols): a hostile table cannot allocate gigabytes.
+MAX_ALPHABET = 1 << 20
 
 #: Symbols per independently decodable v2 sub-block.  Small enough that a
 #: large stream yields hundreds of sub-blocks (the wavefront decoder's batch
@@ -86,80 +74,87 @@ _TABLE_ENTRY_DTYPE = np.dtype([("symbol", "<u4"), ("length", "u1")])
 # --------------------------------------------------------------------------- #
 # code construction
 # --------------------------------------------------------------------------- #
-def _huffman_code_lengths(frequencies: np.ndarray) -> np.ndarray:
-    """Compute Huffman code lengths from symbol frequencies.
+def _huffman_code_lengths(freq: np.ndarray) -> np.ndarray:
+    """Huffman code lengths for the (positive) frequencies of the used symbols.
 
-    Returns an array of per-symbol lengths (0 for unused symbols).  Handles the
-    degenerate single-symbol alphabet by assigning it a 1-bit code.
+    A two-queue merge: leaves sorted by (frequency, symbol), merged nodes in
+    creation order (their frequencies never decrease), the leaf first on a tie
+    — merge for merge the heap keyed on (frequency, creation counter).
     """
-    freq = np.asarray(frequencies, dtype=np.int64)
-    symbols = np.nonzero(freq)[0]
-    if symbols.size == 0:
-        raise ValueError("cannot build a Huffman table from an all-zero histogram")
-    lengths = np.zeros(freq.shape[0], dtype=np.int64)
-    if symbols.size == 1:
-        lengths[symbols[0]] = 1
-        return lengths
-
-    # classic heap-based Huffman; nodes are (freq, tie-breaker, [symbols...])
-    heap: List[Tuple[int, int, List[int]]] = []
-    counter = 0
-    for s in symbols:
-        heap.append((int(freq[s]), counter, [int(s)]))
-        counter += 1
-    heapq.heapify(heap)
-    depth = {int(s): 0 for s in symbols}
-    while len(heap) > 1:
-        f1, _, group1 = heapq.heappop(heap)
-        f2, _, group2 = heapq.heappop(heap)
-        for s in group1 + group2:
-            depth[s] += 1
-        heapq.heappush(heap, (f1 + f2, counter, group1 + group2))
-        counter += 1
-    for s, d in depth.items():
-        lengths[s] = d
+    n = freq.size
+    if n == 1:
+        return np.ones(1, dtype=np.int64)
+    order = np.argsort(freq, kind="stable")
+    # both queues end in a sentinel above every node, so they never run dry
+    sentinel = int(freq.sum()) + 1
+    leaves = freq[order].tolist() + [sentinel]
+    merged = [sentinel] * n
+    parent = [0] * (2 * n - 1)  # leaves in queue order, then merged nodes
+    i = j = 0
+    for node in range(n - 1):
+        total = 0
+        for _ in (0, 1):
+            if leaves[i] <= merged[j]:
+                total += leaves[i]
+                parent[i] = node
+                i += 1
+            else:
+                total += merged[j]
+                parent[n + j] = node
+                j += 1
+        merged[node] = total
+    depth = [0] * (n - 1)  # parents are created after their children
+    for node in range(n - 3, -1, -1):
+        depth[node] = depth[parent[n + node]] + 1
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = [depth[p] + 1 for p in parent[:n]]
     return lengths
 
 
 def _limit_code_lengths(lengths: np.ndarray, max_length: int) -> np.ndarray:
-    """Clamp code lengths to ``max_length`` while keeping the Kraft sum <= 1.
+    """zlib's bit-length adjustment of the used symbols' code lengths.
 
-    Uses the standard "bit-length adjustment" employed by zlib: clamp, then
-    while the Kraft sum exceeds 1, lengthen the shortest over-represented codes;
-    finally shorten codes where possible without violating the inequality.
+    Clamp to ``max_length``; while the Kraft sum (exact, in units of
+    ``2**-max_length``) exceeds 1, lengthen the first shortest code below the limit.
     """
-    lengths = lengths.copy()
-    used = lengths > 0
-    if not np.any(lengths > max_length):
-        return lengths
-    lengths[used & (lengths > max_length)] = max_length
-
-    def kraft(ls):
-        return np.sum(1.0 / np.exp2(ls[ls > 0]))
-
-    # lengthen codes (starting with the currently shortest) until Kraft <= 1
-    while kraft(lengths) > 1.0 + 1e-12:
-        candidates = np.where(used & (lengths < max_length))[0]
-        if candidates.size == 0:  # pragma: no cover - cannot happen for valid input
-            raise RuntimeError("cannot satisfy Kraft inequality")
-        shortest = candidates[np.argmin(lengths[candidates])]
+    if lengths.size > 1 << max_length:
+        n_codes = 1 << max_length
+        raise ValueError(f"{lengths.size} symbols, only {n_codes} codes of <= {max_length} bits")
+    lengths = np.minimum(lengths, max_length)
+    excess = int(np.left_shift(1, max_length - lengths).sum()) - (1 << max_length)
+    while excess > 0:  # then some code is still below the limit
+        shortest = int(np.argmin(lengths))
+        excess -= 1 << (max_length - 1 - int(lengths[shortest]))
         lengths[shortest] += 1
     return lengths
 
 
+def _canonical_order(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The used symbols and their code lengths, ordered by (length, symbol)."""
+    used = np.flatnonzero(lengths)
+    symbols = used[np.argsort(lengths[used], kind="stable")]
+    return symbols, lengths[symbols].astype(np.int64)
+
+
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical code words given per-symbol code lengths."""
+    """Canonical code words (RFC 1951 §3.2.2) without walking the alphabet.
+
+    A code is its length's first code plus the symbol's rank within that
+    length; lengths above 32 bits or a Kraft sum above 1 raise ``ValueError``.
+    """
     codes = np.zeros(lengths.shape[0], dtype=np.uint32)
-    order = sorted(
-        (int(length), int(sym)) for sym, length in enumerate(lengths) if length > 0
-    )
-    code = 0
-    prev_length = 0
-    for length, sym in order:
-        code <<= length - prev_length
-        codes[sym] = code
-        code += 1
-        prev_length = length
+    symbols, sorted_lengths = _canonical_order(lengths)
+    longest = int(sorted_lengths[-1]) if symbols.size else 0
+    if longest > 32:
+        raise ValueError(f"Huffman code length {longest} exceeds 32 bits")
+    count = np.bincount(sorted_lengths, minlength=longest + 1)
+    shift = longest - np.arange(longest + 1)
+    room = count << shift  # the codes of each length, in units of 2**-longest
+    if room.sum() > 1 << longest:
+        raise ValueError("Huffman code lengths oversubscribe the code space (Kraft sum > 1)")
+    # first code of each length (the RFC's next_code) minus the rank of its first symbol
+    offset = ((np.cumsum(room) - room) >> shift) - (np.cumsum(count) - count)
+    codes[symbols] = offset[sorted_lengths] + np.arange(symbols.size)
     return codes
 
 
@@ -175,17 +170,25 @@ class HuffmanTable:
         cls, frequencies: np.ndarray, max_length: int = MAX_CODE_LENGTH
     ) -> "HuffmanTable":
         """Build a length-limited canonical table from a symbol histogram."""
-        lengths = _huffman_code_lengths(frequencies)
-        lengths = _limit_code_lengths(lengths, max_length)
-        codes = _canonical_codes(lengths)
-        return cls(lengths=lengths.astype(np.uint8), codes=codes)
+        freq = np.asarray(frequencies, dtype=np.int64)
+        used = np.flatnonzero(freq)
+        if used.size == 0:
+            raise ValueError("cannot build a Huffman table from an all-zero histogram")
+        lengths = np.zeros(freq.shape[0], dtype=np.uint8)
+        lengths[used] = _limit_code_lengths(_huffman_code_lengths(freq[used]), max_length)
+        return cls(lengths=lengths, codes=_canonical_codes(lengths))
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray) -> "HuffmanTable":
-        """Rebuild the canonical table from code lengths alone (decoder side)."""
+        """Rebuild the canonical table from code lengths alone (decoder side).
+
+        Alphabets above :data:`MAX_ALPHABET` raise ``ValueError``, as do the
+        lengths :func:`_canonical_codes` rejects.
+        """
         lengths = np.asarray(lengths, dtype=np.uint8)
-        codes = _canonical_codes(lengths.astype(np.int64))
-        return cls(lengths=lengths, codes=codes)
+        if lengths.shape[0] > MAX_ALPHABET:
+            raise ValueError(f"Huffman table alphabet {lengths.shape[0]} exceeds {MAX_ALPHABET}")
+        return cls(lengths=lengths, codes=_canonical_codes(lengths))
 
     @property
     def alphabet_size(self) -> int:
@@ -221,6 +224,8 @@ class HuffmanTable:
         if len(payload) < 8:
             raise ValueError("truncated Huffman table")
         alphabet_size, n_used = struct.unpack_from("<II", payload, 0)
+        if alphabet_size > MAX_ALPHABET:
+            raise ValueError(f"Huffman table alphabet {alphabet_size} exceeds {MAX_ALPHABET}")
         if len(payload) < 8 + n_used * _TABLE_ENTRY_DTYPE.itemsize:
             raise ValueError("truncated Huffman table")
         entries = np.frombuffer(payload, dtype=_TABLE_ENTRY_DTYPE, count=n_used, offset=8)
@@ -294,11 +299,10 @@ class HuffmanCodec:
             raise TypeError("Huffman symbols must be integers")
         if symbols.min() < 0:
             raise ValueError("Huffman symbols must be non-negative")
-        symbols = symbols.astype(np.int64)
+        symbols = symbols.astype(np.int64, copy=False)
         alphabet = int(symbols.max()) + 1
         if table is None:
-            frequencies = np.bincount(symbols, minlength=alphabet)
-            table = HuffmanTable.from_frequencies(frequencies, self.max_length)
+            table = HuffmanTable.from_frequencies(np.bincount(symbols), self.max_length)
         elif table.alphabet_size < alphabet:
             raise ValueError(
                 f"supplied table covers {table.alphabet_size} symbols, data needs {alphabet}"
@@ -308,38 +312,34 @@ class HuffmanCodec:
         if np.any(lengths == 0):
             missing = int(symbols[np.argmax(lengths == 0)])
             raise ValueError(f"symbol {missing} has no code in the supplied table")
-        codes = table.codes[symbols].astype(np.uint32)
+        codes = table.codes[symbols].astype(np.uint64)
 
-        bit_offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        total_bits = int(bit_offsets[-1] + lengths[-1]) if symbols.size else 0
-        buffer = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
+        pos = np.cumsum(lengths)  # one past each code's last bit
+        total_bits = int(pos[-1])
+        # v2 checkpoint deltas: differences of every interval-th code offset
+        interval = self.checkpoint_interval
+        deltas = np.diff(pos[::interval] - lengths[::interval]).astype("<u4")
 
-        max_len = int(lengths.max())
-        for bit in range(max_len):
-            mask = lengths > bit
-            if not np.any(mask):
-                continue
-            # bit index `bit` counts from the MSB of each code word
-            shift = lengths[mask] - 1 - bit
-            bit_values = (codes[mask] >> shift.astype(np.uint32)) & 1
-            set_positions = bit_offsets[mask][bit_values.astype(bool)] + bit
-            byte_index = set_positions // 8
-            bit_in_byte = 7 - (set_positions % 8)
-            np.bitwise_or.at(buffer, byte_index, (1 << bit_in_byte).astype(np.uint8))
+        # word scatter: codes go MSB-first into the 64-bit word of their last
+        # bit, summed per word (they never overlap, so the sum is their OR); a
+        # straddling code ORs its leading bits into the word before.  O(n_symbols)
+        pos -= 1
+        word = pos >> 6
+        pos &= 63  # each code's last bit, counted from the MSB of its word
+        straddle = np.flatnonzero(pos + 1 < lengths)
+        leading = (codes[straddle] >> pos[straddle].view(np.uint64)) >> 1
+        np.subtract(63, pos, out=pos)  # the left shift that puts the code there
+        codes <<= pos.view(np.uint64)
+        starts = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+        words = np.zeros(int(word[-1]) + 1, dtype=np.uint64)
+        words[word[starts]] = np.add.reduceat(codes, starts)
+        words[word[straddle] - 1] |= leading
+        data = words.astype(">u8").view(np.uint8)[: (total_bits + 7) // 8].tobytes()
 
         if version == 1:
-            header = struct.pack("<QQ", symbols.size, total_bits)
-            return header + buffer.tobytes(), table
-
-        # v2: the bit offset of every checkpoint_interval-th symbol is already
-        # sitting in bit_offsets — recording it costs one strided slice.
-        interval = self.checkpoint_interval
-        checkpoints = bit_offsets[interval::interval]
-        deltas = np.diff(checkpoints, prepend=0).astype("<u4")
-        header = _V2_HEADER.pack(
-            _MAGIC_V2, interval, symbols.size, total_bits, checkpoints.size
-        )
-        return header + deltas.tobytes() + buffer.tobytes(), table
+            return struct.pack("<QQ", symbols.size, total_bits) + data, table
+        header = _V2_HEADER.pack(_MAGIC_V2, interval, symbols.size, total_bits, deltas.size)
+        return header + deltas.tobytes() + data, table
 
     # ------------------------------------------------------------------ #
     # decoding
@@ -658,17 +658,17 @@ class HuffmanCodec:
 
     @staticmethod
     def _build_lut(table: HuffmanTable, lut_bits: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Build a prefix lookup table mapping every ``lut_bits`` window to (symbol, length)."""
-        size = 1 << lut_bits
-        lut_symbols = np.zeros(size, dtype=np.int64)
-        lut_lengths = np.zeros(size, dtype=np.int32)
-        for sym in np.nonzero(table.lengths)[0]:
-            length = int(table.lengths[sym])
-            if length > lut_bits:  # pragma: no cover - prevented by length limiting
-                raise ValueError("code length exceeds decoder lookup width")
-            code = int(table.codes[sym])
-            prefix = code << (lut_bits - length)
-            count = 1 << (lut_bits - length)
-            lut_symbols[prefix : prefix + count] = sym
-            lut_lengths[prefix : prefix + count] = length
-        return lut_symbols, lut_lengths
+        """Build a prefix lookup table mapping every ``lut_bits`` window to (symbol, length).
+
+        In canonical order each code's window range starts where the previous
+        one ends, so the table repeats every symbol ``2**(lut_bits - length)``
+        times; an incomplete code set leaves a zero tail.
+        """
+        symbols, lengths = _canonical_order(table.lengths)
+        if lengths.size and int(lengths[-1]) > lut_bits:
+            raise ValueError("code length exceeds decoder lookup width")
+        repeats = np.left_shift(1, lut_bits - lengths)
+        # a (symbol 0, length 0) entry repeated over the rest pads an incomplete code set
+        repeats = np.append(repeats, (1 << lut_bits) - repeats.sum())
+        lut_lengths = np.repeat(np.append(lengths, 0), repeats).astype(np.int32)
+        return np.repeat(np.append(symbols, 0), repeats), lut_lengths

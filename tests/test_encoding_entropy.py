@@ -14,7 +14,7 @@ from repro.encoding.entropy import (
     get_entropy_coder,
     register_entropy_coder,
 )
-from repro.encoding.huffman import DEFAULT_CHECKPOINT_INTERVAL, HuffmanCodec
+from repro.encoding.huffman import DEFAULT_CHECKPOINT_INTERVAL, MAX_ALPHABET, HuffmanCodec
 from repro.encoding.lossless import get_backend
 from repro.parallel.engine import ChunkScheduler
 from repro.sz.pipeline import decode_integer_stream, encode_integer_stream
@@ -83,6 +83,19 @@ class TestRegistry:
         # > HUFFMAN_SYMBOL_LIMIT distinct residual values: the stream helper
         # must swap in the declared fallback coder and record it in the meta
         residuals = np.arange(40000, dtype=np.int64) - 20000
+        sections, meta = encode_integer_stream(residuals, "huffman", "zlib", radius=10**9)
+        assert meta["entropy"] == "zlib"
+        assert np.array_equal(decode_integer_stream(sections, meta), residuals)
+
+    def test_huffman_fallback_on_symbol_beyond_table_alphabet(self):
+        # one zigzagged residual >= MAX_ALPHABET would need a table the reader
+        # refuses, so the stream helper must fall back to zlib
+        residuals = np.zeros(1000, dtype=np.int64)
+        residuals[::7] = 1
+        residuals[500] = MAX_ALPHABET // 2 + 3
+        assert not HuffmanEntropyCoder().supports(residuals * 2)
+        assert HuffmanEntropyCoder().supports(np.array([0, MAX_ALPHABET - 1]))
+        assert HuffmanEntropyCoder().supports(np.zeros(0, dtype=np.int64))
         sections, meta = encode_integer_stream(residuals, "huffman", "zlib", radius=10**9)
         assert meta["entropy"] == "zlib"
         assert np.array_equal(decode_integer_stream(sections, meta), residuals)

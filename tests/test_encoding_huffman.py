@@ -1,11 +1,15 @@
 """Unit tests for the canonical Huffman codec."""
 
+import struct
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.huffman import HuffmanCodec, HuffmanTable
+from repro.encoding.huffman import MAX_ALPHABET, HuffmanCodec, HuffmanTable
 
 
 class TestHuffmanTable:
@@ -93,6 +97,67 @@ class TestHuffmanTable:
             HuffmanTable.from_frequencies(np.zeros(4, dtype=np.int64))
 
 
+def _table_bytes(alphabet_size, entries):
+    """A serialized table: ``<II`` header then packed ``<IB`` (symbol, length) pairs."""
+    return struct.pack("<II", alphabet_size, len(entries)) + b"".join(
+        struct.pack("<IB", symbol, length) for symbol, length in entries
+    )
+
+
+class TestHostileTables:
+    """Untrusted table bytes raise ``ValueError`` in bounded time and memory."""
+
+    @pytest.mark.parametrize("alphabet_size", [MAX_ALPHABET + 1, 1 << 29, (1 << 32) - 1])
+    def test_huge_alphabet_rejected_before_allocating(self, alphabet_size):
+        payload = _table_bytes(alphabet_size, [(0, 1)])
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="alphabet"):
+                HuffmanTable.from_bytes(payload)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 1 << 20
+
+    def test_huge_alphabet_rejected_by_from_lengths(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            HuffmanTable.from_lengths(np.zeros(MAX_ALPHABET + 1, dtype=np.uint8))
+
+    def test_largest_alphabet_accepted(self):
+        table = HuffmanTable.from_bytes(_table_bytes(MAX_ALPHABET, [(0, 1), (MAX_ALPHABET - 1, 1)]))
+        assert table.alphabet_size == MAX_ALPHABET
+        assert table.codes[MAX_ALPHABET - 1] == 1
+
+    @pytest.mark.parametrize("length", [33, 40, 255])
+    def test_overlong_code_rejected(self, length):
+        with pytest.raises(ValueError, match="exceeds 32 bits"):
+            HuffmanTable.from_bytes(_table_bytes(4, [(0, 1), (1, length)]))
+        lengths = np.array([1, length, 0, 0], dtype=np.uint8)
+        with pytest.raises(ValueError, match="exceeds 32 bits"):
+            HuffmanTable.from_lengths(lengths)
+
+    def test_oversubscribed_code_set_rejected(self):
+        with pytest.raises(ValueError, match="Kraft"):
+            HuffmanTable.from_bytes(_table_bytes(3, [(0, 1), (1, 1), (2, 1)]))
+        with pytest.raises(ValueError, match="Kraft"):
+            HuffmanTable.from_lengths(np.array([2, 2, 2, 2, 2]))
+
+    def test_complete_and_incomplete_code_sets_accepted(self):
+        # Kraft sums of exactly 1 and below 1 are both valid prefix codes
+        assert HuffmanTable.from_lengths(np.array([1, 2, 2])).codes.tolist() == [0, 2, 3]
+        assert HuffmanTable.from_lengths(np.array([2, 0, 3])).codes.tolist() == [0, 0, 2]
+        assert HuffmanTable.from_lengths(np.full(2**16, 16)).max_length == 16
+
+    def test_decoder_rejects_codes_wider_than_its_lookup_table(self):
+        table = HuffmanTable.from_lengths(np.array(list(range(1, 20)) + [20]))
+        payload, _ = HuffmanCodec(max_length=20).encode(np.array([19, 0]), table=table)
+        with pytest.raises(ValueError, match="lookup width"):
+            HuffmanCodec().decode(payload, table)
+
+
 class TestHuffmanCodec:
     def test_round_trip_skewed(self):
         rng = np.random.default_rng(0)
@@ -134,6 +199,13 @@ class TestHuffmanCodec:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             HuffmanCodec().encode(np.array([1.5, 2.0]))
+
+    def test_more_symbols_than_codes_of_max_length(self):
+        with pytest.raises(ValueError, match=r"300 symbols, only 256 codes of <= 8 bits"):
+            HuffmanCodec(max_length=8).encode(np.arange(300))
+        payload, table = HuffmanCodec(max_length=8).encode(np.arange(256))
+        assert table.max_length == 8
+        assert np.array_equal(HuffmanCodec(max_length=8).decode(payload, table), np.arange(256))
 
     def test_external_table_missing_symbol(self):
         codec = HuffmanCodec()
