@@ -278,15 +278,12 @@ class CrossFieldCompressor:
         payload: bytes,
         anchor_arrays: Sequence[np.ndarray],
         cfnn: Optional[CFNN] = None,
-        scheduler=None,
     ) -> np.ndarray:
         """Decompress a payload produced by :meth:`compress`.
 
         ``anchor_arrays`` must match the arrays used at compression time.  When
         the payload was produced with ``include_model=False`` the same trained
-        :class:`CFNN` must be supplied via ``cfnn``.  ``scheduler`` (optional)
-        lets the entropy stage fan its checkpointed sub-blocks out across a
-        :class:`~repro.parallel.engine.ChunkScheduler`.
+        :class:`CFNN` must be supplied via ``cfnn``.
         """
         blob = CompressedBlob.from_bytes(payload)
         metadata = blob.metadata
@@ -309,9 +306,7 @@ class CrossFieldCompressor:
             if anchor.shape != shape:
                 raise ValueError("anchor arrays must match the compressed field's grid")
 
-        residuals = decode_integer_stream(
-            blob.sections, metadata["stream"], scheduler=scheduler
-        ).reshape(shape)
+        residuals = decode_integer_stream(blob.sections, metadata["stream"]).reshape(shape)
 
         if metadata.get("mode") == "lorenzo-fallback":
             # the compressor determined that the pure local prediction encoded

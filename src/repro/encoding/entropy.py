@@ -10,10 +10,9 @@ into first-class :class:`EntropyCoder` objects behind a registry, so
   compressors, the store codecs, pipeline configs, the ``repro`` CLI)
   validates names against one source of truth instead of a hard-coded tuple,
 - new coders plug in with :func:`register_entropy_coder` and are immediately
-  usable across the whole stack, and
-- decode-side capabilities (the Huffman coder's checkpointed sub-block
-  fan-out across a :class:`~repro.parallel.engine.ChunkScheduler`) stay
-  behind the same interface.
+  usable across the whole stack.
+
+Decoding is serial within a stream; the store parallelises across chunks.
 
 A coder sees the symbol stream *after* outlier extraction and zigzag mapping
 (that transform is shared, in :func:`~repro.sz.pipeline.encode_integer_stream`)
@@ -79,18 +78,9 @@ class EntropyCoder(ABC):
 
     @abstractmethod
     def decode(
-        self,
-        sections: Dict[str, bytes],
-        meta: Dict,
-        backend: LosslessBackend,
-        scheduler=None,
+        self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
     ) -> np.ndarray:
-        """Inverse of :meth:`encode`; returns the int64 symbol stream.
-
-        ``scheduler`` is an optional :class:`~repro.parallel.engine.ChunkScheduler`
-        for coders whose decode can fan out internally; coders without that
-        capability ignore it.
-        """
+        """Inverse of :meth:`encode`; returns the int64 symbol stream."""
 
 
 class HuffmanEntropyCoder(EntropyCoder):
@@ -134,15 +124,11 @@ class HuffmanEntropyCoder(EntropyCoder):
         )
 
     def decode(
-        self,
-        sections: Dict[str, bytes],
-        meta: Dict,
-        backend: LosslessBackend,
-        scheduler=None,
+        self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
     ) -> np.ndarray:
         payload = backend.decompress(sections["symbols"])
         table = HuffmanTable.from_bytes(backend.decompress(sections["huffman_table"]))
-        return self.codec.decode(payload, table, scheduler=scheduler)
+        return self.codec.decode(payload, table)
 
 
 class ZlibEntropyCoder(EntropyCoder):
@@ -161,11 +147,7 @@ class ZlibEntropyCoder(EntropyCoder):
         return {"symbols": backend.compress(symbols.astype(np.int32).tobytes())}, {}
 
     def decode(
-        self,
-        sections: Dict[str, bytes],
-        meta: Dict,
-        backend: LosslessBackend,
-        scheduler=None,
+        self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
     ) -> np.ndarray:
         raw = backend.decompress(sections["symbols"])
         return np.frombuffer(raw, dtype=np.int32).astype(np.int64)
@@ -182,11 +164,7 @@ class RawEntropyCoder(EntropyCoder):
         return {"symbols": symbols.astype(np.int32).tobytes()}, {}
 
     def decode(
-        self,
-        sections: Dict[str, bytes],
-        meta: Dict,
-        backend: LosslessBackend,
-        scheduler=None,
+        self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
     ) -> np.ndarray:
         return np.frombuffer(sections["symbols"], dtype=np.int32).astype(np.int64)
 

@@ -344,19 +344,10 @@ class HuffmanCodec:
     # ------------------------------------------------------------------ #
     # decoding
     # ------------------------------------------------------------------ #
-    def decode(
-        self,
-        payload: bytes,
-        table: HuffmanTable,
-        scheduler=None,
-    ) -> np.ndarray:
+    def decode(self, payload: bytes, table: HuffmanTable) -> np.ndarray:
         """Decode a payload produced by :meth:`encode` back to an int64 array.
 
-        Both payload versions are detected from the bytes themselves.  For a
-        v2 payload with more than one checkpointed sub-block, ``scheduler``
-        (a :class:`~repro.parallel.engine.ChunkScheduler` or anything with its
-        ``imap_unordered``) fans the sub-block decodes out across workers;
-        without one the sub-blocks decode sequentially (still vectorised).
+        Both payload versions are detected from the bytes themselves.
         """
         n_symbols, total_bits, interval, checkpoints, data = self._parse_payload(payload)
         if n_symbols == 0:
@@ -381,8 +372,9 @@ class HuffmanCodec:
             pad = 4 + (interval * lut_bits + 7) // 8
             fused = self._fuse_bytes(data, total_bits, pad)
             out = np.empty(n_symbols, dtype=np.int64)
-            out[: n_full * interval] = self._decode_blocks_wavefront(
-                fused, lut_symbols, lut_lengths, bounds, n_full, lut_bits, interval, scheduler
+            out[: n_full * interval] = self._decode_wavefront(
+                fused, lut_symbols, lut_lengths, bounds[:n_full], bounds[1 : n_full + 1],
+                lut_bits, interval,
             )
             tail = n_symbols - n_full * interval
             if tail:
@@ -408,47 +400,6 @@ class HuffmanCodec:
             lut_lengths[windows], windows, lut_symbols, n_symbols,
             interval=interval, checkpoints=checkpoints,
         )
-
-    def _decode_blocks_wavefront(
-        self,
-        fused: np.ndarray,
-        lut_symbols: np.ndarray,
-        lut_lengths: np.ndarray,
-        bounds: np.ndarray,
-        n_full: int,
-        lut_bits: int,
-        interval: int,
-        scheduler,
-    ) -> np.ndarray:
-        """Decode the full checkpointed sub-blocks in lockstep (optionally fanned out).
-
-        Contiguous runs of sub-blocks form groups; each group is one wavefront
-        (see :meth:`_decode_wavefront`).  With a scheduler, groups are sized to
-        its worker count and submitted through ``imap_unordered`` — each group
-        decode is NumPy batch work that releases the GIL, so groups genuinely
-        overlap on a thread backend.
-        """
-        n_groups = 1
-        if scheduler is not None:
-            jobs = int(getattr(scheduler, "effective_jobs", 1) or 1)
-            n_groups = max(1, min(jobs, n_full // _WAVEFRONT_MIN_BLOCKS))
-
-        def decode_group(span: Tuple[int, int]) -> np.ndarray:
-            lo, hi = span
-            return self._decode_wavefront(
-                fused, lut_symbols, lut_lengths, bounds[lo:hi], bounds[lo + 1 : hi + 1],
-                lut_bits, interval,
-            )
-
-        if n_groups == 1:
-            return decode_group((0, n_full))
-        edges = np.linspace(0, n_full, n_groups + 1).astype(int)
-        spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-        out = np.empty(n_full * interval, dtype=np.int64)
-        for index, decoded in scheduler.imap_unordered(decode_group, spans):
-            sym_start = spans[index][0] * interval
-            out[sym_start : sym_start + decoded.size] = decoded
-        return out
 
     # ------------------------------------------------------------------ #
     # decode internals

@@ -66,7 +66,7 @@ class Codec(ABC):
     JSON-serialisable and reported by :meth:`params`.
 
     A codec that sets :attr:`supports_preview` also implements
-    ``decode_preview(payload, fraction, anchors=None, scheduler=None)``: a
+    ``decode_preview(payload, fraction, anchors=None)``: a
     coarse decode within a byte-budget ``fraction``, returning ``(array,
     info)`` where ``info`` reports ``groups_decoded`` / ``groups_total`` /
     ``bytes_decoded`` / ``bytes_total`` / ``rms_error_estimate`` /
@@ -94,20 +94,10 @@ class Codec(ABC):
         """Compress one chunk into opaque bytes."""
 
     @abstractmethod
-    def decode(
-        self,
-        payload: bytes,
-        anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
-    ) -> np.ndarray:
+    def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """Inverse of :meth:`encode`.
 
-        ``scheduler`` is an optional :class:`~repro.parallel.engine.ChunkScheduler`
-        for codecs whose decode can parallelise *within* one chunk (the
-        SZ-family entropy stage fans checkpointed Huffman sub-blocks out).
-        Callers only pass one when no outer chunk-level parallelism is active
-        (a single-chunk region read), so codecs may submit to it freely;
-        codecs without intra-chunk parallelism ignore it.
+        Decode is serial: the reader parallelises across chunks, never within one.
         """
 
     @abstractmethod
@@ -155,13 +145,8 @@ class SZChunkCodec(Codec):
     def encode(self, chunk: np.ndarray, anchors: Optional[Sequence[np.ndarray]] = None) -> bytes:
         return self._compressor.compress(chunk).payload
 
-    def decode(
-        self,
-        payload: bytes,
-        anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
-    ) -> np.ndarray:
-        return self._compressor.decompress(payload, scheduler=scheduler)
+    def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+        return self._compressor.decompress(payload)
 
     def params(self) -> Dict:
         return {
@@ -214,22 +199,16 @@ class ZFPChunkCodec(Codec):
     def encode(self, chunk: np.ndarray, anchors: Optional[Sequence[np.ndarray]] = None) -> bytes:
         return self._compressor.compress(chunk).payload
 
-    def decode(
-        self,
-        payload: bytes,
-        anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
-    ) -> np.ndarray:
-        return self._compressor.decompress(payload, scheduler=scheduler)
+    def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+        return self._compressor.decompress(payload)
 
     def decode_preview(
         self,
         payload: bytes,
         fraction: float,
         anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
     ):
-        return self._compressor.decompress_preview(payload, fraction, scheduler=scheduler)
+        return self._compressor.decompress_preview(payload, fraction)
 
     def params(self) -> Dict:
         return {
@@ -292,15 +271,8 @@ class CrossFieldChunkCodec(Codec):
     def encode(self, chunk: np.ndarray, anchors: Optional[Sequence[np.ndarray]] = None) -> bytes:
         return self._compressor.compress(chunk, self._check_anchors(anchors)).payload
 
-    def decode(
-        self,
-        payload: bytes,
-        anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
-    ) -> np.ndarray:
-        return self._compressor.decompress(
-            payload, self._check_anchors(anchors), scheduler=scheduler
-        )
+    def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+        return self._compressor.decompress(payload, self._check_anchors(anchors))
 
     def params(self) -> Dict:
         return {
@@ -344,12 +316,7 @@ class LosslessChunkCodec(Codec):
         blob.add_section("data", self._backend.compress(chunk.tobytes()))
         return blob.to_bytes()
 
-    def decode(
-        self,
-        payload: bytes,
-        anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
-    ) -> np.ndarray:
+    def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         blob = CompressedBlob.from_bytes(payload)
         metadata = blob.metadata
         if metadata.get("format") != self.format_name:
@@ -421,13 +388,8 @@ class TemporalDeltaCodec(Codec):
         residual = np.asarray(chunk, dtype=np.float64) - self._previous(anchors)
         return self._base.encode(np.ascontiguousarray(residual))
 
-    def decode(
-        self,
-        payload: bytes,
-        anchors: Optional[Sequence[np.ndarray]] = None,
-        scheduler=None,
-    ) -> np.ndarray:
-        residual = self._base.decode(payload, scheduler=scheduler)
+    def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+        residual = self._base.decode(payload)
         return self._previous(anchors) + np.asarray(residual, dtype=np.float64)
 
     def params(self) -> Dict:

@@ -27,7 +27,6 @@ chunk exactly once between them.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 import threading
@@ -40,7 +39,7 @@ import numpy as np
 
 from repro.obs import recorder as _obs
 from repro.parallel.engine import ChunkScheduler
-from repro.store.bytestore import ByteStore, FileByteStore, open_bytestore
+from repro.store.bytestore import ByteStore, open_bytestore
 from repro.store.cache import DEFAULT_CACHE_BYTES, freeze_chunk
 from repro.store.codecs import Codec, get_codec
 from repro.store.shared_cache import SharedChunkCache, process_chunk_cache
@@ -80,10 +79,8 @@ def _validate_preview_fraction(fraction) -> float:
 class ChunkFetcher:
     """Reads, CRC-verifies, decodes and caches chunks of one archive.
 
-    ``store`` is a :class:`~repro.store.bytestore.ByteStore` (a raw binary
-    file handle is accepted and wrapped in a borrowed
-    :class:`~repro.store.bytestore.FileByteStore`); it must stay open for the
-    fetcher's lifetime.  ``lookup`` maps a field name to its
+    ``store`` is a :class:`~repro.store.bytestore.ByteStore`; it must stay
+    open for the fetcher's lifetime.  ``lookup`` maps a field name to its
     :class:`FieldEntry`.  Anchor chunks of cross-field fields are fetched
     recursively through the same cache, so decoding one cross-field chunk
     warms the cache for its anchors too.
@@ -96,13 +93,11 @@ class ChunkFetcher:
 
     def __init__(
         self,
-        store,
+        store: ByteStore,
         lookup: Callable[[str], FieldEntry],
         cache: SharedChunkCache,
         archive_id: Tuple = (),
     ) -> None:
-        if not isinstance(store, ByteStore):
-            store = FileByteStore(fh=store)
         self.store = store
         self._lookup = lookup
         self.cache = cache
@@ -132,30 +127,6 @@ class ChunkFetcher:
             if entry.name not in self._codecs:
                 self._codecs[entry.name] = get_codec(entry.codec, **entry.codec_params)
             return self._codecs[entry.name]
-
-    def _decode_with(self, codec: Codec, payload: bytes, anchors, scheduler) -> np.ndarray:
-        """Call ``codec.decode``, passing ``scheduler`` only where supported.
-
-        Codecs written against the pre-scheduler two-argument ``decode``
-        signature (registered externally per the documented extension point)
-        must keep working; the capability probe is cached per codec instance.
-        """
-        if scheduler is not None and self._takes_scheduler(codec):
-            return codec.decode(payload, anchors=anchors, scheduler=scheduler)
-        return codec.decode(payload, anchors=anchors)
-
-    def _takes_scheduler(self, codec: Codec) -> bool:
-        cached = getattr(codec, "_decode_takes_scheduler", None)
-        if cached is None:
-            try:
-                parameters = inspect.signature(codec.decode).parameters
-                cached = "scheduler" in parameters or any(
-                    p.kind is p.VAR_KEYWORD for p in parameters.values()
-                )
-            except (TypeError, ValueError):  # pragma: no cover - exotic callables
-                cached = False
-            codec._decode_takes_scheduler = cached
-        return cached
 
     def read_payload(self, entry: FieldEntry, chunk: ChunkEntry):
         """Read one chunk's raw payload and verify its CRC.
@@ -193,7 +164,6 @@ class ChunkFetcher:
         name: str,
         index: int,
         fraction: Optional[float],
-        scheduler: Optional[ChunkScheduler],
         refresh: bool = False,
         _fresh: Optional[set] = None,
     ):
@@ -230,7 +200,7 @@ class ChunkFetcher:
                 # against stale cached anchors (the memo keeps that one-decode-
                 # per-chunk within a single pass)
                 anchors = [
-                    self._fetch(anchor, index, None, scheduler, refresh, _fresh)
+                    self._fetch(anchor, index, None, refresh, _fresh)
                     for anchor in entry.anchors
                 ] or None
                 if isinstance(payload, memoryview) and not getattr(
@@ -242,9 +212,9 @@ class ChunkFetcher:
                     payload = buf
                 decode_start = time.perf_counter()
                 if fraction is None:
-                    decoded, report = self._decode_with(codec, payload, anchors, scheduler), None
+                    decoded, report = codec.decode(payload, anchors=anchors), None
                 else:
-                    decoded, report = codec.decode_preview(payload, fraction, scheduler=scheduler)
+                    decoded, report = codec.decode_preview(payload, fraction)
                 decode_seconds = time.perf_counter() - decode_start
             finally:
                 if isinstance(payload, memoryview):
@@ -297,31 +267,21 @@ class ChunkFetcher:
         name: str,
         index: int,
         refresh: bool = False,
-        scheduler: Optional[ChunkScheduler] = None,
         _fresh: Optional[set] = None,
     ) -> np.ndarray:
         """Return the decompressed chunk ``index`` of field ``name`` (cached).
 
         ``refresh=True`` bypasses the cache lookup and forces a fresh disk
         read + CRC check + decode (used by deep verification); the result
-        still replaces the cache entry.  ``scheduler`` is handed to the codec
-        so a decode can parallelise *within* the chunk (checkpointed Huffman
-        sub-blocks); callers must only pass one when the calling thread is not
-        itself a worker of that scheduler's pool.  ``_fresh`` is deep
+        still replaces the cache entry.  ``_fresh`` is deep
         verification's per-pass memo: chunks it already re-decoded in this
         pass may be served from cache again (each chunk is verified exactly
         once per pass even when several cross-field targets share it as an
         anchor).
         """
-        return self._fetch(name, index, None, scheduler, refresh, _fresh)
+        return self._fetch(name, index, None, refresh, _fresh)
 
-    def get_chunk_preview(
-        self,
-        name: str,
-        index: int,
-        fraction: float,
-        scheduler: Optional[ChunkScheduler] = None,
-    ) -> Tuple[np.ndarray, Dict]:
+    def get_chunk_preview(self, name: str, index: int, fraction: float) -> Tuple[np.ndarray, Dict]:
         """Decode a coarse preview of one chunk within a byte-budget fraction.
 
         Returns ``(array, info)`` — ``info`` is the codec's preview report
@@ -338,10 +298,10 @@ class ChunkFetcher:
         fraction = _validate_preview_fraction(fraction)
         entry = self._lookup(name)
         if getattr(self.codec_for(entry), "supports_preview", False):
-            chunk, info = self._fetch(name, index, fraction, scheduler)
+            chunk, info = self._fetch(name, index, fraction)
             return chunk, dict(info)
         # the full fetch bounds-checks ``index`` before it is used below
-        chunk = self._fetch(name, index, None, scheduler)
+        chunk = self._fetch(name, index, None)
         nbytes = int(entry.chunks[index].length)
         _obs.count("store.preview.fallback_chunks")
         return chunk, {
@@ -578,25 +538,18 @@ class ArchiveReader:
         out = np.empty(out_shape, dtype=np.dtype(entry.dtype))
         indices = chunks_intersecting_region(entry.shape, entry.chunk_shape, sls)
 
-        # A single-chunk read has no chunk-level parallelism to exploit, so
-        # hand the reader's scheduler *into* the decode instead: the codec can
-        # fan checkpointed entropy sub-blocks out across the same pool.  Safe
-        # precisely because the one-task case below runs in the calling
-        # thread, never inside one of the scheduler's own workers.
-        intra = self._scheduler if len(indices) == 1 else None
-
         # the fetcher bounds-checks each index against the (possibly
         # malformed) manifest chunk list before the loop indexes into it
         if fraction is None:
             span = "store.read.region_seconds"
 
             def fetch(index: int):
-                return self._fetcher.get_chunk(name, index, scheduler=intra), None
+                return self._fetcher.get_chunk(name, index), None
         else:
             span = "store.preview.region_seconds"
 
             def fetch(index: int):
-                return self._fetcher.get_chunk_preview(name, index, fraction, scheduler=intra)
+                return self._fetcher.get_chunk_preview(name, index, fraction)
 
         reports: List[Tuple[int, Dict]] = []  # (points, report) per preview chunk
         # Unordered collection: each worker does one seek+read under io_lock

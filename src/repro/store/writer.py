@@ -226,17 +226,23 @@ class ArchiveWriter:
         except BaseException:
             fh.close()
             raise
-        self._fh = fh
+        self._adopt(fh)
         self._offset = file_size
         self._published_end = published_end
         if attrs:
             self.manifest.attrs.update(attrs)
             self._dirty = True
-        # A borrowed store: the fetcher reads through the writer's own append
-        # handle (its lock serialises anchor reads against payload writes) and
-        # close() leaves the handle to the writer.
+
+    def _adopt(self, fh) -> None:
+        """Make ``fh`` the archive handle and read anchor chunks back through it.
+
+        A borrowed store: the fetcher reads through the writer's own handle
+        (its lock serialises anchor reads against payload writes) and close()
+        leaves the handle to the writer.
+        """
+        self._fh = fh
         self._fetcher = ChunkFetcher(
-            FileByteStore(fh=self._fh),
+            FileByteStore(fh=fh),
             self.manifest.__getitem__,
             SharedChunkCache(max_bytes=32 * 1024 * 1024),
         )
@@ -260,15 +266,10 @@ class ArchiveWriter:
             else:  # pragma: no cover - 1000 stale temp files
                 raise ArchiveError(f"could not create a temp file next to {self.path}")
             self._tmp_path = candidate
-            self._fh = os.fdopen(fd, "w+b")
+            self._adopt(os.fdopen(fd, "w+b"))
             header = pack_header()
             self._fh.write(header)
             self._offset = len(header)
-            self._fetcher = ChunkFetcher(
-                FileByteStore(fh=self._fh),
-                self.manifest.__getitem__,
-                SharedChunkCache(max_bytes=32 * 1024 * 1024),
-            )
 
     def flush(self) -> Path:
         """Write the current manifest + footer at the end of the file.

@@ -166,15 +166,8 @@ def encode_integer_stream(
     return sections, meta
 
 
-def decode_integer_stream(
-    sections: Dict[str, bytes], meta: Dict, scheduler=None
-) -> np.ndarray:
-    """Inverse of :func:`encode_integer_stream`: reconstruct the residual array (1D).
-
-    ``scheduler`` is forwarded to the entropy coder so coders with an
-    internally parallel decode (checkpointed Huffman) can fan sub-blocks out;
-    it is optional and purely a performance knob.
-    """
+def decode_integer_stream(sections: Dict[str, bytes], meta: Dict) -> np.ndarray:
+    """Inverse of :func:`encode_integer_stream`: reconstruct the residual array (1D)."""
     backend = get_backend(meta["backend"])
     prefix = meta.get("prefix", "residual")
     coder = get_entropy_coder(meta["entropy"])
@@ -192,7 +185,7 @@ def decode_integer_stream(
     }
     recorder = _obs.get_recorder()
     decode_start = time.perf_counter()
-    symbols = coder.decode(coder_sections, meta, backend, scheduler=scheduler)
+    symbols = coder.decode(coder_sections, meta, backend)
     if recorder.enabled:
         decode_seconds = time.perf_counter() - decode_start
         recorder.observe(f"entropy.{coder.name}.decode_seconds", decode_seconds)
@@ -343,12 +336,8 @@ class SZCompressor:
     # ------------------------------------------------------------------ #
     # decompression
     # ------------------------------------------------------------------ #
-    def decompress(self, payload: bytes, scheduler=None) -> np.ndarray:
-        """Decompress a payload produced by :meth:`compress`.
-
-        ``scheduler`` (optional) lets the entropy stage fan its checkpointed
-        sub-blocks out across a :class:`~repro.parallel.engine.ChunkScheduler`.
-        """
+    def decompress(self, payload: bytes) -> np.ndarray:
+        """Decompress a payload produced by :meth:`compress`."""
         blob = CompressedBlob.from_bytes(payload)
         metadata = blob.metadata
         if metadata.get("format") != self.format_name:
@@ -360,9 +349,7 @@ class SZCompressor:
         abs_eb = float(metadata["abs_error_bound"])
         predictor = metadata["predictor"]
 
-        residuals = decode_integer_stream(
-            blob.sections, metadata["stream"], scheduler=scheduler
-        ).reshape(shape)
+        residuals = decode_integer_stream(blob.sections, metadata["stream"]).reshape(shape)
 
         recorder = _obs.get_recorder()
         predict_start = time.perf_counter()

@@ -180,28 +180,16 @@ class ZFPLikeCompressor:
         """Layout of a parsed payload: missing key means a legacy interleaved one."""
         return str(metadata.get("layout", "interleaved"))
 
-    def decompress(
-        self,
-        payload: bytes,
-        scheduler=None,
-        max_groups: Optional[int] = None,
-    ) -> np.ndarray:
+    def decompress(self, payload: bytes, max_groups: Optional[int] = None) -> np.ndarray:
         """Decompress a payload produced by :meth:`compress`.
 
-        ``scheduler`` (optional) lets the entropy stage fan its checkpointed
-        sub-blocks out across a :class:`~repro.parallel.engine.ChunkScheduler`.
         ``max_groups`` (grouped payloads only) decodes just the first ``N``
         significance groups — a coarse preview; ``None`` decodes everything.
         """
-        array, _ = self._decode(payload, scheduler=scheduler, max_groups=max_groups)
+        array, _ = self._decode(payload, max_groups=max_groups)
         return array
 
-    def decompress_preview(
-        self,
-        payload: bytes,
-        fraction: float,
-        scheduler=None,
-    ) -> Tuple[np.ndarray, Dict]:
+    def decompress_preview(self, payload: bytes, fraction: float) -> Tuple[np.ndarray, Dict]:
         """Decode a coarse preview within a byte-budget ``fraction``.
 
         Picks the largest significance-group prefix whose entropy sections fit
@@ -219,7 +207,7 @@ class ZFPLikeCompressor:
             max_groups = groups_for_fraction(group_bytes, fraction)
         else:
             max_groups = None
-        return self._decode_blob(blob, scheduler=scheduler, max_groups=max_groups)
+        return self._decode_blob(blob, max_groups=max_groups)
 
     # ------------------------------------------------------------------ #
     def _check_format(self, metadata: Dict) -> Dict:
@@ -229,15 +217,13 @@ class ZFPLikeCompressor:
             )
         return metadata
 
-    def _decode(
-        self, payload: bytes, scheduler=None, max_groups: Optional[int] = None
-    ) -> Tuple[np.ndarray, Dict]:
+    def _decode(self, payload: bytes, max_groups: Optional[int] = None) -> Tuple[np.ndarray, Dict]:
         blob = CompressedBlob.from_bytes(payload)
         self._check_format(blob.metadata)
-        return self._decode_blob(blob, scheduler=scheduler, max_groups=max_groups)
+        return self._decode_blob(blob, max_groups=max_groups)
 
     def _decode_blob(
-        self, blob: CompressedBlob, scheduler=None, max_groups: Optional[int] = None
+        self, blob: CompressedBlob, max_groups: Optional[int] = None
     ) -> Tuple[np.ndarray, Dict]:
         metadata = blob.metadata
         recorder = _obs.get_recorder()
@@ -248,15 +234,13 @@ class ZFPLikeCompressor:
 
         if layout == "grouped":
             coefficients, info = self._decode_grouped_stream(
-                blob, metadata, shape, block_size, scheduler, max_groups
+                blob, metadata, shape, block_size, max_groups
             )
             abs_eb = float(metadata["abs_error_bound"])
             plan = significance_plan(shape, block_size)
             step = self._step_array(abs_eb, plan.point_counts).reshape(shape)
         else:
-            coefficients = decode_integer_stream(
-                blob.sections, metadata["stream"], scheduler=scheduler
-            ).reshape(shape)
+            coefficients = decode_integer_stream(blob.sections, metadata["stream"]).reshape(shape)
             # legacy payloads quantized every block with the scalar step
             step = float(metadata["step"])
             bytes_total = int(sum(blob.section_sizes().values()))
@@ -283,7 +267,6 @@ class ZFPLikeCompressor:
         metadata: Dict,
         shape: Tuple[int, ...],
         block_size: int,
-        scheduler,
         max_groups: Optional[int],
     ) -> Tuple[np.ndarray, Dict]:
         recorder = _obs.get_recorder()
@@ -301,9 +284,7 @@ class ZFPLikeCompressor:
         decoded = 0
         for g in range(take):
             group = groups_meta[g]
-            values = decode_integer_stream(
-                blob.sections, group["stream"], scheduler=scheduler
-            )
+            values = decode_integer_stream(blob.sections, group["stream"])
             flat[plan.perm[decoded : decoded + values.size]] = values
             decoded += int(values.size)
 

@@ -16,7 +16,6 @@ from repro.encoding.entropy import (
 )
 from repro.encoding.huffman import DEFAULT_CHECKPOINT_INTERVAL, MAX_ALPHABET, HuffmanCodec
 from repro.encoding.lossless import get_backend
-from repro.parallel.engine import ChunkScheduler
 from repro.sz.pipeline import decode_integer_stream, encode_integer_stream
 
 
@@ -44,7 +43,7 @@ class TestRegistry:
             def encode(self, symbols, backend):  # pragma: no cover - never called
                 return {}, {}
 
-            def decode(self, sections, meta, backend, scheduler=None):  # pragma: no cover
+            def decode(self, sections, meta, backend):  # pragma: no cover
                 return np.zeros(0, dtype=np.int64)
 
         with pytest.raises(ValueError, match="unique"):
@@ -59,7 +58,7 @@ class TestRegistry:
             def encode(self, symbols, backend):
                 return {"symbols": backend.compress(symbols.astype(np.uint16).tobytes())}, {}
 
-            def decode(self, sections, meta, backend, scheduler=None):
+            def decode(self, sections, meta, backend):
                 # the stream helpers must hand a coder exactly its own
                 # sections — outlier side sections stay with the caller
                 assert set(sections) == {"symbols"}
@@ -109,14 +108,6 @@ class TestStreamHelpers:
         assert meta["entropy"] == entropy
         assert np.array_equal(decode_integer_stream(sections, meta), residuals)
 
-    def test_decode_accepts_scheduler(self, rng):
-        residuals = rng.integers(-5, 5, size=50000).astype(np.int64)
-        sections, meta = encode_integer_stream(residuals, "huffman", "zlib")
-        scheduler = ChunkScheduler(jobs=2)
-        assert np.array_equal(
-            decode_integer_stream(sections, meta, scheduler=scheduler), residuals
-        )
-
     def test_unknown_entropy_rejected(self):
         with pytest.raises(ValueError, match="entropy"):
             encode_integer_stream(np.zeros(4, dtype=np.int64), "bogus", "zlib")
@@ -154,16 +145,6 @@ class TestCheckpointedPayload:
         assert np.array_equal(codec.decode(payload_v1, table), symbols)
         assert np.array_equal(codec.decode(payload_v2, table), symbols)
         assert np.array_equal(codec.decode_reference(payload_v2, table), symbols)
-
-    def test_scheduler_fanout_matches_serial(self, rng):
-        codec = HuffmanCodec(checkpoint_interval=32)
-        symbols = rng.poisson(1.0, size=20000).astype(np.int64)
-        payload, table = codec.encode(symbols)
-        serial = codec.decode(payload, table)
-        for jobs in (1, 2, 4):
-            fanned = codec.decode(payload, table, scheduler=ChunkScheduler(jobs=jobs))
-            assert np.array_equal(fanned, serial)
-        assert np.array_equal(serial, symbols)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError, match="checkpoint_interval"):

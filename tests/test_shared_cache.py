@@ -1,15 +1,19 @@
 """SharedChunkCache: single-flight dedup, invalidation, reader integration."""
 
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.store import ArchiveReader, ArchiveWriter, SharedChunkCache, process_chunk_cache
 from repro.store.shared_cache import DEFAULT_SHARED_CACHE_BYTES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _poll(predicate, timeout=5.0, interval=0.001):
@@ -381,3 +385,87 @@ class TestReaderSharing:
         snapshot = recorder.snapshot()
         assert snapshot.counter("store.cache.misses") == 16
         assert snapshot.counter("store.cache.hits") == 16  # one lookup per chunk fetch
+
+
+#: Two single-chunk reads lead the decodes of both chunks of a field, held at a
+#: gate; a full read's two pool workers then wait on those same flights.  Once
+#: the gate opens every read must finish: a leader that needed a pool worker
+#: for its own decode would wait on the workers that wait on it.
+LIVENESS_SCRIPT = """
+import os, sys, threading, time
+import numpy as np
+from repro.store import ArchiveReader, ArchiveWriter, SharedChunkCache
+from repro.store.codecs import SZChunkCodec
+
+path = sys.argv[1]
+data = np.cumsum(np.random.default_rng(0).normal(size=(256, 512)), axis=1)
+with ArchiveWriter(path, chunk_shape=(256, 256)) as writer:  # two 65 536-point chunks
+    writer.add_field("f", data, codec="sz")
+
+leaders = threading.Semaphore(0)
+gate = threading.Event()
+original = SZChunkCodec.decode
+
+def gated_decode(self, payload, anchors=None, **kwargs):
+    # forwards any extra argument the reader offers, such as a pool to decode on
+    leaders.release()
+    gate.wait()
+    return original(self, payload, anchors=anchors, **kwargs)
+
+SZChunkCodec.decode = gated_decode
+cache = SharedChunkCache()
+reader = ArchiveReader(path, jobs=2, shared_cache=cache)
+results = {}
+reads = {
+    "left": lambda: reader.read_region("f", (slice(0, 8), slice(0, 8))),
+    "right": lambda: reader.read_region("f", (slice(0, 8), slice(256, 264))),
+    "full": lambda: reader.read_field("f"),
+}
+
+def start(name):
+    thread = threading.Thread(target=lambda: results.update({name: reads[name]()}), daemon=True)
+    thread.start()
+    return thread
+
+def fail(message):
+    print(message, flush=True)
+    os._exit(1)  # the pool's worker threads may be stuck; skip interpreter shutdown
+
+threads = [start("left"), start("right")]
+for _ in threads:
+    if not leaders.acquire(timeout=30):
+        fail("single-chunk reads never started their decodes")
+threads.append(start("full"))
+deadline = time.monotonic() + 30
+while cache.stats["coalesced"] < 2:
+    if time.monotonic() > deadline:
+        fail(f"full read never joined the flights: {cache.stats}")
+    time.sleep(0.001)
+gate.set()
+for thread in threads:
+    thread.join(timeout=30)
+    if thread.is_alive():
+        fail("reads still running 30 s after the gate opened: deadlock")
+assert cache.stats["coalesced"] == 2, cache.stats
+assert reader.cache_stats()["chunks_decoded"] == 2
+assert np.array_equal(results["left"], results["full"][:8, :8])
+assert np.array_equal(results["right"], results["full"][:8, 256:264])
+assert np.max(np.abs(results["full"] - data)) <= reader.field("f").abs_error_bound * (1 + 1e-9)
+reader.close()
+print("ok")
+"""
+
+
+class TestReadLiveness:
+    def test_single_chunk_leaders_finish_while_pool_workers_wait_on_them(self, tmp_path):
+        # a subprocess, so a regression fails on its timeout instead of hanging the suite
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", LIVENESS_SCRIPT, str(tmp_path / "live.xfa")],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("concurrent single-chunk and full reads deadlocked")
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.strip() == "ok"

@@ -73,9 +73,9 @@ class TestRoundTrip:
         decode_calls = []
         original_decode = SZChunkCodec.decode
 
-        def counting_decode(self, payload, anchors=None, scheduler=None):
+        def counting_decode(self, payload, anchors=None):
             decode_calls.append(len(payload))
-            return original_decode(self, payload, anchors=anchors, scheduler=scheduler)
+            return original_decode(self, payload, anchors=anchors)
 
         monkeypatch.setattr(SZChunkCodec, "decode", counting_decode)
         with ArchiveReader(archive) as reader:
@@ -420,7 +420,7 @@ class TestCorruption:
         # backend-specific errors (zlib.error, ...); verify must report, not die
         from repro.store.codecs import LosslessChunkCodec
 
-        def broken_decode(self, payload, anchors=None, scheduler=None):
+        def broken_decode(self, payload, anchors=None):
             raise zlib.error("invalid compressed stream")
 
         monkeypatch.setattr(LosslessChunkCodec, "decode", broken_decode)
@@ -435,7 +435,7 @@ class TestCorruption:
         # must still say which field and chunk failed, for every chunk
         from repro.store.codecs import LosslessChunkCodec
 
-        def broken_decode(self, payload, anchors=None, scheduler=None):
+        def broken_decode(self, payload, anchors=None):
             raise zlib.error("invalid compressed stream")
 
         monkeypatch.setattr(LosslessChunkCodec, "decode", broken_decode)

@@ -75,9 +75,9 @@ class TestRegistry:
             codecs_module._REGISTRY.pop("test-negated")
 
     def test_legacy_two_arg_decode_codec_still_reads(self, tmp_path):
-        # codecs registered before decode() grew the scheduler parameter keep
-        # working through every reader path, including single-chunk reads
-        # (where the reader offers its scheduler for intra-chunk fan-out)
+        # a codec with the two-argument decode(payload, anchors) works through
+        # every reader path: the reader passes nothing beyond the anchors,
+        # on multi-chunk, single-chunk and deep-verify reads alike
         from repro.store import ArchiveReader, ArchiveWriter
 
         class LegacyCodec(LosslessChunkCodec):
