@@ -93,12 +93,17 @@ class LRUChunkCache:
 
     def get(self, key: Hashable) -> Optional[np.ndarray]:
         """Return the cached chunk (marking it most recently used) or ``None``."""
-        if key not in self._entries:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return self._entries[key]
+        [chunk] = self.get_hits([key])
+        self.misses += chunk is None
+        return chunk
+
+    def get_hits(self, keys: List[Hashable]) -> List[Optional[np.ndarray]]:
+        """Each key's cached value (made most recently used) or ``None``; counts only hits."""
+        values = [self._entries.get(key) for key in keys]
+        for key in (key for key, value in zip(keys, values) if value is not None):
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return values
 
     def put(self, key: Hashable, chunk: np.ndarray) -> None:
         """Insert a chunk, evicting LRU entries until the budget is respected.

@@ -38,6 +38,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
     "chunks_intersecting_region",
     "normalize_region",
     "parse_region",
+    "region_plan",
 ]
 
 MAGIC = b"XFA1"  # cross-field archive, format version 1
@@ -251,9 +253,9 @@ class FieldEntry:
                 f"field {payload.get('name')!r}: manifest lists {len(chunks)} chunks "
                 f"but the chunk grid {counts} holds only {total}"
             )
-        for position, chunk in enumerate(chunks):
-            coord = np.unravel_index(position, counts)
-            start = tuple(int(c) * b for c, b in zip(coord, chunk_shape))
+        # chunk starts in flat (C) order: the product of each axis's starts
+        starts = product(*(range(0, s, c) for s, c in zip(shape, chunk_shape)))
+        for position, (chunk, start) in enumerate(zip(chunks, starts)):
             stop = tuple(min(a + b, s) for a, b, s in zip(start, chunk_shape, shape))
             if chunk.index != position or chunk.start != start or chunk.stop != stop:
                 raise ArchiveCorruptionError(
@@ -553,7 +555,7 @@ def recover_manifest(fh) -> Tuple["ArchiveManifest", int]:
 # --------------------------------------------------------------------------- #
 def chunk_grid_counts(shape: Sequence[int], chunk_shape: Sequence[int]) -> Tuple[int, ...]:
     """Number of chunks along every axis when tiling ``shape`` with ``chunk_shape``."""
-    return tuple(int(np.ceil(s / c)) for s, c in zip(shape, chunk_shape))
+    return tuple(-(-int(s) // int(c)) for s, c in zip(shape, chunk_shape))
 
 
 def parse_region(text: str) -> Tuple[slice, ...]:
@@ -632,24 +634,32 @@ def normalize_region(shape: Sequence[int], region) -> Tuple[slice, ...]:
     return tuple(out)
 
 
+def region_plan(
+    shape: Sequence[int], chunk_shape: Sequence[int], region: Tuple[slice, ...]
+) -> List[Tuple[int, Tuple[slice, ...], Tuple[slice, ...]]]:
+    """``(flat index, dest slices, src slices)`` of every chunk intersecting ``region``.
+
+    ``dest`` selects the overlap in the region-shaped output, ``src`` in the
+    chunk.  Each axis's chunk range and slices come from integer division once;
+    the plan is their product in flat (C) order, taken without per-chunk Python.
+    """
+    counts = chunk_grid_counts(shape, chunk_shape)
+    axes = []
+    stride = 1
+    for sl, size, count in reversed(list(zip(region, chunk_shape, counts))):
+        steps = []
+        for c in range(sl.start // size, min((sl.stop - 1) // size, count - 1) + 1):
+            c0 = c * size
+            lo, hi = max(sl.start, c0), min(sl.stop, c0 + size)
+            steps.append((c * stride, slice(lo - sl.start, hi - sl.start), slice(lo - c0, hi - c0)))
+        axes.append(steps)
+        stride *= count
+    flats, dests, srcs = zip(*(zip(*steps) for steps in reversed(axes)))
+    return list(zip(map(sum, product(*flats)), product(*dests), product(*srcs)))
+
+
 def chunks_intersecting_region(
     shape: Sequence[int], chunk_shape: Sequence[int], region: Tuple[slice, ...]
 ) -> List[int]:
-    """Flat indices of the chunks that intersect ``region``.
-
-    The grid is regular, so the intersecting chunk range along every axis is a
-    closed interval computed by integer division — no scan over the chunk list
-    is needed; the cost is proportional to the number of *intersecting*
-    chunks, not the total number of chunks.
-    """
-    counts = chunk_grid_counts(shape, chunk_shape)
-    axis_ranges = []
-    for sl, chunk, count in zip(region, chunk_shape, counts):
-        first = sl.start // chunk
-        last = (sl.stop - 1) // chunk
-        axis_ranges.append(range(first, min(last, count - 1) + 1))
-    indices = []
-    for coords in np.ndindex(*[len(r) for r in axis_ranges]):
-        grid_coord = tuple(axis_ranges[d][coords[d]] for d in range(len(axis_ranges)))
-        indices.append(int(np.ravel_multi_index(grid_coord, counts)))
-    return indices
+    """Flat indices of the chunks that intersect ``region`` (see :func:`region_plan`)."""
+    return [index for index, _, _ in region_plan(shape, chunk_shape, region)]

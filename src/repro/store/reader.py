@@ -7,9 +7,10 @@ only the chunks that intersect the requested slices — each chunk is one
 cache so repeated reads of nearby regions are served hot.  A coarse *preview*
 read is the same path with a byte-budget ``fraction`` set.
 
-Multi-chunk reads and :meth:`~ArchiveReader.verify` fan chunks out through the
-shared :class:`~repro.parallel.engine.ChunkScheduler` (the same engine the
-writer compresses through): payload I/O goes through a
+Region reads copy their cached chunks first; the misses, and
+:meth:`~ArchiveReader.verify`'s chunks, fan out through the shared
+:class:`~repro.parallel.engine.ChunkScheduler` (the same engine the writer
+compresses through): payload I/O goes through a
 :class:`~repro.store.bytestore.ByteStore` backend — lock-free zero-copy slices
 on the default mmap backend, one seek/read mutex on the file backend — codec
 decodes run outside every lock, and decoded chunks are assembled into a
@@ -27,11 +28,13 @@ chunk exactly once between them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 import time
 import zlib
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -50,10 +53,10 @@ from repro.store.manifest import (
     ChunkEntry,
     FieldEntry,
     TimestepEntry,
-    chunks_intersecting_region,
     normalize_region,
     read_manifest,
     recover_manifest,
+    region_plan,
 )
 
 __all__ = ["ArchiveReader", "ChunkFetcher"]
@@ -74,6 +77,20 @@ def _validate_preview_fraction(fraction) -> float:
     if not math.isfinite(value) or not 0.0 < value <= 1.0:
         raise ValueError(f"preview fraction must be in (0, 1], got {fraction!r}")
     return value
+
+
+def _fallback_preview(entry: FieldEntry, index: int, chunk: np.ndarray) -> Tuple[np.ndarray, Dict]:
+    """A full decode served as a preview, billed at its whole payload."""
+    nbytes = int(entry.chunks[index].length)
+    _obs.count("store.preview.fallback_chunks")
+    return chunk, {
+        "groups_decoded": 1,
+        "groups_total": 1,
+        "bytes_decoded": nbytes,
+        "bytes_total": nbytes,
+        "rms_error_estimate": 0.0,
+        "fallback": True,
+    }
 
 
 class ChunkFetcher:
@@ -159,6 +176,26 @@ class ChunkFetcher:
             payload.release()
         raise ArchiveCorruptionError(f"field {entry.name!r} chunk {chunk.index}: {problem}")
 
+    def _key(self, name: str, index: int, fraction: Optional[float]) -> Tuple:
+        """Cache key of a chunk's full decode, or of its preview at ``fraction``."""
+        key = self._archive_id + (name, index)
+        return key if fraction is None else key + ("preview", fraction)
+
+    def cached(self, name: str, indices: List[int], fraction: Optional[float] = None) -> List:
+        """Each index's :meth:`get_chunk` (or, with ``fraction``, preview) result if
+        cached, else ``None``: one cache round trip that counts only the hits."""
+        entry = self._lookup(name)
+        fallback = fraction is not None and not getattr(
+            self.codec_for(entry), "supports_preview", False
+        )
+        keys = [self._key(name, index, None if fallback else fraction) for index in indices]
+        values = self.cache.get_hits(keys)
+        if fallback:  # a cached full decode serves as the preview, as in get_chunk_preview
+            values = [
+                v if v is None else _fallback_preview(entry, i, v) for i, v in zip(indices, values)
+            ]
+        return values
+
     def _fetch(
         self,
         name: str,
@@ -176,9 +213,7 @@ class ChunkFetcher:
         read-only (:func:`~repro.store.cache.freeze_chunk`).
         """
         index = int(index)
-        key = self._archive_id + (name, index)
-        if fraction is not None:
-            key += ("preview", fraction)
+        key = self._key(name, index, fraction)
 
         def decode():
             entry = self._lookup(name)
@@ -300,18 +335,8 @@ class ChunkFetcher:
         if getattr(self.codec_for(entry), "supports_preview", False):
             chunk, info = self._fetch(name, index, fraction)
             return chunk, dict(info)
-        # the full fetch bounds-checks ``index`` before it is used below
-        chunk = self._fetch(name, index, None)
-        nbytes = int(entry.chunks[index].length)
-        _obs.count("store.preview.fallback_chunks")
-        return chunk, {
-            "groups_decoded": 1,
-            "groups_total": 1,
-            "bytes_decoded": nbytes,
-            "bytes_total": nbytes,
-            "rms_error_estimate": 0.0,
-            "fallback": True,
-        }
+        # the full fetch bounds-checks ``index`` before the report reads it
+        return _fallback_preview(entry, index, self._fetch(name, index, None))
 
 
 class ArchiveReader:
@@ -534,31 +559,32 @@ class ArchiveReader:
         self._require_open()
         entry = self.manifest[name]
         sls = normalize_region(entry.shape, region)
-        out_shape = tuple(sl.stop - sl.start for sl in sls)
-        out = np.empty(out_shape, dtype=np.dtype(entry.dtype))
-        indices = chunks_intersecting_region(entry.shape, entry.chunk_shape, sls)
+        out = np.empty(tuple(sl.stop - sl.start for sl in sls), dtype=np.dtype(entry.dtype))
+        # grid slices are safe: FieldEntry.from_dict rejects any chunk off the grid
+        plan = region_plan(entry.shape, entry.chunk_shape, sls)
 
         # the fetcher bounds-checks each index against the (possibly
-        # malformed) manifest chunk list before the loop indexes into it
+        # malformed) manifest chunk list
         if fraction is None:
-            span = "store.read.region_seconds"
-
-            def fetch(index: int):
-                return self._fetcher.get_chunk(name, index), None
+            span, fetch = "store.read.region_seconds", partial(self._fetcher.get_chunk, name)
         else:
             span = "store.preview.region_seconds"
-
-            def fetch(index: int):
-                return self._fetcher.get_chunk_preview(name, index, fraction)
+            fetch = partial(self._fetcher.get_chunk_preview, name, fraction=fraction)
 
         reports: List[Tuple[int, Dict]] = []  # (points, report) per preview chunk
         # Unordered collection: each worker does one seek+read under io_lock
         # and decodes outside every lock; the main thread writes each decoded
         # chunk into its slot as soon as it arrives (slots are disjoint).
-        with _obs.span(span, field=name, chunks=len(indices)):
-            for position, (chunk, info) in self._scheduler.imap_unordered(fetch, indices):
-                chunk_entry = entry.chunks[indices[position]]
-                dest, src = _overlap(sls, chunk_entry.start, chunk_entry.stop)
+        with _obs.span(span, field=name, chunks=len(plan)):
+            # one cache probe: the hits are copied first, only misses reach the scheduler
+            values = self._fetcher.cached(name, [index for index, _, _ in plan], fraction)
+            arrivals = ((step, value) for step, value in zip(plan, values) if value is not None)
+            missing = [step for step, value in zip(plan, values) if value is None]
+            if missing:
+                fetched = self._scheduler.imap_unordered(fetch, [index for index, _, _ in missing])
+                arrivals = itertools.chain(arrivals, ((missing[k], value) for k, value in fetched))
+            for (_, dest, src), value in arrivals:
+                chunk, info = (value, None) if fraction is None else value
                 out[dest] = chunk[src]
                 if info is not None:
                     reports.append((chunk.size, info))
@@ -709,17 +735,3 @@ def _preview_totals(fraction: float, reports: List[Tuple[int, Dict]]) -> Dict:
     # one codec per field: either every chunk fell back or none did
     totals["fallback"] = any(info["fallback"] for _, info in reports)
     return totals
-
-
-def _overlap(
-    region: Tuple[slice, ...], start: Tuple[int, ...], stop: Tuple[int, ...]
-) -> Tuple[Tuple[slice, ...], Tuple[slice, ...]]:
-    """Destination (region-relative) and source (chunk-relative) overlap slices."""
-    dest: List[slice] = []
-    src: List[slice] = []
-    for sl, c0, c1 in zip(region, start, stop):
-        lo = max(sl.start, c0)
-        hi = min(sl.stop, c1)
-        dest.append(slice(lo - sl.start, hi - sl.start))
-        src.append(slice(lo - c0, hi - c0))
-    return tuple(dest), tuple(src)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +93,17 @@ class SharedChunkCache:
         if recorder.enabled:
             recorder.count("store.cache.hits" if chunk is not None else "store.cache.misses")
         return chunk
+
+    def get_hits(self, keys: List[Hashable]) -> List[Optional[np.ndarray]]:
+        """Cached values for many keys (``None`` where absent) under one lock;
+        the hits count as one batch, a miss only once :meth:`get_or_compute` runs."""
+        with self._lock:
+            before = self._lru.hits
+            values = self._lru.get_hits(keys)
+            hits = self._lru.hits - before
+        if hits:
+            _obs.count("store.cache.hits", hits)
+        return values
 
     def put(self, key: Hashable, chunk: np.ndarray) -> None:
         """Insert a chunk (frozen read-only) outside any single-flight path."""

@@ -10,13 +10,16 @@ cleanly in the dependency-free tier-1 environment and run in the CI
 serve-smoke job.
 """
 
+import http.client
 import io
 import json
+import statistics
 import sys
 import threading
 import time
 import types
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -85,6 +88,25 @@ class TestStdlibServer:
         window = np.load(io.BytesIO(body))
         assert window.shape == (8, 16)
         assert np.allclose(window, data[0:8, 0:16], atol=1e-2)
+
+    def test_small_keep_alive_responses_do_not_stall(self, served):
+        """Headers and body leave in two writes; with Nagle's algorithm on, a
+        small body waits for the client's delayed ACK (~40 ms per response)."""
+        url, _ = served
+        parts = urllib.parse.urlsplit(url)
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        seconds = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/archives/a/manifest")
+                response = connection.getresponse()
+                body = response.read()
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200 and len(body) < 64 * 1024
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.010
 
     def test_etag_304_over_http(self, served):
         url, _ = served

@@ -387,6 +387,127 @@ class TestReaderSharing:
         assert snapshot.counter("store.cache.hits") == 16  # one lookup per chunk fetch
 
 
+@pytest.fixture(params=["null", "recording"])
+def telemetry(request):
+    """Each warm-read test runs with telemetry off and on (the recorder, or None)."""
+    from repro import obs
+
+    recorder = obs.Recorder() if request.param == "recording" else obs.NullRecorder()
+    previous = obs.set_recorder(recorder)
+    try:
+        yield recorder if recorder.enabled else None
+    finally:
+        obs.set_recorder(previous)
+
+
+def _cache_counts(reader, recorder):
+    """Reader cache counters plus, when telemetry records, the recorder's."""
+    stats = reader.cache_stats()
+    counts = {key: stats[key] for key in ("hits", "misses", "chunks_decoded", "previews_decoded")}
+    if recorder is not None:
+        snapshot = recorder.snapshot()
+        for key in ("hits", "misses"):
+            counts[f"store.cache.{key}"] = snapshot.counter(f"store.cache.{key}")
+        counts["store.read.chunks_decoded"] = snapshot.counter("store.read.chunks_decoded")
+    return counts
+
+
+def _delta(after, before):
+    return {key: after[key] - before[key] for key in after}
+
+
+#: offset 8..40 on both axes of the 16x16 grid: nine partially covered chunks
+NINE_CHUNKS = (slice(8, 40), slice(8, 40))
+
+
+class TestWarmReadBypass:
+    """Region reads probe the cache once; only misses reach the scheduler."""
+
+    def test_fully_cached_region_skips_single_flight_and_scheduler(
+        self, lossless_archive, telemetry, monkeypatch
+    ):
+        from repro.parallel.engine import ChunkScheduler
+
+        path, data = lossless_archive
+        with ArchiveReader(path, jobs=2) as reader:
+            assert np.array_equal(reader.read_region("hot", NINE_CHUNKS), data[NINE_CHUNKS])
+            calls = {"get_or_compute": 0, "imap_unordered": 0}
+
+            def counting(cls, method):
+                original = getattr(cls, method)
+
+                def wrapper(*args, **kwargs):
+                    calls[method] += 1
+                    return original(*args, **kwargs)
+
+                monkeypatch.setattr(cls, method, wrapper)
+
+            counting(SharedChunkCache, "get_or_compute")
+            counting(ChunkScheduler, "imap_unordered")
+            before = _cache_counts(reader, telemetry)
+            out = reader.read_region("hot", NINE_CHUNKS)
+            delta = _delta(_cache_counts(reader, telemetry), before)
+        assert np.array_equal(out, data[NINE_CHUNKS])
+        assert calls == {"get_or_compute": 0, "imap_unordered": 0}
+        assert delta["hits"] == 9
+        assert delta["misses"] == 0
+        assert delta["chunks_decoded"] == 0
+        if telemetry is not None:
+            assert delta["store.cache.hits"] == 9
+            assert delta["store.cache.misses"] == 0
+            assert delta["store.read.chunks_decoded"] == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_hits_and_misses_match_the_full_read(self, lossless_archive, telemetry, jobs):
+        path, data = lossless_archive
+        with ArchiveReader(path) as fresh:
+            full = fresh.read_field("hot")
+        assert np.array_equal(full, data)
+        with ArchiveReader(path, jobs=jobs) as reader:
+            reader.read_region("hot", (slice(0, 32), slice(0, 32)))  # warms 4 of the 9
+            before = _cache_counts(reader, telemetry)
+            out = reader.read_region("hot", NINE_CHUNKS)
+            delta = _delta(_cache_counts(reader, telemetry), before)
+        assert np.array_equal(out, full[NINE_CHUNKS])
+        assert (delta["hits"], delta["misses"], delta["chunks_decoded"]) == (4, 5, 5)
+        if telemetry is not None:
+            assert delta["store.cache.hits"] + delta["store.cache.misses"] == 9
+            assert delta["store.cache.misses"] == delta["store.read.chunks_decoded"] == 5
+
+    def test_cached_preview_returns_the_report_of_its_decode(self, tmp_path, telemetry):
+        data = np.random.default_rng(3).normal(size=(32, 64)).astype(np.float32)
+        path = tmp_path / "zfp.xfa"
+        with ArchiveWriter(path, chunk_shape=(16, 32)) as writer:
+            writer.add_field("T", data, codec="zfp")
+        with ArchiveReader(path, jobs=1) as reader:
+            coarse, info = reader.read_region_preview("T", None, fraction=0.25)
+            chunk, chunk_info = reader._fetcher.get_chunk_preview("T", 3, 0.25)
+            before = _cache_counts(reader, telemetry)
+            again, info_again = reader.read_region_preview("T", None, fraction=0.25)
+            [(cached_chunk, cached_info)] = reader._fetcher.cached("T", [3], 0.25)
+            delta = _delta(_cache_counts(reader, telemetry), before)
+        assert np.array_equal(again, coarse)
+        assert info_again == info and info["fallback"] is False
+        assert cached_chunk is chunk and cached_info == chunk_info
+        assert (delta["hits"], delta["misses"], delta["previews_decoded"]) == (5, 0, 0)
+        if telemetry is not None:
+            assert delta["store.cache.hits"] == 5
+
+    def test_cached_fallback_preview_bills_the_full_payload(self, lossless_archive, telemetry):
+        path, _ = lossless_archive
+        with ArchiveReader(path, jobs=1) as reader:
+            _, info = reader.read_region_preview("hot", NINE_CHUNKS, fraction=0.5)
+            before = _cache_counts(reader, telemetry)
+            _, info_again = reader.read_region_preview("hot", NINE_CHUNKS, fraction=0.5)
+            delta = _delta(_cache_counts(reader, telemetry), before)
+            payload = sum(
+                reader.field("hot").chunks[i].length for i in (0, 1, 2, 4, 5, 6, 8, 9, 10)
+            )
+        assert info_again == info
+        assert info["fallback"] is True and info["bytes_decoded"] == payload
+        assert (delta["hits"], delta["misses"], delta["chunks_decoded"]) == (9, 0, 0)
+
+
 #: Two single-chunk reads lead the decodes of both chunks of a field, held at a
 #: gate; a full read's two pool workers then wait on those same flights.  Once
 #: the gate opens every read must finish: a leader that needed a pool worker
