@@ -12,7 +12,10 @@ into first-class :class:`EntropyCoder` objects behind a registry, so
 - new coders plug in with :func:`register_entropy_coder` and are immediately
   usable across the whole stack.
 
-Decoding is serial within a stream; the store parallelises across chunks.
+Decoding is serial within a chunk; the store parallelises across chunks.
+:meth:`EntropyCoder.decode_many` hands a coder every stream of one chunk at
+once (a grouped-ZFP chunk holds one per significance level), so a coder can
+decode them in one pass; the Huffman coder does.
 
 A coder sees the symbol stream *after* outlier extraction and zigzag mapping
 (that transform is shared, in :func:`~repro.sz.pipeline.encode_integer_stream`)
@@ -25,11 +28,11 @@ the stream metadata and handed back verbatim on decode.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from repro.encoding.huffman import MAX_ALPHABET, HuffmanCodec, HuffmanTable
+from repro.encoding.huffman import MAX_ALPHABET, HuffmanCodec
 from repro.encoding.lossless import LosslessBackend
 
 __all__ = [
@@ -82,6 +85,16 @@ class EntropyCoder(ABC):
     ) -> np.ndarray:
         """Inverse of :meth:`encode`; returns the int64 symbol stream."""
 
+    def decode_many(
+        self, sections: Sequence[Dict[str, bytes]], metas: Sequence[Dict], backend: LosslessBackend
+    ) -> List[np.ndarray]:
+        """Decode several streams, ``sections[k]`` with ``metas[k]``.
+
+        The default decodes them one by one; coders with a batch decoder
+        override it.
+        """
+        return [self.decode(own, meta, backend) for own, meta in zip(sections, metas)]
+
 
 class HuffmanEntropyCoder(EntropyCoder):
     """Canonical Huffman coding with checkpointed, vectorised decode.
@@ -126,9 +139,16 @@ class HuffmanEntropyCoder(EntropyCoder):
     def decode(
         self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
     ) -> np.ndarray:
-        payload = backend.decompress(sections["symbols"])
-        table = HuffmanTable.from_bytes(backend.decompress(sections["huffman_table"]))
-        return self.codec.decode(payload, table)
+        return self.decode_many([sections], [meta], backend)[0]
+
+    def decode_many(
+        self, sections: Sequence[Dict[str, bytes]], metas: Sequence[Dict], backend: LosslessBackend
+    ) -> List[np.ndarray]:
+        """Every stream's table and bit stream in one :meth:`HuffmanCodec.decode_many` pass."""
+        return self.codec.decode_many(
+            [backend.decompress(own["symbols"]) for own in sections],
+            [backend.decompress(own["huffman_table"]) for own in sections],
+        )
 
 
 class ZlibEntropyCoder(EntropyCoder):

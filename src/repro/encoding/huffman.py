@@ -12,16 +12,18 @@ coder and the cross-field compressor alike (via :mod:`repro.encoding.entropy`):
 - the encoder scatters code words into 64-bit words;
 - the decoder runs the lookup table as a state machine over bit positions
   with NumPy batch gathers that release the GIL: a lockstep wavefront over
-  the sub-blocks a v2 (``HFV2``) payload checkpoints, or pointer doubling.
+  the sub-blocks a v2 (``HFV2``) payload checkpoints, or pointer doubling
+  over all of a chunk's streams at once (:meth:`HuffmanCodec.decode_many`).
 
 ``docs/entropy.md`` walks through both directions and the v1/v2 wire formats.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +51,20 @@ DEFAULT_CHECKPOINT_INTERVAL = 1024
 #: amortise its per-step dispatch; pointer doubling wins.
 _WAVEFRONT_MIN_BLOCKS = 32
 
-#: Pointer doubling materialises O(total_bits) temporaries (~16 bytes per
-#: stream bit); streams past this limit that cannot take the O(total_bits/8)
-#: wavefront fall back to the scalar loop, which is slow but O(n_symbols).
-#: 2**25 bits = 4 MB of payload — far beyond any chunk this codebase writes.
+#: Lookup-table entries one :meth:`HuffmanCodec.decode_many` pass may build
+#: (16 tables of 16-bit codes, about 9 MB); more streams take more passes.
+_LUT_ENTRIES_PER_PASS = 1 << 20
+
+#: Widest lookup window the decoder reads: a bit window is a shift of the
+#: 32-bit word at its byte, which holds 25 bits past any bit offset.
+_MAX_WINDOW_BITS = 25
+
+#: Pointer doubling materialises O(total_bits) temporaries (about 23 bytes
+#: per stream bit on peaked streams, 30 with 1-bit codes); streams past this
+#: limit that cannot take the O(total_bits/8) wavefront fall back to the
+#: scalar loop, which is slow but O(n_symbols), and one walk takes at most
+#: this many bits.  2**25 bits = 4 MB of payload — far beyond any chunk this
+#: codebase writes.
 _SPAN_BITS_LIMIT = 1 << 25
 
 #: v2 payload magic.  v1 payloads start with the symbol count (little-endian
@@ -220,24 +232,53 @@ class HuffmanTable:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "HuffmanTable":
-        """Inverse of :meth:`to_bytes`."""
-        if len(payload) < 8:
-            raise ValueError("truncated Huffman table")
-        alphabet_size, n_used = struct.unpack_from("<II", payload, 0)
-        if alphabet_size > MAX_ALPHABET:
-            raise ValueError(f"Huffman table alphabet {alphabet_size} exceeds {MAX_ALPHABET}")
-        if len(payload) < 8 + n_used * _TABLE_ENTRY_DTYPE.itemsize:
-            raise ValueError("truncated Huffman table")
+        """Inverse of :meth:`to_bytes`; malformed tables raise ``ValueError``."""
+        alphabet_size, n_used = _table_header(payload)
         entries = np.frombuffer(payload, dtype=_TABLE_ENTRY_DTYPE, count=n_used, offset=8)
         symbols = entries["symbol"].astype(np.int64)
-        if symbols.size and int(symbols.max()) >= alphabet_size:
-            raise ValueError(
-                f"Huffman table entry names symbol {int(symbols.max())} outside "
-                f"the declared alphabet of {alphabet_size}"
-            )
+        _check_entries(symbols, entries["length"], np.zeros(n_used, np.intp), np.array([alphabet_size]))
         lengths = np.zeros(alphabet_size, dtype=np.uint8)
         lengths[symbols] = entries["length"]
         return cls.from_lengths(lengths)
+
+
+def _table_header(payload: bytes) -> Tuple[int, int]:
+    """``(alphabet_size, n_entries)`` of a serialized table, checked against its length."""
+    if len(payload) < 8:
+        raise ValueError("truncated Huffman table")
+    alphabet_size, n_used = struct.unpack_from("<II", payload, 0)
+    if alphabet_size > MAX_ALPHABET:
+        raise ValueError(f"Huffman table alphabet {alphabet_size} exceeds {MAX_ALPHABET}")
+    if len(payload) < 8 + n_used * _TABLE_ENTRY_DTYPE.itemsize:
+        raise ValueError("truncated Huffman table")
+    return alphabet_size, n_used
+
+
+def _check_entries(
+    symbols: np.ndarray, lengths: np.ndarray, table_of: np.ndarray, alphabets: np.ndarray
+) -> None:
+    """Reject table entries :meth:`HuffmanTable.to_bytes` never writes.
+
+    ``symbols``/``lengths`` hold the entries of several tables, entry ``i``
+    belonging to table ``table_of[i]`` (tables in order).  Every symbol must
+    lie inside its table's alphabet, the symbols of a table must be strictly
+    ascending (so none is listed twice), and no length may be 0; otherwise
+    ``ValueError``.
+    """
+    if not symbols.size:
+        return
+    if not lengths.all():
+        raise ValueError("corrupt Huffman table: an entry has code length 0")
+    outside = symbols >= alphabets[table_of]
+    if outside.any():
+        first = int(np.argmax(outside))
+        raise ValueError(
+            f"Huffman table entry names symbol {int(symbols[first])} outside "
+            f"the declared alphabet of {int(alphabets[table_of[first]])}"
+        )
+    # symbols are now below MAX_ALPHABET, so the table index ranks above them
+    if np.any(np.diff(symbols + table_of * MAX_ALPHABET) <= 0):
+        raise ValueError("corrupt Huffman table: symbols not strictly ascending")
 
 
 # --------------------------------------------------------------------------- #
@@ -340,256 +381,125 @@ class HuffmanCodec:
             return struct.pack("<QQ", symbols.size, total_bits) + data, table
         header = _V2_HEADER.pack(_MAGIC_V2, interval, symbols.size, total_bits, deltas.size)
         return header + deltas.tobytes() + data, table
-
     # ------------------------------------------------------------------ #
     # decoding
     # ------------------------------------------------------------------ #
     def decode(self, payload: bytes, table: HuffmanTable) -> np.ndarray:
         """Decode a payload produced by :meth:`encode` back to an int64 array.
 
-        Both payload versions are detected from the bytes themselves.
+        Both payload versions are detected from the bytes themselves.  One
+        stream runs the same pass as :meth:`decode_many`.
         """
-        n_symbols, total_bits, interval, checkpoints, data = self._parse_payload(payload)
-        if n_symbols == 0:
-            return np.zeros(0, dtype=np.int64)
-        if len(data) * 8 < total_bits:
-            raise ValueError("truncated Huffman payload")
+        return self.decode_many([payload], [table.to_bytes()])[0]
 
-        lut_bits = min(max(table.max_length, 1), self.max_length)
-        lut_symbols, lut_lengths = self._build_lut(table, lut_bits)
+    def decode_many(self, payloads: Sequence[bytes], tables: Sequence[bytes]) -> List[np.ndarray]:
+        """Decode several payloads, each with its serialized table, in one pass.
 
-        # sub-block bit boundaries (monotonicity is enforced by
-        # _parse_payload: delta-coded checkpoints are strictly increasing)
-        bounds = np.concatenate(([0], checkpoints, [total_bits])).astype(np.int64)
-        # the lockstep wavefront runs only over *full* sub-blocks, so every
-        # cursor retires the same number of symbols; a partial tail block is
-        # decoded separately by the doubling span
-        n_full = n_symbols // interval if checkpoints.size else 0
-
-        if n_full >= _WAVEFRONT_MIN_BLOCKS and total_bits < np.iinfo(np.int32).max:
-            # corrupt cursors may drift past the stream end until the final
-            # boundary check; padding keeps every drifted window in bounds
-            pad = 4 + (interval * lut_bits + 7) // 8
-            fused = self._fuse_bytes(data, total_bits, pad)
-            out = np.empty(n_symbols, dtype=np.int64)
-            out[: n_full * interval] = self._decode_wavefront(
-                fused, lut_symbols, lut_lengths, bounds[:n_full], bounds[1 : n_full + 1],
-                lut_bits, interval,
-            )
-            tail = n_symbols - n_full * interval
-            if tail:
-                tail_lo = int(bounds[n_full])
-                windows = self._window_values(fused, tail_lo, total_bits, lut_bits)
-                out[n_full * interval :] = self._decode_span(
-                    lut_lengths[windows], windows, lut_symbols, tail
-                )
+        ``tables[k]`` is the :meth:`HuffmanTable.to_bytes` form of the table
+        ``payloads[k]`` was encoded with.  Every table is parsed into one
+        concatenated lookup table, and every stream without enough full
+        sub-blocks for the wavefront is decoded by one pointer-doubling walk
+        over all of them (:func:`_decode_spans`), so the NumPy call count
+        does not grow with the number of streams.  Any malformed table or
+        payload raises ``ValueError``.
+        """
+        if len(payloads) != len(tables):
+            raise ValueError(f"{len(payloads)} Huffman payloads but {len(tables)} tables")
+        # every table's lookup table is built up front: bound their total size
+        per_pass = max(1, _LUT_ENTRIES_PER_PASS >> min(self.max_length, _MAX_WINDOW_BITS))
+        if len(payloads) > per_pass:
+            out: List[np.ndarray] = []
+            for start in range(0, len(payloads), per_pass):
+                stop = start + per_pass
+                out += self.decode_many(payloads[start:stop], tables[start:stop])
             return out
+        lut_symbols, lut_lengths, offsets, widths = _parse_tables(tables, self.max_length)
+        headers = [_payload_header(payload) for payload in payloads]
+        checkpoints = _checkpoint_offsets(payloads, headers)
+        luts = (lut_symbols, lut_lengths, offsets, widths)
 
-        if total_bits > _SPAN_BITS_LIMIT:
-            # a giant stream with too few checkpoints for the wavefront (deep
-            # legacy v1 payloads, mostly): bounded memory beats speed
-            return self.decode_reference(payload, table)
-
-        # few blocks: the sub-blocks are contiguous in the bit stream, so the
-        # checkpoints cannot pay for themselves — decode the whole stream as
-        # one span with pointer doubling (still validating the recorded
-        # checkpoints against the code-word positions the span derives)
-        fused = self._fuse_bytes(data, total_bits)
-        windows = self._window_values(fused, 0, total_bits, lut_bits)
-        return self._decode_span(
-            lut_lengths[windows], windows, lut_symbols, n_symbols,
-            interval=interval, checkpoints=checkpoints,
-        )
-
-    # ------------------------------------------------------------------ #
-    # decode internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _parse_payload(payload: bytes):
-        """Split either payload version into its decode inputs.
-
-        Returns ``(n_symbols, total_bits, interval, checkpoints, bit_data)``;
-        v1 payloads come back with an empty checkpoint list and an interval
-        covering the whole stream.
-        """
-        if payload[:4] == _MAGIC_V2:
-            if len(payload) < _V2_HEADER.size:
-                raise ValueError("truncated Huffman payload")
-            _, interval, n_symbols, total_bits, n_checkpoints = _V2_HEADER.unpack_from(
-                payload, 0
-            )
-            if interval < 1:
-                raise ValueError("corrupt Huffman payload: checkpoint interval < 1")
-            expected = (n_symbols - 1) // interval if n_symbols else 0
-            if n_checkpoints != expected:
-                raise ValueError(
-                    f"corrupt Huffman payload: {n_checkpoints} checkpoints recorded, "
-                    f"{expected} expected for {n_symbols} symbols every {interval}"
+        out = [np.zeros(0, dtype=np.int64)] * len(payloads)
+        wavefronts = {}
+        spans: List[_Span] = []
+        cp_end = 0
+        for k, (payload, (n_symbols, total_bits, interval, n_cp, data_at)) in enumerate(
+            zip(payloads, headers)
+        ):
+            cp_start, cp_end = cp_end, cp_end + n_cp
+            if n_symbols == 0:
+                continue
+            data = memoryview(payload)[data_at : data_at + (total_bits + 7) // 8]
+            # the lockstep wavefront runs only over *full* sub-blocks, so every
+            # cursor retires the same number of symbols; a partial tail block
+            # joins the doubling walk
+            n_full = n_symbols // interval if n_cp else 0
+            if n_full >= _WAVEFRONT_MIN_BLOCKS:
+                bounds = np.concatenate(([0], checkpoints[cp_start:cp_end], [total_bits]))
+                lut = slice(int(offsets[k]), int(offsets[k]) + (1 << int(widths[k])))
+                wavefronts[k] = _decode_wavefront(
+                    data, lut_symbols[lut], lut_lengths[lut], bounds[: n_full + 1],
+                    int(widths[k]), interval,
                 )
-            offset = _V2_HEADER.size
-            end = offset + 4 * n_checkpoints
-            if len(payload) < end:
-                raise ValueError("truncated Huffman payload")
-            deltas = np.frombuffer(payload, dtype="<u4", count=n_checkpoints, offset=offset)
-            if n_checkpoints and int(deltas.min()) == 0:
-                raise ValueError("corrupt Huffman payload: checkpoints not increasing")
-            checkpoints = np.cumsum(deltas.astype(np.int64))
-            if n_checkpoints and int(checkpoints[-1]) >= total_bits:
-                raise ValueError("corrupt Huffman payload: checkpoint past the end of the stream")
-            return n_symbols, total_bits, interval, checkpoints, payload[end:]
-        if len(payload) < 16:
-            raise ValueError("truncated Huffman payload")
-        n_symbols, total_bits = struct.unpack_from("<QQ", payload, 0)
-        return n_symbols, total_bits, max(n_symbols, 1), np.zeros(0, np.int64), payload[16:]
+                tail = n_symbols - n_full * interval
+                if tail:
+                    lo = int(bounds[n_full])
+                    spans.append(
+                        _Span(k, data[lo >> 3 :], lo & 7, total_bits - lo, tail, tail, cp_end, cp_end)
+                    )
+            elif total_bits > _SPAN_BITS_LIMIT:
+                # a giant stream with too few checkpoints for the wavefront (deep
+                # legacy v1 payloads, mostly): bounded memory beats speed
+                out[k] = self.decode_reference(payload, HuffmanTable.from_bytes(tables[k]))
+            else:
+                spans.append(_Span(k, data, 0, total_bits, n_symbols, interval, cp_start, cp_end))
 
-    @staticmethod
-    def _fuse_bytes(data: bytes, total_bits: int, pad_bytes: int = 4) -> np.ndarray:
-        """Fuse four staggered byte lanes into one u32 per byte position.
-
-        ``fused[b]`` holds bits ``8b .. 8b+31`` of the stream MSB-first, so any
-        ``lut_bits <= 16``-wide window at bit ``p`` is a shift of
-        ``fused[p // 8]``.  Padding zeros beyond the stream match the scalar
-        reference decoder's behaviour at the tail; ``pad_bytes`` sizes the
-        zero tail (the wavefront decoder asks for enough that even a corrupt,
-        drifting cursor stays in bounds until it is caught).
-        """
-        raw = np.frombuffer(data, dtype=np.uint8)
-        n_bytes = (total_bits + 7) // 8
-        padded = np.zeros(n_bytes + max(pad_bytes, 4), dtype=np.uint8)
-        padded[:n_bytes] = raw[:n_bytes]
-        lanes = padded.astype(np.uint32)
-        return (
-            (lanes[:-3] << np.uint32(24))
-            | (lanes[1:-2] << np.uint32(16))
-            | (lanes[2:-1] << np.uint32(8))
-            | lanes[3:]
-        )
-
-    @staticmethod
-    def _window_values(fused: np.ndarray, start: int, stop: int, lut_bits: int) -> np.ndarray:
-        """``lut_bits``-wide bit windows at every bit position in ``[start, stop)``."""
-        positions = np.arange(start, stop, dtype=np.int64)
-        shifts = (np.uint32(32 - lut_bits) - (positions & 7).astype(np.uint32)).astype(np.uint32)
-        mask = np.uint32((1 << lut_bits) - 1)
-        return ((fused[positions >> 3] >> shifts) & mask).astype(np.int32)
-
-    @staticmethod
-    def _decode_wavefront(
-        fused: np.ndarray,
-        lut_symbols: np.ndarray,
-        lut_lengths: np.ndarray,
-        starts: np.ndarray,
-        stops: np.ndarray,
-        lut_bits: int,
-        interval: int,
-    ) -> np.ndarray:
-        """Decode a contiguous run of *full* checkpointed sub-blocks in lockstep.
-
-        One decode cursor per sub-block advances through the LUT state machine
-        simultaneously: each round gathers every cursor's bit window, emits
-        every cursor's symbol, and steps every cursor by its code length — a
-        handful of batch operations per *symbol index*, not per symbol.  The
-        checkpoint interval bounds the round count while the number of
-        sub-blocks provides the batch width.
-
-        The loop body carries no bounds checks: a corrupt cursor drifts at
-        most ``interval * lut_bits`` bits past the stream (the caller pads
-        ``fused`` accordingly) and is caught afterwards, when every cursor
-        must sit exactly on its sub-block's recorded end bit.
-        """
-        shift_lut = np.uint32(32 - lut_bits) - np.arange(8, dtype=np.uint32)
-        mask = np.uint32((1 << lut_bits) - 1)
-        lengths32 = lut_lengths.astype(np.int32)
-        cur = starts.astype(np.int32)
-        out = np.empty((interval, starts.size), dtype=np.int64)
-        for i in range(interval):
-            window = (fused[cur >> 3] >> shift_lut[cur & 7]) & mask
-            out[i] = lut_symbols[window]
-            cur = cur + lengths32[window]
-        if not np.array_equal(cur, stops.astype(np.int32)):
-            raise ValueError("corrupt Huffman stream")
-        return out.T.ravel()
-
-    @staticmethod
-    def _decode_span(
-        step: np.ndarray,
-        windows: np.ndarray,
-        lut_symbols: np.ndarray,
-        n_symbols: int,
-        interval: Optional[int] = None,
-        checkpoints: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Decode one contiguous span of ``n_symbols`` code words.
-
-        ``step``/``windows`` cover exactly the span's bit range.  The jump
-        table ``p -> p + step[p]`` is iterated from bit 0 with pointer
-        doubling: the jump table for ``m`` symbols is composed with itself to
-        get ``2m``, and each round resolves the positions of ``m`` further
-        symbols with a single batch gather.
-
-        ``checkpoints`` (span-relative bit offsets of every ``interval``-th
-        symbol, when the payload recorded any) are cross-checked against the
-        derived code-word positions, so a corrupted checkpoint list fails
-        loudly even on the span path that does not need it.
-        """
-        n_bits = step.shape[0]
-        index_dtype = np.int32 if n_bits < np.iinfo(np.int32).max else np.int64
-        jump = np.arange(n_bits, dtype=index_dtype)
-        jump += step.astype(index_dtype)
-        # dead positions (no code word starts here) and overruns both land on
-        # the sentinel slot n_bits, which maps to itself
-        jump[step == 0] = n_bits
-        np.minimum(jump, n_bits, out=jump)
-        jump = np.append(jump, index_dtype(n_bits))
-
-        positions = np.empty(n_symbols, dtype=index_dtype)
-        positions[0] = 0
-        filled = 1
-        while filled < n_symbols:
-            take = min(filled, n_symbols - filled)
-            positions[filled : filled + take] = jump[positions[:take]]
-            filled += take
-            if filled < n_symbols:
-                jump = jump[jump]
-
-        if int(positions[-1]) >= n_bits:
-            raise ValueError("corrupt Huffman stream")
-        lengths_at = step[positions]
-        if np.any(lengths_at == 0):
-            raise ValueError("corrupt Huffman stream")
-        if int(positions[-1]) + int(lengths_at[-1]) != n_bits:
-            raise ValueError("corrupt Huffman stream")
-        if checkpoints is not None and checkpoints.size:
-            derived = positions[interval::interval][: checkpoints.size].astype(np.int64)
-            if not np.array_equal(derived, checkpoints):
-                raise ValueError("corrupt Huffman payload: checkpoints do not match the stream")
-        return lut_symbols[windows[positions]]
+        for batch in _span_batches(spans):
+            for span, symbols in zip(batch, _decode_spans(batch, checkpoints, luts)):
+                out[span.stream] = symbols
+        for k, symbols in wavefronts.items():
+            out[k] = np.concatenate((symbols, out[k])) if out[k].size else symbols
+        return out
 
     def decode_reference(self, payload: bytes, table: HuffmanTable) -> np.ndarray:
         """Scalar per-symbol decode: the pre-vectorisation reference loop.
 
         Kept as the correctness oracle for the vectorised decoder (property
         tests compare against it) and as the baseline in the entropy-backend
-        decode-throughput benchmark.  Handles both payload versions.
+        decode-throughput benchmark.  Handles both payload versions and
+        checks what the fast path checks: no dead window, the last code
+        ending exactly on the stream's last bit, and every recorded
+        checkpoint on the code word it names.
         """
-        n_symbols, total_bits, _, _, data = self._parse_payload(payload)
+        header = _payload_header(payload)
+        n_symbols, total_bits, interval, _, data_at = header
+        checkpoints = _checkpoint_offsets([payload], [header]).tolist()
         if n_symbols == 0:
             return np.zeros(0, dtype=np.int64)
-        if len(data) * 8 < total_bits:
-            raise ValueError("truncated Huffman payload")
 
         lut_bits = min(max(table.max_length, 1), self.max_length)
-        lut_symbols, lut_lengths = self._build_lut(table, lut_bits)
+        if table.max_length > lut_bits:
+            raise ValueError("code length exceeds decoder lookup width")
+        # the lookup table written one code's window range at a time
+        lut_sym_list = [0] * (1 << lut_bits)
+        lut_len_list = [0] * (1 << lut_bits)
+        for sym in np.flatnonzero(table.lengths).tolist():
+            length = int(table.lengths[sym])
+            first = int(table.codes[sym]) << (lut_bits - length)
+            count = 1 << (lut_bits - length)
+            lut_sym_list[first : first + count] = [sym] * count
+            lut_len_list[first : first + count] = [length] * count
 
+        data = payload[data_at:]
         out = np.empty(n_symbols, dtype=np.int64)
         acc = 0
         n_acc = 0
         pos = 0
+        consumed = 0
         data_len = len(data)
         mask = (1 << lut_bits) - 1
-        lut_sym_list = lut_symbols.tolist()
-        lut_len_list = lut_lengths.tolist()
         for i in range(n_symbols):
+            if i and i % interval == 0 and consumed != checkpoints[i // interval - 1]:
+                raise ValueError("corrupt Huffman payload: checkpoints do not match the stream")
             while n_acc < lut_bits and pos < data_len:
                 acc = (acc << 8) | data[pos]
                 pos += 1
@@ -604,22 +514,339 @@ class HuffmanCodec:
                 raise ValueError("corrupt Huffman stream")
             n_acc -= length
             acc &= (1 << n_acc) - 1
+            consumed += length
             out[i] = sym
+        if consumed != total_bits:
+            raise ValueError("corrupt Huffman stream")
         return out
 
-    @staticmethod
-    def _build_lut(table: HuffmanTable, lut_bits: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Build a prefix lookup table mapping every ``lut_bits`` window to (symbol, length).
 
-        In canonical order each code's window range starts where the previous
-        one ends, so the table repeats every symbol ``2**(lut_bits - length)``
-        times; an incomplete code set leaves a zero tail.
-        """
-        symbols, lengths = _canonical_order(table.lengths)
-        if lengths.size and int(lengths[-1]) > lut_bits:
-            raise ValueError("code length exceeds decoder lookup width")
-        repeats = np.left_shift(1, lut_bits - lengths)
-        # a (symbol 0, length 0) entry repeated over the rest pads an incomplete code set
-        repeats = np.append(repeats, (1 << lut_bits) - repeats.sum())
-        lut_lengths = np.repeat(np.append(lengths, 0), repeats).astype(np.int32)
-        return np.repeat(np.append(symbols, 0), repeats), lut_lengths
+# --------------------------------------------------------------------------- #
+# decode internals
+# --------------------------------------------------------------------------- #
+def _parse_tables(
+    tables: Sequence[bytes], max_width: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check serialized tables and build their concatenated lookup table.
+
+    The checks are :meth:`HuffmanTable.from_bytes`'s, run over every table's
+    entries at once; a longest code wider than ``max_width`` raises too.
+    Returns :func:`_lookup_tables`'s arrays plus each table's width.
+    """
+    headers = [_table_header(table) for table in tables]
+    counts = np.array([count for _, count in headers], dtype=np.intp)
+    entries = np.frombuffer(
+        b"".join(
+            memoryview(table)[8 : 8 + count * _TABLE_ENTRY_DTYPE.itemsize]
+            for table, (_, count) in zip(tables, headers)
+        ),
+        dtype=_TABLE_ENTRY_DTYPE,
+    )
+    symbols = entries["symbol"].astype(np.int64)
+    lengths = entries["length"].astype(np.int64)
+    table_of = np.repeat(np.arange(len(tables)), counts)
+    _check_entries(symbols, lengths, table_of, np.array([alphabet for alphabet, _ in headers]))
+
+    # canonical order: by table, then code length, then symbol
+    order = np.argsort(table_of * 256 + lengths, kind="stable")
+    symbols, lengths = symbols[order], lengths[order]
+    used = counts > 0
+    longest = np.zeros(len(tables), dtype=np.int64)
+    longest[used] = lengths[np.cumsum(counts)[used] - 1]
+    widest = int(longest.max(initial=0))
+    if widest > 32:
+        raise ValueError(f"Huffman code length {widest} exceeds 32 bits")
+    if widest > min(max_width, _MAX_WINDOW_BITS):
+        raise ValueError("code length exceeds decoder lookup width")
+    widths = np.maximum(longest, 1)
+    return _lookup_tables(symbols, lengths, table_of, counts, widths) + (widths,)
+
+
+def _lookup_tables(
+    symbols: np.ndarray,
+    lengths: np.ndarray,
+    table_of: np.ndarray,
+    counts: np.ndarray,
+    widths: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prefix lookup tables of several canonical codes, built from their used symbols.
+
+    ``symbols``/``lengths`` hold every table's entries in canonical order
+    (by table, then length, then symbol), ``counts[k]`` of them for table
+    ``k`` (``table_of`` names each entry's table), whose lookup table maps
+    each ``widths[k]``-bit window to (symbol, code length).  In canonical
+    order each code's window range starts where the previous one ends, so a
+    table repeats every symbol ``2**(width - length)`` times; an incomplete
+    code set leaves a (symbol 0, length 0) tail, and an oversubscribed one
+    (Kraft sum > 1) raises ``ValueError``.  Returns ``(lut_symbols,
+    lut_lengths, offsets)``: table ``k`` starts at ``offsets[k]``.
+    """
+    repeats = np.left_shift(1, widths[table_of] - lengths)
+    ends = np.cumsum(counts)
+    covered = np.concatenate(([0], np.cumsum(repeats)))
+    spans = np.left_shift(1, widths)
+    tails = spans - (covered[ends] - covered[ends - counts])
+    if np.any(tails < 0):
+        raise ValueError("Huffman code lengths oversubscribe the code space (Kraft sum > 1)")
+    # each table's entries, then its tail slot
+    slot = np.arange(symbols.size) + table_of
+    n_slots = symbols.size + counts.size
+    ext_symbols = np.zeros(n_slots, dtype=np.int64)
+    ext_symbols[slot] = symbols
+    ext_lengths = np.zeros(n_slots, dtype=np.uint8)
+    ext_lengths[slot] = lengths
+    ext_repeats = np.empty(n_slots, dtype=np.int64)
+    ext_repeats[slot] = repeats
+    ext_repeats[ends + np.arange(counts.size)] = tails
+    offsets = np.cumsum(spans) - spans
+    return np.repeat(ext_symbols, ext_repeats), np.repeat(ext_lengths, ext_repeats), offsets
+
+
+def _payload_header(payload: bytes) -> Tuple[int, int, int, int, int]:
+    """Split either payload version into ``(n_symbols, total_bits, interval,
+    n_checkpoints, data_offset)``, checked against the payload's length.
+
+    v1 payloads have no checkpoints and an interval covering the whole
+    stream.  Every code word is at least one bit, so a header that declares
+    more symbols than bits raises here, before anything is allocated.
+    """
+    if payload[:4] == _MAGIC_V2:
+        if len(payload) < _V2_HEADER.size:
+            raise ValueError("truncated Huffman payload")
+        _, interval, n_symbols, total_bits, n_checkpoints = _V2_HEADER.unpack_from(payload, 0)
+        if interval < 1:
+            raise ValueError("corrupt Huffman payload: checkpoint interval < 1")
+        expected = (n_symbols - 1) // interval if n_symbols else 0
+        if n_checkpoints != expected:
+            raise ValueError(
+                f"corrupt Huffman payload: {n_checkpoints} checkpoints recorded, "
+                f"{expected} expected for {n_symbols} symbols every {interval}"
+            )
+        data_offset = _V2_HEADER.size + 4 * n_checkpoints
+        if len(payload) < data_offset:
+            raise ValueError("truncated Huffman payload")
+    else:
+        if len(payload) < 16:
+            raise ValueError("truncated Huffman payload")
+        n_symbols, total_bits = struct.unpack_from("<QQ", payload, 0)
+        interval, n_checkpoints, data_offset = max(n_symbols, 1), 0, 16
+    if n_symbols > total_bits:
+        raise ValueError(f"corrupt Huffman payload: {n_symbols} symbols in {total_bits} bits")
+    if n_symbols and (len(payload) - data_offset) * 8 < total_bits:
+        raise ValueError("truncated Huffman payload")
+    return n_symbols, total_bits, interval, n_checkpoints, data_offset
+
+
+def _checkpoint_offsets(payloads: Sequence[bytes], headers: Sequence[Tuple]) -> np.ndarray:
+    """Every payload's checkpoint bit offsets, concatenated in payload order.
+
+    Delta-coded checkpoints must be strictly increasing and stay inside their
+    stream, else ``ValueError``.
+    """
+    counts = [header[3] for header in headers]
+    if not any(counts):
+        return np.zeros(0, dtype=np.int64)
+    deltas = np.frombuffer(
+        b"".join(
+            memoryview(payload)[_V2_HEADER.size : _V2_HEADER.size + 4 * count]
+            for payload, count in zip(payloads, counts)
+        ),
+        dtype="<u4",
+    ).astype(np.int64)
+    if int(deltas.min()) == 0:
+        raise ValueError("corrupt Huffman payload: checkpoints not increasing")
+    offsets = np.cumsum(deltas)
+    ends = np.cumsum(counts)
+    if len(counts) > 1:
+        # restart the running sum at every payload's first checkpoint
+        offsets -= np.repeat(np.concatenate(([0], offsets))[ends - counts], counts)
+    last = [end - 1 for end, count in zip(ends.tolist(), counts) if count]
+    total_bits = [header[1] for header in headers if header[3]]
+    if np.any(offsets[last] >= total_bits):
+        raise ValueError("corrupt Huffman payload: checkpoint past the end of the stream")
+    return offsets
+
+
+class _Span(NamedTuple):
+    """One run of code words for the doubling walk: a whole stream, or a wavefront's tail."""
+
+    stream: int
+    data: memoryview  # starts at the byte holding the span's first bit
+    first_bit: int
+    n_bits: int
+    n_symbols: int
+    interval: int
+    cp_start: int  # this span's checkpoints: checkpoints[cp_start:cp_end]
+    cp_end: int
+
+
+def _span_batches(spans: Sequence[_Span]) -> Iterator[List[_Span]]:
+    """Consecutive runs of ``spans`` that one :func:`_decode_spans` walk takes.
+
+    The walk materialises O(bits) temporaries, plus one position per symbol
+    of the longest span for every span of the run: a run holds at most
+    :data:`_SPAN_BITS_LIMIT` bits (a lone span may hold more), and the
+    positions that pad its shorter spans to the longest cost at most two
+    bytes per bit.
+    """
+    batch: List[_Span] = []
+    bits = symbols = longest = 0
+    for span in spans:
+        grown = max(longest, span.n_symbols)
+        padding = (len(batch) + 1) * grown - (symbols + span.n_symbols)
+        if batch and (
+            bits + span.n_bits > _SPAN_BITS_LIMIT or 4 * padding > bits + span.n_bits
+        ):
+            yield batch
+            batch, bits, symbols, grown = [], 0, 0, span.n_symbols
+        batch.append(span)
+        bits += span.n_bits
+        symbols += span.n_symbols
+        longest = grown
+    if batch:
+        yield batch
+
+
+#: Bit offsets within a byte, as the left shifts that drop the earlier bits.
+_BIT_SHIFTS = np.arange(8, dtype=np.uint32)
+
+
+def _fused_words(buffer: bytes, count: int, dtype=np.uint32) -> np.ndarray:
+    """``count`` big-endian u32 words starting at every byte of ``buffer``.
+
+    Word ``b`` holds bits ``8b .. 8b+31`` MSB-first, so any window of up to
+    25 bits at bit ``p`` is a shift of word ``p // 8``; ``buffer`` must hold
+    ``count + 3`` bytes.
+    """
+    return np.ndarray((count,), dtype=">u4", buffer=buffer, strides=(1,)).astype(dtype)
+
+
+def _decode_spans(
+    spans: Sequence[_Span], checkpoints: np.ndarray, luts: Tuple[np.ndarray, ...]
+) -> List[np.ndarray]:
+    """Decode every span with one pointer-doubling walk; one array per span.
+
+    The spans' bytes are placed end to end and every bit position of all of
+    them is resolved to "the code word starting here is ``step`` bits long"
+    in one batch of lookups, with each span's own table and width.  The jump
+    table ``p -> p + step[p]`` is iterated from every span's first bit at
+    once with pointer doubling: it is composed with itself to get ``2m``
+    symbols from ``m``, and each round resolves the positions of ``m``
+    further symbols per span with a single batch gather.
+
+    Dead windows (step 0) jump to themselves and the positions past the last
+    span are dead, so a span's positions never decrease, and a walk that
+    leaves its span or hits a dead window stays out or stuck.  That reduces
+    the per-span checks to its last code word: it must be live and end
+    exactly on the span's end bit, and then every position lies inside its
+    own span on a live window.  Recorded checkpoints (span-relative bit
+    offsets of every ``interval``-th symbol) are cross-checked against the
+    derived positions, so a corrupted checkpoint list fails loudly even on
+    the path that does not need it.
+    """
+    lut_symbols, lut_lengths, offsets, widths = luts
+    tables = np.array([span.stream for span in spans], dtype=np.intp)
+    span_bytes = [(span.first_bit + span.n_bits + 7) >> 3 for span in spans]
+    bases = list(itertools.accumulate(span_bytes, initial=0))[:-1]  # each span's first byte
+    n_bytes = sum(span_bytes)
+    # windows that start inside a span may read this many bytes past it
+    reach = (int(widths.max()) + 7) // 8
+    buffer = b"".join(span.data[:size] for span, size in zip(spans, span_bytes))
+    fused = _fused_words(buffer + bytes(reach + 3), n_bytes + reach)
+    span_bytes[-1] += reach
+
+    # a window is the word at its byte, shifted by its bit offset and its
+    # table's width, plus its table's offset into the concatenated LUT
+    shift = np.repeat((32 - widths[tables]).astype(np.uint32), span_bytes)
+    base = np.repeat(offsets[tables].astype(np.uint32), span_bytes)
+    windows = fused[:, None] << _BIT_SHIFTS
+    windows >>= shift[:, None]
+    windows += base[:, None]
+    step = np.take(lut_lengths, windows.ravel())
+    del windows  # recomputed at the code-word positions only
+    step[8 * n_bytes :] = 0
+    jump = np.arange(step.size, dtype=np.intp)
+    jump += step
+    spare = np.empty_like(jump)
+
+    firsts = np.array([8 * at + span.first_bit for at, span in zip(bases, spans)], dtype=np.intp)
+    counts = np.array([span.n_symbols for span in spans], dtype=np.intp)
+    longest = int(counts.max())
+    positions = np.empty((len(spans), longest), dtype=np.intp)
+    positions[:, 0] = firsts
+    filled = 1
+    while filled < longest:
+        take = min(filled, longest - filled)
+        positions[:, filled : filled + take] = jump[positions[:, :take]]
+        filled += take
+        if filled < longest:
+            np.take(jump, jump, out=spare, mode="clip")
+            jump, spare = spare, jump
+
+    last = positions[np.arange(len(spans)), counts - 1]
+    last_step = step[last]
+    if np.any(last_step == 0) or np.any(last + last_step != firsts + [span.n_bits for span in spans]):
+        raise ValueError("corrupt Huffman stream")
+    n_cps = [span.cp_end - span.cp_start for span in spans]
+    if any(n_cps):
+        # the position of every interval-th symbol, against the recorded checkpoints
+        n_cps = np.array(n_cps, dtype=np.intp)
+        owner = np.repeat(np.arange(len(spans)), n_cps)
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(n_cps) - n_cps, n_cps)
+        intervals = np.array([span.interval for span in spans], dtype=np.intp)
+        cp_starts = np.array([span.cp_start for span in spans], dtype=np.intp)
+        derived = positions[owner, (rank + 1) * intervals[owner]] - firsts[owner]
+        if np.any(derived != checkpoints[cp_starts[owner] + rank]):
+            raise ValueError("corrupt Huffman payload: checkpoints do not match the stream")
+
+    del jump, spare, step
+    at = positions.ravel() if counts.min() == longest else positions[np.arange(longest) < counts[:, None]]
+    byte = at >> 3
+    windows = fused[byte]
+    offset = at.astype(np.uint32)
+    offset &= 7
+    windows <<= offset
+    windows >>= shift[byte]
+    windows += base[byte]
+    del at, byte, offset, positions
+    symbols = np.take(lut_symbols, windows)
+    cuts = list(itertools.accumulate(span.n_symbols for span in spans))
+    return [symbols[stop - span.n_symbols : stop] for span, stop in zip(spans, cuts)]
+
+
+def _decode_wavefront(
+    data: memoryview,
+    lut_symbols: np.ndarray,
+    lut_lengths: np.ndarray,
+    bounds: np.ndarray,
+    width: int,
+    interval: int,
+) -> np.ndarray:
+    """Decode a contiguous run of *full* checkpointed sub-blocks in lockstep.
+
+    ``bounds`` holds the sub-blocks' first bits and, last, the end bit of
+    the final one.  One decode cursor per sub-block advances through the LUT
+    state machine simultaneously: each round gathers every cursor's bit
+    window, emits every cursor's symbol, and steps every cursor by its code
+    length — a handful of batch operations per *symbol index*, not per
+    symbol.  The checkpoint interval bounds the round count while the number
+    of sub-blocks provides the batch width.
+
+    The loop body carries no bounds checks: a corrupt cursor drifts at most
+    ``interval * width`` bits past its start (the zero tail covers that) and
+    is caught afterwards, when every cursor must sit exactly on its
+    sub-block's recorded end bit.
+    """
+    pad = 4 + (interval * width + 7) // 8
+    fused = _fused_words(bytes(data) + bytes(pad + 3), len(data) + pad, np.intp)
+    shifts = 32 - width - np.arange(8, dtype=np.intp)
+    mask = (1 << width) - 1
+    cursors = bounds[:-1].astype(np.intp)
+    out = np.empty((interval, cursors.size), dtype=np.int64)
+    for i in range(interval):
+        window = (fused[cursors >> 3] >> shifts[cursors & 7]) & mask
+        out[i] = lut_symbols[window]
+        cursors += lut_lengths[window]
+    if not np.array_equal(cursors, bounds[1:]):
+        raise ValueError("corrupt Huffman stream")
+    return out.T.ravel()

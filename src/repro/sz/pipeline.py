@@ -23,9 +23,10 @@ the predict/quantize split next to the entropy stage; see
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
     "SZCompressor",
     "encode_integer_stream",
     "decode_integer_stream",
+    "decode_integer_streams",
 ]
 
 _PREDICTORS = ("lorenzo", "regression", "interpolation")
@@ -168,49 +170,110 @@ def encode_integer_stream(
 
 def decode_integer_stream(sections: Dict[str, bytes], meta: Dict) -> np.ndarray:
     """Inverse of :func:`encode_integer_stream`: reconstruct the residual array (1D)."""
-    backend = get_backend(meta["backend"])
-    prefix = meta.get("prefix", "residual")
-    coder = get_entropy_coder(meta["entropy"])
-    n = int(meta["count"])
-    escape_symbol = int(meta["escape_symbol"])
+    return decode_integer_streams(sections, [meta])[0]
 
-    # hand the coder exactly the sections it produced: the outlier side
-    # sections share the prefix but belong to this function, not the coder
+
+def decode_integer_streams(sections: Dict[str, bytes], metas: Sequence[Dict]) -> List[np.ndarray]:
+    """Decode the streams ``metas`` describe, all stored in ``sections``, in one pass.
+
+    Streams that share an entropy coder and backend go to one
+    :meth:`~repro.encoding.entropy.EntropyCoder.decode_many` call, and the
+    escapes and the zigzag map are undone over all streams at once.  Each
+    stream's stored outlier positions must be exactly the positions of its
+    escape symbols, with one stored value each; otherwise ``ValueError``.
+    Returns one residual array (1D) per meta.
+    """
+    if not metas:
+        return []
+    coded: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(metas)
+    by_coder: Dict[Tuple[str, str], List[int]] = {}
+    for k, meta in enumerate(metas):
+        by_coder.setdefault((meta["entropy"], meta["backend"]), []).append(k)
+    recorder = _obs.get_recorder()
+    for (entropy, backend_name), members in by_coder.items():
+        coder = get_entropy_coder(entropy)
+        own = [_coder_sections(sections, metas[k].get("prefix", "residual")) for k in members]
+        decode_start = time.perf_counter()
+        decoded = coder.decode_many(own, [metas[k] for k in members], get_backend(backend_name))
+        if recorder.enabled:
+            decode_seconds = time.perf_counter() - decode_start
+            recorder.observe(f"entropy.{coder.name}.decode_seconds", decode_seconds)
+            recorder.count(f"entropy.{coder.name}.symbols_out", sum(int(d.size) for d in decoded))
+            recorder.count(
+                f"entropy.{coder.name}.bytes_in",
+                sum(len(value) for sections_k in own for value in sections_k.values()),
+            )
+        for k, symbols in zip(members, decoded):
+            coded[k] = symbols
+
+    counts = [int(meta["count"]) for meta in metas]
+    for symbols, n in zip(coded, counts):
+        if symbols.size != n:
+            raise ValueError(f"decoded {symbols.size} symbols, expected {n}")
+    symbols = np.concatenate(coded) if len(coded) > 1 else coded[0]
+    escapes = [int(meta["escape_symbol"]) for meta in metas]
+    escape = escapes[0] if len(set(escapes)) == 1 else np.repeat(escapes, counts)
+    # escape slots decode to junk here and are all overwritten below
+    residuals = zigzag_decode(symbols)
+    positions, values = _outliers(sections, metas)
+    if not np.array_equal(positions, np.flatnonzero(symbols == escape)):
+        raise ValueError("stored outlier positions do not match the escape symbols")
+    residuals[positions] = values
+    cuts = list(itertools.accumulate(counts))
+    return [residuals[stop - n : stop] for n, stop in zip(counts, cuts)]
+
+
+def _coder_sections(sections: Dict[str, bytes], prefix: str) -> Dict[str, bytes]:
+    """The sections a stream's coder produced, unprefixed.
+
+    The outlier side sections share the prefix but belong to
+    :func:`decode_integer_streams`, not the coder.
+    """
     marker = f"{prefix}."
     own = {f"{prefix}.outlier_positions", f"{prefix}.outlier_values"}
-    coder_sections = {
+    return {
         key[len(marker):]: value
         for key, value in sections.items()
         if key.startswith(marker) and key not in own
     }
-    recorder = _obs.get_recorder()
-    decode_start = time.perf_counter()
-    symbols = coder.decode(coder_sections, meta, backend)
-    if recorder.enabled:
-        decode_seconds = time.perf_counter() - decode_start
-        recorder.observe(f"entropy.{coder.name}.decode_seconds", decode_seconds)
-        recorder.count(f"entropy.{coder.name}.symbols_out", int(symbols.size))
-        recorder.count(
-            f"entropy.{coder.name}.bytes_in",
-            sum(len(value) for value in coder_sections.values()),
-        )
-    if symbols.size != n:
-        raise ValueError(f"decoded {symbols.size} symbols, expected {n}")
 
-    outlier_mask = symbols == escape_symbol
-    residuals = np.empty(n, dtype=np.int64)
-    residuals[~outlier_mask] = zigzag_decode(symbols[~outlier_mask])
-    if int(meta.get("outliers", 0)):
-        positions = np.frombuffer(
-            backend.decompress(sections[f"{prefix}.outlier_positions"]), dtype=np.int64
-        )
-        values = np.frombuffer(
-            backend.decompress(sections[f"{prefix}.outlier_values"]), dtype=np.int64
-        )
-        residuals[positions] = values
-    elif np.any(outlier_mask):
-        raise ValueError("escape symbols present but no outlier sections stored")
-    return residuals
+
+def _outliers(sections: Dict[str, bytes], metas: Sequence[Dict]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every stream's stored outlier positions and values, positions offset
+    into the concatenated streams.
+
+    A stored position outside its own stream, or a value count that differs
+    from the position count, raises ``ValueError``.
+    """
+    position_bytes: List[bytes] = []
+    value_bytes: List[bytes] = []
+    counts: List[int] = []  # stored outliers per stream that has any
+    sizes: List[int] = []  # that stream's symbol count
+    bases: List[int] = []  # and its first index in the concatenation
+    base = 0
+    for meta in metas:
+        if int(meta.get("outliers", 0)):
+            backend = get_backend(meta["backend"])
+            prefix = meta.get("prefix", "residual")
+            stored = backend.decompress(sections[f"{prefix}.outlier_positions"])
+            stored_values = backend.decompress(sections[f"{prefix}.outlier_values"])
+            if len(stored) % 8 or len(stored_values) != len(stored):
+                raise ValueError(
+                    f"stream {prefix!r}: {len(stored)} bytes of outlier positions, "
+                    f"{len(stored_values)} bytes of outlier values"
+                )
+            position_bytes.append(stored)
+            value_bytes.append(stored_values)
+            counts.append(len(stored) // 8)
+            sizes.append(int(meta["count"]))
+            bases.append(base)
+        base += int(meta["count"])
+    positions = np.frombuffer(b"".join(position_bytes), dtype=np.int64)
+    if positions.size:
+        if int(positions.min()) < 0 or np.any(positions >= np.repeat(sizes, counts)):
+            raise ValueError("stored outlier position outside its stream")
+        positions = positions + np.repeat(bases, counts)
+    return positions, np.frombuffer(b"".join(value_bytes), dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #

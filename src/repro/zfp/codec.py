@@ -43,7 +43,12 @@ from repro.encoding.container import CompressedBlob
 from repro.encoding.entropy import get_entropy_coder
 from repro.obs import recorder as _obs
 from repro.sz.errors import ErrorBound
-from repro.sz.pipeline import CompressionResult, decode_integer_stream, encode_integer_stream
+from repro.sz.pipeline import (
+    CompressionResult,
+    decode_integer_stream,
+    decode_integer_streams,
+    encode_integer_stream,
+)
 from repro.sz.quantizer import QUANT_RADIUS_DEFAULT, effective_error_bound
 from repro.utils.validation import ensure_array, ensure_in
 from repro.zfp.layout import groups_for_fraction, significance_plan
@@ -281,12 +286,10 @@ class ZFPLikeCompressor:
 
         plan = significance_plan(shape, block_size)
         flat = np.zeros(int(np.prod(shape)) if shape else 0, dtype=np.int64)
-        decoded = 0
-        for g in range(take):
-            group = groups_meta[g]
-            values = decode_integer_stream(blob.sections, group["stream"])
-            flat[plan.perm[decoded : decoded + values.size]] = values
-            decoded += int(values.size)
+        # the groups are consecutive runs of the significance order
+        streams = decode_integer_streams(blob.sections, [g["stream"] for g in groups_meta[:take]])
+        values = np.concatenate(streams) if streams else np.zeros(0, dtype=np.int64)
+        flat[plan.perm[: values.size]] = values
 
         bytes_decoded = int(sum(int(g["bytes"]) for g in groups_meta[:take]))
         bytes_total = int(sum(int(g["bytes"]) for g in groups_meta))

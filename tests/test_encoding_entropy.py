@@ -51,19 +51,19 @@ class TestRegistry:
 
     def test_custom_coder_round_trips_through_stream_helpers(self):
         class NibbleCoder(EntropyCoder):
-            """Toy coder: symbols stored as uint16 through the backend."""
+            """Toy coder: symbols stored as uint32 through the backend."""
 
             name = "test-nibble"
 
             def encode(self, symbols, backend):
-                return {"symbols": backend.compress(symbols.astype(np.uint16).tobytes())}, {}
+                return {"symbols": backend.compress(symbols.astype(np.uint32).tobytes())}, {}
 
             def decode(self, sections, meta, backend):
                 # the stream helpers must hand a coder exactly its own
                 # sections — outlier side sections stay with the caller
                 assert set(sections) == {"symbols"}
                 raw = backend.decompress(sections["symbols"])
-                return np.frombuffer(raw, dtype=np.uint16).astype(np.int64)
+                return np.frombuffer(raw, dtype=np.uint32).astype(np.int64)
 
         register_entropy_coder(NibbleCoder)
         try:
@@ -270,15 +270,16 @@ class TestPropertyRoundTrip:
     def test_giant_span_falls_back_to_bounded_memory_path(self):
         # a v1 payload past _SPAN_BITS_LIMIT must not materialise the
         # O(total_bits) doubling temporaries; the scalar loop handles it.
-        # Craft the payload directly: a single-symbol 1-bit alphabet whose
-        # code word is 0, so an all-zero bit stream decodes to that symbol.
+        # Craft the payload directly: one used symbol with a 16-bit code word
+        # of all zeros, so an all-zero bit stream decodes to that symbol and
+        # the last code word ends exactly on the stream's last bit.
         from repro.encoding.huffman import _SPAN_BITS_LIMIT, HuffmanTable
 
         codec = HuffmanCodec()
-        table = HuffmanTable.from_frequencies(np.array([0, 0, 0, 5]))
-        n_symbols = 64
-        total_bits = _SPAN_BITS_LIMIT + 8
-        payload = struct.pack("<QQ", n_symbols, total_bits) + b"\x00" * (total_bits // 8 + 1)
+        table = HuffmanTable.from_lengths(np.array([0, 0, 0, 16]))
+        total_bits = _SPAN_BITS_LIMIT + 16
+        n_symbols = total_bits // 16
+        payload = struct.pack("<QQ", n_symbols, total_bits) + b"\x00" * (total_bits // 8)
         decoded = codec.decode(payload, table)
         assert np.array_equal(decoded, np.full(n_symbols, 3))
 

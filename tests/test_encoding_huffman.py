@@ -157,6 +157,61 @@ class TestHostileTables:
         with pytest.raises(ValueError, match="lookup width"):
             HuffmanCodec().decode(payload, table)
 
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ([(1, 1), (1, 2)], "ascending"),  # a repeated symbol
+            ([(2, 1), (1, 2)], "ascending"),
+            ([(0, 0), (1, 1)], "length 0"),
+        ],
+        ids=["repeated-symbol", "descending", "zero-length"],
+    )
+    def test_malformed_entries_rejected_by_both_parsers(self, entries, match):
+        table_bytes = _table_bytes(4, entries)
+        with pytest.raises(ValueError, match=match):
+            HuffmanTable.from_bytes(table_bytes)
+        payload, _ = HuffmanCodec().encode(np.array([1, 1, 2]), table=HuffmanTable.from_lengths(
+            np.array([0, 1, 2, 0])
+        ))
+        with pytest.raises(ValueError, match=match):
+            HuffmanCodec().decode_many([payload], [table_bytes])
+
+    def test_batch_parser_names_the_offending_table(self):
+        good = HuffmanTable.from_lengths(np.array([1, 1])).to_bytes()
+        payload, _ = HuffmanCodec().encode(np.array([0, 1, 1]))
+        with pytest.raises(ValueError, match="alphabet of 2"):
+            HuffmanCodec().decode_many([payload] * 2, [good, _table_bytes(2, [(0, 1), (5, 1)])])
+        with pytest.raises(ValueError, match="Kraft"):
+            HuffmanCodec().decode_many([payload] * 2, [good, _table_bytes(3, [(0, 1), (1, 1), (2, 1)])])
+
+
+class TestHostilePayloads:
+    """Headers that declare more symbols than bits raise before any allocation."""
+
+    HEADERS = {
+        # a v1 header of 2**33 symbols over 8 bits
+        "v1": struct.pack("<QQ", 1 << 33, 8) + b"\x00",
+        # interval 2**32 - 1 needs no checkpoint for 2**31 symbols
+        "v2": struct.pack("<4sIQQI", b"HFV2", (1 << 32) - 1, 1 << 31, 64, 0) + b"\x00" * 8,
+    }
+
+    @pytest.mark.parametrize("version", sorted(HEADERS))
+    @pytest.mark.parametrize("path", ["decode", "decode_reference"])
+    def test_more_symbols_than_bits_rejected(self, version, path):
+        codec = HuffmanCodec()
+        table = HuffmanTable.from_lengths(np.array([1, 1]))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="symbols in"):
+                getattr(codec, path)(self.HEADERS[version], table)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 1 << 20
+
 
 class TestHuffmanCodec:
     def test_round_trip_skewed(self):

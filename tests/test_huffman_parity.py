@@ -1,9 +1,10 @@
 """Cross-implementation parity harness for the vectorised Huffman table and encoder.
 
 Table construction (two-queue merge, length limiting, RFC 1951 canonical
-codes, the decoder LUT as a repeat) and the word-scatter encoder promise the
-*same bytes* as the scalar implementations they replaced.  Those scalar
-versions live here as the oracle: the ``heapq`` code lengths, the Kraft
+codes, the decoder LUT as a repeat over the used symbols) and the
+word-scatter encoder promise the *same bytes* as the scalar
+implementations they replaced.  Those scalar versions live here as the
+oracle: the ``heapq`` code lengths, the Kraft
 ``while`` loop, the ``sorted`` canonical codes, the per-symbol LUT and the
 bit-plane encoder.  Hypothesis drives both through peaked, uniform,
 power-of-two and length-limited histograms and streams of up to 70 000
@@ -26,6 +27,7 @@ from repro.encoding.huffman import (
     _canonical_codes,
     _huffman_code_lengths,
     _limit_code_lengths,
+    _lookup_tables,
 )
 
 COMMON_SETTINGS = settings(
@@ -104,6 +106,18 @@ def per_symbol_lut(table, lut_bits):
         count = 1 << (lut_bits - length)
         lut_symbols[prefix : prefix + count] = sym
         lut_lengths[prefix : prefix + count] = length
+    return lut_symbols, lut_lengths
+
+
+def lookup_table(table, lut_bits):
+    """The decoder's lookup table for ``table`` alone, ``lut_bits`` wide."""
+    symbols = np.flatnonzero(table.lengths)
+    lengths = table.lengths[symbols].astype(np.int64)
+    order = np.argsort(lengths, kind="stable")  # canonical: by length, then symbol
+    lut_symbols, lut_lengths, _ = _lookup_tables(
+        symbols[order], lengths[order], np.zeros(symbols.size, dtype=np.intp),
+        np.array([symbols.size]), np.array([lut_bits]),
+    )
     return lut_symbols, lut_lengths
 
 
@@ -214,14 +228,14 @@ class TestTableParity:
         table = HuffmanTable.from_frequencies(freq, max_length)
         lut_bits = max(table.max_length, 1) + min(extra_bits, 16 - max(table.max_length, 1))
         expected = per_symbol_lut(table, lut_bits)
-        actual = HuffmanCodec._build_lut(table, lut_bits)
+        actual = lookup_table(table, lut_bits)
         assert np.array_equal(actual[0], expected[0])
         assert np.array_equal(actual[1], expected[1])
 
     def test_incomplete_code_set_lut_has_zero_tail(self):
         table = HuffmanTable.from_lengths(np.array([1, 0, 3, 3]))  # Kraft 3/4
         expected = per_symbol_lut(table, 4)
-        actual = HuffmanCodec._build_lut(table, 4)
+        actual = lookup_table(table, 4)
         assert np.array_equal(actual[0], expected[0])
         assert np.array_equal(actual[1], expected[1])
         assert not actual[1][12:].any()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sz import ErrorBound, SZCompressor
-from repro.sz.pipeline import decode_integer_stream, encode_integer_stream
+from repro.sz.pipeline import decode_integer_stream, decode_integer_streams, encode_integer_stream
 
 
 class TestIntegerStream:
@@ -20,6 +20,51 @@ class TestIntegerStream:
         sections, meta = encode_integer_stream(residuals, "huffman", "zlib", radius=100)
         assert meta["outliers"] == 2
         assert np.array_equal(decode_integer_stream(sections, meta), residuals)
+
+    @pytest.fixture()
+    def two_outliers(self):
+        residuals = np.array([0, 1, -2, 10**6, 4, -(10**7), 3, 2], dtype=np.int64)
+        sections, meta = encode_integer_stream(residuals, "huffman", "zlib", radius=100)
+        assert meta["outliers"] == 2
+        return sections, meta
+
+    @staticmethod
+    def _tampered(sections, name, values):
+        import zlib
+
+        sections = dict(sections)
+        sections[f"residual.{name}"] = zlib.compress(np.asarray(values, dtype=np.int64).tobytes())
+        return sections
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("outlier_positions", [0, 1]),  # not the escape positions
+            ("outlier_positions", [3, 10**6]),  # outside the stream
+            ("outlier_positions", [3]),  # one escape left without a value
+            ("outlier_values", [7]),  # one value for two positions
+        ],
+        ids=["wrong-positions", "out-of-range", "missing-position", "short-values"],
+    )
+    def test_outlier_sections_must_match_the_escapes(self, two_outliers, name, values):
+        sections, meta = two_outliers
+        with pytest.raises(ValueError):
+            decode_integer_stream(self._tampered(sections, name, values), meta)
+
+    def test_outlier_position_must_stay_in_its_own_stream(self):
+        import zlib
+
+        first, meta_a = encode_integer_stream(np.array([1, 2, 3]), "huffman", "zlib", prefix="a")
+        second, meta_b = encode_integer_stream(np.array([10**6, 4, 5]), "huffman", "zlib", prefix="b")
+        sections = {**first, **second}
+        decoded = decode_integer_streams(sections, [meta_a, meta_b])
+        assert [r.tolist() for r in decoded] == [[1, 2, 3], [10**6, 4, 5]]
+        # stream b's escape, claimed by stream a: position 3 is one past a's end
+        sections["a.outlier_positions"] = zlib.compress(np.array([3], dtype=np.int64).tobytes())
+        sections["a.outlier_values"] = sections.pop("b.outlier_values")
+        del sections["b.outlier_positions"]
+        with pytest.raises(ValueError, match="outside its stream"):
+            decode_integer_streams(sections, [{**meta_a, "outliers": 1}, {**meta_b, "outliers": 0}])
 
     def test_zlib_mode(self):
         residuals = np.arange(-50, 50)
