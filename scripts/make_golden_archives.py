@@ -102,16 +102,16 @@ def _force_huffman_v1():
 
     @contextlib.contextmanager
     def patched():
-        original = HuffmanCodec.encode
+        original = HuffmanCodec.encode_many
 
-        def encode_v1(self, symbols, version=1):
-            return original(self, symbols, version=1)
+        def encode_many_v1(self, streams, tables=None, version=1):
+            return original(self, streams, tables, version=1)
 
-        HuffmanCodec.encode = encode_v1
+        HuffmanCodec.encode_many = encode_many_v1
         try:
             yield
         finally:
-            HuffmanCodec.encode = original
+            HuffmanCodec.encode_many = original
 
     return patched()
 

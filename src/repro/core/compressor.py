@@ -42,6 +42,7 @@ from repro.sz.pipeline import CompressionResult, decode_integer_stream, encode_i
 from repro.sz.predictors import lorenzo_predict
 from repro.sz.quantizer import (
     QUANT_RADIUS_DEFAULT,
+    check_quant_radius,
     dequantize,
     effective_error_bound,
     prequantize,
@@ -117,7 +118,7 @@ class CrossFieldCompressor:
         self.training = training if training is not None else TrainingConfig()
         self.entropy = entropy
         self.backend = backend
-        self.quant_radius = int(quant_radius)
+        self.quant_radius = check_quant_radius(quant_radius)
         self.tile_size = int(tile_size)
         self.hybrid_method = hybrid_method
         self.include_model = bool(include_model)

@@ -12,13 +12,14 @@ into first-class :class:`EntropyCoder` objects behind a registry, so
 - new coders plug in with :func:`register_entropy_coder` and are immediately
   usable across the whole stack.
 
-Decoding is serial within a chunk; the store parallelises across chunks.
-:meth:`EntropyCoder.decode_many` hands a coder every stream of one chunk at
-once (a grouped-ZFP chunk holds one per significance level), so a coder can
-decode them in one pass; the Huffman coder does.
+Coding is serial within a chunk; the store parallelises across chunks.
+:meth:`EntropyCoder.encode_many` and :meth:`EntropyCoder.decode_many` hand a
+coder every stream of one chunk at once (a grouped-ZFP chunk holds one per
+significance level), so a coder can code them in one pass; the Huffman coder
+does, in both directions.
 
 A coder sees the symbol stream *after* outlier extraction and zigzag mapping
-(that transform is shared, in :func:`~repro.sz.pipeline.encode_integer_stream`)
+(that transform is shared, in :func:`~repro.sz.pipeline.encode_integer_streams`)
 and produces unprefixed sections — the caller namespaces them per stream.
 The lossless byte ``backend`` is handed in so coders decide what travels
 through it; metadata returned by :meth:`EntropyCoder.encode` is merged into
@@ -79,6 +80,16 @@ class EntropyCoder(ABC):
         stream metadata and passed back to :meth:`decode`.
         """
 
+    def encode_many(
+        self, streams: Sequence[np.ndarray], backend: LosslessBackend
+    ) -> List[Tuple[Dict[str, bytes], Dict]]:
+        """Encode several streams; one :meth:`encode` result per stream.
+
+        The default encodes them one by one; coders with a batch encoder
+        override it.
+        """
+        return [self.encode(symbols, backend) for symbols in streams]
+
     @abstractmethod
     def decode(
         self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
@@ -122,19 +133,24 @@ class HuffmanEntropyCoder(EntropyCoder):
         # a table over a wider alphabet is one HuffmanTable.from_bytes refuses
         if int(symbols.max()) >= MAX_ALPHABET:
             return False
+        # a stream no longer than the limit cannot hold more distinct symbols
+        if symbols.size <= HUFFMAN_SYMBOL_LIMIT:
+            return True
         return np.count_nonzero(np.bincount(symbols)) <= HUFFMAN_SYMBOL_LIMIT
 
     def encode(
         self, symbols: np.ndarray, backend: LosslessBackend
     ) -> Tuple[Dict[str, bytes], Dict]:
-        payload, table = self.codec.encode(symbols)
-        return (
-            {
-                "symbols": backend.compress(payload),
-                "huffman_table": backend.compress(table.to_bytes()),
-            },
-            {},
-        )
+        return self.encode_many([symbols], backend)[0]
+
+    def encode_many(
+        self, streams: Sequence[np.ndarray], backend: LosslessBackend
+    ) -> List[Tuple[Dict[str, bytes], Dict]]:
+        """Every stream's table and bit stream in one :meth:`HuffmanCodec.encode_many` pass."""
+        return [
+            ({"symbols": backend.compress(payload), "huffman_table": backend.compress(table)}, {})
+            for payload, table in self.codec.encode_many(streams)
+        ]
 
     def decode(
         self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
@@ -164,7 +180,7 @@ class ZlibEntropyCoder(EntropyCoder):
     def encode(
         self, symbols: np.ndarray, backend: LosslessBackend
     ) -> Tuple[Dict[str, bytes], Dict]:
-        return {"symbols": backend.compress(symbols.astype(np.int32).tobytes())}, {}
+        return {"symbols": backend.compress(_int32_bytes(symbols))}, {}
 
     def decode(
         self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
@@ -181,12 +197,19 @@ class RawEntropyCoder(EntropyCoder):
     def encode(
         self, symbols: np.ndarray, backend: LosslessBackend
     ) -> Tuple[Dict[str, bytes], Dict]:
-        return {"symbols": symbols.astype(np.int32).tobytes()}, {}
+        return {"symbols": _int32_bytes(symbols)}, {}
 
     def decode(
         self, sections: Dict[str, bytes], meta: Dict, backend: LosslessBackend
     ) -> np.ndarray:
         return np.frombuffer(sections["symbols"], dtype=np.int32).astype(np.int64)
+
+
+def _int32_bytes(symbols: np.ndarray) -> bytes:
+    """The symbols as int32 bytes; a symbol above the int32 range raises ``ValueError``."""
+    if symbols.size and int(symbols.max()) > np.iinfo(np.int32).max:
+        raise ValueError(f"symbol {int(symbols.max())} does not fit the int32 symbol section")
+    return symbols.astype(np.int32).tobytes()
 
 
 # --------------------------------------------------------------------------- #

@@ -9,7 +9,9 @@ coder and the cross-field compressor alike (via :mod:`repro.encoding.entropy`):
 - the table: length-limited code lengths from a two-queue merge (so the
   decoder needs a single lookup table), then canonical codes as in DEFLATE
   (RFC 1951 §3.2.2), so that only the lengths are stored;
-- the encoder scatters code words into 64-bit words;
+- the encoder builds the tables of all of a chunk's streams from one
+  histogram and scatters their code words into one array of 64-bit words
+  (:meth:`HuffmanCodec.encode_many`);
 - the decoder runs the lookup table as a state machine over bit positions
   with NumPy batch gathers that release the GIL: a lockstep wavefront over
   the sub-blocks a v2 (``HFV2``) payload checkpoints, or pointer doubling
@@ -151,23 +153,33 @@ def _canonical_order(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Canonical code words (RFC 1951 §3.2.2) without walking the alphabet.
 
-    A code is its length's first code plus the symbol's rank within that
-    length; lengths above 32 bits or a Kraft sum above 1 raise ``ValueError``.
+    Lengths above 32 bits or a Kraft sum above 1 raise ``ValueError``.
     """
     codes = np.zeros(lengths.shape[0], dtype=np.uint32)
     symbols, sorted_lengths = _canonical_order(lengths)
     longest = int(sorted_lengths[-1]) if symbols.size else 0
     if longest > 32:
         raise ValueError(f"Huffman code length {longest} exceeds 32 bits")
-    count = np.bincount(sorted_lengths, minlength=longest + 1)
-    shift = longest - np.arange(longest + 1)
-    room = count << shift  # the codes of each length, in units of 2**-longest
-    if room.sum() > 1 << longest:
+    if np.left_shift(1, longest - sorted_lengths).sum() > 1 << longest:
         raise ValueError("Huffman code lengths oversubscribe the code space (Kraft sum > 1)")
-    # first code of each length (the RFC's next_code) minus the rank of its first symbol
-    offset = ((np.cumsum(room) - room) >> shift) - (np.cumsum(count) - count)
-    codes[symbols] = offset[sorted_lengths] + np.arange(symbols.size)
+    codes[symbols] = _sorted_codes(sorted_lengths, [symbols.size])
     return codes
+
+
+def _sorted_codes(sorted_lengths: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """The code words of tables whose entries are in canonical order.
+
+    ``sorted_lengths`` holds ``counts[k]`` code lengths of table ``k`` after
+    those of the tables before it, each table's in (length, symbol) order.
+    In that order a code is the Kraft sum of the codes before it in its
+    table, scaled to its own length.
+    """
+    shift = int(sorted_lengths.max(initial=0)) - sorted_lengths
+    room = np.left_shift(1, shift)  # each code's share, in units of 2**-longest
+    kraft = np.cumsum(room) - room
+    counts = [count for count in counts if count]
+    firsts = list(itertools.accumulate(counts, initial=0))[:-1]
+    return _shifted(kraft, counts, (-kraft[firsts]).tolist()) >> shift  # restart every table
 
 
 @dataclass
@@ -326,61 +338,123 @@ class HuffmanCodec:
 
         ``version=2`` (the default) emits the checkpointed ``HFV2`` layout;
         ``version=1`` emits the legacy header-only layout, byte-identical to
-        payloads written before checkpoints existed.
+        payloads written before checkpoints existed.  One stream runs the same
+        pass as :meth:`encode_many`.
+        """
+        payload, table_bytes = self.encode_many(
+            [symbols], None if table is None else [table], version
+        )[0]
+        return payload, table if table is not None else HuffmanTable.from_bytes(table_bytes)
+
+    def encode_many(
+        self,
+        streams: Sequence[np.ndarray],
+        tables: Optional[Sequence[HuffmanTable]] = None,
+        version: int = 2,
+    ) -> List[Tuple[bytes, bytes]]:
+        """Encode several symbol streams in one pass; one ``(payload, table bytes)`` each.
+
+        Without ``tables`` every stream gets its own length-limited canonical
+        table, built from one histogram of all streams (:func:`_build_tables`);
+        with them, stream ``k`` is coded with ``tables[k]``.  The table bytes
+        are the :meth:`HuffmanTable.to_bytes` form, and ``version`` is
+        :meth:`encode`'s.  The code words of every stream are scattered into
+        one array of 64-bit words, each stream starting on a fresh word, so
+        apart from the per-table code lengths the NumPy call count does not
+        grow with the number of streams.  Symbols of :data:`MAX_ALPHABET` or
+        more need a supplied table; otherwise ``ValueError``.
         """
         if version not in (1, 2):
             raise ValueError(f"unknown Huffman payload version {version!r}")
-        symbols = np.asarray(symbols)
-        if symbols.size == 0:
-            empty = HuffmanTable(lengths=np.zeros(1, dtype=np.uint8), codes=np.zeros(1, dtype=np.uint32))
-            return struct.pack("<QQ", 0, 0), table if table is not None else empty
-        if symbols.ndim != 1:
-            symbols = symbols.ravel()
-        if np.issubdtype(symbols.dtype, np.floating):
-            raise TypeError("Huffman symbols must be integers")
-        if symbols.min() < 0:
-            raise ValueError("Huffman symbols must be non-negative")
-        symbols = symbols.astype(np.int64, copy=False)
-        alphabet = int(symbols.max()) + 1
-        if table is None:
-            table = HuffmanTable.from_frequencies(np.bincount(symbols), self.max_length)
-        elif table.alphabet_size < alphabet:
-            raise ValueError(
-                f"supplied table covers {table.alphabet_size} symbols, data needs {alphabet}"
-            )
+        if tables is not None and len(tables) != len(streams):
+            raise ValueError(f"{len(streams)} symbol streams but {len(tables)} tables")
+        arrays = [_stream_symbols(stream) for stream in streams]
+        sizes = [array.size for array in arrays]
+        symbols = np.concatenate(arrays or [np.zeros(0, dtype=np.int64)])
+        starts = list(itertools.accumulate(sizes, initial=0))[:-1]
+        live = [k for k, n in enumerate(sizes) if n]
+        live_starts = [starts[k] for k in live]
+        alphabets = [0] * len(sizes)  # largest symbol + 1
+        if live:
+            if symbols.min() < 0:
+                raise ValueError("Huffman symbols must be non-negative")
+            for k, top in zip(live, np.maximum.reduceat(symbols, live_starts).tolist()):
+                alphabets[k] = top + 1
 
-        lengths = table.lengths[symbols].astype(np.int64)
-        if np.any(lengths == 0):
-            missing = int(symbols[np.argmax(lengths == 0)])
-            raise ValueError(f"symbol {missing} has no code in the supplied table")
-        codes = table.codes[symbols].astype(np.uint64)
+        # every symbol's code length and code word
+        if tables is None:
+            if max(alphabets, default=0) > MAX_ALPHABET:
+                raise ValueError(f"Huffman symbols must be below {MAX_ALPHABET} without a table")
+            table_bytes, lengths, codes = _build_tables(symbols, sizes, alphabets, self.max_length)
+        else:
+            for alphabet, table in zip(alphabets, tables):
+                if alphabet > table.alphabet_size:
+                    raise ValueError(
+                        f"supplied table covers {table.alphabet_size} symbols, data needs {alphabet}"
+                    )
+            table_bytes = [table.to_bytes() for table in tables]
+            covered = [table.alphabet_size for table in tables]
+            slot = _shifted(symbols, sizes, list(itertools.accumulate(covered, initial=0)))
+            lengths = np.concatenate([table.lengths for table in tables] or [np.zeros(0, np.uint8)])
+            lengths = lengths[slot].astype(np.int64)
+            if np.any(lengths == 0):
+                missing = int(symbols[np.argmax(lengths == 0)])
+                raise ValueError(f"symbol {missing} has no code in the supplied table")
+            codes = np.concatenate([table.codes for table in tables] or [np.zeros(0, np.uint32)])
+            codes = codes[slot].astype(np.uint64)
 
-        pos = np.cumsum(lengths)  # one past each code's last bit
-        total_bits = int(pos[-1])
-        # v2 checkpoint deltas: differences of every interval-th code offset
+        # each stream starts on a fresh 64-bit word: pad the bits before it
+        bits = [0] * len(sizes)
+        if live:
+            for k, n_bits in zip(live, np.add.reduceat(lengths, live_starts).tolist()):
+                bits[k] = n_bits
+        first_word = list(itertools.accumulate(((n + 63) >> 6 for n in bits), initial=0))
+        bits_before = itertools.accumulate(bits, initial=0)
+        padding = [64 * word - before for word, before in zip(first_word, bits_before)]
+        pos = _shifted(np.cumsum(lengths), sizes, padding)  # one past each code's last bit
+
         interval = self.checkpoint_interval
-        deltas = np.diff(pos[::interval] - lengths[::interval]).astype("<u4")
+        n_deltas = [max(n - 1, 0) // interval for n in sizes]
+        deltas = b""
+        if version == 2 and any(n_deltas):
+            # the bits between consecutive interval-th codes of each stream,
+            # followed by that stream's tail (not a checkpoint delta)
+            at = np.concatenate([np.arange(starts[k], starts[k] + sizes[k], interval) for k in live])
+            deltas = np.add.reduceat(lengths, at).astype("<u4").tobytes()
 
         # word scatter: codes go MSB-first into the 64-bit word of their last
         # bit, summed per word (they never overlap, so the sum is their OR); a
-        # straddling code ORs its leading bits into the word before.  O(n_symbols)
-        pos -= 1
-        word = pos >> 6
-        pos &= 63  # each code's last bit, counted from the MSB of its word
-        straddle = np.flatnonzero(pos + 1 < lengths)
-        leading = (codes[straddle] >> pos[straddle].view(np.uint64)) >> 1
-        np.subtract(63, pos, out=pos)  # the left shift that puts the code there
-        codes <<= pos.view(np.uint64)
-        starts = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
-        words = np.zeros(int(word[-1]) + 1, dtype=np.uint64)
-        words[word[starts]] = np.add.reduceat(codes, starts)
-        words[word[straddle] - 1] |= leading
-        data = words.astype(">u8").view(np.uint8)[: (total_bits + 7) // 8].tobytes()
+        # straddling code ORs its leading bits into the word before.  Every word
+        # holds the last bit of some code (no code is 64 bits long), so the
+        # per-word sums are the words.  O(n_symbols)
+        words = np.zeros(0, dtype=np.uint64)
+        if symbols.size:
+            pos -= 1
+            word = pos >> 6
+            pos &= 63  # each code's last bit, counted from the MSB of its word
+            straddle = np.flatnonzero(pos + 1 < lengths)
+            leading = (codes[straddle] >> pos[straddle].view(np.uint64)) >> 1
+            np.subtract(63, pos, out=pos)  # the left shift that puts the code there
+            codes <<= pos.view(np.uint64)
+            words = np.add.reduceat(codes, np.searchsorted(word, np.arange(first_word[-1])))
+            words[word[straddle] - 1] |= leading
+        data = words.astype(">u8").tobytes()
 
-        if version == 1:
-            return struct.pack("<QQ", symbols.size, total_bits) + data, table
-        header = _V2_HEADER.pack(_MAGIC_V2, interval, symbols.size, total_bits, deltas.size)
-        return header + deltas.tobytes() + data, table
+        out: List[Tuple[bytes, bytes]] = []
+        delta_at = 0
+        for n, n_bits, word_at, n_delta, table in zip(sizes, bits, first_word, n_deltas, table_bytes):
+            if n == 0:
+                out.append((struct.pack("<QQ", 0, 0), table))
+                continue
+            body = data[8 * word_at : 8 * word_at + (n_bits + 7) // 8]
+            if version == 1:
+                out.append((struct.pack("<QQ", n, n_bits) + body, table))
+                continue
+            header = _V2_HEADER.pack(_MAGIC_V2, interval, n, n_bits, n_delta)
+            out.append((header + deltas[delta_at : delta_at + 4 * n_delta] + body, table))
+            delta_at += 4 * (n_delta + 1)
+        return out
+
     # ------------------------------------------------------------------ #
     # decoding
     # ------------------------------------------------------------------ #
@@ -519,6 +593,72 @@ class HuffmanCodec:
         if consumed != total_bits:
             raise ValueError("corrupt Huffman stream")
         return out
+
+
+# --------------------------------------------------------------------------- #
+# encode internals
+# --------------------------------------------------------------------------- #
+def _stream_symbols(symbols) -> np.ndarray:
+    """One stream's symbols as a flat int64 array; floating-point input raises ``TypeError``."""
+    symbols = np.asarray(symbols)
+    if symbols.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if np.issubdtype(symbols.dtype, np.floating):
+        raise TypeError("Huffman symbols must be integers")
+    return symbols.ravel().astype(np.int64, copy=False)
+
+
+def _shifted(values: np.ndarray, sizes: Sequence[int], shifts: Sequence[int]) -> np.ndarray:
+    """``values`` (runs of ``sizes[k]`` end to end) with ``shifts[k]`` added to run ``k``."""
+    shifts = shifts[: len(sizes)]
+    if not any(shifts):
+        return values
+    return values + np.repeat(shifts, sizes)
+
+
+def _build_tables(
+    symbols: np.ndarray, sizes: Sequence[int], alphabets: Sequence[int], max_length: int
+) -> Tuple[List[bytes], np.ndarray, np.ndarray]:
+    """Every stream's canonical table from one histogram of all of them.
+
+    ``symbols`` holds the streams end to end, ``sizes[k]`` of them for
+    stream ``k``, whose symbols lie below ``alphabets[k]``.  Each stream's
+    symbols are offset by the alphabets before it, so one ``bincount`` is
+    every histogram.  Code lengths are :meth:`HuffmanTable.from_frequencies`'s,
+    one table at a time; the canonical codes of all tables come from one
+    stable sort by (table, length, symbol).  Returns each stream's serialized
+    table and every input symbol's code length and code word.
+    """
+    bases = list(itertools.accumulate(alphabets, initial=0))
+    keys = _shifted(symbols, sizes, bases)
+    histogram = np.bincount(keys, minlength=bases[-1])
+    used = np.flatnonzero(histogram)  # in (table, symbol) order
+    stops = np.searchsorted(used, bases[1:]).tolist()
+    counts = [stop - start for start, stop in zip([0] + stops, stops)]
+    frequencies = histogram[used]
+    lengths = np.empty(used.size, dtype=np.int64)
+    for stop, count in zip(stops, counts):
+        if count:
+            lengths[stop - count : stop] = _limit_code_lengths(
+                _huffman_code_lengths(frequencies[stop - count : stop]), max_length
+            )
+
+    order = np.argsort(_shifted(lengths, counts, range(0, 64 * len(counts), 64)), kind="stable")
+    codes = np.empty(used.size, dtype=np.uint64)
+    codes[order] = _sorted_codes(lengths[order], counts)
+
+    entries = np.empty(used.size, dtype=_TABLE_ENTRY_DTYPE)
+    entries["symbol"] = _shifted(used, counts, [-base for base in bases])
+    entries["length"] = lengths
+    entry_bytes = entries.tobytes()
+    size = _TABLE_ENTRY_DTYPE.itemsize
+    tables = [
+        struct.pack("<II", max(alphabet, 1), count) + entry_bytes[size * (stop - count) : size * stop]
+        for alphabet, stop, count in zip(alphabets, stops, counts)
+    ]
+    histogram[used] = np.arange(used.size)  # the histogram becomes each key's entry
+    slot = histogram[keys]
+    return tables, lengths[slot], codes[slot]
 
 
 # --------------------------------------------------------------------------- #

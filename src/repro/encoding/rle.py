@@ -16,8 +16,12 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.integer):
         raise TypeError("zigzag_encode expects integer input")
-    v = values.astype(np.int64)
-    return np.where(v >= 0, 2 * v, -2 * v - 1).astype(np.int64)
+    v = values.astype(np.int64)  # a copy
+    # 2v for v >= 0, -2v - 1 (that is, ~2v) below: flip 2v's bits by the sign
+    sign = v >> 63
+    v <<= 1
+    v ^= sign
+    return v
 
 
 def zigzag_decode(values: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from repro.encoding.container import CompressedBlob
 from repro.encoding.lossless import get_backend
 from repro.sz.errors import ErrorBound
-from repro.sz.quantizer import QUANT_RADIUS_DEFAULT
+from repro.sz.quantizer import QUANT_RADIUS_DEFAULT, check_quant_radius
 
 __all__ = [
     "Codec",
@@ -133,7 +133,7 @@ class SZChunkCodec(Codec):
         self.predictor = predictor
         self.entropy = entropy
         self.backend = backend
-        self.quant_radius = int(quant_radius)
+        self.quant_radius = check_quant_radius(quant_radius)
         self._compressor = SZCompressor(
             error_bound=self.error_bound,
             predictor=predictor,

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.encoding.container import CompressedBlob
-from repro.encoding.entropy import get_entropy_coder
+from repro.encoding.entropy import EntropyCoder, get_entropy_coder
 from repro.encoding.lossless import get_backend
 from repro.obs import recorder as _obs
 from repro.encoding.rle import zigzag_decode, zigzag_encode
@@ -44,6 +44,7 @@ from repro.sz.predictors import (
 )
 from repro.sz.quantizer import (
     QUANT_RADIUS_DEFAULT,
+    check_quant_radius,
     dequantize,
     effective_error_bound,
     prequantize,
@@ -54,6 +55,7 @@ __all__ = [
     "CompressionResult",
     "SZCompressor",
     "encode_integer_stream",
+    "encode_integer_streams",
     "decode_integer_stream",
     "decode_integer_streams",
 ]
@@ -120,52 +122,87 @@ def encode_integer_stream(
     ``entropy`` names any registered coder, and a coder that rejects the
     stream (Huffman on a huge alphabet) is swapped for its declared fallback.
     Returns the sections plus the metadata the decoder needs (entropy mode
-    actually used, escape symbol, element count).
+    actually used, escape symbol, element count).  One stream runs the same
+    pass as :func:`encode_integer_streams`.
     """
+    return encode_integer_streams([residuals], entropy, backend_name, radius, [prefix])[0]
+
+
+def encode_integer_streams(
+    residual_streams: Sequence[np.ndarray],
+    entropy: str,
+    backend_name: str,
+    radius: int,
+    prefixes: Sequence[str],
+) -> List[Tuple[Dict[str, bytes], Dict]]:
+    """Entropy-code several residual arrays in one pass, stream ``k`` under ``prefixes[k]``.
+
+    The outlier split and the zigzag map run once over all streams.  Streams
+    go to their coder grouped by what :meth:`~repro.encoding.entropy.EntropyCoder.supports`
+    picks (the coder, or its fallback), one
+    :meth:`~repro.encoding.entropy.EntropyCoder.encode_many` call per group.
+    ``radius`` outside ``1 .. QUANT_RADIUS_MAX`` raises ``ValueError``.
+    Returns one :func:`encode_integer_stream` result per stream.
+    """
+    radius = check_quant_radius(radius)
+    if len(prefixes) != len(residual_streams):
+        raise ValueError(f"{len(residual_streams)} residual streams but {len(prefixes)} prefixes")
     coder = get_entropy_coder(entropy)
     backend = get_backend(backend_name)
-    residuals = np.asarray(residuals, dtype=np.int64).ravel()
-    n = residuals.size
+    arrays = [np.asarray(stream, dtype=np.int64).ravel() for stream in residual_streams]
+    counts = [array.size for array in arrays]
+    cuts = list(itertools.accumulate(counts, initial=0))
+    residuals = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
 
     outlier_mask = np.abs(residuals) >= radius
-    outlier_positions = np.nonzero(outlier_mask)[0].astype(np.int64)
-    outlier_values = residuals[outlier_mask]
-
     escape_symbol = 2 * radius
     symbols = zigzag_encode(np.where(outlier_mask, 0, residuals))
     symbols[outlier_mask] = escape_symbol
+    outliers = np.flatnonzero(outlier_mask)
+    outlier_cuts = np.searchsorted(outliers, cuts).tolist()
+    streams = [symbols[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
-    if not coder.supports(symbols) and coder.fallback is not None:
-        coder = get_entropy_coder(coder.fallback)
-
+    by_coder: Dict[str, Tuple[EntropyCoder, List[int]]] = {}
+    for k, stream in enumerate(streams):
+        chosen = coder
+        if coder.fallback is not None and not coder.supports(stream):
+            chosen = get_entropy_coder(coder.fallback)
+        by_coder.setdefault(chosen.name, (chosen, []))[1].append(k)
+    coded: List[Optional[Tuple[EntropyCoder, Dict[str, bytes], Dict]]] = [None] * len(streams)
     recorder = _obs.get_recorder()
-    encode_start = time.perf_counter()
-    coder_sections, coder_meta = coder.encode(symbols, backend)
-    if recorder.enabled:
-        encode_seconds = time.perf_counter() - encode_start
-        encoded_bytes = sum(len(value) for value in coder_sections.values())
-        recorder.observe(f"entropy.{coder.name}.encode_seconds", encode_seconds)
-        recorder.count(f"entropy.{coder.name}.symbols_in", int(symbols.size))
-        recorder.count(f"entropy.{coder.name}.bytes_out", encoded_bytes)
-    sections: Dict[str, bytes] = {
-        f"{prefix}.{key}": value for key, value in coder_sections.items()
-    }
+    for chosen, members in by_coder.values():
+        encode_start = time.perf_counter()
+        encoded = chosen.encode_many([streams[k] for k in members], backend)
+        if recorder.enabled:
+            recorder.observe(f"entropy.{chosen.name}.encode_seconds", time.perf_counter() - encode_start)
+            recorder.count(f"entropy.{chosen.name}.symbols_in", sum(counts[k] for k in members))
+            recorder.count(
+                f"entropy.{chosen.name}.bytes_out",
+                sum(len(value) for own, _ in encoded for value in own.values()),
+            )
+        for k, (own, coder_meta) in zip(members, encoded):
+            coded[k] = (chosen, own, coder_meta)
 
-    if outlier_positions.size:
-        sections[f"{prefix}.outlier_positions"] = backend.compress(outlier_positions.tobytes())
-        sections[f"{prefix}.outlier_values"] = backend.compress(outlier_values.tobytes())
-
-    meta = {
-        "entropy": coder.name,
-        "backend": backend.name,
-        "radius": int(radius),
-        "escape_symbol": int(escape_symbol),
-        "count": int(n),
-        "outliers": int(outlier_positions.size),
-        "prefix": prefix,
-    }
-    meta.update(coder_meta)
-    return sections, meta
+    out: List[Tuple[Dict[str, bytes], Dict]] = []
+    for k, (chosen, own, coder_meta) in enumerate(coded):
+        prefix = prefixes[k]
+        sections: Dict[str, bytes] = {f"{prefix}.{key}": value for key, value in own.items()}
+        at = outliers[outlier_cuts[k] : outlier_cuts[k + 1]]
+        if at.size:
+            sections[f"{prefix}.outlier_positions"] = backend.compress((at - cuts[k]).tobytes())
+            sections[f"{prefix}.outlier_values"] = backend.compress(residuals[at].tobytes())
+        meta = {
+            "entropy": chosen.name,
+            "backend": backend.name,
+            "radius": radius,
+            "escape_symbol": escape_symbol,
+            "count": counts[k],
+            "outliers": int(at.size),
+            "prefix": prefix,
+        }
+        meta.update(coder_meta)
+        out.append((sections, meta))
+    return out
 
 
 def decode_integer_stream(sections: Dict[str, bytes], meta: Dict) -> np.ndarray:
@@ -329,7 +366,7 @@ class SZCompressor:
         self.predictor = predictor
         self.entropy = entropy
         self.backend = backend
-        self.quant_radius = int(quant_radius)
+        self.quant_radius = check_quant_radius(quant_radius)
         self.regression_block_size = int(regression_block_size)
 
     # ------------------------------------------------------------------ #

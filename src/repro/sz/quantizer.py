@@ -29,6 +29,8 @@ __all__ = [
     "classic_quantize_lorenzo",
     "classic_dequantize_lorenzo",
     "QUANT_RADIUS_DEFAULT",
+    "QUANT_RADIUS_MAX",
+    "check_quant_radius",
     "QUANT_SAFETY_MARGIN",
     "effective_error_bound",
 ]
@@ -38,12 +40,24 @@ __all__ = [
 #: alphabet bounded by ``2 * radius + 2``).
 QUANT_RADIUS_DEFAULT = 32768
 
+#: Largest accepted radius: the escape symbol ``2 * radius`` (and every other
+#: symbol, below it) must fit the int32 symbols the zlib and raw coders store.
+QUANT_RADIUS_MAX = 2**30 - 1
+
 #: Relative safety margin applied to the user's error bound before
 #: quantization.  The compressors quantize against ``abs_eb * (1 - margin)`` so
 #: that the half-ULP rounding introduced by casting the reconstruction back to
 #: ``float32`` can never push the final point-wise error above the requested
 #: bound.  The impact on the compression ratio is below 0.1%.
 QUANT_SAFETY_MARGIN = 1e-3
+
+
+def check_quant_radius(radius: int) -> int:
+    """``radius`` as an ``int``; outside ``1 .. QUANT_RADIUS_MAX`` raises ``ValueError``."""
+    value = int(radius)
+    if not 1 <= value <= QUANT_RADIUS_MAX:
+        raise ValueError(f"quant_radius must be in [1, {QUANT_RADIUS_MAX}], got {radius!r}")
+    return value
 
 
 def effective_error_bound(abs_eb: float) -> float:

@@ -48,8 +48,9 @@ from repro.sz.pipeline import (
     decode_integer_stream,
     decode_integer_streams,
     encode_integer_stream,
+    encode_integer_streams,
 )
-from repro.sz.quantizer import QUANT_RADIUS_DEFAULT, effective_error_bound
+from repro.sz.quantizer import QUANT_RADIUS_DEFAULT, check_quant_radius, effective_error_bound
 from repro.utils.validation import ensure_array, ensure_in
 from repro.zfp.layout import groups_for_fraction, significance_plan
 from repro.zfp.transform import field_transform_forward, field_transform_inverse
@@ -83,7 +84,7 @@ class ZFPLikeCompressor:
         self.block_size = int(block_size)
         self.entropy = entropy
         self.backend = backend
-        self.quant_radius = int(quant_radius)
+        self.quant_radius = check_quant_radius(quant_radius)
         self.layout = layout
 
     # ------------------------------------------------------------------ #
@@ -138,15 +139,17 @@ class ZFPLikeCompressor:
         if self.layout == "grouped":
             grouped = quantized[plan.perm]
             grouped_steps = step_flat[plan.perm]
+            slices = plan.group_slices()
+            # every group's stream in one entropy pass
+            encoded = encode_integer_streams(
+                [grouped[sl] for sl in slices],
+                self.entropy,
+                self.backend,
+                self.quant_radius,
+                [f"g{g}" for g in range(len(slices))],
+            )
             groups_meta: List[Dict] = []
-            for g, sl in enumerate(plan.group_slices()):
-                group_sections, stream_meta = encode_integer_stream(
-                    grouped[sl],
-                    self.entropy,
-                    self.backend,
-                    self.quant_radius,
-                    prefix=f"g{g}",
-                )
+            for g, (sl, (group_sections, stream_meta)) in enumerate(zip(slices, encoded)):
                 sections.update(group_sections)
                 values = grouped[sl].astype(np.float64) * grouped_steps[sl]
                 groups_meta.append(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sz import ErrorBound, SZCompressor
 from repro.sz.pipeline import decode_integer_stream, decode_integer_streams, encode_integer_stream
+from repro.sz.quantizer import QUANT_RADIUS_MAX
 
 
 class TestIntegerStream:
@@ -80,9 +81,70 @@ class TestIntegerStream:
     def test_huffman_fallback_when_alphabet_huge(self):
         rng = np.random.default_rng(1)
         residuals = rng.integers(-10**6, 10**6, size=70000)
-        sections, meta = encode_integer_stream(residuals, "huffman", "zlib", radius=2**40)
+        # the largest accepted radius: no residual is an outlier
+        sections, meta = encode_integer_stream(residuals, "huffman", "zlib", radius=QUANT_RADIUS_MAX)
         assert meta["entropy"] == "zlib"  # too many distinct symbols for Huffman
         assert np.array_equal(decode_integer_stream(sections, meta), residuals)
+
+
+class TestQuantRadius:
+    """The escape symbol ``2 * radius`` must fit the int32 symbol sections.
+
+    Radii past :data:`QUANT_RADIUS_MAX` once wrapped silently (``2**40``: a
+    spike read back thousands of units off, with no error) or wrote archives
+    that could not be read (``2**30``); every layer now refuses them before a
+    chunk is written.
+    """
+
+    @staticmethod
+    def spiked_field():
+        data = np.linspace(0.0, 1.0, 32 * 32, dtype=np.float64).reshape(32, 32)
+        data[10, 17] += 1e4
+        return data
+
+    @pytest.mark.parametrize("radius", [2**40, 2**30, 0, -1])
+    def test_out_of_range_radius_is_rejected_everywhere(self, radius, tmp_path):
+        from repro.core.compressor import CrossFieldCompressor
+        from repro.store import ArchiveReader, ArchiveWriter
+        from repro.store.codecs import SZChunkCodec
+        from repro.zfp.codec import ZFPLikeCompressor
+
+        bound = ErrorBound.absolute(1e-6)
+        for make in (SZCompressor, ZFPLikeCompressor, CrossFieldCompressor, SZChunkCodec):
+            with pytest.raises(ValueError, match="quant_radius"):
+                make(error_bound=bound, quant_radius=radius)
+        with pytest.raises(ValueError, match="quant_radius"):
+            encode_integer_stream(np.arange(5), "zlib", "zlib", radius=radius)
+
+        path = tmp_path / "spike.xfa"
+        with ArchiveWriter(path, chunk_shape=(16, 16)) as writer:
+            with pytest.raises(ValueError, match="quant_radius"):
+                writer.add_field("spike", self.spiked_field(), codec="sz", error_bound=bound, quant_radius=radius)
+            writer.add_field("plain", self.spiked_field(), codec="sz", error_bound=bound)
+        with ArchiveReader(path) as reader:
+            assert reader.names == ["plain"]
+            assert reader.verify(deep=True)["ok"]
+
+    @pytest.mark.parametrize("entropy", ["huffman", "zlib", "raw"])
+    def test_largest_radius_keeps_the_bound(self, entropy):
+        data = self.spiked_field()
+        comp = SZCompressor(ErrorBound.absolute(1e-6), entropy=entropy, quant_radius=QUANT_RADIUS_MAX)
+        result = comp.compress(data)
+        assert result.metadata["stream"]["outliers"] >= 1  # the spike's residuals
+        error = np.max(np.abs(comp.decompress(result.payload) - data))
+        assert error <= result.abs_error_bound * (1 + 1e-9)
+
+    @pytest.mark.parametrize("entropy", ["zlib", "raw"])
+    def test_int32_coders_refuse_wider_symbols(self, entropy):
+        from repro.encoding.entropy import get_entropy_coder
+        from repro.encoding.lossless import get_backend
+
+        coder = get_entropy_coder(entropy)
+        wide = np.array([0, 2**31], dtype=np.int64)
+        with pytest.raises(ValueError, match="int32"):
+            coder.encode(wide, get_backend("zlib"))
+        sections, _ = coder.encode(wide - 1, get_backend("zlib"))
+        assert np.array_equal(coder.decode(sections, {}, get_backend("zlib")), wide - 1)
 
 
 class TestSZCompressor:
