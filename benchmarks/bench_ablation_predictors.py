@@ -5,7 +5,7 @@ Two cases:
 - the classic ratio ablation over the local predictor choices (Lorenzo /
   interpolation / regression / ZFP-like), and
 - a decode-throughput case pitting the scalar reference decoders
-  (``decode_reference``, ``RegressionPredictor.decode_reference``) against the
+  (``decode_weighted_sequential``, ``RegressionPredictor.decode_reference``) against the
   vectorised batch-state-machine paths on a ~1M-point 2D field — mirroring how
   ``bench_ablation_entropy_backends.py`` guards the Huffman speedup.  The
   scalar wavefront decode is timed on a crop (it is minutes-slow at the full
@@ -44,7 +44,7 @@ _SCALAR_CROP = (128, 128)
 def _measure_sz_decode_throughput():
     from repro.sz.decode import (
         clear_wavefront_plans,
-        decode_reference,
+        decode_weighted_sequential,
         decode_weighted_wavefront,
         weighted_predict_full,
     )
@@ -77,7 +77,7 @@ def _measure_sz_decode_throughput():
     decode_weighted_wavefront(residuals, diffs, weights)
 
     scalar_seconds, scalar_out = best_of(
-        1, lambda: decode_reference(res_crop, diffs_crop, weights)
+        1, lambda: decode_weighted_sequential(res_crop, diffs_crop, weights)
     )
     vector_seconds, vector_out = best_of(
         3, lambda: decode_weighted_wavefront(residuals, diffs, weights)

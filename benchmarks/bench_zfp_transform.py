@@ -24,7 +24,7 @@ from conftest import bench_report, bench_seed, run_once
 from repro.sz.errors import ErrorBound
 from repro.zfp import (
     ZFPLikeCompressor,
-    block_transform_forward_reference,
+    block_transform_forward,
     field_transform_forward,
     field_transform_inverse,
 )
@@ -58,7 +58,7 @@ def _scalar_field_transform(data, block_size):
     out = np.empty(data.shape, dtype=np.float64)
     block_shape = (block_size,) * data.ndim
     for slices in iter_blocks(data.shape, block_shape):
-        out[slices] = block_transform_forward_reference(data[slices])
+        out[slices] = block_transform_forward(data[slices])
     return out
 
 

@@ -40,14 +40,8 @@ from repro.sz.decode import decode_weighted_wavefront, weighted_predict_full
 from repro.sz.errors import ErrorBound
 from repro.sz.pipeline import CompressionResult, decode_integer_stream, encode_integer_stream
 from repro.sz.predictors import lorenzo_predict
-from repro.sz.quantizer import (
-    QUANT_RADIUS_DEFAULT,
-    check_quant_radius,
-    dequantize,
-    effective_error_bound,
-    prequantize,
-)
-from repro.utils.validation import ensure_array, ensure_in
+from repro.sz.quantizer import dequantize, effective_error_bound, prequantize
+from repro.utils.validation import ensure_array
 
 __all__ = ["CrossFieldCompressor"]
 
@@ -59,18 +53,11 @@ class CrossFieldCompressor:
     ----------
     error_bound:
         Error bound (the paper sweeps value-range-relative bounds 5e-3 … 2e-4).
-    cfnn_config:
-        Optional architecture override; by default a configuration matching the
-        number of anchors and the data dimensionality is built automatically.
     training:
-        CFNN training hyper-parameters.
-    hybrid_method:
-        ``"lstsq"`` (default) or ``"sgd"`` fitting of the hybrid weights.
-    include_model:
-        Whether the serialised CFNN is embedded in the payload (default) — it
-        then counts against the compression ratio, mirroring the paper.  Set to
-        ``False`` only when an externally managed model is reused across many
-        snapshots and should be accounted separately.
+        CFNN training hyper-parameters.  The CFNN architecture follows the
+        number of anchors and the data dimensionality; the serialised model
+        always travels in the payload and counts against the ratio, as in the
+        paper, and the hybrid weights are a least-squares fit.
     allow_fallback:
         When True (default) the compressor also encodes the codes with the
         plain Lorenzo predictor and keeps whichever stream (hybrid + embedded
@@ -99,29 +86,18 @@ class CrossFieldCompressor:
     def __init__(
         self,
         error_bound: ErrorBound = ErrorBound.relative(1e-3),
-        cfnn_config: Optional[CFNNConfig] = None,
         training: Optional[TrainingConfig] = None,
         entropy: str = "huffman",
         backend: str = "zlib",
-        quant_radius: int = QUANT_RADIUS_DEFAULT,
-        tile_size: int = 64,
-        hybrid_method: str = "lstsq",
-        include_model: bool = True,
         allow_fallback: bool = True,
     ) -> None:
         if not isinstance(error_bound, ErrorBound):
             raise TypeError("error_bound must be an ErrorBound instance")
-        ensure_in(hybrid_method, ("lstsq", "sgd"), "hybrid_method")
         get_entropy_coder(entropy)  # unknown names raise, listing the registry
         self.error_bound = error_bound
-        self.cfnn_config = cfnn_config
         self.training = training if training is not None else TrainingConfig()
         self.entropy = entropy
         self.backend = backend
-        self.quant_radius = check_quant_radius(quant_radius)
-        self.tile_size = int(tile_size)
-        self.hybrid_method = hybrid_method
-        self.include_model = bool(include_model)
         self.allow_fallback = bool(allow_fallback)
 
     # ------------------------------------------------------------------ #
@@ -139,19 +115,6 @@ class CrossFieldCompressor:
                     f"anchor shape {anchor.shape} does not match target shape {target.shape}"
                 )
         return anchors
-
-    def _build_cfnn(self, n_anchors: int, ndim: int) -> CFNN:
-        config = self.cfnn_config
-        if config is None:
-            if ndim == 2:
-                config = CFNNConfig(n_anchors=n_anchors, ndim=2, hidden_channels=8, expanded_channels=16)
-            else:
-                config = CFNNConfig(n_anchors=n_anchors, ndim=3, hidden_channels=8, expanded_channels=16)
-        if config.n_anchors != n_anchors or config.ndim != ndim:
-            raise ValueError(
-                "cfnn_config does not match the number of anchors / data dimensionality"
-            )
-        return CFNN(config, tile_size=self.tile_size)
 
     @staticmethod
     def _quantize_differences(
@@ -189,7 +152,10 @@ class CrossFieldCompressor:
 
         # stage 2a: cross-field model
         if cfnn is None:
-            cfnn = self._build_cfnn(len(anchors), target_data.ndim)
+            config = CFNNConfig(
+                len(anchors), target_data.ndim, hidden_channels=8, expanded_channels=16
+            )
+            cfnn = CFNN(config)
             cfnn.train(anchors, np.asarray(target_data, dtype=np.float64), self.training)
         elif not cfnn.is_trained:
             raise ValueError("a supplied CFNN must already be trained")
@@ -204,8 +170,8 @@ class CrossFieldCompressor:
 
         # stage 2b: hybrid combination
         hybrid = HybridPredictor(ndim=target_data.ndim)
-        with _obs.span("core.hybrid.fit_seconds", method=self.hybrid_method):
-            hybrid.fit(codes, diff_codes, method=self.hybrid_method)
+        with _obs.span("core.hybrid.fit_seconds"):
+            hybrid.fit(codes, diff_codes)
         weights = np.asarray(hybrid.weights, dtype=np.float64)
         prediction = weighted_predict_full(codes, diff_codes, weights)
         residuals = codes - prediction
@@ -218,16 +184,12 @@ class CrossFieldCompressor:
         # compressor falls back to it — mirroring SZ's "best-fit predictor"
         # philosophy while keeping the error bound untouched.
         backend = get_backend(self.backend)
-        sections, stream_meta = encode_integer_stream(
-            residuals, self.entropy, self.backend, self.quant_radius
-        )
-        hybrid_total = sum(len(v) for v in sections.values())
-        if self.include_model:
-            model_section = backend.compress(model_bytes)
-            hybrid_total += len(model_section)
+        sections, stream_meta = encode_integer_stream(residuals, self.entropy, self.backend)
+        model_section = backend.compress(model_bytes)
+        hybrid_total = sum(len(v) for v in sections.values()) + len(model_section)
 
         lorenzo_sections, lorenzo_meta = encode_integer_stream(
-            codes - candidate_lorenzo, self.entropy, self.backend, self.quant_radius
+            codes - candidate_lorenzo, self.entropy, self.backend
         )
         lorenzo_total = sum(len(v) for v in lorenzo_sections.values())
 
@@ -237,8 +199,7 @@ class CrossFieldCompressor:
             mode = "lorenzo-fallback"
         else:
             mode = "hybrid"
-            if self.include_model:
-                sections["model.cfnn"] = model_section
+            sections["model.cfnn"] = model_section
         _obs.count(f"core.mode.{mode}")
 
         metadata = {
@@ -252,7 +213,7 @@ class CrossFieldCompressor:
             "hybrid": hybrid.to_dict(),
             "mode": mode,
             "n_anchors": len(anchors),
-            "model_included": self.include_model and not use_fallback,
+            "model_included": not use_fallback,
             "cfnn_parameters": cfnn.num_parameters,
             "hybrid_parameters": hybrid.num_parameters,
         }
@@ -278,13 +239,11 @@ class CrossFieldCompressor:
         self,
         payload: bytes,
         anchor_arrays: Sequence[np.ndarray],
-        cfnn: Optional[CFNN] = None,
     ) -> np.ndarray:
         """Decompress a payload produced by :meth:`compress`.
 
-        ``anchor_arrays`` must match the arrays used at compression time.  When
-        the payload was produced with ``include_model=False`` the same trained
-        :class:`CFNN` must be supplied via ``cfnn``.
+        ``anchor_arrays`` must match the arrays used at compression time.  A
+        hybrid payload that does not embed its CFNN raises ``ValueError``.
         """
         blob = CompressedBlob.from_bytes(payload)
         metadata = blob.metadata
@@ -317,14 +276,9 @@ class CrossFieldCompressor:
             weights[0] = 1.0
             diff_codes = [np.zeros(shape, dtype=np.int64) for _ in range(len(shape))]
         else:
-            if metadata.get("model_included", True):
-                model = CFNN.from_bytes(backend.decompress(blob.get_section("model.cfnn")))
-            else:
-                if cfnn is None or not cfnn.is_trained:
-                    raise ValueError(
-                        "payload does not embed the CFNN; supply the trained model via `cfnn`"
-                    )
-                model = CFNN.from_bytes(cfnn.to_bytes())
+            if not metadata.get("model_included", True):
+                raise ValueError("payload does not embed its CFNN")
+            model = CFNN.from_bytes(backend.decompress(blob.get_section("model.cfnn")))
             predicted_diffs = model.predict_differences(anchors)
             diff_codes = self._quantize_differences(predicted_diffs, quant_eb)
             weights = np.asarray(

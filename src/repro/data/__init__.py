@@ -16,7 +16,6 @@ from repro.data.differences import (
 )
 from repro.data.io import read_sdrbench, write_sdrbench, read_fieldset, write_fieldset
 from repro.data.slicing import (
-    extract_patches,
     extract_patches_nd,
     iter_blocks,
     take_slice,
@@ -44,7 +43,6 @@ __all__ = [
     "write_sdrbench",
     "read_fieldset",
     "write_fieldset",
-    "extract_patches",
     "extract_patches_nd",
     "iter_blocks",
     "take_slice",

@@ -15,49 +15,11 @@ import numpy as np
 from repro.utils.validation import ensure_array
 
 __all__ = [
-    "extract_patches",
     "extract_patches_nd",
     "iter_blocks",
     "take_slice",
     "zoom_window",
 ]
-
-
-def extract_patches(
-    arrays: Sequence[np.ndarray],
-    patch_size: int,
-    n_patches: int,
-    rng: Optional[np.random.Generator] = None,
-) -> List[np.ndarray]:
-    """Sample ``n_patches`` aligned random 2D patches from each array in ``arrays``.
-
-    All arrays must share the same 2D shape.  The same patch locations are used
-    for every array so that anchor-field patches and target-field patches stay
-    point-wise aligned — the property CFNN training depends on.
-
-    Returns a list with one ``(n_patches, patch_size, patch_size)`` array per
-    input array.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    arrays = [ensure_array(a, f"arrays[{i}]") for i, a in enumerate(arrays)]
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
-        raise ValueError("all arrays must share the same shape")
-    if len(shape) != 2:
-        raise ValueError(f"extract_patches expects 2D arrays, got shape {shape}")
-    h, w = shape
-    if patch_size > h or patch_size > w:
-        raise ValueError(f"patch_size {patch_size} exceeds array shape {shape}")
-    rows = rng.integers(0, h - patch_size + 1, size=n_patches)
-    cols = rng.integers(0, w - patch_size + 1, size=n_patches)
-    outputs = []
-    for arr in arrays:
-        patches = np.empty((n_patches, patch_size, patch_size), dtype=arr.dtype)
-        for k, (r, c) in enumerate(zip(rows, cols)):
-            patches[k] = arr[r : r + patch_size, c : c + patch_size]
-        outputs.append(patches)
-    return outputs
 
 
 def extract_patches_nd(
@@ -66,11 +28,13 @@ def extract_patches_nd(
     n_patches: int,
     rng: Optional[np.random.Generator] = None,
 ) -> List[np.ndarray]:
-    """N-dimensional generalisation of :func:`extract_patches`.
+    """Sample ``n_patches`` aligned random patches of ``patch_shape`` from each array.
 
-    ``patch_shape`` must have the same length as the array ndim.  Returns one
-    ``(n_patches, *patch_shape)`` array per input array, with aligned sampling
-    locations across arrays.
+    All arrays must share one shape, and ``patch_shape`` must have the same
+    length as the array ndim.  The same patch locations are used for every
+    array so that anchor-field patches and target-field patches stay
+    point-wise aligned — the property CFNN training depends on.  Returns one
+    ``(n_patches, *patch_shape)`` array per input array.
     """
     if rng is None:
         rng = np.random.default_rng()

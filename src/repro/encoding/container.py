@@ -94,40 +94,50 @@ class CompressedBlob:
         memory-mapped archive.  Parsing is zero-copy until the per-section
         extraction: header fields come from ``struct.unpack_from``, the CRC
         runs directly over the buffer, and only each section's final payload
-        is materialised as ``bytes``.
+        is materialised as ``bytes``.  Every malformed payload raises
+        ``ValueError``.
         """
-        view = memoryview(payload)
         header_size = struct.calcsize(_HEADER_FMT)
-        if len(view) < header_size:
+        if len(payload) < header_size:
             raise ValueError("payload too small to be a compressed blob")
-        magic, version, n_sections, crc = struct.unpack_from(_HEADER_FMT, view, 0)
+        magic, version, n_sections, crc = struct.unpack_from(_HEADER_FMT, payload, 0)
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}; not a cross-field compression container")
         if version != 1:
             raise ValueError(f"unsupported container version {version}")
-        body = view[header_size:]
-        if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
-            raise ValueError("container CRC mismatch: payload is corrupted")
-        offset = 0
-        if len(body) < 4:
-            raise ValueError("container truncated: missing metadata length")
-        (meta_len,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        if len(body) < offset + meta_len:
-            raise ValueError("container truncated: metadata shorter than declared")
-        metadata = json.loads(bytes(body[offset : offset + meta_len]).decode("utf-8"))
-        offset += meta_len
-        section_header = struct.calcsize(_SECTION_HEADER_FMT)
-        sections: Dict[str, bytes] = {}
-        for _ in range(n_sections):
-            if len(body) < offset + section_header:
-                raise ValueError("container truncated: missing section header")
-            name_len, payload_len = struct.unpack_from(_SECTION_HEADER_FMT, body, offset)
-            offset += section_header
-            if len(body) < offset + name_len + payload_len:
-                raise ValueError("container truncated: section shorter than declared")
-            name = bytes(body[offset : offset + name_len]).decode("utf-8")
-            offset += name_len
-            sections[name] = bytes(body[offset : offset + payload_len])
-            offset += payload_len
+        # released on the way out, so an error's traceback cannot pin an mmap
+        with memoryview(payload)[header_size:] as body:
+            if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
+                raise ValueError("container CRC mismatch: payload is corrupted")
+            offset = 0
+            if len(body) < 4:
+                raise ValueError("container truncated: missing metadata length")
+            (meta_len,) = struct.unpack_from("<I", body, offset)
+            offset += 4
+            if len(body) < offset + meta_len:
+                raise ValueError("container truncated: metadata shorter than declared")
+            try:
+                metadata = json.loads(bytes(body[offset : offset + meta_len]).decode("utf-8"))
+            except RecursionError:
+                raise ValueError("container metadata nests too deeply") from None
+            if not isinstance(metadata, dict):
+                raise ValueError(
+                    f"container metadata is a JSON {type(metadata).__name__}, not an object"
+                )
+            offset += meta_len
+            section_header = struct.calcsize(_SECTION_HEADER_FMT)
+            sections: Dict[str, bytes] = {}
+            for _ in range(n_sections):
+                if len(body) < offset + section_header:
+                    raise ValueError("container truncated: missing section header")
+                name_len, payload_len = struct.unpack_from(_SECTION_HEADER_FMT, body, offset)
+                offset += section_header
+                if len(body) < offset + name_len + payload_len:
+                    raise ValueError("container truncated: section shorter than declared")
+                name = bytes(body[offset : offset + name_len]).decode("utf-8")
+                offset += name_len
+                sections[name] = bytes(body[offset : offset + payload_len])
+                offset += payload_len
+            if offset != len(body):
+                raise ValueError(f"container has {len(body) - offset} bytes past its last section")
         return cls(metadata=metadata, sections=sections)

@@ -120,12 +120,8 @@ class HuffmanEntropyCoder(EntropyCoder):
     name = "huffman"
     fallback = "zlib"
 
-    def __init__(self, checkpoint_interval: Optional[int] = None) -> None:
-        self.codec = (
-            HuffmanCodec()
-            if checkpoint_interval is None
-            else HuffmanCodec(checkpoint_interval=checkpoint_interval)
-        )
+    def __init__(self) -> None:
+        self.codec = HuffmanCodec()
 
     def supports(self, symbols: np.ndarray) -> bool:
         if symbols.size == 0:
@@ -232,7 +228,7 @@ def register_entropy_coder(cls: Type[EntropyCoder]) -> Type[EntropyCoder]:
     return cls
 
 
-def get_entropy_coder(name: Union[str, EntropyCoder], **params) -> EntropyCoder:
+def get_entropy_coder(name: Union[str, EntropyCoder]) -> EntropyCoder:
     """Instantiate a coder by registry name (instances pass through)."""
     if isinstance(name, EntropyCoder):
         return name
@@ -241,7 +237,7 @@ def get_entropy_coder(name: Union[str, EntropyCoder], **params) -> EntropyCoder:
         raise ValueError(
             f"unknown entropy coder {name!r}; available: {available_entropy_coders()}"
         )
-    return _REGISTRY[key](**params)
+    return _REGISTRY[key]()
 
 
 def available_entropy_coders() -> List[str]:

@@ -224,13 +224,6 @@ class HuffmanTable:
         """Longest code length in the table."""
         return int(self.lengths.max()) if self.lengths.size else 0
 
-    def expected_bits(self, frequencies: np.ndarray) -> float:
-        """Total encoded bits for a stream with the given symbol histogram."""
-        freq = np.asarray(frequencies, dtype=np.float64)
-        if freq.shape[0] != self.alphabet_size:
-            raise ValueError("histogram size does not match the alphabet")
-        return float(np.sum(freq * self.lengths))
-
     # ------------------------------------------------------------------ #
     # serialization: (alphabet_size, sparse symbol->length pairs)
     # ------------------------------------------------------------------ #

@@ -33,7 +33,8 @@ retired reader, which is closed when its last lease drops.
 leaking 500s: unknown archive/field/timestep → 404, out-of-bounds or
 malformed regions (:class:`~repro.store.manifest.ArchiveError`) → 416,
 invalid parameters (bad ``fraction``, bad slice syntax — ``ValueError``) →
-422, CRC/framing corruption → 500 with the corruption detail.
+422, CRC/framing corruption and CRC-valid chunks their codec cannot decode
+→ 500 with the corruption detail.
 
 Telemetry (``http.*``): ``http.request.count`` / ``http.request.seconds`` /
 ``http.request.bytes_out`` plus per-status ``http.request.status.<code>``

@@ -4,8 +4,7 @@ Region reads hit the same chunks over and over (a user panning across a field,
 a dashboard refreshing a zoom window), and decompression dominates read
 latency.  Caching decompressed chunks keyed by ``(field, chunk_index)`` turns
 repeated reads into memcpy-speed operations.  The cache is bounded by total
-ndarray bytes (and optionally entry count) and evicts least-recently-used
-chunks first.
+ndarray bytes and evicts least-recently-used chunks first.
 
 A cache value is a decoded chunk, or a ``(chunk, report)`` pair: a preview
 decode travels with its codec's decode report as one value, budgeted by the
@@ -62,17 +61,12 @@ class LRUChunkCache:
     max_bytes:
         Total decompressed bytes the cache may hold.  ``0`` disables caching
         entirely (every :meth:`get` misses, :meth:`put` is a no-op).
-    max_entries:
-        Optional additional cap on the number of cached chunks.
     """
 
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES, max_entries: Optional[int] = None) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive when given")
         self.max_bytes = int(max_bytes)
-        self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
         self._nbytes = 0
         self.hits = 0
@@ -123,9 +117,7 @@ class LRUChunkCache:
             return
         self._entries[key] = chunk
         self._nbytes += nbytes
-        while self._nbytes > self.max_bytes or (
-            self.max_entries is not None and len(self._entries) > self.max_entries
-        ):
+        while self._nbytes > self.max_bytes:
             _, evicted = self._entries.popitem(last=False)
             self._nbytes -= _nbytes(evicted)
             self.evictions += 1

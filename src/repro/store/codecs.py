@@ -80,11 +80,6 @@ class Codec(ABC):
     is_lossless: bool = False
     #: True when encode/decode need aligned anchor chunks.
     requires_anchors: bool = False
-    #: True when :meth:`decode` accepts any bytes-like payload (memoryview
-    #: included), letting the reader hand mmap-backed buffers in zero-copy.
-    #: Codecs that require a real ``bytes`` object keep the default; the
-    #: reader then materialises the payload before calling them.
-    decode_accepts_buffer: bool = False
     #: True when the codec implements ``decode_preview``, reconstructing a
     #: coarse chunk from a payload prefix (progressive layouts).
     supports_preview: bool = False
@@ -97,7 +92,9 @@ class Codec(ABC):
     def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """Inverse of :meth:`encode`.
 
-        Decode is serial: the reader parallelises across chunks, never within one.
+        ``payload`` is any bytes-like object: mmap readers hand in a
+        ``memoryview`` over the archive, never copied into ``bytes``.  Decode
+        is serial: the reader parallelises across chunks, never within one.
         """
 
     @abstractmethod
@@ -117,7 +114,6 @@ class SZChunkCodec(Codec):
     """
 
     name = "sz"
-    decode_accepts_buffer = True
 
     def __init__(
         self,
@@ -170,7 +166,6 @@ class ZFPChunkCodec(Codec):
     """
 
     name = "zfp"
-    decode_accepts_buffer = True
     supports_preview = True
 
     def __init__(
@@ -233,7 +228,6 @@ class CrossFieldChunkCodec(Codec):
 
     name = "cross-field"
     requires_anchors = True
-    decode_accepts_buffer = True
 
     def __init__(
         self,
@@ -295,7 +289,6 @@ class LosslessChunkCodec(Codec):
 
     name = "lossless"
     is_lossless = True
-    decode_accepts_buffer = True
 
     format_name = "lossless-chunk"
 
@@ -372,9 +365,6 @@ class TemporalDeltaCodec(Codec):
         else:
             self.error_bound = _as_error_bound(error_bound)
             self._base = get_codec(base, error_bound=self.error_bound, **self.base_params)
-        # residual payloads go straight to the base codec, so buffer support
-        # is exactly whatever the base declares
-        self.decode_accepts_buffer = getattr(self._base, "decode_accepts_buffer", False)
 
     def _previous(self, anchors: Optional[Sequence[np.ndarray]]) -> np.ndarray:
         if not anchors or len(anchors) != 1:

@@ -238,18 +238,16 @@ class ChunkFetcher:
                     self._fetch(anchor, index, None, refresh, _fresh)
                     for anchor in entry.anchors
                 ] or None
-                if isinstance(payload, memoryview) and not getattr(
-                    codec, "decode_accepts_buffer", False
-                ):
-                    # codec insists on real bytes: materialise the view once
-                    buf = payload.tobytes()
-                    payload.release()
-                    payload = buf
                 decode_start = time.perf_counter()
-                if fraction is None:
-                    decoded, report = codec.decode(payload, anchors=anchors), None
-                else:
-                    decoded, report = codec.decode_preview(payload, fraction)
+                try:
+                    if fraction is None:
+                        decoded, report = codec.decode(payload, anchors=anchors), None
+                    else:
+                        decoded, report = codec.decode_preview(payload, fraction)
+                except Exception as exc:
+                    # the CRC held, so the bytes are what was written and the
+                    # codec cannot read them: corruption, whatever it raised
+                    raise ArchiveCorruptionError(f"field {name!r} chunk {index}: {exc}") from exc
                 decode_seconds = time.perf_counter() - decode_start
             finally:
                 if isinstance(payload, memoryview):
@@ -346,8 +344,8 @@ class ArchiveReader:
     ----------
     path:
         The archive file.
-    cache_bytes / cache_entries:
-        Budget of this reader's own decoded-chunk cache (see
+    cache_bytes:
+        Byte budget of this reader's own decoded-chunk cache (see
         :class:`~repro.store.cache.LRUChunkCache`); ignored when
         ``shared_cache`` names a cache to use instead.
     jobs:
@@ -388,7 +386,6 @@ class ArchiveReader:
         self,
         path: PathLike,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_entries: Optional[int] = None,
         jobs: Optional[int] = None,
         recover: bool = False,
         backend: str = "auto",
@@ -400,7 +397,7 @@ class ArchiveReader:
             cache = shared_cache
         elif shared_cache in (None, False):
             # a private cache is simply an instance nobody else holds
-            cache = SharedChunkCache(max_bytes=cache_bytes, max_entries=cache_entries)
+            cache = SharedChunkCache(max_bytes=cache_bytes)
         else:
             raise ValueError(
                 "shared_cache must be None, a bool, or a SharedChunkCache instance"

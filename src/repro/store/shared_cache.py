@@ -74,13 +74,9 @@ class SharedChunkCache:
     chunk copy it.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_SHARED_CACHE_BYTES,
-        max_entries: Optional[int] = None,
-    ) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_SHARED_CACHE_BYTES) -> None:
         self._lock = threading.Lock()
-        self._lru = LRUChunkCache(max_bytes=max_bytes, max_entries=max_entries)
+        self._lru = LRUChunkCache(max_bytes=max_bytes)
         self._inflight: Dict[Hashable, _InFlight] = {}
         self.coalesced = 0
 

@@ -23,7 +23,6 @@ from repro.sz.predictors import (
 )
 from repro.sz.decode import (
     clear_wavefront_plans,
-    decode_reference,
     decode_weighted_sequential,
     decode_weighted_wavefront,
     wavefront_plan_info,
@@ -43,7 +42,6 @@ __all__ = [
     "InterpolationPredictor",
     "decode_weighted_sequential",
     "decode_weighted_wavefront",
-    "decode_reference",
     "wavefront_plan_info",
     "clear_wavefront_plans",
     "SZCompressor",

@@ -9,10 +9,9 @@ values at ``(i-1, j)``, ``(i, j-1)``, ``(i-1, j-1)`` — a recurrence.
 
 Two exact decoders are provided:
 
-- :func:`decode_weighted_sequential` (alias :data:`decode_reference`) —
-  straightforward nested loops; the readable reference used for correctness
-  tests and the anchor of the cross-implementation parity suite
-  (``tests/test_sz_parity.py``).
+- :func:`decode_weighted_sequential` — straightforward nested loops; the
+  readable reference used for correctness tests and the anchor of the
+  cross-implementation parity suite (``tests/test_sz_parity.py``).
 - :func:`decode_weighted_wavefront` — the batch state machine.  Points with
   equal *dependency-relevant* coordinate sum form one wave and are
   reconstructed in a single NumPy step; the gather/scatter index tables for a
@@ -53,7 +52,6 @@ __all__ = [
     "weighted_predict_full",
     "decode_weighted_sequential",
     "decode_weighted_wavefront",
-    "decode_reference",
     "wavefront_plan_info",
     "clear_wavefront_plans",
 ]
@@ -189,12 +187,6 @@ def decode_weighted_sequential(
             prediction += weights[d + 1] * (padded[neighbour] + diffs[d][index])
         padded[pindex] = int(np.rint(prediction)) + residuals[index]
     return padded[tuple(slice(1, None) for _ in shape)].copy()
-
-
-#: Scalar reference path, named after the pattern the entropy layer uses
-#: (``HuffmanCodec.decode_reference``): the slow, obviously-correct decoder the
-#: parity suite measures the batch state machine against.
-decode_reference = decode_weighted_sequential
 
 
 # --------------------------------------------------------------------------- #

@@ -62,6 +62,9 @@ __all__ = [
 
 _PREDICTORS = ("lorenzo", "regression", "interpolation")
 
+#: Block edge of the regression predictor, recorded in each payload's metadata.
+REGRESSION_BLOCK_SIZE = 6
+
 
 # --------------------------------------------------------------------------- #
 # result object
@@ -356,7 +359,6 @@ class SZCompressor:
         entropy: str = "huffman",
         backend: str = "zlib",
         quant_radius: int = QUANT_RADIUS_DEFAULT,
-        regression_block_size: int = 6,
     ) -> None:
         if not isinstance(error_bound, ErrorBound):
             raise TypeError("error_bound must be an ErrorBound instance")
@@ -367,7 +369,6 @@ class SZCompressor:
         self.entropy = entropy
         self.backend = backend
         self.quant_radius = check_quant_radius(quant_radius)
-        self.regression_block_size = int(regression_block_size)
 
     # ------------------------------------------------------------------ #
     # compression
@@ -391,14 +392,14 @@ class SZCompressor:
             elif self.predictor == "interpolation":
                 residuals = InterpolationPredictor().encode(codes)
             else:  # regression
-                reg = RegressionPredictor(self.regression_block_size)
+                reg = RegressionPredictor(REGRESSION_BLOCK_SIZE)
                 residuals, coefficients = reg.encode(codes)
                 backend = get_backend(self.backend)
                 extra_sections["regression.coefficients"] = backend.compress(
                     coefficients.coefficients.astype(np.float32).tobytes()
                 )
                 extra_meta["regression"] = {
-                    "block_size": self.regression_block_size,
+                    "block_size": REGRESSION_BLOCK_SIZE,
                     "n_blocks": int(coefficients.coefficients.shape[0]),
                 }
         recorder.count("sz.predict.points", int(data.size))

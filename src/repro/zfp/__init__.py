@@ -25,9 +25,7 @@ from repro.zfp.layout import (
 from repro.zfp.transform import (
     MAX_TRANSFORM_SIZE,
     block_transform_forward,
-    block_transform_forward_reference,
     block_transform_inverse,
-    block_transform_inverse_reference,
     dct_matrix,
     field_transform_forward,
     field_transform_inverse,
@@ -39,8 +37,6 @@ __all__ = [
     "dct_matrix",
     "block_transform_forward",
     "block_transform_inverse",
-    "block_transform_forward_reference",
-    "block_transform_inverse_reference",
     "field_transform_forward",
     "field_transform_inverse",
     "significance_plan",

@@ -50,7 +50,7 @@ from repro.sz.pipeline import (
     encode_integer_stream,
     encode_integer_streams,
 )
-from repro.sz.quantizer import QUANT_RADIUS_DEFAULT, check_quant_radius, effective_error_bound
+from repro.sz.quantizer import QUANT_RADIUS_DEFAULT, effective_error_bound
 from repro.utils.validation import ensure_array, ensure_in
 from repro.zfp.layout import groups_for_fraction, significance_plan
 from repro.zfp.transform import field_transform_forward, field_transform_inverse
@@ -71,7 +71,6 @@ class ZFPLikeCompressor:
         block_size: int = 4,
         entropy: str = "huffman",
         backend: str = "zlib",
-        quant_radius: int = QUANT_RADIUS_DEFAULT,
         layout: str = "grouped",
     ) -> None:
         if not isinstance(error_bound, ErrorBound):
@@ -84,7 +83,6 @@ class ZFPLikeCompressor:
         self.block_size = int(block_size)
         self.entropy = entropy
         self.backend = backend
-        self.quant_radius = check_quant_radius(quant_radius)
         self.layout = layout
 
     # ------------------------------------------------------------------ #
@@ -145,7 +143,7 @@ class ZFPLikeCompressor:
                 [grouped[sl] for sl in slices],
                 self.entropy,
                 self.backend,
-                self.quant_radius,
+                QUANT_RADIUS_DEFAULT,
                 [f"g{g}" for g in range(len(slices))],
             )
             groups_meta: List[Dict] = []
@@ -164,7 +162,7 @@ class ZFPLikeCompressor:
             metadata["groups"] = groups_meta
         else:
             stream_sections, stream_meta = encode_integer_stream(
-                quantized, self.entropy, self.backend, self.quant_radius
+                quantized, self.entropy, self.backend
             )
             sections.update(stream_sections)
             metadata["stream"] = stream_meta

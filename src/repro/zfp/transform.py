@@ -14,9 +14,9 @@ Two implementations coexist, mirroring the SZ parity contract
   a handful of whole-stack NumPy operations — ragged edge blocks are grouped
   by shape, one small stack per distinct edge shape, so a ``(1023, 1022)``
   field costs four stacked transforms instead of ~65k per-block calls;
-- the *reference* path (:func:`block_transform_forward_reference` /
-  :func:`block_transform_inverse_reference`) transforms one block at a time,
-  exactly like the original per-block loop.
+- the *reference* path (:func:`block_transform_forward` /
+  :func:`block_transform_inverse`) transforms one block at a time, exactly
+  like the original per-block loop.
 
 Both contract each axis with the same fixed-order multiply/add sequence
 (:func:`_contract_axis`): elementwise IEEE operations are exactly rounded, so
@@ -38,8 +38,6 @@ __all__ = [
     "dct_matrix",
     "block_transform_forward",
     "block_transform_inverse",
-    "block_transform_forward_reference",
-    "block_transform_inverse_reference",
     "field_transform_forward",
     "field_transform_inverse",
     "iter_block_regions",
@@ -113,12 +111,6 @@ def block_transform_inverse(coefficients: np.ndarray) -> np.ndarray:
     """Inverse of :func:`block_transform_forward`."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
     return _apply_along_axes(coefficients, tuple(range(coefficients.ndim)), inverse=True)
-
-
-#: The per-block scalar paths double as the parity references: the batched
-#: field transforms below must reproduce them bit for bit.
-block_transform_forward_reference = block_transform_forward
-block_transform_inverse_reference = block_transform_inverse
 
 
 def iter_block_regions(
@@ -200,7 +192,7 @@ def _field_transform(data: np.ndarray, block_size: int, inverse: bool) -> np.nda
 def field_transform_forward(data: np.ndarray, block_size: int) -> np.ndarray:
     """Per-block forward DCT over a whole field, batched.
 
-    Equivalent to applying :func:`block_transform_forward_reference` to every
+    Equivalent to applying :func:`block_transform_forward` to every
     ``block_size``-wide tile of ``data`` (edge tiles truncated) — bit-identical
     to that loop, but the work runs as at most ``2**ndim`` stacked transforms.
     """

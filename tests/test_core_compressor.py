@@ -6,6 +6,7 @@ import pytest
 import repro.core.compressor as compressor_module
 from repro.core import CFNN, CFNNConfig, CrossFieldCompressor, TrainingConfig
 from repro.core.anchors import get_anchor_spec
+from repro.encoding.container import CompressedBlob
 from repro.pipeline import CompressionPipeline, FieldRule, PipelineConfig
 from repro.store import ArchiveReader
 from repro.sz import ErrorBound
@@ -63,9 +64,7 @@ class TestCrossFieldCompressor3D:
     def test_round_trip_3d(self, hurricane_small):
         anchors = [hurricane_small[n].data.astype(np.float64) for n in ("Uf", "Vf", "Pf")]
         target = hurricane_small["Wf"].data
-        comp = CrossFieldCompressor(
-            error_bound=ErrorBound.relative(1e-3), training=FAST_TRAINING, tile_size=16
-        )
+        comp = CrossFieldCompressor(error_bound=ErrorBound.relative(1e-3), training=FAST_TRAINING)
         result = comp.compress(target, anchors)
         recon = comp.decompress(result.payload, anchors)
         assert np.max(np.abs(recon.astype(np.float64) - target.astype(np.float64))) <= result.abs_error_bound * (1 + 1e-9)
@@ -95,15 +94,15 @@ class TestModelReuseAndOptions:
         target = cesm_small["LWCF"].data
         cfnn = CFNN(CFNNConfig(n_anchors=2, ndim=2, hidden_channels=4, expanded_channels=8))
         cfnn.train(anchors, target.astype(np.float64), FAST_TRAINING)
-        comp = CrossFieldCompressor(
-            error_bound=ErrorBound.relative(1e-3), include_model=False, allow_fallback=False
-        )
+        comp = CrossFieldCompressor(error_bound=ErrorBound.relative(1e-3), allow_fallback=False)
         result = comp.compress(target, anchors, cfnn=cfnn)
-        assert "model.cfnn" not in result.section_sizes
-        with pytest.raises(ValueError):
-            comp.decompress(result.payload, anchors)
-        recon = comp.decompress(result.payload, anchors, cfnn=cfnn)
-        assert np.max(np.abs(recon.astype(np.float64) - target.astype(np.float64))) <= result.abs_error_bound * (1 + 1e-9)
+        assert result.metadata["model_included"] is True
+        # the model always travels in the stream; a hybrid payload without it is refused
+        blob = CompressedBlob.from_bytes(result.payload)
+        blob.metadata["model_included"] = False
+        del blob.sections["model.cfnn"]
+        with pytest.raises(ValueError, match="does not embed its CFNN"):
+            comp.decompress(blob.to_bytes(), anchors)
 
     def test_no_anchors_rejected(self, cesm_small):
         with pytest.raises(ValueError):
@@ -114,8 +113,6 @@ class TestModelReuseAndOptions:
             CrossFieldCompressor().compress(cesm_small["LWCF"].data, [np.zeros((4, 4))])
 
     def test_invalid_constructor_options(self):
-        with pytest.raises(ValueError):
-            CrossFieldCompressor(hybrid_method="magic")
         with pytest.raises(TypeError):
             CrossFieldCompressor(error_bound=0.001)
 

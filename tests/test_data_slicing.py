@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.slicing import (
-    extract_patches,
     extract_patches_nd,
     iter_blocks,
     take_slice,
@@ -17,17 +16,17 @@ class TestPatches:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(32, 32))
         b = a * 2.0
-        pa, pb = extract_patches([a, b], patch_size=8, n_patches=5, rng=np.random.default_rng(1))
+        pa, pb = extract_patches_nd([a, b], (8, 8), n_patches=5, rng=np.random.default_rng(1))
         assert pa.shape == (5, 8, 8)
         assert np.allclose(pb, pa * 2.0)
 
     def test_patch_too_large(self):
         with pytest.raises(ValueError):
-            extract_patches([np.zeros((4, 4))], patch_size=8, n_patches=1)
+            extract_patches_nd([np.zeros((4, 4))], (8, 8), n_patches=1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            extract_patches([np.zeros((8, 8)), np.zeros((9, 9))], patch_size=4, n_patches=1)
+            extract_patches_nd([np.zeros((8, 8)), np.zeros((9, 9))], (4, 4), n_patches=1)
 
     def test_nd_patches_3d(self):
         rng = np.random.default_rng(2)

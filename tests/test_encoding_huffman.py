@@ -87,11 +87,6 @@ class TestHuffmanTable:
         assert np.array_equal(rebuilt.lengths, table.lengths)
         assert np.array_equal(rebuilt.codes, table.codes)
 
-    def test_expected_bits(self):
-        freq = np.array([4, 4])
-        table = HuffmanTable.from_frequencies(freq)
-        assert table.expected_bits(freq) == 8.0
-
     def test_all_zero_histogram_rejected(self):
         with pytest.raises(ValueError):
             HuffmanTable.from_frequencies(np.zeros(4, dtype=np.int64))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.entropy import HUFFMAN_SYMBOL_LIMIT, HuffmanEntropyCoder, get_entropy_coder
+from repro.encoding.entropy import HUFFMAN_SYMBOL_LIMIT, get_entropy_coder
 from repro.encoding.huffman import _V2_HEADER, MAX_ALPHABET, HuffmanCodec, HuffmanTable
 from repro.encoding.lossless import get_backend
 from repro.encoding.rle import zigzag_encode
@@ -259,11 +259,9 @@ class TestIntegerStreamParity:
         st.sampled_from(["zlib", "raw"]),
     )
     def test_batch_matches_per_stream_reference(self, streams, entropy, interval, radius, backend):
-        coder = (
-            HuffmanEntropyCoder(checkpoint_interval=interval)
-            if entropy == "huffman"
-            else get_entropy_coder(entropy)
-        )
+        coder = get_entropy_coder(entropy)
+        if entropy == "huffman":
+            coder.codec = HuffmanCodec(checkpoint_interval=interval)
         prefixes = [f"g{k}" for k in range(len(streams))]
         encoded = encode_integer_streams(streams, coder, backend, radius, prefixes)
         assert len(encoded) == len(streams)

@@ -1,5 +1,7 @@
 """Unit tests for the chunk-codec registry."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.store.codecs import (
     SZChunkCodec,
     ZFPChunkCodec,
     available_codecs,
+    check_codec_params,
     codec_class,
     get_codec,
     register_codec,
@@ -121,6 +124,58 @@ class TestRegistry:
         for name in ("sz", "zfp", "cross-field", "lossless"):
             codec = get_codec(name)
             json.dumps(codec.params())
+
+
+#: every built-in codec, constructed with no default left in place
+NON_DEFAULT_PARAMS = {
+    "sz": dict(
+        error_bound=ErrorBound.absolute(0.5),
+        predictor="regression",
+        entropy="zlib",
+        backend="raw",
+        quant_radius=1000,
+    ),
+    "zfp": dict(
+        error_bound=ErrorBound.absolute(0.5),
+        block_size=3,
+        entropy="raw",
+        backend="raw",
+        layout="interleaved",
+    ),
+    "cross-field": dict(
+        error_bound=ErrorBound.absolute(0.5),
+        epochs=2,
+        n_patches=8,
+        entropy="zlib",
+        backend="raw",
+        allow_fallback=False,
+        seed=3,
+    ),
+    "lossless": dict(backend="raw"),
+    "temporal-delta": dict(
+        error_bound=ErrorBound.absolute(0.5), base="zfp", base_params={"block_size": 3}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DEFAULT_PARAMS))
+@pytest.mark.parametrize("defaults", [True, False], ids=["defaults", "non-default"])
+class TestParamsContract:
+    """The manifest records ``params()``: it must name every constructor
+    parameter and nothing else, and rebuild the same codec."""
+
+    def codec(self, name, defaults):
+        return get_codec(name) if defaults else get_codec(name, **NON_DEFAULT_PARAMS[name])
+
+    def test_params_keys_are_the_constructor_parameters(self, name, defaults):
+        params = self.codec(name, defaults).params()
+        check_codec_params(name, params)
+        accepted = set(inspect.signature(codec_class(name).__init__).parameters) - {"self"}
+        assert set(params) == accepted
+
+    def test_get_codec_reproduces_params(self, name, defaults):
+        params = self.codec(name, defaults).params()
+        assert get_codec(name, **params).params() == params
 
 
 class TestRoundTrips:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import repro.sz.decode as sz_decode
 from repro.sz.decode import (
-    decode_reference,
     decode_weighted_sequential,
     decode_weighted_wavefront,
     weighted_predict_full,
@@ -57,9 +56,6 @@ class TestDecoders:
         shape = (10, 11)
         codes, diffs, weights, residuals = _random_case(rng, shape, weights=[0.0, 0.5, 0.5])
         assert np.array_equal(decode_weighted_wavefront(residuals, diffs, weights), codes)
-
-    def test_reference_alias_is_sequential(self):
-        assert decode_reference is decode_weighted_sequential
 
     def test_3d_wavefront_equals_sequential_across_weights(self):
         rng = np.random.default_rng(6)

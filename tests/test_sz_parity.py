@@ -2,7 +2,7 @@
 
 The batch-state-machine decoders (`decode_weighted_wavefront`, the batched
 `RegressionPredictor.encode`/`decode`) promise *bit-identical* output to their
-scalar reference counterparts (`decode_reference` /
+scalar reference counterparts (`decode_weighted_sequential` /
 `RegressionPredictor.encode_reference` / `decode_reference`).  This suite
 drives both implementations through Hypothesis-generated shapes (1D/2D/3D,
 degenerate edges, odd strides), weight profiles (pure-Lorenzo, full hybrid,
@@ -23,7 +23,6 @@ import repro.sz.decode as sz_decode
 from repro.sz import ErrorBound, SZCompressor
 from repro.sz.decode import (
     clear_wavefront_plans,
-    decode_reference,
     decode_weighted_sequential,
     decode_weighted_wavefront,
     wavefront_plan_info,
@@ -107,7 +106,7 @@ class TestWavefrontParity:
     @given(decode_cases())
     def test_bit_identical_to_reference(self, case):
         residuals, diffs, weights = case
-        expected = decode_reference(residuals, diffs, weights)
+        expected = decode_weighted_sequential(residuals, diffs, weights)
         actual = decode_weighted_wavefront(residuals, diffs, weights)
         assert actual.dtype == expected.dtype == np.int64
         assert np.array_equal(actual, expected)
@@ -116,7 +115,7 @@ class TestWavefrontParity:
     @given(decode_cases_3d())
     def test_blocked_3d_variant_bit_identical(self, case):
         residuals, diffs, weights = case
-        expected = decode_reference(residuals, diffs, weights)
+        expected = decode_weighted_sequential(residuals, diffs, weights)
         old = sz_decode.BLOCKED_3D_THRESHOLD
         sz_decode.BLOCKED_3D_THRESHOLD = 4  # force the slab path on tiny data
         try:
@@ -135,7 +134,7 @@ class TestWavefrontParity:
         residuals = rng.integers(-9, 9, size=shape).astype(np.int64)
         diffs = [rng.integers(-9, 9, size=shape).astype(np.int64) for _ in range(ndim)]
         weights = np.linspace(0.9, -0.4, ndim + 1)
-        expected = decode_reference(residuals, diffs, weights)
+        expected = decode_weighted_sequential(residuals, diffs, weights)
         actual = decode_weighted_wavefront(residuals, diffs, weights)
         assert actual.shape == shape
         assert np.array_equal(actual, expected)
@@ -154,7 +153,7 @@ class TestWavefrontParity:
         actual = decode_weighted_wavefront(strided, diffs, weights)
         assert np.array_equal(actual, expected)
         assert np.array_equal(
-            decode_reference(strided, diffs, weights), expected
+            decode_weighted_sequential(strided, diffs, weights), expected
         )
 
     @COMMON_SETTINGS
@@ -189,7 +188,7 @@ class TestWavefrontParity:
         residuals = rng.integers(-5, 5, size=shape).astype(np.int64)
         diffs = [rng.integers(-5, 5, size=shape).astype(np.int64) for _ in range(2)]
         weights = np.array([0.0, 0.8, 0.0])  # only axis 0 carries a dependency
-        expected = decode_reference(residuals, diffs, weights)
+        expected = decode_weighted_sequential(residuals, diffs, weights)
         actual = decode_weighted_wavefront(residuals, diffs, weights)
         assert np.array_equal(actual, expected)
         info = wavefront_plan_info()

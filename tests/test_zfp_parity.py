@@ -2,8 +2,8 @@
 
 The batched field transforms (`field_transform_forward` / `_inverse`) promise
 *bit-identical* output to the per-block scalar references
-(`block_transform_forward_reference` / `_inverse_reference`): both contract
-each axis with the same fixed-order multiply/add sequence, so stacking blocks
+(`block_transform_forward` / `block_transform_inverse`): both contract each
+axis with the same fixed-order multiply/add sequence, so stacking blocks
 cannot change a single bit.  This suite drives both implementations through
 Hypothesis-generated shapes (1D/2D/3D, degenerate and ragged edges), block
 sizes and dtypes, and asserts exact equality — the same pattern as
@@ -34,8 +34,8 @@ from repro.sz.pipeline import decode_integer_stream, encode_integer_stream
 from repro.zfp import (
     MAX_TRANSFORM_SIZE,
     ZFPLikeCompressor,
-    block_transform_forward_reference,
-    block_transform_inverse_reference,
+    block_transform_forward,
+    block_transform_inverse,
     clear_significance_plans,
     dct_matrix,
     field_transform_forward,
@@ -78,7 +78,7 @@ def reference_field_transform(data, block_size, inverse):
     data = np.asarray(data, dtype=np.float64)
     out = np.empty(data.shape, dtype=np.float64)
     block_shape = tuple(block_size for _ in range(data.ndim))
-    fn = block_transform_inverse_reference if inverse else block_transform_forward_reference
+    fn = block_transform_inverse if inverse else block_transform_forward
     for slices in iter_blocks(data.shape, block_shape):
         out[slices] = fn(data[slices])
     return out
@@ -301,9 +301,7 @@ class TestGroupedLayout:
             offset += int(values.size)
 
         # wrap it as a legacy interleaved payload
-        sections, stream_meta = encode_integer_stream(
-            flat, comp.entropy, comp.backend, comp.quant_radius
-        )
+        sections, stream_meta = encode_integer_stream(flat, comp.entropy, comp.backend)
         legacy_meta = {
             "format": comp.format_name,
             "field_name": metadata["field_name"],
