@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 import zlib
 from pathlib import Path
@@ -79,10 +78,11 @@ def _downgrade_manifest_to_v1(path: Path) -> None:
     Payload bytes are untouched; only the manifest JSON and the footer are
     replaced, exactly reproducing what a pre-timestep writer emitted.
     """
+    from repro.store.bytestore import FileByteStore
     from repro.store.manifest import FOOTER_SIZE, pack_footer, read_manifest
 
     with open(path, "r+b") as fh:
-        manifest, offset, _ = read_manifest(fh)
+        manifest, offset, _ = read_manifest(FileByteStore(fh=fh))
         payload = json.loads(manifest.to_json().decode("utf-8"))
         payload["version"] = 1
         payload.pop("timesteps", None)
@@ -210,21 +210,16 @@ def build_zfp_progressive(path: Path) -> None:
 def snapshot_expectations(path: Path) -> None:
     """Record the archive's decoded fields and raw manifest bytes."""
     from repro.store import ArchiveReader
-    from repro.store.manifest import read_manifest
+    from repro.store.bytestore import FileByteStore
+    from repro.store.manifest import FOOTER_SIZE, read_manifest
 
     with ArchiveReader(path) as reader:
         arrays = {name: reader.read_field(name) for name in reader.names}
     np.savez_compressed(path.with_suffix(".expected.npz"), **arrays)
-    with open(path, "rb") as fh:
-        fh.seek(0, 2)
-        size = fh.tell()
-        fh.seek(size - struct.calcsize("<QQI4s"))
-        offset, length, _, _ = struct.unpack("<QQI4s", fh.read())
-        fh.seek(offset)
-        manifest_bytes = fh.read(length)
-    # sanity: what we snapshot must be exactly what the reader parsed
-    with open(path, "rb") as fh:
-        read_manifest(fh)
+    # the bytes the reader parsed: manifest_offset up to the footer
+    with FileByteStore(path=path) as store:
+        _, offset, end = read_manifest(store)
+        manifest_bytes = store.pread(offset, end - FOOTER_SIZE - offset)
     path.with_suffix(".manifest.json").write_bytes(manifest_bytes)
 
 

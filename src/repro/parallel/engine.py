@@ -77,27 +77,22 @@ class ChunkScheduler:
     jobs:
         Worker count.  ``None`` uses :func:`default_jobs`; ``1`` executes
         serially in the calling thread (no pool); values below 1 are rejected.
-    reuse_pool:
-        By default each call creates and tears down its own pool, which keeps
-        the scheduler stateless.  ``reuse_pool=True`` lazily creates one pool
-        on first use and keeps it for the scheduler's lifetime — right for
-        hot paths issuing many small batches (an archive reader serving
-        region reads), where per-call pool construction would rival the work
-        itself.  Call :meth:`close` to release the pool (safe to call more
-        than once; the pool is recreated on next use).
 
-    Either way, one instance can be shared by concurrent callers — e.g. many
-    threads issuing :meth:`imap_unordered` reads against one archive reader.
+    The pool is created on first parallel use and kept until :meth:`close`
+    (safe to call more than once; the pool is recreated on next use), so hot
+    paths issuing many small batches — an archive reader serving region
+    reads — never pay per-call pool construction.  One instance can be
+    shared by concurrent callers, e.g. many threads issuing
+    :meth:`imap_unordered` reads against one archive reader.
     """
 
-    def __init__(self, jobs: Optional[int] = None, reuse_pool: bool = False) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         if jobs is not None:
             if isinstance(jobs, bool) or not isinstance(jobs, int):
                 raise ValueError(f"jobs must be an integer or None, got {jobs!r}")
             if jobs < 1:
                 raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.reuse_pool = bool(reuse_pool)
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
@@ -156,20 +151,15 @@ class ChunkScheduler:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _make_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        return concurrent.futures.ThreadPoolExecutor(max_workers=self.effective_jobs)
-
-    def _acquire_pool(self) -> Tuple[concurrent.futures.ThreadPoolExecutor, bool]:
-        """The pool for one call and whether the call owns (must tear down) it."""
-        if not self.reuse_pool:
-            return self._make_pool(), True
+    def _acquire_pool(self) -> concurrent.futures.ThreadPoolExecutor:
+        """The scheduler's pool, created on first use."""
         with self._pool_lock:
             if self._pool is None:
-                self._pool = self._make_pool()
-            return self._pool, False
+                self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.effective_jobs)
+            return self._pool
 
     def close(self) -> None:
-        """Release a reused pool (no-op otherwise; the pool returns on next use)."""
+        """Release the pool (idempotent; the pool returns on next use)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -227,65 +217,47 @@ class ChunkScheduler:
         else:
             submit = lambda item: pool.submit(task, item, time.perf_counter())  # noqa: E731
         window = WINDOW_FACTOR * self.effective_jobs
-        pool, owned = self._acquire_pool()
+        pool = self._acquire_pool()
+        pending = deque((i, items[i], submit(items[i])) for i in range(min(window, len(items))))
         try:
-            pending = deque(
-                (i, items[i], submit(items[i])) for i in range(min(window, len(items)))
-            )
-            try:
-                for i in range(window, len(items)):
-                    yield self._collect(pending.popleft(), context)
-                    pending.append((i, items[i], submit(items[i])))
-                while pending:
-                    yield self._collect(pending.popleft(), context)
-            except BaseException:
-                # a failed task (or an abandoned consumer) must not stall on
-                # the rest of the submission window: drop queued work, keep
-                # only the futures already running
-                if owned:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                else:
-                    for _, _, future in pending:
-                        future.cancel()
-                raise
-        finally:
-            if owned:
-                pool.shutdown(wait=True)
+            for i in range(window, len(items)):
+                yield self._collect(pending.popleft(), context)
+                pending.append((i, items[i], submit(items[i])))
+            while pending:
+                yield self._collect(pending.popleft(), context)
+        except BaseException:
+            # a failed task (or an abandoned consumer) must not stall on the
+            # rest of the submission window: drop queued work, keep only the
+            # futures already running
+            for _, _, future in pending:
+                future.cancel()
+            raise
 
     def _imap_unordered(self, func, items, context, task=None) -> Iterator[Tuple[int, Any]]:
-        pool, owned = self._acquire_pool()
+        pool = self._acquire_pool()
+        if task is None:
+            futures = {pool.submit(func, item): (i, item) for i, item in enumerate(items)}
+        else:
+            futures = {
+                pool.submit(task, item, time.perf_counter()): (i, item)
+                for i, item in enumerate(items)
+            }
+        pending = set(futures)
         try:
-            if task is None:
-                futures = {
-                    pool.submit(func, item): (i, item) for i, item in enumerate(items)
-                }
-            else:
-                futures = {
-                    pool.submit(task, item, time.perf_counter()): (i, item)
-                    for i, item in enumerate(items)
-                }
-            pending = set(futures)
-            try:
-                while pending:
-                    done, pending = concurrent.futures.wait(
-                        pending, return_when=concurrent.futures.FIRST_COMPLETED
-                    )
-                    for future in done:
-                        # pop: once yielded, the future (and its result) must
-                        # be collectable — a consumer that assembles results
-                        # into its own buffer should never hold two copies
-                        index, item = futures.pop(future)
-                        yield index, self._collect((index, item, future), context)
-            except BaseException:
-                if owned:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                else:
-                    for future in pending:
-                        future.cancel()
-                raise
-        finally:
-            if owned:
-                pool.shutdown(wait=True)
+            while pending:
+                done, pending = concurrent.futures.wait(
+                    pending, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+                for future in done:
+                    # pop: once yielded, the future (and its result) must be
+                    # collectable — a consumer that assembles results into its
+                    # own buffer should never hold two copies
+                    index, item = futures.pop(future)
+                    yield index, self._collect((index, item, future), context)
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
 
     def _collect(self, task: Tuple[int, Any, concurrent.futures.Future], context):
         index, item, future = task

@@ -35,8 +35,6 @@ __all__ = ["PipelineConfigError", "FieldRule", "PipelineConfig"]
 
 PathLike = Union[str, os.PathLike]
 
-_IO_BACKENDS = ("auto", "file", "mmap")
-
 
 class PipelineConfigError(ValueError):
     """Raised when a pipeline configuration is malformed or inconsistent."""
@@ -213,11 +211,6 @@ class PipelineConfig:
         :meth:`~repro.pipeline.pipeline.CompressionPipeline.decompress` /
         ``verify``.  ``jobs=None`` sizes the thread pool to the machine,
         ``jobs=1`` forces the serial reference loop.
-    io_backend:
-        Archive read backend for ``decompress`` / ``verify``: ``"auto"``
-        (default — mmap where possible), ``"mmap"``, or ``"file"`` (see
-        :mod:`repro.store.bytestore`).  The write path always uses the file
-        backend.
     temporal:
         Default streaming-ingest rule applied to every field of a
         time-stepped run (``{"mode": "delta", "anchor_every": K, "base": ...}``,
@@ -238,7 +231,6 @@ class PipelineConfig:
     error_bound: ErrorBound = field(default_factory=lambda: ErrorBound.relative(1e-3))
     chunk_shape: Optional[Tuple[int, ...]] = None
     jobs: Optional[int] = None
-    io_backend: str = "auto"
     temporal: Optional[Dict] = None
     fields: Dict[str, FieldRule] = field(default_factory=dict)
     source: Optional[str] = None
@@ -296,16 +288,12 @@ class PipelineConfig:
         ``requires_anchors`` declaration, anchors that are themselves anchored
         targets (the store requires anchors to decode without further
         anchors), self-anchoring, duplicate anchors, ``codec_params`` the
-        codec's constructor does not take, bad ``jobs`` / ``io_backend``
-        values, or non-serialisable ``attrs``.
+        codec's constructor does not take, bad ``jobs`` values, or
+        non-serialisable ``attrs``.
         """
         if not isinstance(self.name, str) or not self.name:
             raise PipelineConfigError("pipeline name must be a non-empty string")
         _check_codec(self.codec, "pipeline codec")
-        if self.io_backend not in _IO_BACKENDS:
-            raise PipelineConfigError(
-                f"io_backend must be one of {_IO_BACKENDS}, got {self.io_backend!r}"
-            )
         if self.jobs is not None:
             if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
                 raise PipelineConfigError(f"jobs must be an integer, got {self.jobs!r}")
@@ -413,10 +401,6 @@ class PipelineConfig:
             payload["chunk_shape"] = list(self.chunk_shape)
         if self.jobs is not None:
             payload["jobs"] = int(self.jobs)
-        if self.io_backend != "auto":
-            # emitted only when overridden: existing configs (and the config
-            # JSON archives record in their attrs) stay byte-identical
-            payload["io_backend"] = self.io_backend
         if self.temporal is not None:
             payload["temporal"] = dict(self.temporal)
         if self.fields:
@@ -440,6 +424,11 @@ class PipelineConfig:
             raise PipelineConfigError(
                 "config: 'executor_kind' was removed; set 'jobs' (1 = serial) instead"
             )
+        if "io_backend" in payload:
+            raise PipelineConfigError(
+                "config: 'io_backend' was removed; archives are read through mmap "
+                "where possible, file reads otherwise"
+            )
         _check_keys(
             payload,
             (
@@ -448,7 +437,6 @@ class PipelineConfig:
                 "error_bound",
                 "chunk_shape",
                 "jobs",
-                "io_backend",
                 "temporal",
                 "fields",
                 "source",
@@ -475,7 +463,6 @@ class PipelineConfig:
             ),
             chunk_shape=payload.get("chunk_shape"),
             jobs=payload.get("jobs"),
-            io_backend=payload.get("io_backend", "auto"),
             temporal=payload.get("temporal"),
             fields={
                 str(name): FieldRule.from_dict(rule, context=f"field {name!r}")

@@ -409,7 +409,7 @@ class CompressionPipeline:
         decodes run through the shared execution engine, honouring the
         config's ``jobs`` knob.
         """
-        with self._open_reader(path) as reader:
+        with ArchiveReader(path, jobs=self.config.jobs) as reader:
             names = list(fields) if fields is not None else reader.names
             decoded: List[Field] = []
             for name in names:
@@ -428,17 +428,9 @@ class CompressionPipeline:
         ``{"ok": bool, "fields": {...}, "errors": [...]}``.  Chunk checks run
         through the shared execution engine (``jobs``).
         """
-        with self._open_reader(path) as reader:
+        with ArchiveReader(path, jobs=self.config.jobs) as reader:
             with _obs.span("pipeline.verify_seconds", deep=deep):
                 return reader.verify(deep=deep)
-
-    def _open_reader(self, path: PathLike) -> ArchiveReader:
-        """An :class:`ArchiveReader` wired to the config's engine knobs."""
-        return ArchiveReader(
-            path,
-            jobs=self.config.jobs,
-            backend=self.config.io_backend,
-        )
 
 
 def reconstruct_anchors(

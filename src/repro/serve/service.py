@@ -19,15 +19,17 @@ single in-flight decode and every request receives the same frozen array.
 
 **Generations and ETags.**  An archive's *generation* is the published end
 offset of the footer its manifest came from (monotonic across append
-flushes).  Every data response carries a strong ETag built on it; a request
-whose ``If-None-Match`` still names the served generation gets a ``304`` with
-no body.  While an appender publishes generation G+1, requests keep reading
-the consistent G snapshot — chunk payloads are immutable and appends only add
-bytes — until the handle *reopens*: automatically on the next request once the
-file's stat signature changes (``refresh="auto"``, the default) or explicitly
-via ``POST /archives/{id}/refresh`` (``refresh="manual"``).  Reopening swaps
-in a new reader atomically; requests still inside the old one finish on the
-retired reader, which is closed when its last lease drops.
+flushes).  Every data response carries a strong ETag built on it and on the
+file's inode (a re-pack renamed over the path may have the same size); a
+request whose ``If-None-Match`` still names the served snapshot gets a
+``304`` with no body.  While an appender publishes generation G+1, requests
+keep reading the consistent G snapshot — chunk payloads are immutable and
+appends only add bytes — until the handle *reopens*: automatically on the
+next request once the file's stat signature changes (``refresh="auto"``, the
+default) or explicitly via ``POST /archives/{id}/refresh``
+(``refresh="manual"``).  Reopening swaps in a new reader atomically; requests
+still inside the old one finish on the retired reader, which is closed when
+its last lease drops.
 
 **Error mapping.**  Typed reader errors become HTTP statuses instead of
 leaking 500s: unknown archive/field/timestep → 404, out-of-bounds or
@@ -113,9 +115,14 @@ class ServiceError(Exception):
         return ServiceResponse.error(self.status, self.detail)
 
 
-def _etag_for(archive_id: str, generation: int) -> str:
-    """Strong ETag for one archive snapshot: the manifest generation."""
-    return f'"{archive_id}:g{int(generation)}"'
+def _etag_for(archive_id: str, reader: ArchiveReader) -> str:
+    """Strong ETag for one archive snapshot: its file's inode and manifest generation.
+
+    The inode tells a re-pack renamed over the served path from the file it
+    replaced, even when both are the same size (so the same generation).
+    """
+    _, inode, generation = reader.identity
+    return f'"{archive_id}:i{inode}g{generation}"'
 
 
 def _etag_matches(if_none_match: Optional[str], etag: str) -> bool:
@@ -232,7 +239,7 @@ class ArchiveHandle:
     generation; the retired reader keeps serving its in-flight requests and
     is closed when the last one releases it.  :meth:`maybe_refresh` is the
     cheap per-request probe: one ``stat`` call, a full reopen only when the
-    file's size/mtime signature changed since the last look.
+    file's size/mtime/inode signature changed since the last look.
     """
 
     def __init__(
@@ -240,7 +247,6 @@ class ArchiveHandle:
         archive_id: str,
         path: PathLike,
         cache: SharedChunkCache,
-        backend: str = "auto",
         jobs: Optional[int] = None,
         auto_refresh: bool = True,
     ) -> None:
@@ -248,30 +254,23 @@ class ArchiveHandle:
         self.path = Path(path)
         self.auto_refresh = bool(auto_refresh)
         self._cache = cache
-        self._backend = backend
         self._jobs = jobs
         self._lock = threading.Lock()
         self._lease = _ReaderLease(self._open_reader())
         self._stat_sig = self._stat_signature()
 
     def _open_reader(self) -> ArchiveReader:
-        return ArchiveReader(
-            self.path, shared_cache=self._cache, backend=self._backend, jobs=self._jobs
-        )
+        return ArchiveReader(self.path, shared_cache=self._cache, jobs=self._jobs)
 
-    def _stat_signature(self) -> Tuple[int, int]:
+    def _stat_signature(self) -> Tuple[int, int, int]:
         st = os.stat(self.path)
-        return (int(st.st_size), int(st.st_mtime_ns))
+        return (int(st.st_size), int(st.st_mtime_ns), int(st.st_ino))
 
     @property
     def generation(self) -> int:
         """Manifest generation of the currently served snapshot."""
         with self._lock:
             return self._lease.reader.generation
-
-    @property
-    def etag(self) -> str:
-        return _etag_for(self.id, self.generation)
 
     @contextmanager
     def reader(self) -> Iterator[ArchiveReader]:
@@ -303,9 +302,12 @@ class ArchiveHandle:
         return self.refresh()
 
     def refresh(self) -> bool:
-        """Reopen the archive; swap readers when a newer generation published.
+        """Reopen the archive; swap readers when the file's snapshot changed.
 
-        Returns ``True`` when the served snapshot advanced.  A torn tail (an
+        A snapshot is the reader's ``identity`` — device, inode and
+        generation — so both an append (a newer generation) and a re-pack
+        renamed over the path (a new inode, whatever its size) swap readers.
+        Returns ``True`` when the served snapshot changed.  A torn tail (an
         append session mid-flush) or a vanished file keeps the current
         snapshot — the service never degrades below the generation it already
         serves.
@@ -317,7 +319,7 @@ class ArchiveHandle:
         close_retired = False
         with self._lock:
             current = self._lease
-            swapped = fresh.generation != current.reader.generation
+            swapped = fresh.identity != current.reader.identity
             if swapped:
                 self._lease = _ReaderLease(fresh)
                 current.retired = True
@@ -408,7 +410,7 @@ class ArchiveService:
         and reopens when an appender published a new generation; ``"manual"``
         only reopens on an explicit :meth:`handle_refresh` / ``POST
         /archives/{id}/refresh``.
-    backend / jobs:
+    jobs:
         Forwarded to every :class:`~repro.store.reader.ArchiveReader`.
     """
 
@@ -417,14 +419,12 @@ class ArchiveService:
         archives: Union[None, Dict[str, PathLike], List] = None,
         cache: Optional[SharedChunkCache] = None,
         refresh: str = "auto",
-        backend: str = "auto",
         jobs: Optional[int] = None,
     ) -> None:
         if refresh not in ("auto", "manual"):
             raise ValueError(f"refresh must be 'auto' or 'manual', got {refresh!r}")
         self.cache = cache if cache is not None else process_chunk_cache()
         self.refresh_mode = refresh
-        self._backend = backend
         self._jobs = jobs
         self._handles: Dict[str, ArchiveHandle] = {}
         self._handles_lock = threading.Lock()
@@ -463,7 +463,6 @@ class ArchiveService:
             archive_id,
             path,
             cache=self.cache,
-            backend=self._backend,
             jobs=self._jobs,
             auto_refresh=self.refresh_mode == "auto",
         )
@@ -565,7 +564,7 @@ class ArchiveService:
             render = prepare()
             handle = self.handle(archive_id)
             with handle.reader() as reader:
-                etag = _etag_for(handle.id, reader.generation)
+                etag = _etag_for(handle.id, reader)
                 stamp = {"ETag": etag, "X-Repro-Generation": str(reader.generation)}
                 cached = _etag_matches(if_none_match, etag)
                 response = ServiceResponse(304) if cached else render(reader)

@@ -61,7 +61,7 @@ __all__ = [
 
 PathLike = Union[str, os.PathLike]
 
-#: Recognised backend selectors for :func:`open_bytestore` and the reader/CLI.
+#: Recognised backend selectors for :func:`open_bytestore` and the reader.
 BACKENDS = ("auto", "file", "mmap")
 
 
@@ -280,7 +280,7 @@ def open_bytestore(path: PathLike, backend: str = "auto") -> ByteStore:
 
     ``"auto"`` tries the mmap backend and falls back to the file backend when
     mapping fails (empty files, filesystems without mmap support).  Unknown
-    names raise ``ValueError`` so a CLI typo fails loudly.
+    names raise ``ValueError`` so a typo fails loudly.
     """
     if backend not in BACKENDS:
         raise ValueError(

@@ -187,7 +187,7 @@ def _format_codec_params(params: Dict) -> str:
 def _cmd_ls(args: argparse.Namespace) -> int:
     from repro.store.reader import ArchiveReader
 
-    with ArchiveReader(args.archive, backend=args.io_backend) as reader:
+    with ArchiveReader(args.archive) as reader:
         if args.json:
             payload = [entry.to_dict() for entry in reader.fields()]
             for entry in payload:
@@ -211,7 +211,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     from repro.store.reader import ArchiveReader
 
     region = parse_region(args.region) if args.region else None
-    with ArchiveReader(args.archive, jobs=args.jobs, backend=args.io_backend) as reader:
+    with ArchiveReader(args.archive, jobs=args.jobs) as reader:
         if args.fraction is None:
             data = reader.read_region(args.field, region)
             chunks_decoded = reader.cache_stats()["chunks_decoded"]
@@ -248,7 +248,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.store.reader import ArchiveReader
 
-    with ArchiveReader(args.archive, jobs=args.jobs, backend=args.io_backend) as reader:
+    with ArchiveReader(args.archive, jobs=args.jobs) as reader:
         report = reader.verify(deep=args.deep)
     mode = "deep" if args.deep else "crc"
     for name, field_report in report["fields"].items():
@@ -265,7 +265,7 @@ def _cmd_unpack(args: argparse.Namespace) -> int:
     from repro.pipeline import CompressionPipeline, PipelineConfig
 
     names = [f.strip() for f in args.fields.split(",")] if args.fields else None
-    pipeline = CompressionPipeline(PipelineConfig(jobs=args.jobs, io_backend=args.io_backend))
+    pipeline = CompressionPipeline(PipelineConfig(jobs=args.jobs))
     fieldset = pipeline.decompress(args.archive, fields=names)
     # preserve the archive's precision: write_fieldset stores one dtype for
     # the whole set, so promote to the widest restored dtype
@@ -421,7 +421,7 @@ def _cmd_append(args: argparse.Namespace) -> int:
 def _cmd_steps(args: argparse.Namespace) -> int:
     from repro.store.reader import ArchiveReader
 
-    with ArchiveReader(args.archive, recover=args.recover, backend=args.io_backend) as reader:
+    with ArchiveReader(args.archive, recover=args.recover) as reader:
         timesteps = reader.timesteps
         if args.json:
             payload = []
@@ -511,9 +511,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import serve
     from repro.serve.service import ArchiveService
 
-    service = ArchiveService(
-        list(args.archives), refresh=args.refresh, backend=args.io_backend, jobs=args.jobs
-    )
+    service = ArchiveService(list(args.archives), refresh=args.refresh, jobs=args.jobs)
     try:
         if args.frontend == "fastapi":
             try:
@@ -652,25 +650,12 @@ def build_parser() -> argparse.ArgumentParser:
         "decompression; default: auto-sized to the machine, 1 = serial)"
     )
     parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N", help=jobs_help)
-    io_backend_help = (
-        "archive read backend: mmap (lock-free zero-copy reads), file "
-        "(classic seek/read), or auto (default: mmap where possible)"
-    )
-    parser.add_argument(
-        "--io-backend", choices=("auto", "file", "mmap"), default="auto", help=io_backend_help
-    )
     _add_profile_arguments(parser, root=True)
     # the same flag is accepted after the subcommand (`repro verify a.xfa -j4`);
     # SUPPRESS keeps the subparser from clobbering a value parsed at the root
     jobs_parent = argparse.ArgumentParser(add_help=False)
     jobs_parent.add_argument(
         "-j", "--jobs", type=int, default=argparse.SUPPRESS, metavar="N", help=jobs_help
-    )
-    jobs_parent.add_argument(
-        "--io-backend",
-        choices=("auto", "file", "mmap"),
-        default=argparse.SUPPRESS,
-        help=io_backend_help,
     )
     _add_profile_arguments(jobs_parent, root=False)
     sub = parser.add_subparsers(dest="command", required=True)

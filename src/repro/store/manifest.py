@@ -34,7 +34,6 @@ region of interest to the set of intersecting chunks.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -42,6 +41,8 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.store.bytestore import ByteStore
 
 __all__ = [
     "MAGIC",
@@ -440,27 +441,11 @@ class ArchiveManifest:
 # --------------------------------------------------------------------------- #
 # footer-first manifest loading and crash recovery
 # --------------------------------------------------------------------------- #
-def _source_size(src) -> int:
-    """Byte count of a manifest source: a ByteStore or a seekable file handle."""
-    if hasattr(src, "pread"):
-        return src.size()
-    src.seek(0, os.SEEK_END)
-    return src.tell()
-
-
-def _source_read(src, offset: int, length: int) -> bytes:
-    """Positioned read from a ByteStore or a seekable file handle."""
-    if hasattr(src, "pread"):
-        return src.pread(offset, length)
-    src.seek(offset)
-    return src.read(length)
-
-
-def read_manifest(fh) -> Tuple["ArchiveManifest", int, int]:
+def read_manifest(store: ByteStore) -> Tuple["ArchiveManifest", int, int]:
     """Load the newest manifest of an archive, footer-first.
 
-    ``fh`` may be a seekable binary file handle or any
-    :class:`~repro.store.bytestore.ByteStore`.  Returns
+    ``store`` is a :class:`~repro.store.bytestore.ByteStore` over the
+    archive (wrap a file handle in ``FileByteStore(fh=fh)``).  Returns
     ``(manifest, manifest_offset, published_end)`` where
     ``published_end`` is the file offset one past the footer (== file size for
     a cleanly closed archive).  Raises :class:`ArchiveCorruptionError` when
@@ -468,14 +453,14 @@ def read_manifest(fh) -> Tuple["ArchiveManifest", int, int]:
     after writing payload bytes but before its flush completed, leaving the
     last *published* footer buried mid-file (see :func:`recover_manifest`).
     """
-    file_size = _source_size(fh)
+    file_size = store.size()
     if file_size < HEADER_SIZE + FOOTER_SIZE:
         raise ArchiveCorruptionError("file too small to be an XFA1 archive")
-    unpack_header(_source_read(fh, 0, HEADER_SIZE))
-    offset, length, crc = unpack_footer(_source_read(fh, file_size - FOOTER_SIZE, FOOTER_SIZE))
+    unpack_header(store.pread(0, HEADER_SIZE))
+    offset, length, crc = unpack_footer(store.pread(file_size - FOOTER_SIZE, FOOTER_SIZE))
     if offset + length > file_size - FOOTER_SIZE:
         raise ArchiveCorruptionError("footer points past the end of the file")
-    manifest_bytes = _source_read(fh, offset, length)
+    manifest_bytes = store.pread(offset, length)
     if (zlib.crc32(manifest_bytes) & 0xFFFFFFFF) != crc:
         raise ArchiveCorruptionError("manifest CRC mismatch: archive is corrupted")
     return ArchiveManifest.from_json(manifest_bytes), offset, file_size
@@ -484,41 +469,40 @@ def read_manifest(fh) -> Tuple["ArchiveManifest", int, int]:
 _RECOVERY_WINDOW = 1 << 20  # scan the tail in 1 MiB blocks
 
 
-def recover_manifest(fh) -> Tuple["ArchiveManifest", int]:
+def recover_manifest(store: ByteStore) -> Tuple["ArchiveManifest", int]:
     """Find the newest *valid* manifest by scanning the file backwards.
 
-    ``fh`` may be a seekable binary file handle or any
-    :class:`~repro.store.bytestore.ByteStore`.  Every flush of an append
-    session leaves a ``manifest + footer`` pair in
-    the file; only the newest one is reachable footer-first.  When the tail
-    was lost (crash mid-append, truncated copy), this scans backwards for
-    footer magic candidates, validates each (footer immediately follows its
-    manifest, CRC matches, JSON parses) and returns the first survivor as
-    ``(manifest, published_end)`` — everything the archive had fully flushed
-    at that point.  ``published_end`` is the offset one past the recovered
-    footer; callers resuming an append truncate to it.
+    ``store`` is a :class:`~repro.store.bytestore.ByteStore` over the
+    archive.  Every flush of an append session leaves a ``manifest +
+    footer`` pair in the file; only the newest one is reachable
+    footer-first.  When the tail was lost (crash mid-append, truncated copy),
+    this scans backwards for footer magic candidates, validates each (footer
+    immediately follows its manifest, CRC matches, JSON parses) and returns
+    the first survivor as ``(manifest, published_end)`` — everything the
+    archive had fully flushed at that point.  ``published_end`` is the offset
+    one past the recovered footer; callers resuming an append truncate to it.
 
     Raises :class:`ArchiveCorruptionError` when no valid manifest exists
     anywhere in the file (including a bad header).
     """
-    file_size = _source_size(fh)
+    file_size = store.size()
     if file_size < HEADER_SIZE + FOOTER_SIZE:
         raise ArchiveCorruptionError("file too small to be an XFA1 archive")
-    unpack_header(_source_read(fh, 0, HEADER_SIZE))
+    unpack_header(store.pread(0, HEADER_SIZE))
 
     def try_candidate(footer_end: int) -> Optional[Tuple["ArchiveManifest", int]]:
         footer_start = footer_end - FOOTER_SIZE
         if footer_start < HEADER_SIZE:
             return None
         try:
-            offset, length, crc = unpack_footer(_source_read(fh, footer_start, FOOTER_SIZE))
+            offset, length, crc = unpack_footer(store.pread(footer_start, FOOTER_SIZE))
         except ArchiveError:
             return None
         # the writer always places a footer immediately after its manifest;
         # enforcing that here rejects payload bytes that merely contain magic
         if offset < HEADER_SIZE or offset + length != footer_start:
             return None
-        manifest_bytes = _source_read(fh, offset, length)
+        manifest_bytes = store.pread(offset, length)
         if (zlib.crc32(manifest_bytes) & 0xFFFFFFFF) != crc:
             return None
         try:
@@ -533,7 +517,7 @@ def recover_manifest(fh) -> Tuple["ArchiveManifest", int]:
         low = max(HEADER_SIZE, high - _RECOVERY_WINDOW)
         # overlap the next block by magic_len-1 bytes so a magic string
         # straddling the block boundary is still found
-        window = _source_read(fh, low, min(high + magic_len - 1, file_size) - low)
+        window = store.pread(low, min(high + magic_len - 1, file_size) - low)
         search_end = len(window)
         while True:
             found = window.rfind(MAGIC, 0, search_end)

@@ -22,8 +22,7 @@ The chunk-fetch engine lives in :class:`ChunkFetcher`, shared with
 reconstruct anchor chunks for cross-field fields, guaranteeing that encode and
 decode see bit-identical anchor data.  Every fetcher talks to one
 :class:`~repro.store.shared_cache.SharedChunkCache`; readers handed the same
-instance (``shared_cache=True`` for the process-wide one) decode every hot
-chunk exactly once between them.
+instance decode every hot chunk exactly once between them.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.parallel.engine import ChunkScheduler
 from repro.store.bytestore import ByteStore, open_bytestore
 from repro.store.cache import DEFAULT_CACHE_BYTES, freeze_chunk
 from repro.store.codecs import Codec, get_codec
-from repro.store.shared_cache import SharedChunkCache, process_chunk_cache
+from repro.store.shared_cache import SharedChunkCache
 from repro.store.manifest import (
     ArchiveCorruptionError,
     ArchiveError,
@@ -196,24 +195,18 @@ class ChunkFetcher:
             ]
         return values
 
-    def _fetch(
-        self,
-        name: str,
-        index: int,
-        fraction: Optional[float],
-        refresh: bool = False,
-        _fresh: Optional[set] = None,
-    ):
+    def _fetch(self, name: str, index: int, fraction: Optional[float]):
         """The one chunk path: cache lookup, then read, CRC-check and decode.
 
         ``fraction=None`` decodes in full and yields the chunk; a fraction
         decodes a progressive prefix and yields ``(chunk, report)``, cached
         as one value under a key extended with the fraction so it never
         aliases the full-precision entry.  Returned arrays are always
-        read-only (:func:`~repro.store.cache.freeze_chunk`).
+        read-only (:func:`~repro.store.cache.freeze_chunk`).  Concurrent
+        misses on one key — across every fetcher sharing the cache —
+        coalesce onto a single decode.
         """
         index = int(index)
-        key = self._key(name, index, fraction)
 
         def decode():
             entry = self._lookup(name)
@@ -231,13 +224,7 @@ class ChunkFetcher:
             payload = self.read_payload(entry, chunk)
             payload_len = len(payload)
             try:
-                # refresh propagates: a deep verify must not decode the target
-                # against stale cached anchors (the memo keeps that one-decode-
-                # per-chunk within a single pass)
-                anchors = [
-                    self._fetch(anchor, index, None, refresh, _fresh)
-                    for anchor in entry.anchors
-                ] or None
+                anchors = [self._fetch(anchor, index, None) for anchor in entry.anchors] or None
                 decode_start = time.perf_counter()
                 try:
                     if fraction is None:
@@ -284,35 +271,11 @@ class ChunkFetcher:
             # so every preview report carries an explicit verdict
             return decoded, {"fallback": False, **report}
 
-        if not refresh or (_fresh is not None and key in _fresh):
-            # single-flight: concurrent misses on this key (across every
-            # reader sharing the cache) coalesce onto one decode; a chunk deep
-            # verification re-decoded earlier in its pass is as good as cached
-            return self.cache.get_or_compute(key, decode)
-        value = decode()
-        self.cache.put(key, value)
-        if _fresh is not None:
-            _fresh.add(key)
-        return value
+        return self.cache.get_or_compute(self._key(name, index, fraction), decode)
 
-    def get_chunk(
-        self,
-        name: str,
-        index: int,
-        refresh: bool = False,
-        _fresh: Optional[set] = None,
-    ) -> np.ndarray:
-        """Return the decompressed chunk ``index`` of field ``name`` (cached).
-
-        ``refresh=True`` bypasses the cache lookup and forces a fresh disk
-        read + CRC check + decode (used by deep verification); the result
-        still replaces the cache entry.  ``_fresh`` is deep
-        verification's per-pass memo: chunks it already re-decoded in this
-        pass may be served from cache again (each chunk is verified exactly
-        once per pass even when several cross-field targets share it as an
-        anchor).
-        """
-        return self._fetch(name, index, None, refresh, _fresh)
+    def get_chunk(self, name: str, index: int) -> np.ndarray:
+        """Return the decompressed chunk ``index`` of field ``name`` (cached)."""
+        return self._fetch(name, index, None)
 
     def get_chunk_preview(self, name: str, index: int, fraction: float) -> Tuple[np.ndarray, Dict]:
         """Decode a coarse preview of one chunk within a byte-budget fraction.
@@ -345,8 +308,7 @@ class ArchiveReader:
     path:
         The archive file.
     cache_bytes:
-        Byte budget of this reader's own decoded-chunk cache (see
-        :class:`~repro.store.cache.LRUChunkCache`); ignored when
+        Byte budget of this reader's own decoded-chunk cache; ignored when
         ``shared_cache`` names a cache to use instead.
     jobs:
         Worker count for multi-chunk reads and verification: ``None`` sizes
@@ -363,13 +325,13 @@ class ArchiveReader:
         (classic seek/read under one lock).  See
         :mod:`repro.store.bytestore`.
     shared_cache:
-        ``None``/``False`` gives the reader a cache of its own.  ``True``
-        plugs into the lazily created process-wide
-        :class:`~repro.store.shared_cache.SharedChunkCache`; a
-        ``SharedChunkCache`` instance uses that cache.  Entries are keyed by
-        archive identity *and* manifest generation (the published footer's
-        end offset), so readers opened before and after an append never see
-        each other's chunks.
+        ``None`` gives the reader a cache of its own; a
+        :class:`~repro.store.shared_cache.SharedChunkCache` instance (e.g.
+        the process-wide :func:`~repro.store.shared_cache.process_chunk_cache`)
+        is used instead, shared with every reader handed the same instance.
+        Entries are keyed by archive identity *and* manifest generation (the
+        published footer's end offset), so readers opened before and after an
+        append never see each other's chunks.
 
     The reader is safe to share between threads: the byte store and the
     chunk cache are internally synchronised, and decodes run outside every
@@ -389,22 +351,14 @@ class ArchiveReader:
         jobs: Optional[int] = None,
         recover: bool = False,
         backend: str = "auto",
-        shared_cache: Union[None, bool, SharedChunkCache] = None,
+        shared_cache: Optional[SharedChunkCache] = None,
     ) -> None:
-        if shared_cache is True:
-            cache = process_chunk_cache()
-        elif isinstance(shared_cache, SharedChunkCache):
-            cache = shared_cache
-        elif shared_cache in (None, False):
+        if shared_cache is None:
             # a private cache is simply an instance nobody else holds
-            cache = SharedChunkCache(max_bytes=cache_bytes)
-        else:
-            raise ValueError(
-                "shared_cache must be None, a bool, or a SharedChunkCache instance"
-            )
-        # reuse_pool: region reads are many-small-batches; per-call pool
-        # construction would rival the decode cost of a few-chunk read
-        self._scheduler = ChunkScheduler(jobs=jobs, reuse_pool=True)
+            shared_cache = SharedChunkCache(max_bytes=cache_bytes)
+        elif not isinstance(shared_cache, SharedChunkCache):
+            raise ValueError("shared_cache must be None or a SharedChunkCache instance")
+        self._scheduler = ChunkScheduler(jobs=jobs)
         self.path = Path(path)
         self._closed = False
         self._store: Optional[ByteStore] = open_bytestore(self.path, backend)
@@ -427,8 +381,13 @@ class ArchiveReader:
         #: as the shared-cache generation token.
         self.generation = int(published_end)
         stat = os.stat(self.path)
-        archive_id = (stat.st_dev, stat.st_ino, self.generation)
-        self._fetcher = ChunkFetcher(self._store, self.manifest.__getitem__, cache, archive_id)
+        #: ``(st_dev, st_ino, generation)``: what the cache keys this
+        #: snapshot's chunks by, and what tells a re-pack (a new file renamed
+        #: over the path, possibly of the same size) from an unchanged one.
+        self.identity = (stat.st_dev, stat.st_ino, self.generation)
+        self._fetcher = ChunkFetcher(
+            self._store, self.manifest.__getitem__, shared_cache, self.identity
+        )
 
     @property
     def backend(self) -> str:
@@ -500,17 +459,11 @@ class ArchiveReader:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def read_field(self, name: str, preview_fraction: Optional[float] = None) -> np.ndarray:
-        """Decompress and return one whole field.
+    def read_field(self, name: str) -> np.ndarray:
+        """Decompress and return one whole field."""
+        return self.read_region(name)
 
-        ``preview_fraction`` requests a coarse progressive preview instead of
-        the full-precision decode — see :meth:`read_region`.
-        """
-        return self.read_region(name, None, preview_fraction=preview_fraction)
-
-    def read_region(
-        self, name: str, region=None, preview_fraction: Optional[float] = None
-    ) -> np.ndarray:
+    def read_region(self, name: str, region=None) -> np.ndarray:
         """Return the sub-array of ``name`` selected by ``region``.
 
         ``region`` is a tuple of slices/ints (trailing axes default to full
@@ -518,15 +471,9 @@ class ArchiveReader:
         region are read from disk and decompressed; multi-chunk regions are
         fetched and decoded in parallel through the reader's scheduler and
         assembled into one preallocated output array as they complete.
-
-        ``preview_fraction`` (0 < f) asks each chunk's codec for a coarse
-        preview decoded from roughly that fraction of its entropy payload —
-        supported by ``zfp`` fields with the grouped progressive layout;
-        other fields silently fall back to a full decode.  Use
-        :meth:`read_region_preview` to also get the decode report (bytes
-        touched, error estimate).
+        :meth:`read_region_preview` is the coarse progressive variant.
         """
-        return self._read(name, region, preview_fraction)[0]
+        return self._read(name, region, None)[0]
 
     def read_region_preview(
         self, name: str, region=None, fraction: float = 0.25
@@ -656,12 +603,18 @@ class ArchiveReader:
         Shallow verification re-reads each payload and checks its CRC; with
         ``deep=True`` each chunk is instead read, CRC-checked, decompressed
         and validated against the manifest in one pass.  Both modes always
-        read from disk — chunks cached by earlier reads are not trusted.
+        read from disk — chunks cached by earlier reads are not trusted: a
+        deep pass decodes through a fetcher of its own over an empty cache,
+        whose single-flight still decodes a chunk shared as an anchor once.
         Returns a report ``{"ok": bool, "fields": {name: {...}}, "errors": [...]}``.
         """
         self._require_open()
         report: Dict = {"ok": True, "fields": {}, "errors": []}
-        fresh: set = set()  # chunks already re-decoded in this pass
+        fetcher = self._fetcher
+        if deep:
+            fetcher = ChunkFetcher(
+                self._store, self.manifest.__getitem__, SharedChunkCache(DEFAULT_CACHE_BYTES)
+            )
         for entry in self.fields():
             field_report = {"chunks": len(entry.chunks), "ok": True}
             expected_chunks = int(np.prod(entry.grid_counts))
@@ -677,9 +630,9 @@ class ArchiveReader:
             def check(chunk: ChunkEntry, entry: FieldEntry = entry) -> Optional[str]:
                 try:
                     if deep:
-                        self._fetcher.get_chunk(entry.name, chunk.index, refresh=True, _fresh=fresh)
+                        fetcher.get_chunk(entry.name, chunk.index)
                     else:
-                        self._fetcher.read_payload(entry, chunk)
+                        fetcher.read_payload(entry, chunk)
                 # verify is a diagnostic: a CRC-consistent but malformed
                 # payload makes the codec raise backend-specific errors
                 # (zlib.error, struct.error, ...) that must become report

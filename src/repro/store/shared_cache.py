@@ -218,7 +218,7 @@ _process_cache_lock = threading.Lock()
 
 
 def process_chunk_cache() -> SharedChunkCache:
-    """The lazily created process-wide cache (``shared_cache=True`` readers)."""
+    """The lazily created process-wide cache (the archive service's default)."""
     global _process_cache
     with _process_cache_lock:
         if _process_cache is None:

@@ -205,14 +205,15 @@ class ArchiveWriter:
             )
         fh = open(self.path, "r+b")
         try:
+            store = FileByteStore(fh=fh)
             try:
-                self.manifest, _, published_end = read_manifest(fh)
+                self.manifest, _, published_end = read_manifest(store)
             except ArchiveError:
                 if not recover:
                     raise
                 # torn tail from a crashed append: resume from the newest
                 # fully flushed manifest and drop the garbage after it
-                self.manifest, published_end = recover_manifest(fh)
+                self.manifest, published_end = recover_manifest(store)
                 fh.truncate(published_end)
             fh.seek(0, os.SEEK_END)
             file_size = fh.tell()
@@ -336,6 +337,7 @@ class ArchiveWriter:
             raise
         finally:
             self._fetcher = None  # release the anchor-chunk cache with the handle
+            self._scheduler.close()
             self._closed = True
         return self.path
 
@@ -366,6 +368,7 @@ class ArchiveWriter:
             # incomplete state, then roll back to the last durable point.
             self._closed = True
             self._aborted = True
+            self._scheduler.close()
             self._rollback()
             self._fetcher = None
 

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro.store import ArchiveReader
-from repro.store.manifest import MANIFEST_VERSION, read_manifest
+from repro.store.bytestore import FileByteStore
+from repro.store.manifest import FOOTER_SIZE, MANIFEST_VERSION, read_manifest
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 GENERATOR = Path(__file__).parent.parent / "scripts" / "make_golden_archives.py"
@@ -64,13 +65,10 @@ class TestGoldenArchives:
 
     def test_manifest_bytes_are_stable(self, stem):
         committed = golden_path(stem).with_suffix(".manifest.json").read_bytes()
-        with open(golden_path(stem), "rb") as fh:
-            fh.seek(0, 2)
-            size = fh.tell()
-            manifest, offset, end = read_manifest(fh)
-            assert end == size
-            fh.seek(offset)
-            in_archive = fh.read(end - 24 - offset)
+        with FileByteStore(path=golden_path(stem)) as store:
+            manifest, offset, end = read_manifest(store)
+            assert end == store.size()
+            in_archive = store.pread(offset, end - FOOTER_SIZE - offset)
         assert in_archive == committed
         # the committed bytes stay parseable as plain JSON too
         payload = json.loads(committed.decode("utf-8"))

@@ -1,8 +1,10 @@
 """Tests for the shared chunk execution engine (:mod:`repro.parallel.engine`)."""
 
+import contextlib
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.parallel import ChunkScheduler, ChunkTaskError, default_jobs
@@ -101,9 +103,17 @@ class TestSerialFallback:
         assert ChunkScheduler(jobs=2).is_serial(n_tasks=1)
 
 
-class TestPoolReuse:
-    def test_pool_survives_calls_and_close_is_idempotent(self):
-        scheduler = ChunkScheduler(jobs=2, reuse_pool=True)
+def _pool_threads(before):
+    """Live thread-pool workers started since the ``before`` snapshot."""
+    return [
+        t for t in threading.enumerate()
+        if t not in before and t.name.startswith("ThreadPoolExecutor")
+    ]
+
+
+class TestPoolLifetime:
+    def test_one_pool_until_close_and_close_is_idempotent(self):
+        scheduler = ChunkScheduler(jobs=2)
         try:
             assert scheduler.map(_square, range(8)) == [x * x for x in range(8)]
             pool = scheduler._pool
@@ -120,13 +130,13 @@ class TestPoolReuse:
         assert scheduler.map(_square, range(4)) == [0, 1, 4, 9]
         scheduler.close()
 
-    def test_failure_leaves_reused_pool_usable(self):
+    def test_failure_leaves_pool_usable(self):
         def boom(x):
             if x == 2:
                 raise ValueError("bad chunk")
             return x
 
-        scheduler = ChunkScheduler(jobs=2, reuse_pool=True)
+        scheduler = ChunkScheduler(jobs=2)
         try:
             with pytest.raises(ValueError, match="bad chunk"):
                 scheduler.map(boom, range(20))
@@ -134,10 +144,20 @@ class TestPoolReuse:
         finally:
             scheduler.close()
 
-    def test_default_scheduler_owns_no_pool(self):
-        scheduler = ChunkScheduler(jobs=2)
-        scheduler.map(_square, range(4))
-        assert scheduler._pool is None  # per-call pools only
+    @pytest.mark.parametrize("aborted", [False, True], ids=["close", "aborted-with"])
+    def test_writer_leaves_no_pool_threads(self, tmp_path, aborted):
+        from repro.store import ArchiveWriter
+
+        before = set(threading.enumerate())
+        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
+        with pytest.raises(RuntimeError) if aborted else contextlib.nullcontext():
+            with ArchiveWriter(tmp_path / "a.xfa", chunk_shape=(16, 16), max_workers=2) as writer:
+                writer.add_field("A", data, codec="lossless")
+                assert writer._scheduler._pool is not None  # the pool really ran
+                assert _pool_threads(before)
+                if aborted:
+                    raise RuntimeError("abort the pack")
+        assert _pool_threads(before) == []
 
 
 class TestErrorPropagation:

@@ -104,6 +104,8 @@ class TestValidationErrors:
         # the legacy alias is gone: an old config is told which knob replaced it
         with pytest.raises(PipelineConfigError, match="max_workers.*'jobs'"):
             PipelineConfig.from_dict({"max_workers": 2})
+        with pytest.raises(PipelineConfigError, match="'io_backend' was removed"):
+            PipelineConfig.from_dict({"io_backend": "file"})
 
     def test_bad_jobs(self):
         with pytest.raises(PipelineConfigError, match="jobs"):

@@ -10,6 +10,7 @@ append, shared-cache dedup) lives here.
 
 import io
 import json
+import os
 import re
 import threading
 from pathlib import Path
@@ -373,6 +374,35 @@ class TestAppendWhileServing:
             steps = body_json(service.handle_timesteps("a"))["steps"]
             assert [entry["step"] for entry in steps] == [0, 1, 2]
             assert service.handle("a").generation > generation
+
+    def test_same_size_repack_is_a_new_snapshot(self, tmp_path):
+        """A re-pack renamed over the served path is noticed even at the same size.
+
+        ``repro pack`` writes a temp file and renames it into place, so the
+        served path gets a new inode; the generation (the file size) alone
+        cannot tell the two archives apart.
+        """
+
+        def pack(path, seed):
+            data = np.random.default_rng(seed).normal(size=(32, 32)).astype(np.float32)
+            with ArchiveWriter(path, chunk_shape=(16, 16)) as writer:
+                writer.add_field("T", data, codec="lossless", backend="raw")
+            return data
+
+        served = tmp_path / "t.xfa"
+        pack(served, 1)
+        with make_service(served) as auto, make_service(served, refresh="manual") as manual:
+            etag = auto.handle_region("a", "T").headers["ETag"]
+            repacked = pack(tmp_path / "repack.xfa", 20)
+            assert (tmp_path / "repack.xfa").stat().st_size == served.stat().st_size
+            os.replace(tmp_path / "repack.xfa", served)
+
+            response = auto.handle_region("a", "T", if_none_match=etag)
+            assert response.status == 200
+            assert response.headers["ETag"] != etag
+            assert np.array_equal(body_array(response), repacked)
+            assert body_json(manual.handle_refresh("a"))["reopened"] is True
+            assert np.array_equal(body_array(manual.handle_region("a", "T")), repacked)
 
     def test_refresh_without_append_is_a_noop(self, series_archive):
         path, _ = series_archive

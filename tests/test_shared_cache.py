@@ -266,12 +266,6 @@ class TestReaderSharing:
         with pytest.raises(ValueError, match="shared_cache"):
             ArchiveReader(path, shared_cache="yes")
 
-    def test_shared_true_uses_process_singleton(self, lossless_archive):
-        path, data = lossless_archive
-        with ArchiveReader(path, shared_cache=True) as reader:
-            assert reader._fetcher.cache is process_chunk_cache()
-            assert np.array_equal(reader.read_field("hot"), data)
-
     def test_many_threads_many_readers_decode_each_chunk_once(self, lossless_archive):
         """The acceptance gate: total decodes across all readers == unique chunks."""
         path, data = lossless_archive

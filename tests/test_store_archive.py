@@ -406,14 +406,31 @@ class TestCorruption:
             # must not decode it against the stale cached anchor chunk
             assert not report["fields"]["LWCF"]["ok"]
 
-    def test_deep_verify_decodes_each_chunk_exactly_once(self, archive):
+    def test_deep_verify_decodes_each_chunk_exactly_once(self, archive, monkeypatch):
+        import repro.store.reader as reader_module
+
+        decodes = []
+        real_get_codec = reader_module.get_codec
+
+        def counting_get_codec(name, **params):
+            codec = real_get_codec(name, **params)
+            decode = codec.decode
+
+            def counted(payload, anchors=None):
+                decodes.append(name)
+                return decode(payload, anchors=anchors)
+
+            codec.decode = counted
+            return codec
+
+        monkeypatch.setattr(reader_module, "get_codec", counting_get_codec)
         with ArchiveReader(archive) as reader:
             total_chunks = sum(len(e.chunks) for e in reader.fields())
             report = reader.verify(deep=True)
             assert report["ok"]
-            # anchors shared by cross-field targets are memoised within the
-            # pass: one decode per stored chunk, no multiplicative re-decoding
-            assert reader.cache_stats()["chunks_decoded"] == total_chunks
+        # anchors shared by cross-field targets are decoded once within the
+        # pass: one decode per stored chunk, no multiplicative re-decoding
+        assert len(decodes) == total_chunks
 
     def test_deep_verify_reports_codec_crash_not_traceback(self, archive, monkeypatch):
         # a CRC-consistent but malformed payload makes codecs raise
@@ -665,14 +682,6 @@ class TestPreviewReads:
             whole, _ = reader.read_region_preview("FLNT", None, fraction=0.3)
             window, _ = reader.read_region_preview("FLNT", region, fraction=0.3)
         assert np.array_equal(window, whole[region])
-
-    def test_read_region_preview_fraction_kwarg(self, zfp_archive):
-        with ArchiveReader(zfp_archive) as reader:
-            via_kwarg = reader.read_region("FLNT", None, preview_fraction=0.3)
-            direct, _ = reader.read_region_preview("FLNT", None, fraction=0.3)
-            via_field = reader.read_field("FLNT", preview_fraction=0.3)
-        assert np.array_equal(via_kwarg, direct)
-        assert np.array_equal(via_field, direct)
 
     def test_preview_entries_never_alias_full_decodes(self, zfp_archive):
         with ArchiveReader(zfp_archive) as reader:
