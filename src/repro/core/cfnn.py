@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.training import TrainingConfig, make_difference_patches, normalisation_scales
+from repro.core.training import TrainingConfig, make_difference_patches
 from repro.data.differences import backward_differences_all_dims
 from repro.nn import (
     Adam,
@@ -42,7 +42,6 @@ from repro.nn import (
     Conv3d,
     DepthwiseSeparableConv2d,
     DepthwiseSeparableConv3d,
-    MSELoss,
     ReLU,
     Sequential,
     Trainer,
@@ -64,6 +63,10 @@ MAX_CHANNELS = 1024
 MAX_KERNEL_SIZE = 15
 MAX_TILE_SIZE = 4096
 MAX_PARAMETERS = 1 << 24
+
+#: Share of the training patches held out for the per-epoch validation loss
+#: (skipped when the rest would not fill one batch).
+VALIDATION_FRACTION = 0.1
 
 
 @dataclass
@@ -252,21 +255,14 @@ class CFNN:
             self.anchor_scales = anchor_scales
             self.target_scales = target_scales
 
-            n_val = int(round(training.validation_fraction * inputs.shape[0]))
+            n_val = int(round(VALIDATION_FRACTION * inputs.shape[0]))
             validation = None
             if n_val > 0 and inputs.shape[0] - n_val >= training.batch_size:
                 validation = (inputs[-n_val:], targets[-n_val:])
                 inputs, targets = inputs[:-n_val], targets[:-n_val]
 
             optimizer = Adam(self.network.parameters(), lr=training.learning_rate)
-            trainer = Trainer(
-                self.network,
-                optimizer,
-                MSELoss(),
-                batch_size=training.batch_size,
-                clip_grad_norm=training.clip_grad_norm,
-                rng=rng,
-            )
+            trainer = Trainer(self.network, optimizer, batch_size=training.batch_size, rng=rng)
             self.history = trainer.fit(
                 inputs, targets, epochs=training.epochs, validation=validation
             )

@@ -96,6 +96,7 @@ class CrossFieldCompressor:
         get_entropy_coder(entropy)  # unknown names raise, listing the registry
         self.error_bound = error_bound
         self.training = training if training is not None else TrainingConfig()
+        self.training.validate()
         self.entropy = entropy
         self.backend = backend
         self.allow_fallback = bool(allow_fallback)

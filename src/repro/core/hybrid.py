@@ -28,6 +28,17 @@ from repro.utils.validation import ensure_in
 
 __all__ = ["HybridPredictor", "build_candidate_predictions"]
 
+#: Points the fit uses at most; larger fields are subsampled without replacement.
+SAMPLE_LIMIT = 2_000_000
+#: Seed of the subsampling draw and of the SGD shuffles.
+FIT_SEED = 0
+#: Ridge term added to the least-squares normal equations.
+RIDGE = 1e-6
+#: SGD step size (dimensionless: the gradient is scaled by the candidates' magnitude).
+SGD_LEARNING_RATE = 0.05
+#: SGD mini-batch size.
+SGD_BATCH_SIZE = 65536
+
 
 def build_candidate_predictions(
     codes: np.ndarray, diff_codes: Sequence[np.ndarray]
@@ -85,17 +96,12 @@ class HybridPredictor:
         diff_codes: Sequence[np.ndarray],
         method: str = "lstsq",
         epochs: int = 30,
-        learning_rate: float = 0.05,
-        batch_size: int = 65536,
-        sample_limit: int = 2_000_000,
-        seed: int = 0,
-        ridge: float = 1e-6,
     ) -> np.ndarray:
         """Fit the combination weights on the prequantized codes.
 
-        Parameters mirror the two supported methods; ``sample_limit`` bounds the
-        number of points used so fitting stays cheap on large fields.
-        Returns the fitted weight vector.
+        ``epochs`` applies to ``method="sgd"`` only.  At most
+        :data:`SAMPLE_LIMIT` points are used, so fitting stays cheap on large
+        fields.  Returns the fitted weight vector.
         """
         ensure_in(method, ("lstsq", "sgd"), "method")
         codes = np.asarray(codes, dtype=np.int64)
@@ -105,14 +111,14 @@ class HybridPredictor:
         design = candidates.reshape(self.ndim + 1, -1).T  # (N, ndim+1)
         target = codes.reshape(-1).astype(np.float64)
 
-        rng = np.random.default_rng(seed)
-        if design.shape[0] > sample_limit:
-            keep = rng.choice(design.shape[0], size=sample_limit, replace=False)
+        rng = np.random.default_rng(FIT_SEED)
+        if design.shape[0] > SAMPLE_LIMIT:
+            keep = rng.choice(design.shape[0], size=SAMPLE_LIMIT, replace=False)
             design = design[keep]
             target = target[keep]
 
         if method == "lstsq":
-            gram = design.T @ design + ridge * np.eye(self.ndim + 1)
+            gram = design.T @ design + RIDGE * np.eye(self.ndim + 1)
             rhs = design.T @ target
             self.weights = np.linalg.solve(gram, rhs)
             residual = design @ self.weights - target
@@ -124,15 +130,15 @@ class HybridPredictor:
             for _ in range(epochs):
                 order = rng.permutation(n)
                 epoch_loss = 0.0
-                for start in range(0, n, batch_size):
-                    batch = order[start : start + batch_size]
+                for start in range(0, n, SGD_BATCH_SIZE):
+                    batch = order[start : start + SGD_BATCH_SIZE]
                     pred = design[batch] @ weights
                     error = pred - target[batch]
                     grad = 2.0 * design[batch].T @ error / batch.size
                     # normalise the gradient scale by the candidate magnitude so the
                     # learning rate is dimensionless
                     scale = np.mean(design[batch] ** 2, axis=0) + 1e-12
-                    weights -= learning_rate * grad / scale
+                    weights -= SGD_LEARNING_RATE * grad / scale
                     epoch_loss += float(np.mean(error**2)) * batch.size
                 self.loss_history.append(epoch_loss / n)
             self.weights = weights
@@ -148,19 +154,6 @@ class HybridPredictor:
         candidates = build_candidate_predictions(codes, diff_codes)
         combined = np.tensordot(self.weights, candidates, axes=(0, 0))
         return np.rint(combined).astype(np.int64)
-
-    def weight_shares(self) -> Dict[str, float]:
-        """Normalised absolute weight shares (the interpretation given in Section IV-B)."""
-        if self.weights is None:
-            raise RuntimeError("HybridPredictor has not been fitted")
-        magnitude = np.abs(self.weights)
-        total = float(magnitude.sum())
-        if total == 0.0:
-            shares = np.zeros_like(magnitude)
-        else:
-            shares = magnitude / total
-        labels = ["lorenzo"] + [f"axis{d}" for d in range(self.ndim)]
-        return {label: float(share) for label, share in zip(labels, shares)}
 
     @property
     def num_parameters(self) -> int:

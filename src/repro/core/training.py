@@ -9,7 +9,7 @@ small input areas sufficient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +23,7 @@ __all__ = ["TrainingConfig", "make_difference_patches", "normalisation_scales"]
 
 @dataclass
 class TrainingConfig:
-    """Hyper-parameters for CFNN (and hybrid model) training.
+    """Hyper-parameters for CFNN training.
 
     The defaults are sized for the scaled-down synthetic datasets so that a
     full compression run (training included) completes in seconds; they can be
@@ -36,8 +36,6 @@ class TrainingConfig:
     n_patches: int = 96
     patch_size_2d: int = 32
     patch_size_3d: int = 12
-    validation_fraction: float = 0.1
-    clip_grad_norm: Optional[float] = 5.0
     seed: int = 1234
 
     def patch_shape(self, ndim: int, data_shape: Sequence[int]) -> Tuple[int, ...]:
@@ -60,16 +58,14 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive")
         if self.n_patches < 1:
             raise ValueError("n_patches must be positive")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in [0, 1)")
 
 
-def normalisation_scales(arrays: Sequence[np.ndarray], floor: float = 1e-8) -> np.ndarray:
-    """Per-array scale factors (standard deviation, floored) used to normalise channels."""
+def normalisation_scales(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-array scale factors (standard deviation, at least ``1e-8``) used to normalise channels."""
     scales = []
     for arr in arrays:
         arr = np.asarray(arr, dtype=np.float64)
-        scales.append(max(float(arr.std()), floor))
+        scales.append(max(float(arr.std()), 1e-8))
     return np.asarray(scales, dtype=np.float64)
 
 
@@ -77,8 +73,6 @@ def make_difference_patches(
     anchor_arrays: Sequence[np.ndarray],
     target_array: np.ndarray,
     config: TrainingConfig,
-    anchor_scales: Optional[np.ndarray] = None,
-    target_scales: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Build the CFNN training set.
@@ -107,18 +101,8 @@ def make_difference_patches(
         anchor_diffs.extend(backward_differences_all_dims(anchor))
     target_diffs = backward_differences_all_dims(target_array)
 
-    if anchor_scales is None:
-        anchor_scales = normalisation_scales(anchor_diffs)
-    else:
-        anchor_scales = np.asarray(anchor_scales, dtype=np.float64)
-        if anchor_scales.shape[0] != len(anchor_diffs):
-            raise ValueError("anchor_scales length must equal n_anchors * ndim")
-    if target_scales is None:
-        target_scales = normalisation_scales(target_diffs)
-    else:
-        target_scales = np.asarray(target_scales, dtype=np.float64)
-        if target_scales.shape[0] != ndim:
-            raise ValueError("target_scales length must equal ndim")
+    anchor_scales = normalisation_scales(anchor_diffs)
+    target_scales = normalisation_scales(target_diffs)
 
     normalised_anchor = [d / s for d, s in zip(anchor_diffs, anchor_scales)]
     normalised_target = [d / s for d, s in zip(target_diffs, target_scales)]

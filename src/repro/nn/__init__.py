@@ -1,12 +1,11 @@
 """Pure-NumPy neural network substrate.
 
 PyTorch is not available in the offline reproduction environment, so the CFNN
-and the hybrid prediction model are built on this small, self-contained NN
-library: N-dimensional convolutions (1D-3D) as flat-shift GEMM kernels,
-depthwise-separable convolutions, a CBAM-style channel attention block, fully
-connected layers, MSE loss, SGD/Adam optimizers, a mini-batch trainer, and
-parameter (de)serialisation used for the model-size accounting of paper
-Table III.
+is built on this small, self-contained NN library holding exactly what the
+CFNN runs: 2D and 3D convolutions as flat-shift GEMM kernels,
+depthwise-separable convolutions, ReLU, a CBAM-style channel attention block,
+MSE loss, the Adam optimizer, a mini-batch trainer, and parameter
+(de)serialisation used for the model-size accounting of paper Table III.
 
 Layout convention: ``(batch, channels, *spatial)`` — NCHW for 2D data and
 NCDHW for 3D data.
@@ -22,23 +21,13 @@ from repro.nn.layers import (
     PointwiseConv3d,
     DepthwiseSeparableConv2d,
     DepthwiseSeparableConv3d,
-    Linear,
     ReLU,
-    LeakyReLU,
-    Sigmoid,
-    Tanh,
-    Identity,
 )
 from repro.nn.attention import ChannelAttention
-from repro.nn.loss import MSELoss, MAELoss
-from repro.nn.optim import SGD, Adam
+from repro.nn.loss import MSELoss
+from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer, TrainingHistory
-from repro.nn.serialization import (
-    state_to_bytes,
-    state_from_bytes,
-    count_parameters,
-    parameter_nbytes,
-)
+from repro.nn.serialization import state_to_bytes, state_from_bytes, count_parameters
 from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
 
 __all__ = [
@@ -53,23 +42,15 @@ __all__ = [
     "PointwiseConv3d",
     "DepthwiseSeparableConv2d",
     "DepthwiseSeparableConv3d",
-    "Linear",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
     "ChannelAttention",
     "MSELoss",
-    "MAELoss",
-    "SGD",
     "Adam",
     "Trainer",
     "TrainingHistory",
     "state_to_bytes",
     "state_from_bytes",
     "count_parameters",
-    "parameter_nbytes",
     "he_normal",
     "xavier_uniform",
     "zeros_init",

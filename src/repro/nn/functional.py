@@ -38,13 +38,11 @@ from repro.obs import recorder as _obs
 
 __all__ = [
     "Workspace",
-    "pad_spatial",
     "conv_forward",
     "conv_backward",
     "depthwise_conv_forward",
     "depthwise_conv_backward",
     "sigmoid",
-    "relu",
 ]
 
 #: Columns of the flat axis handled per step.  The widest stack of the CFNN
@@ -72,14 +70,6 @@ class Workspace:
         if buffer is None or buffer.size < size:
             buffer = self._buffers[role] = np.empty(size, dtype=np.float64)
         return buffer[:size].reshape(shape)
-
-
-def pad_spatial(x: np.ndarray, padding: Sequence[int]) -> np.ndarray:
-    """Zero-pad the spatial dimensions of a ``(N, C, *S)`` tensor symmetrically."""
-    pads = [(0, 0), (0, 0)] + [(int(p), int(p)) for p in padding]
-    if all(p == 0 for p in padding):
-        return x
-    return np.pad(x, pads)
 
 
 def _check_conv_args(x: np.ndarray, kernel_spatial: Tuple[int, ...], padding: Sequence[int]):
@@ -409,7 +399,7 @@ def depthwise_conv_backward(
 
 
 # --------------------------------------------------------------------------- #
-# activations (stateless helpers)
+# activation (stateless helper)
 # --------------------------------------------------------------------------- #
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid."""
@@ -420,7 +410,3 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     out[~positive] = exp_x / (1.0 + exp_x)
     return out
 
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-    return np.maximum(x, 0.0)

@@ -1,15 +1,17 @@
 """Layers of the NumPy NN substrate.
 
-Convolution layers support 2D (NCHW) and 3D (NCDHW) inputs with stride 1 and
-"same" or explicit symmetric zero padding — exactly what the CFNN architecture
-of paper Figure 4 needs (initial convolution, depthwise separable convolution,
-output convolution), plus the dense layers used inside the channel attention
-block and the hybrid prediction model.
+Exactly the layers of the CFNN (paper Figure 4): convolutions over 2D (NCHW)
+and 3D (NCDHW) inputs — initial and output convolution, the depthwise and
+pointwise halves of the depthwise separable convolution — and the ReLU between
+them.  Every convolution has stride 1, an odd square kernel ``k`` padded by
+``k // 2`` on each side (so the output keeps the input's size; a 1x1 kernel
+pads nothing) and a bias.  The channel attention block lives in
+:mod:`repro.nn.attention`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,9 +21,8 @@ from repro.nn.functional import (
     conv_forward,
     depthwise_conv_backward,
     depthwise_conv_forward,
-    sigmoid,
 )
-from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
+from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.module import Module, Parameter, Sequential
 
 __all__ = [
@@ -35,39 +36,15 @@ __all__ = [
     "PointwiseConv3d",
     "DepthwiseSeparableConv2d",
     "DepthwiseSeparableConv3d",
-    "Linear",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
 ]
 
 
-def _resolve_kernel(kernel_size: Union[int, Sequence[int]], spatial_ndim: int) -> Tuple[int, ...]:
-    if np.isscalar(kernel_size):
-        return (int(kernel_size),) * spatial_ndim
-    kernel = tuple(int(k) for k in kernel_size)
-    if len(kernel) != spatial_ndim:
-        raise ValueError(f"kernel_size must have {spatial_ndim} entries, got {kernel}")
-    return kernel
-
-
-def _resolve_padding(
-    padding: Union[str, int, Sequence[int]], kernel: Tuple[int, ...]
-) -> Tuple[int, ...]:
-    if padding == "same":
-        if any(k % 2 == 0 for k in kernel):
-            raise ValueError("'same' padding requires odd kernel sizes")
-        return tuple(k // 2 for k in kernel)
-    if padding == "valid":
-        return tuple(0 for _ in kernel)
-    if np.isscalar(padding):
-        return (int(padding),) * len(kernel)
-    pad = tuple(int(p) for p in padding)
-    if len(pad) != len(kernel):
-        raise ValueError("padding must provide one value per spatial dimension")
-    return pad
+def _same_padding(kernel: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Per-axis padding ``k // 2`` that keeps the spatial size of an odd kernel."""
+    if any(k % 2 == 0 for k in kernel):
+        raise ValueError("kernel sizes must be odd: layers pad k // 2 on each side")
+    return tuple(k // 2 for k in kernel)
 
 
 # --------------------------------------------------------------------------- #
@@ -80,10 +57,8 @@ class ConvNd(Module):
         self,
         in_channels: int,
         out_channels: int,
-        kernel_size: Union[int, Sequence[int]],
+        kernel_size: int,
         spatial_ndim: int,
-        padding: Union[str, int, Sequence[int]] = "same",
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -93,15 +68,11 @@ class ConvNd(Module):
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.spatial_ndim = spatial_ndim
-        self.kernel_size = _resolve_kernel(kernel_size, spatial_ndim)
-        self.padding = _resolve_padding(padding, self.kernel_size)
+        self.kernel_size = (int(kernel_size),) * spatial_ndim
+        self.padding = _same_padding(self.kernel_size)
         weight_shape = (self.out_channels, self.in_channels) + self.kernel_size
         self.weight = self.register_parameter("weight", Parameter(he_normal(weight_shape, rng)))
-        self.bias = (
-            self.register_parameter("bias", Parameter(zeros_init((self.out_channels,))))
-            if bias
-            else None
-        )
+        self.bias = self.register_parameter("bias", Parameter(zeros_init((self.out_channels,))))
         self._cache: Optional[Tuple] = None
         self._workspace = Workspace()
 
@@ -114,11 +85,7 @@ class ConvNd(Module):
         if x.shape[1] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {x.shape[1]}")
         out, self._cache = conv_forward(
-            x,
-            self.weight.data,
-            self.bias.data if self.bias is not None else None,
-            self.padding,
-            workspace=self._workspace,
+            x, self.weight.data, self.bias.data, self.padding, workspace=self._workspace
         )
         return out
 
@@ -131,23 +98,22 @@ class ConvNd(Module):
             need_input_grad=self.needs_input_grad,
         )
         self.weight.grad += grad_weight
-        if self.bias is not None:
-            self.bias.grad += grad_bias
+        self.bias.grad += grad_bias
         return grad_input
 
 
 class Conv2d(ConvNd):
     """2D convolution (NCHW)."""
 
-    def __init__(self, in_channels, out_channels, kernel_size, padding="same", bias=True, rng=None):
-        super().__init__(in_channels, out_channels, kernel_size, 2, padding, bias, rng)
+    def __init__(self, in_channels, out_channels, kernel_size, rng=None):
+        super().__init__(in_channels, out_channels, kernel_size, 2, rng)
 
 
 class Conv3d(ConvNd):
     """3D convolution (NCDHW)."""
 
-    def __init__(self, in_channels, out_channels, kernel_size, padding="same", bias=True, rng=None):
-        super().__init__(in_channels, out_channels, kernel_size, 3, padding, bias, rng)
+    def __init__(self, in_channels, out_channels, kernel_size, rng=None):
+        super().__init__(in_channels, out_channels, kernel_size, 3, rng)
 
 
 class DepthwiseConvNd(Module):
@@ -156,10 +122,8 @@ class DepthwiseConvNd(Module):
     def __init__(
         self,
         channels: int,
-        kernel_size: Union[int, Sequence[int]],
+        kernel_size: int,
         spatial_ndim: int,
-        padding: Union[str, int, Sequence[int]] = "same",
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -168,17 +132,13 @@ class DepthwiseConvNd(Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.channels = int(channels)
         self.spatial_ndim = spatial_ndim
-        self.kernel_size = _resolve_kernel(kernel_size, spatial_ndim)
-        self.padding = _resolve_padding(padding, self.kernel_size)
+        self.kernel_size = (int(kernel_size),) * spatial_ndim
+        self.padding = _same_padding(self.kernel_size)
         weight_shape = (self.channels,) + self.kernel_size
         # treat each depthwise filter as fan_in = prod(kernel)
         init = he_normal((self.channels, 1) + self.kernel_size, rng).reshape(weight_shape)
         self.weight = self.register_parameter("weight", Parameter(init))
-        self.bias = (
-            self.register_parameter("bias", Parameter(zeros_init((self.channels,))))
-            if bias
-            else None
-        )
+        self.bias = self.register_parameter("bias", Parameter(zeros_init((self.channels,))))
         self._cache: Optional[Tuple] = None
         self._workspace = Workspace()
 
@@ -191,11 +151,7 @@ class DepthwiseConvNd(Module):
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         out, self._cache = depthwise_conv_forward(
-            x,
-            self.weight.data,
-            self.bias.data if self.bias is not None else None,
-            self.padding,
-            workspace=self._workspace,
+            x, self.weight.data, self.bias.data, self.padding, workspace=self._workspace
         )
         return out
 
@@ -208,37 +164,36 @@ class DepthwiseConvNd(Module):
             need_input_grad=self.needs_input_grad,
         )
         self.weight.grad += grad_weight
-        if self.bias is not None:
-            self.bias.grad += grad_bias
+        self.bias.grad += grad_bias
         return grad_input
 
 
 class DepthwiseConv2d(DepthwiseConvNd):
     """2D depthwise convolution."""
 
-    def __init__(self, channels, kernel_size, padding="same", bias=True, rng=None):
-        super().__init__(channels, kernel_size, 2, padding, bias, rng)
+    def __init__(self, channels, kernel_size, rng=None):
+        super().__init__(channels, kernel_size, 2, rng)
 
 
 class DepthwiseConv3d(DepthwiseConvNd):
     """3D depthwise convolution."""
 
-    def __init__(self, channels, kernel_size, padding="same", bias=True, rng=None):
-        super().__init__(channels, kernel_size, 3, padding, bias, rng)
+    def __init__(self, channels, kernel_size, rng=None):
+        super().__init__(channels, kernel_size, 3, rng)
 
 
 class PointwiseConv2d(Conv2d):
     """1x1 convolution recombining channels (the pointwise half of a separable conv)."""
 
-    def __init__(self, in_channels, out_channels, bias=True, rng=None):
-        super().__init__(in_channels, out_channels, 1, padding="valid", bias=bias, rng=rng)
+    def __init__(self, in_channels, out_channels, rng=None):
+        super().__init__(in_channels, out_channels, 1, rng=rng)
 
 
 class PointwiseConv3d(Conv3d):
     """1x1x1 convolution recombining channels."""
 
-    def __init__(self, in_channels, out_channels, bias=True, rng=None):
-        super().__init__(in_channels, out_channels, 1, padding="valid", bias=bias, rng=rng)
+    def __init__(self, in_channels, out_channels, rng=None):
+        super().__init__(in_channels, out_channels, 1, rng=rng)
 
 
 class DepthwiseSeparableConv2d(Sequential):
@@ -250,10 +205,10 @@ class DepthwiseSeparableConv2d(Sequential):
     convolution recombines channel information.
     """
 
-    def __init__(self, in_channels, out_channels, kernel_size=3, padding="same", rng=None):
+    def __init__(self, in_channels, out_channels, kernel_size=3, rng=None):
         rng = rng if rng is not None else np.random.default_rng()
         super().__init__(
-            DepthwiseConv2d(in_channels, kernel_size, padding=padding, rng=rng),
+            DepthwiseConv2d(in_channels, kernel_size, rng=rng),
             PointwiseConv2d(in_channels, out_channels, rng=rng),
         )
 
@@ -261,65 +216,16 @@ class DepthwiseSeparableConv2d(Sequential):
 class DepthwiseSeparableConv3d(Sequential):
     """3D depthwise separable convolution."""
 
-    def __init__(self, in_channels, out_channels, kernel_size=3, padding="same", rng=None):
+    def __init__(self, in_channels, out_channels, kernel_size=3, rng=None):
         rng = rng if rng is not None else np.random.default_rng()
         super().__init__(
-            DepthwiseConv3d(in_channels, kernel_size, padding=padding, rng=rng),
+            DepthwiseConv3d(in_channels, kernel_size, rng=rng),
             PointwiseConv3d(in_channels, out_channels, rng=rng),
         )
 
 
 # --------------------------------------------------------------------------- #
-# dense layer
-# --------------------------------------------------------------------------- #
-class Linear(Module):
-    """Fully connected layer: ``y = x @ W.T + b`` on ``(batch, features)`` inputs."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
-        self.weight = self.register_parameter(
-            "weight", Parameter(xavier_uniform((out_features, in_features), rng))
-        )
-        self.bias = (
-            self.register_parameter("bias", Parameter(zeros_init((out_features,))))
-            if bias
-            else None
-        )
-        self._input: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Linear expects input of shape (batch, {self.in_features}), got {x.shape}"
-            )
-        self._input = x
-        out = x @ self.weight.data.T
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        self.weight.grad += grad_output.T @ self._input
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data
-
-
-# --------------------------------------------------------------------------- #
-# activations
+# activation
 # --------------------------------------------------------------------------- #
 class ReLU(Module):
     """Rectified linear unit."""
@@ -337,67 +243,3 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return np.where(self._mask, np.asarray(grad_output, dtype=np.float64), 0.0)
-
-
-class LeakyReLU(Module):
-    """Leaky rectified linear unit."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = float(negative_slope)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = sigmoid(np.asarray(x, dtype=np.float64))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return np.asarray(grad_output, dtype=np.float64) * self._output * (1.0 - self._output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(np.asarray(x, dtype=np.float64))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return np.asarray(grad_output, dtype=np.float64) * (1.0 - self._output**2)
-
-
-class Identity(Module):
-    """Pass-through layer (useful as a placeholder in configurable models)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.asarray(grad_output, dtype=np.float64)

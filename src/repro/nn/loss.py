@@ -1,8 +1,7 @@
-"""Loss functions.
+"""Loss function.
 
-The paper trains both the CFNN and the hybrid prediction model with mean
-squared error (Section IV-B, Figure 5); mean absolute error is provided for
-ablations.
+The paper trains the CFNN with mean squared error (Section IV-B, Figure 5);
+this is the loss :class:`~repro.nn.trainer.Trainer` minimises.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["MSELoss", "MAELoss"]
+__all__ = ["MSELoss"]
 
 
 class MSELoss:
@@ -37,32 +36,5 @@ class MSELoss:
         if self._diff is None:
             raise RuntimeError("backward called before forward")
         return 2.0 * self._diff / self._count
-
-    __call__ = forward
-
-
-class MAELoss:
-    """Mean absolute error over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: Optional[np.ndarray] = None
-        self._count: int = 0
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        prediction = np.asarray(prediction, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        if prediction.shape != target.shape:
-            raise ValueError(
-                f"prediction shape {prediction.shape} does not match target shape {target.shape}"
-            )
-        self._diff = prediction - target
-        self._count = prediction.size
-        return float(np.mean(np.abs(self._diff)))
-
-    def backward(self) -> np.ndarray:
-        """Sub-gradient of the loss with respect to the prediction."""
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return np.sign(self._diff) / self._count
 
     __call__ = forward

@@ -9,7 +9,7 @@ dependency-free and easy to verify against finite differences in the tests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,10 +83,6 @@ class Module:
             yield (f"{prefix}{name}", param)
         for child_name, child in self._modules.items():
             yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
-
-    def children(self) -> List["Module"]:
-        """Immediate child modules."""
-        return list(self._modules.values())
 
     def zero_grad(self) -> None:
         """Reset every parameter gradient."""

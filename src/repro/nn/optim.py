@@ -1,20 +1,26 @@
-"""Gradient-based optimizers."""
+"""The Adam optimizer the CFNN trains with."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
+
+#: Decay rates of the first and second moment estimates (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+#: Added to the second-moment root so a zero gradient divides safely.
+EPS = 1e-8
 
 
-class Optimizer:
-    """Base optimizer holding the parameter list."""
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015) with bias correction."""
 
-    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
+    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3) -> None:
         parameters = list(parameters)
         if not parameters:
             raise ValueError("optimizer received no parameters")
@@ -22,15 +28,14 @@ class Optimizer:
             raise ValueError("learning rate must be positive")
         self.parameters = parameters
         self.lr = float(lr)
+        self._step = 0
+        self._m: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
+        self._v: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
         """Reset all parameter gradients."""
         for p in self.parameters:
             p.zero_grad()
-
-    def step(self) -> None:
-        """Apply one update using the accumulated gradients."""
-        raise NotImplementedError
 
     def clip_gradients(self, max_norm: float) -> float:
         """Scale gradients so their global L2 norm does not exceed ``max_norm``.
@@ -47,73 +52,17 @@ class Optimizer:
                 p.grad *= scale
         return norm
 
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
-
     def step(self) -> None:
-        for p, velocity in zip(self.parameters, self._velocity):
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            p.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: Sequence[float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        beta1, beta2 = float(betas[0]), float(betas[1])
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self._step = 0
-        self._m: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
-        self._v: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
+        """Apply one update using the accumulated gradients."""
         self._step += 1
-        bias1 = 1.0 - self.beta1**self._step
-        bias2 = 1.0 - self.beta2**self._step
+        bias1 = 1.0 - BETA1**self._step
+        bias2 = 1.0 - BETA2**self._step
         for p, m, v in zip(self.parameters, self._m, self._v):
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

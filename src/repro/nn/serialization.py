@@ -1,4 +1,4 @@
-"""Model parameter (de)serialisation and size accounting.
+"""Model parameter (de)serialisation and parameter counting.
 
 The compressed stream has to embed the CFNN and hybrid-model parameters (the
 paper counts them against the compressed size and reports them in Table III),
@@ -26,7 +26,6 @@ __all__ = [
     "state_from_bytes",
     "read_json_header",
     "count_parameters",
-    "parameter_nbytes",
 ]
 
 _STATE_DTYPES = ("float16", "float32", "float64")
@@ -35,11 +34,6 @@ _STATE_DTYPES = ("float16", "float32", "float64")
 def count_parameters(model: Module) -> int:
     """Number of scalar trainable parameters in ``model``."""
     return model.num_parameters()
-
-
-def parameter_nbytes(model: Module, dtype=np.float32) -> int:
-    """Bytes required to store the raw parameters of ``model`` in ``dtype``."""
-    return count_parameters(model) * np.dtype(dtype).itemsize
 
 
 def state_to_bytes(model: Module, dtype=np.float32) -> bytes:

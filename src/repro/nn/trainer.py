@@ -1,27 +1,28 @@
 """Mini-batch training loop.
 
 A small, dependency-free trainer that drives a :class:`~repro.nn.module.Module`
-through epochs of shuffled mini-batches, records the loss history (used to
-reproduce the training-loss curves of paper Figure 5), and supports optional
-validation data and gradient clipping.
+through epochs of shuffled mini-batches under MSE loss and Adam, clipping the
+global gradient norm before every update, and records the loss history (used
+to reproduce the training-loss curves of paper Figure 5), with an optional
+validation pass after each epoch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.loss import MSELoss
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
-from repro.utils.logging import get_logger
+from repro.nn.optim import Adam
 
 __all__ = ["TrainingHistory", "Trainer"]
 
-logger = get_logger("nn.trainer")
+#: Global gradient-norm clip applied before every update.
+CLIP_GRAD_NORM = 5.0
 
 
 @dataclass
@@ -48,26 +49,6 @@ class TrainingHistory:
             raise ValueError("history is empty")
         return self.train_loss[-1]
 
-    @property
-    def best_loss(self) -> float:
-        """Lowest training loss over all epochs."""
-        if not self.train_loss:
-            raise ValueError("history is empty")
-        return float(min(self.train_loss))
-
-    def improved(self) -> bool:
-        """Whether the final loss is lower than the first epoch's loss."""
-        return len(self.train_loss) >= 2 and self.train_loss[-1] < self.train_loss[0]
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        """Serialisable dictionary (used by experiment reports)."""
-        return {
-            "epochs": list(self.epochs),
-            "train_loss": list(self.train_loss),
-            "val_loss": list(self.val_loss),
-            "epoch_seconds": list(self.epoch_seconds),
-        }
-
 
 class Trainer:
     """Drives mini-batch gradient training of a model.
@@ -77,13 +58,9 @@ class Trainer:
     model:
         Module mapping an input batch to a prediction batch.
     optimizer:
-        Optimizer constructed over ``model.parameters()``.
-    loss:
-        Loss object with ``forward(prediction, target)`` and ``backward()``.
+        :class:`~repro.nn.optim.Adam` constructed over ``model.parameters()``.
     batch_size:
         Mini-batch size.
-    clip_grad_norm:
-        Optional global gradient-norm clip applied before every update.
     rng:
         Random generator controlling shuffling (pass a seeded generator for
         reproducible training).
@@ -92,33 +69,31 @@ class Trainer:
     def __init__(
         self,
         model: Module,
-        optimizer: Optimizer,
-        loss: Optional[MSELoss] = None,
+        optimizer: Adam,
         batch_size: int = 8,
-        shuffle: bool = True,
-        clip_grad_norm: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self.model = model
         self.optimizer = optimizer
-        self.loss = loss if loss is not None else MSELoss()
+        self.loss = MSELoss()
         self.batch_size = int(batch_size)
-        self.shuffle = bool(shuffle)
-        self.clip_grad_norm = clip_grad_norm
         self.rng = rng if rng is not None else np.random.default_rng()
 
     # ------------------------------------------------------------------ #
     def _iterate_batches(self, n_samples: int):
         indices = np.arange(n_samples)
-        if self.shuffle:
-            self.rng.shuffle(indices)
+        self.rng.shuffle(indices)
         for start in range(0, n_samples, self.batch_size):
             yield indices[start : start + self.batch_size]
 
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """Average loss of the model on ``(inputs, targets)`` without updates."""
+        """Average loss of the model on ``(inputs, targets)`` without updates.
+
+        Batches are drawn shuffled like training batches: the draw advances the
+        shared generator, which the next epoch's shuffle depends on.
+        """
         total = 0.0
         count = 0
         for batch in self._iterate_batches(inputs.shape[0]):
@@ -133,7 +108,6 @@ class Trainer:
         targets: np.ndarray,
         epochs: int = 10,
         validation: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        verbose: bool = False,
     ) -> TrainingHistory:
         """Train for ``epochs`` epochs and return the loss history."""
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -156,8 +130,7 @@ class Trainer:
                 batch_loss = self.loss(prediction, y)
                 grad = self.loss.backward()
                 self.model.backward(grad)
-                if self.clip_grad_norm is not None:
-                    self.optimizer.clip_gradients(self.clip_grad_norm)
+                self.optimizer.clip_gradients(CLIP_GRAD_NORM)
                 self.optimizer.step()
                 epoch_loss += batch_loss * batch.size
                 seen += batch.size
@@ -170,9 +143,4 @@ class Trainer:
                 )
             elapsed = time.perf_counter() - start
             history.record(epoch, train_loss, val_loss, elapsed)
-            if verbose:
-                message = f"epoch {epoch:3d}/{epochs}  loss {train_loss:.6f}"
-                if val_loss is not None:
-                    message += f"  val {val_loss:.6f}"
-                logger.info(message)
         return history

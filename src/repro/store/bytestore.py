@@ -46,7 +46,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, Optional, Tuple, Union
 
 from repro import obs as _obs
 
@@ -76,6 +76,10 @@ class ByteStore(ABC):
 
     #: Short backend identifier (``"file"`` / ``"mmap"`` / ``"memory"``).
     name: str = "bytestore"
+    #: ``(st_dev, st_ino)`` of the file the store opened, taken by ``fstat`` on
+    #: its own descriptor, so it names the bytes the store reads even when
+    #: another file is renamed over the path later; ``None`` for memory stores.
+    file_id: Optional[Tuple[int, int]] = None
 
     @abstractmethod
     def pread(self, offset: int, length: int) -> bytes:
@@ -147,6 +151,8 @@ class FileByteStore(ByteStore):
         else:
             self._fh = fh
             self._owns_fh = False
+        stat = os.fstat(self._fh.fileno())
+        self.file_id = (stat.st_dev, stat.st_ino)
         self.lock = threading.Lock()
 
     def pread(self, offset: int, length: int) -> bytes:
@@ -195,12 +201,14 @@ class MmapByteStore(ByteStore):
         self.path = Path(path)
         fd = os.open(self.path, os.O_RDONLY)
         try:
-            length = os.fstat(fd).st_size
+            stat = os.fstat(fd)
+            length = stat.st_size
             if length == 0:
                 raise ValueError(f"cannot mmap empty file {self.path}")
             self._mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
         finally:
             os.close(fd)
+        self.file_id = (stat.st_dev, stat.st_ino)
         self._view = memoryview(self._mm)
         self._closed = False
 

@@ -380,11 +380,12 @@ class ArchiveReader:
         #: flush publishes a footer at a strictly larger offset — so it doubles
         #: as the shared-cache generation token.
         self.generation = int(published_end)
-        stat = os.stat(self.path)
         #: ``(st_dev, st_ino, generation)``: what the cache keys this
         #: snapshot's chunks by, and what tells a re-pack (a new file renamed
         #: over the path, possibly of the same size) from an unchanged one.
-        self.identity = (stat.st_dev, stat.st_ino, self.generation)
+        #: The file id is the opened store's, not the path's: a re-pack
+        #: renamed in after the open must not lend the old bytes its inode.
+        self.identity = self._store.file_id + (self.generation,)
         self._fetcher = ChunkFetcher(
             self._store, self.manifest.__getitem__, shared_cache, self.identity
         )

@@ -26,7 +26,6 @@ class TestTrainingConfig:
             {"batch_size": 0},
             {"learning_rate": -1.0},
             {"n_patches": 0},
-            {"validation_fraction": 1.5},
         ],
     )
     def test_invalid_hyperparameters(self, kwargs):
@@ -68,26 +67,12 @@ class TestPatches:
         with pytest.raises(ValueError):
             make_difference_patches([np.zeros((4, 4))], np.zeros((5, 5)), TrainingConfig(n_patches=1))
 
-    def test_supplied_scales_used(self):
+    def test_normalisation_scales_are_standard_deviations(self):
         rng = np.random.default_rng(3)
-        anchors = [rng.normal(size=(32, 32))]
-        target = rng.normal(size=(32, 32))
-        config = TrainingConfig(n_patches=4, patch_size_2d=16)
-        _, _, a_scales, t_scales = make_difference_patches(
-            anchors, target, config, anchor_scales=np.array([2.0, 2.0]), target_scales=np.array([4.0, 4.0])
-        )
-        assert np.allclose(a_scales, 2.0)
-        assert np.allclose(t_scales, 4.0)
-
-    def test_wrong_scale_length_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            make_difference_patches(
-                [rng.normal(size=(16, 16))],
-                rng.normal(size=(16, 16)),
-                TrainingConfig(n_patches=1, patch_size_2d=8),
-                anchor_scales=np.array([1.0]),
-            )
+        arrays = [rng.normal(size=(8, 8)) * 3.0, np.full((4, 4), 7.0)]
+        scales = normalisation_scales(arrays)
+        assert scales[0] == pytest.approx(arrays[0].std())
+        assert scales[1] == 1e-8  # a constant array falls back to the floor
 
     def test_normalisation_scales_floor(self):
         scales = normalisation_scales([np.zeros((4, 4))])

@@ -8,8 +8,6 @@ from repro.nn.functional import (
     conv_forward,
     depthwise_conv_backward,
     depthwise_conv_forward,
-    pad_spatial,
-    relu,
     sigmoid,
 )
 
@@ -128,20 +126,9 @@ class TestDepthwiseConv:
             depthwise_conv_forward(np.zeros((1, 4, 5, 5)), np.zeros((3, 3, 3)), None, (1, 1))
 
 
-class TestActivationsAndPad:
+class TestSigmoid:
     def test_sigmoid_stable(self):
         x = np.array([-1000.0, 0.0, 1000.0])
         s = sigmoid(x)
         assert np.all(np.isfinite(s))
         assert np.isclose(s[1], 0.5)
-
-    def test_relu(self):
-        assert np.allclose(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-    def test_pad_noop(self):
-        x = np.ones((1, 1, 3, 3))
-        assert pad_spatial(x, (0, 0)) is x
-
-    def test_pad_shape(self):
-        x = np.ones((1, 2, 3, 4))
-        assert pad_spatial(x, (1, 2)).shape == (1, 2, 5, 8)

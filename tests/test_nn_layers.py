@@ -3,26 +3,30 @@
 import numpy as np
 import pytest
 
+from repro.core.cfnn import CFNNConfig, build_cfnn_network
 from repro.nn import (
+    ChannelAttention,
     Conv2d,
     Conv3d,
     DepthwiseConv2d,
+    DepthwiseConv3d,
     DepthwiseSeparableConv2d,
     DepthwiseSeparableConv3d,
-    Identity,
-    LeakyReLU,
-    Linear,
     MSELoss,
     PointwiseConv2d,
+    PointwiseConv3d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 
 
-def _check_model_gradients(model, x, atol=1e-4, n_checks=4, seed=0):
-    """Compare analytic parameter/input gradients against finite differences."""
+def _check_model_gradients(model, x, atol=1e-4, n_checks=4, param_checks=2, seed=0):
+    """Compare analytic parameter/input gradients against finite differences.
+
+    ``param_checks`` entries of every parameter are probed (``None``: all of
+    them).  Returns the input gradient, which is only checked when the model
+    computes one.
+    """
     rng = np.random.default_rng(seed)
     loss = MSELoss()
     target = np.zeros_like(model(x))
@@ -31,6 +35,8 @@ def _check_model_gradients(model, x, atol=1e-4, n_checks=4, seed=0):
     prediction = model(x)
     loss(prediction, target)
     grad_input = model.backward(loss.backward())
+    if grad_input is None:
+        n_checks = 0
 
     # input gradient
     flat = x.ravel()
@@ -51,7 +57,8 @@ def _check_model_gradients(model, x, atol=1e-4, n_checks=4, seed=0):
     model.backward(loss.backward())
     for param in model.parameters():
         flat_p = param.data.ravel()
-        for idx in rng.choice(flat_p.size, size=min(2, flat_p.size), replace=False):
+        count = flat_p.size if param_checks is None else min(param_checks, flat_p.size)
+        for idx in rng.choice(flat_p.size, size=count, replace=False):
             orig = flat_p[idx]
             eps = 1e-5
             flat_p[idx] = orig + eps
@@ -61,6 +68,7 @@ def _check_model_gradients(model, x, atol=1e-4, n_checks=4, seed=0):
             flat_p[idx] = orig
             numeric = (plus - minus) / (2 * eps)
             assert np.isclose(numeric, param.grad.ravel()[idx], atol=atol), f"param {param.name} gradient mismatch"
+    return grad_input
 
 
 class TestConvLayers:
@@ -109,7 +117,36 @@ class TestConvLayers:
 
     def test_even_kernel_same_padding_rejected(self):
         with pytest.raises(ValueError):
-            Conv2d(1, 1, 4, padding="same")
+            Conv2d(1, 1, 4)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Conv3d(1, 1, 2),
+            lambda: DepthwiseConv2d(2, 4),
+            lambda: DepthwiseConv3d(2, 2),
+            lambda: DepthwiseSeparableConv2d(2, 3, kernel_size=4),
+            lambda: DepthwiseSeparableConv3d(2, 3, kernel_size=2),
+        ],
+        ids=["Conv3d", "DepthwiseConv2d", "DepthwiseConv3d", "Separable2d", "Separable3d"],
+    )
+    def test_every_layer_rejects_even_kernels(self, make):
+        with pytest.raises(ValueError, match="odd"):
+            make()
+
+    @pytest.mark.parametrize(
+        "layer_cls, shape", [(PointwiseConv2d, (2, 3, 5, 4)), (PointwiseConv3d, (1, 3, 3, 4, 2))],
+        ids=["2d", "3d"],
+    )
+    def test_pointwise_pads_nothing_and_adds_its_bias(self, layer_cls, shape):
+        rng = np.random.default_rng(5)
+        layer = layer_cls(3, 2, rng=rng)
+        assert layer.padding == (0,) * (len(shape) - 2)
+        layer.bias.data[:] = [1.5, -2.0]
+        x = rng.normal(size=shape)
+        expected = np.einsum("oc,nc...->no...", layer.weight.data.reshape(2, 3), x)
+        expected += layer.bias.data.reshape((1, 2) + (1,) * (len(shape) - 2))
+        assert np.allclose(layer(x), expected)
 
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
@@ -120,30 +157,31 @@ class TestConvLayers:
         assert layer.weight.shape == (6, 3, 3)
 
 
-class TestDenseAndActivations:
-    def test_linear_shapes_and_grads(self):
-        rng = np.random.default_rng(5)
-        model = Sequential(Linear(6, 4, rng=rng), Tanh(), Linear(4, 2, rng=rng))
-        _check_model_gradients(model, rng.normal(size=(5, 6)))
+class TestCFNNGradients:
+    """Finite differences through the whole composed CFNN stack."""
 
-    def test_linear_input_validation(self):
-        with pytest.raises(ValueError):
-            Linear(4, 2)(np.zeros((3, 5)))
+    @pytest.mark.parametrize(
+        "ndim, shape", [(2, (2, 2, 6, 6)), (3, (1, 3, 4, 4, 4))], ids=["2d", "3d"]
+    )
+    def test_every_parameter_gradient(self, ndim, shape):
+        config = CFNNConfig(
+            n_anchors=1, ndim=ndim, hidden_channels=2, expanded_channels=4, attention_reduction=2
+        )
+        model = build_cfnn_network(config, rng=np.random.default_rng(ndim))
+        layers = [model[0], model[2][0], model[2][1], model[4], model[5]]
+        assert [type(layer).__name__ for layer in layers] == [
+            f"Conv{ndim}d", f"DepthwiseConv{ndim}d", f"PointwiseConv{ndim}d",
+            "ChannelAttention", f"Conv{ndim}d",
+        ]
+        assert sum(len(layer.parameters()) for layer in layers) == len(model.parameters())
+        x = np.random.default_rng(10 + ndim).normal(size=shape)
+        # the first layer is fed data, so nobody consumes its input gradient
+        assert _check_model_gradients(model, x, param_checks=None) is None
 
-    def test_activation_gradients(self):
-        rng = np.random.default_rng(6)
-        for activation in (ReLU(), LeakyReLU(0.1), Sigmoid(), Tanh()):
-            model = Sequential(Linear(4, 4, rng=rng), activation)
-            _check_model_gradients(model, rng.normal(size=(3, 4)))
 
-    def test_identity_passthrough(self):
-        x = np.random.default_rng(7).normal(size=(2, 3))
-        layer = Identity()
-        assert np.array_equal(layer(x), x)
-        assert np.array_equal(layer.backward(x), x)
-
+class TestSequential:
     def test_sequential_indexing(self):
-        model = Sequential(ReLU(), Sigmoid())
+        model = Sequential(ReLU(), ChannelAttention(4))
         assert len(model) == 2
         assert isinstance(model[0], ReLU)
 

@@ -6,16 +6,15 @@ import pytest
 from repro.nn import (
     Adam,
     Conv2d,
-    Linear,
-    MSELoss,
+    PointwiseConv2d,
     ReLU,
     Sequential,
     Trainer,
     count_parameters,
-    parameter_nbytes,
     state_from_bytes,
     state_to_bytes,
 )
+from repro.nn.trainer import CLIP_GRAD_NORM
 
 
 class TestTrainer:
@@ -30,7 +29,7 @@ class TestTrainer:
         model, x, y = self._problem(rng)
         trainer = Trainer(model, Adam(model.parameters(), lr=5e-3), batch_size=8, rng=rng)
         history = trainer.fit(x, y, epochs=6)
-        assert history.improved()
+        assert history.train_loss[-1] < history.train_loss[0]
         assert len(history.train_loss) == 6
         assert history.final_loss <= history.train_loss[0]
 
@@ -48,14 +47,43 @@ class TestTrainer:
         value = trainer.evaluate(x, y)
         assert value > 0
 
-    def test_history_dict(self):
+    def test_same_seed_trains_the_same_weights(self):
+        def train():
+            rng = np.random.default_rng(7)
+            model, x, y = self._problem(rng)
+            trainer = Trainer(model, Adam(model.parameters(), lr=1e-3), batch_size=8, rng=rng)
+            history = trainer.fit(x[:16], y[:16], epochs=2, validation=(x[16:], y[16:]))
+            return model.state_dict(), history
+
+        state_a, history_a = train()
+        state_b, history_b = train()
+        assert history_a.train_loss == history_b.train_loss
+        assert history_a.val_loss == history_b.val_loss
+        for key in state_a:
+            assert np.array_equal(state_a[key], state_b[key])
+
+    def test_evaluate_is_mean_squared_error(self):
+        rng = np.random.default_rng(8)
+        model, x, y = self._problem(rng)
+        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3), batch_size=5, rng=rng)
+        expected = float(np.mean((model(x) - y) ** 2))
+        assert np.isclose(trainer.evaluate(x, y), expected, rtol=1e-12)
+
+    def test_every_update_is_clipped(self):
         rng = np.random.default_rng(3)
         model, x, y = self._problem(rng)
-        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3), batch_size=8, rng=rng)
-        history = trainer.fit(x, y, epochs=1)
-        payload = history.as_dict()
-        assert payload["epochs"] == [1]
-        assert len(payload["train_loss"]) == 1
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        clips = []
+        clip = optimizer.clip_gradients
+
+        def recording_clip(max_norm):
+            clips.append(max_norm)
+            return clip(max_norm)
+
+        optimizer.clip_gradients = recording_clip
+        history = Trainer(model, optimizer, batch_size=8, rng=rng).fit(x, y, epochs=1)
+        assert clips == [CLIP_GRAD_NORM] * 3  # 24 samples in batches of 8
+        assert history.epochs == [1]
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(4)
@@ -78,26 +106,25 @@ class TestTrainer:
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
-        model = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
+        model = Sequential(Conv2d(4, 8, 3, rng=rng), ReLU(), PointwiseConv2d(8, 2, rng=rng))
         payload = state_to_bytes(model)
-        clone = Sequential(Linear(4, 8), ReLU(), Linear(8, 2))
+        clone = Sequential(Conv2d(4, 8, 3), ReLU(), PointwiseConv2d(8, 2))
         state_from_bytes(clone, payload)
-        x = rng.normal(size=(3, 4))
+        x = rng.normal(size=(3, 4, 5, 5))
         assert np.allclose(model(x), clone(x), atol=1e-6)
 
     def test_byte_size_accounting(self):
-        model = Sequential(Linear(4, 8), Linear(8, 2))
+        model = Sequential(PointwiseConv2d(4, 8), PointwiseConv2d(8, 2))
         assert count_parameters(model) == (4 * 8 + 8) + (8 * 2 + 2)
-        assert parameter_nbytes(model) == count_parameters(model) * 4
         # serialized payload = header + float32 body
-        assert len(state_to_bytes(model)) > parameter_nbytes(model)
+        assert len(state_to_bytes(model)) > count_parameters(model) * 4
 
     def test_truncated_payload(self):
-        model = Sequential(Linear(4, 4))
+        model = Sequential(PointwiseConv2d(4, 4))
         payload = state_to_bytes(model)
         with pytest.raises(ValueError):
-            state_from_bytes(Sequential(Linear(4, 4)), payload[:-10])
+            state_from_bytes(Sequential(PointwiseConv2d(4, 4)), payload[:-10])
 
     def test_too_small_payload(self):
         with pytest.raises(ValueError):
-            state_from_bytes(Sequential(Linear(2, 2)), b"\x01")
+            state_from_bytes(Sequential(PointwiseConv2d(2, 2)), b"\x01")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.store import ArchiveReader, ArchiveWriter, SharedChunkCache, process_chunk_cache
+from repro.store import reader as reader_module
 from repro.store.shared_cache import DEFAULT_SHARED_CACHE_BYTES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -300,6 +301,39 @@ class TestReaderSharing:
         finally:
             for reader in readers:
                 reader.close()
+
+    @pytest.mark.parametrize("backend", ["mmap", "file"])
+    def test_repack_renamed_in_during_open_keeps_the_old_identity(
+        self, tmp_path, monkeypatch, backend
+    ):
+        """A same-size re-pack renamed over the path right after a reader opened
+        it must not lend the old bytes the new file's inode: the second reader
+        of the new file on the same cache would then be served the old chunks."""
+
+        def pack(path, seed):
+            data = np.random.default_rng(seed).normal(size=(32, 32)).astype(np.float32)
+            with ArchiveWriter(path, chunk_shape=(16, 16)) as writer:
+                writer.add_field("T", data, codec="lossless", backend="raw")
+            return data
+
+        path, repack = tmp_path / "a.xfa", tmp_path / "b.xfa"
+        old, new = pack(path, 1), pack(repack, 20)
+        assert path.stat().st_size == repack.stat().st_size
+        opened = reader_module.open_bytestore
+
+        def open_then_repack(target, *args):
+            store = opened(target, *args)
+            os.replace(repack, path)
+            return store
+
+        cache = SharedChunkCache(max_bytes=1 << 20)
+        monkeypatch.setattr(reader_module, "open_bytestore", open_then_repack)
+        with ArchiveReader(path, backend=backend, shared_cache=cache) as stale:
+            monkeypatch.setattr(reader_module, "open_bytestore", opened)
+            assert np.array_equal(stale.read_field("T"), old)
+            with ArchiveReader(path, backend=backend, shared_cache=cache) as fresh:
+                assert np.array_equal(fresh.read_field("T"), new)
+                assert fresh.identity[1] == path.stat().st_ino != stale.identity[1]
 
     def test_cache_stats_exposes_shared_section(self, lossless_archive):
         """Top-level numbers are the cache the reader uses, shared or its own."""

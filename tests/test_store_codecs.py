@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.store import ArchiveWriter
 from repro.store.codecs import (
     Codec,
     CrossFieldChunkCodec,
@@ -215,6 +216,23 @@ class TestRoundTrips:
         assert codec.requires_anchors
         with pytest.raises(ValueError, match="anchor"):
             codec.encode(cesm_small["CLDTOT"].data[:16, :16])
+
+    @pytest.mark.parametrize("params", [{"epochs": 0}, {"n_patches": -3}])
+    def test_cross_field_rejects_untrainable_params(self, params):
+        """Training parameters the CFNN cannot train with fail when the codec
+        is built, not when its first chunk is encoded."""
+        with pytest.raises(ValueError):
+            get_codec("cross-field", **params)
+
+    def test_add_field_rejects_untrainable_params_before_encoding(self, tmp_path, cesm_small):
+        with ArchiveWriter(tmp_path / "a.xfa", chunk_shape=(16, 16)) as writer:
+            writer.add_field("CLDLOW", cesm_small["CLDLOW"].data[:32, :32], codec="sz")
+            with pytest.raises(ValueError, match="epochs"):
+                writer.add_field(
+                    "CLDTOT", cesm_small["CLDTOT"].data[:32, :32],
+                    codec="cross-field", anchors=["CLDLOW"], epochs=0,
+                )
+            assert "CLDTOT" not in writer.manifest
 
     def test_error_bound_accepts_dict_form(self):
         codec = get_codec("sz", error_bound={"mode": "abs", "value": 0.25})
