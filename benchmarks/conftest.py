@@ -55,7 +55,7 @@ def bench_report(name: str, headline: dict, telemetry=None) -> Path:
     ``headline`` carries the benchmark's summary numbers (timings, ratios,
     chunk counts); ``telemetry`` is an optional
     :class:`repro.obs.TelemetrySnapshot` embedded under ``"telemetry"`` in its
-    ``repro-telemetry/1`` JSON form.  Reports land in ``benchmarks/reports/``
+    ``repro-telemetry/2`` JSON form.  Reports land in ``benchmarks/reports/``
     (override with ``REPRO_BENCH_REPORT_DIR``); CI uploads them as artifacts.
     """
     out_dir = Path(

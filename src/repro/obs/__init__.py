@@ -1,10 +1,11 @@
 """repro.obs — the telemetry layer of the compression stack.
 
-Counters, gauges, log-bucketed latency histograms and nestable trace spans
-behind one module-level registry.  The default recorder is a true no-op;
-enable collection with :func:`enable`, the ``REPRO_TELEMETRY`` environment
-variable, or the ``repro`` CLI's global ``--profile`` flag.  Scheduler
-workers are threads, so every task records into the one global recorder (see
+Counters, log-bucketed latency histograms and nestable trace spans behind
+one module-level registry.  The default recorder is a true no-op; enable
+collection by installing a :class:`Recorder` with :func:`set_recorder`, the
+``REPRO_TELEMETRY`` environment variable, or the ``repro`` CLI's global
+``--profile`` flag.  Scheduler workers are threads, so every task records
+into the one global recorder (see
 :class:`~repro.parallel.engine.ChunkScheduler`).
 
 See ``docs/observability.md`` for the recorder API, the metric naming scheme,
@@ -18,8 +19,6 @@ from repro.obs.recorder import (
     SpanRecord,
     TelemetrySnapshot,
     count,
-    disable,
-    enable,
     enabled,
     get_recorder,
     observe,
@@ -41,8 +40,6 @@ __all__ = [
     "SpanRecord",
     "TelemetrySnapshot",
     "count",
-    "disable",
-    "enable",
     "enabled",
     "format_stage_table",
     "get_recorder",

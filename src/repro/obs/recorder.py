@@ -1,19 +1,18 @@
-"""Thread-safe telemetry recorder: counters, gauges, histograms, trace spans.
+"""Thread-safe telemetry recorder: counters, histograms, trace spans.
 
 One :class:`Recorder` accumulates every metric the stack emits; a module-level
-registry (:func:`get_recorder` / :func:`set_recorder` / :func:`enable` /
-:func:`disable`) decides whether that recorder is a real one or the
-:class:`NullRecorder` — a true no-op whose methods do nothing, so instrumented
-hot paths cost a couple of attribute lookups when telemetry is off.  Telemetry
-is enabled through the API, the ``REPRO_TELEMETRY`` environment variable
-(checked at import), or the ``repro`` CLI's global ``--profile`` flag.
+registry (:func:`get_recorder` / :func:`set_recorder`) decides whether that
+recorder is a real one or the :class:`NullRecorder` — a true no-op whose
+methods do nothing, so instrumented hot paths cost a couple of attribute
+lookups when telemetry is off.  Telemetry is enabled by installing a
+:class:`Recorder` with :func:`set_recorder`, the ``REPRO_TELEMETRY``
+environment variable (checked at import), or the ``repro`` CLI's global
+``--profile`` flag.
 
 Metric kinds
 ------------
 - **Counters** (:meth:`Recorder.count`): monotonically growing totals — bytes
   read, chunks decoded, cache hits.  Exact under concurrency.
-- **Gauges** (:meth:`Recorder.gauge`): last-write-wins point-in-time values —
-  cache occupancy.
 - **Histograms** (:meth:`Recorder.observe`): log2-bucketed latency/size
   distributions with exact ``count``/``sum``/``min``/``max``; buckets make
   p50/p95 estimation cheap without storing samples.
@@ -25,7 +24,7 @@ Metric kinds
 
 Snapshots (:meth:`Recorder.snapshot`) are plain-dataclass, picklable
 :class:`TelemetrySnapshot` objects with a JSON form
-(:meth:`TelemetrySnapshot.to_dict` / :meth:`TelemetrySnapshot.from_dict`).
+(:meth:`TelemetrySnapshot.to_dict`).
 Scheduler workers are threads of this process, so they record straight into
 the one global recorder; nothing is merged after the fact.
 
@@ -39,7 +38,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = [
     "Histogram",
@@ -48,8 +47,6 @@ __all__ = [
     "SpanRecord",
     "TelemetrySnapshot",
     "count",
-    "disable",
-    "enable",
     "enabled",
     "get_recorder",
     "observe",
@@ -138,17 +135,6 @@ class Histogram:
             "buckets": {str(index): n for index, n in sorted(self.buckets.items())},
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Histogram":
-        hist = cls(
-            count=int(data["count"]),
-            sum=float(data["sum"]),
-            min=float(data["min"]) if int(data["count"]) else math.inf,
-            max=float(data["max"]),
-            buckets={int(index): int(n) for index, n in data.get("buckets", {}).items()},
-        )
-        return hist
-
 
 @dataclass
 class SpanRecord:
@@ -173,21 +159,9 @@ class SpanRecord:
             "args": self.args,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SpanRecord":
-        return cls(
-            name=str(data["name"]),
-            start=float(data["start"]),
-            duration=float(data["duration"]),
-            pid=int(data["pid"]),
-            tid=int(data["tid"]),
-            depth=int(data.get("depth", 0)),
-            args=dict(data.get("args", {})),
-        )
-
 
 #: JSON schema tag for serialized snapshots (``--profile-json``, bench files).
-SNAPSHOT_SCHEMA = "repro-telemetry/1"
+SNAPSHOT_SCHEMA = "repro-telemetry/2"
 
 
 @dataclass
@@ -199,7 +173,6 @@ class TelemetrySnapshot:
     """
 
     counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
     spans: List[SpanRecord] = field(default_factory=list)
 
@@ -209,36 +182,17 @@ class TelemetrySnapshot:
 
     @property
     def empty(self) -> bool:
-        return not (self.counters or self.gauges or self.histograms or self.spans)
+        return not (self.counters or self.histograms or self.spans)
 
     def to_dict(self) -> Dict:
         return {
             "schema": SNAPSHOT_SCHEMA,
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
                 name: hist.to_dict() for name, hist in sorted(self.histograms.items())
             },
             "spans": [span.to_dict() for span in self.spans],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TelemetrySnapshot":
-        schema = data.get("schema", SNAPSHOT_SCHEMA)
-        if schema != SNAPSHOT_SCHEMA:
-            raise ValueError(
-                f"unsupported telemetry snapshot schema {schema!r} "
-                f"(this build reads {SNAPSHOT_SCHEMA!r})"
-            )
-        return cls(
-            counters={str(k): v for k, v in data.get("counters", {}).items()},
-            gauges={str(k): float(v) for k, v in data.get("gauges", {}).items()},
-            histograms={
-                str(k): Histogram.from_dict(v)
-                for k, v in data.get("histograms", {}).items()
-            },
-            spans=[SpanRecord.from_dict(s) for s in data.get("spans", [])],
-        )
 
 
 class _SpanContext:
@@ -297,13 +251,11 @@ class Recorder:
 
     enabled = True
 
-    def __init__(self, max_spans: int = MAX_SPANS) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._spans: List[SpanRecord] = []
-        self._max_spans = int(max_spans)
         self._span_local = threading.local()
 
     # ------------------------------------------------------------------ #
@@ -313,11 +265,6 @@ class Recorder:
         """Add ``value`` to counter ``name``."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into histogram ``name``."""
@@ -341,7 +288,7 @@ class Recorder:
 
     def _record_span(self, record: SpanRecord) -> None:
         with self._lock:
-            if len(self._spans) >= self._max_spans:
+            if len(self._spans) >= MAX_SPANS:
                 self._counters["obs.spans_dropped"] = (
                     self._counters.get("obs.spans_dropped", 0) + 1
                 )
@@ -351,17 +298,11 @@ class Recorder:
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
-    def counter(self, name: str) -> float:
-        """Current value of one counter (0 when never incremented)."""
+    def snapshot(self) -> TelemetrySnapshot:
+        """Deep-copied snapshot of the current state."""
         with self._lock:
-            return self._counters.get(name, 0)
-
-    def snapshot(self, reset: bool = False) -> TelemetrySnapshot:
-        """Deep-copied snapshot of the current state; ``reset`` clears after."""
-        with self._lock:
-            snap = TelemetrySnapshot(
+            return TelemetrySnapshot(
                 counters=dict(self._counters),
-                gauges=dict(self._gauges),
                 histograms={
                     name: Histogram(
                         count=h.count, sum=h.sum, min=h.min, max=h.max,
@@ -371,16 +312,6 @@ class Recorder:
                 },
                 spans=list(self._spans),
             )
-            if reset:
-                self._counters.clear()
-                self._gauges.clear()
-                self._histograms.clear()
-                self._spans.clear()
-        return snap
-
-    def reset(self) -> None:
-        """Drop all accumulated state."""
-        self.snapshot(reset=True)
 
 
 class _NullContext:
@@ -411,9 +342,6 @@ class NullRecorder:
     def count(self, name: str, value: float = 1) -> None:
         return None
 
-    def gauge(self, name: str, value: float) -> None:
-        return None
-
     def observe(self, name: str, value: float) -> None:
         return None
 
@@ -423,28 +351,19 @@ class NullRecorder:
     def timer(self, name: str) -> _NullContext:
         return _NULL_CONTEXT
 
-    def counter(self, name: str) -> float:
-        return 0
-
-    def snapshot(self, reset: bool = False) -> TelemetrySnapshot:
+    def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot()
-
-    def reset(self) -> None:
-        return None
 
 
 # --------------------------------------------------------------------------- #
 # module-level registry
 # --------------------------------------------------------------------------- #
-_NULL_RECORDER = NullRecorder()
-
-
 def _env_enabled() -> bool:
     value = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
     return value not in ("", "0", "false", "off", "no")
 
 
-_recorder = Recorder() if _env_enabled() else _NULL_RECORDER
+_recorder = Recorder() if _env_enabled() else NullRecorder()
 _registry_lock = threading.Lock()
 
 
@@ -465,25 +384,6 @@ def set_recorder(recorder):
 def enabled() -> bool:
     """Whether the installed global recorder actually records."""
     return _recorder.enabled
-
-
-def enable(recorder: Optional[Recorder] = None) -> Recorder:
-    """Install a real recorder (keeping the current one if already enabled).
-
-    Returns the active :class:`Recorder` so callers can snapshot it later.
-    """
-    global _recorder
-    with _registry_lock:
-        if recorder is not None:
-            _recorder = recorder
-        elif not _recorder.enabled:
-            _recorder = Recorder()
-        return _recorder
-
-
-def disable() -> None:
-    """Swap the no-op recorder back in (accumulated state is discarded)."""
-    set_recorder(_NULL_RECORDER)
 
 
 # Convenience delegates: one global lookup per call.  Hot loops should grab

@@ -3,9 +3,9 @@
 Three consumers, three shapes:
 
 - :func:`format_stage_table` — the human-readable table ``repro --profile``
-  prints: histograms (stages) sorted by total time, then counters and gauges.
+  prints: histograms (stages) sorted by total time, then counters.
 - :func:`snapshot_to_json` / :func:`write_snapshot_json` — the machine-readable
-  dump behind ``--profile-json`` (schema ``repro-telemetry/1``, the same
+  dump behind ``--profile-json`` (schema ``repro-telemetry/2``, the same
   document the benchmark harness embeds in its ``BENCH_*.json`` files).
 - :func:`write_chrome_trace` — ``--trace out.json``: Chrome-trace-format
   complete events (``ph: "X"``), one lane per (process, thread), loadable in
@@ -47,8 +47,8 @@ def _human_count(value: float) -> str:
 def format_stage_table(snapshot: TelemetrySnapshot, title: str = "telemetry") -> str:
     """Multi-line human-readable summary of one snapshot.
 
-    Stages (histograms) are sorted by total accumulated time, counters and
-    gauges alphabetically.  Returns ``""`` for an empty snapshot so callers
+    Stages (histograms) are sorted by total accumulated time, counters
+    alphabetically.  Returns ``""`` for an empty snapshot so callers
     can print unconditionally.
     """
     if snapshot.empty:
@@ -71,17 +71,13 @@ def format_stage_table(snapshot: TelemetrySnapshot, title: str = "telemetry") ->
         lines.append(f"{'counter':<44} {'value':>18}")
         for name in sorted(snapshot.counters):
             lines.append(f"{name:<44} {_human_count(snapshot.counters[name]):>18}")
-    if snapshot.gauges:
-        lines.append(f"{'gauge':<44} {'value':>18}")
-        for name in sorted(snapshot.gauges):
-            lines.append(f"{name:<44} {_human_count(snapshot.gauges[name]):>18}")
     if snapshot.spans:
         lines.append(f"spans recorded: {len(snapshot.spans)}")
     return "\n".join(lines)
 
 
 def snapshot_to_json(snapshot: TelemetrySnapshot, indent: Optional[int] = 2) -> str:
-    """The snapshot as a ``repro-telemetry/1`` JSON document."""
+    """The snapshot as a ``repro-telemetry/2`` JSON document."""
     return json.dumps(snapshot.to_dict(), indent=indent, sort_keys=True)
 
 

@@ -39,11 +39,11 @@ invalid parameters (bad ``fraction``, bad slice syntax — ``ValueError``) →
 → 500 with the corruption detail.
 
 Telemetry (``http.*``): ``http.request.count`` / ``http.request.seconds`` /
-``http.request.bytes_out`` plus per-status ``http.request.status.<code>``
-and per-endpoint ``http.endpoint.<name>.seconds``, with one
-``http.<endpoint>`` trace span per request.  An always-on per-service
-recorder backs :meth:`ArchiveService.request_stats` even when global
-telemetry is disabled.
+``http.request.bytes_out`` plus per-status ``http.request.status.<code>``,
+with one ``http.<endpoint>`` trace span per request (its same-named
+histogram is the per-endpoint latency).  An always-on per-service recorder
+backs :meth:`ArchiveService.request_stats` even when global telemetry is
+disabled.
 """
 
 from __future__ import annotations
@@ -531,9 +531,9 @@ class ArchiveService:
             response = ServiceResponse.error(422, str(exc))
         except OSError as exc:
             response = ServiceResponse.error(500, str(exc))
-        return self._record(endpoint, response, time.perf_counter() - started)
+        return self._record(response, time.perf_counter() - started)
 
-    def _record(self, endpoint: str, response: ServiceResponse, elapsed: float) -> ServiceResponse:
+    def _record(self, response: ServiceResponse, elapsed: float) -> ServiceResponse:
         """Count one answered request on the service recorder and the global one."""
         for recorder in (self.telemetry, _obs.get_recorder()):
             if recorder.enabled:
@@ -541,7 +541,6 @@ class ArchiveService:
                 recorder.count(f"http.request.status.{response.status}")
                 recorder.count("http.request.bytes_out", len(response.body))
                 recorder.observe("http.request.seconds", elapsed)
-                recorder.observe(f"http.endpoint.{endpoint}.seconds", elapsed)
         return response
 
     def _conditional(
@@ -891,4 +890,4 @@ class ArchiveService:
             response.headers["Allow"] = ", ".join(allowed)
         else:
             response = ServiceResponse.error(404, f"no route for {method} {path}")
-        return self._record("unrouted", response, time.perf_counter() - started)
+        return self._record(response, time.perf_counter() - started)

@@ -253,12 +253,10 @@ class ChunkFetcher:
                 with self._lock:
                     self.chunks_decoded += 1
                 if recorder.enabled:
-                    recorder.observe("store.read.decode_seconds", decode_seconds)
                     recorder.observe(f"store.codec.{entry.codec}.decode_seconds", decode_seconds)
                     recorder.count(f"store.codec.{entry.codec}.bytes_in", payload_len)
                     recorder.count(f"store.codec.{entry.codec}.bytes_out", int(decoded.nbytes))
                     recorder.count("store.read.chunks_decoded")
-                    recorder.count("store.read.bytes_out", int(decoded.nbytes))
                 return decoded
             with self._lock:
                 self.previews_decoded += 1

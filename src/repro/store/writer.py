@@ -486,10 +486,10 @@ class ArchiveWriter:
                 payload = instance.encode(chunk_data, anchors=anchor_arrays)
             else:
                 payload = instance.encode(chunk_data)
-            encode_seconds = _time.perf_counter() - encode_start
-            recorder.observe("store.write.encode_seconds", encode_seconds)
             if recorder.enabled:
-                recorder.observe(f"store.codec.{cls.name}.encode_seconds", encode_seconds)
+                recorder.observe(
+                    f"store.codec.{cls.name}.encode_seconds", _time.perf_counter() - encode_start
+                )
                 recorder.count(f"store.codec.{cls.name}.bytes_in", int(chunk_data.nbytes))
                 recorder.count(f"store.codec.{cls.name}.bytes_out", len(payload))
             return payload
@@ -532,7 +532,6 @@ class ArchiveWriter:
                     self._fh.seek(self._offset)
                     self._fh.write(payload)
                 recorder.observe("store.write.io_seconds", _time.perf_counter() - io_start)
-                recorder.count("store.write.bytes_out", len(payload))
                 self._offset += len(payload)
         self.manifest.add(entry)
         self._dirty = True
@@ -613,9 +612,6 @@ class ArchiveWriter:
         fields,
         step: Optional[int] = None,
         time: Optional[float] = None,
-        codec: Optional[str] = None,
-        error_bound: Optional[ErrorBound] = None,
-        chunk_shape: Optional[Sequence[int]] = None,
         temporal=None,
         field_rules: Optional[Mapping[str, Mapping]] = None,
         flush: Optional[bool] = None,
@@ -637,15 +633,15 @@ class ArchiveWriter:
         ``None`` (the default) *continues what the archive records*: each
         field inherits the spec of its latest timestep, so append sessions
         keep the cadence the stream was started with; fields with no recorded
-        spec — and every field of ``temporal={}`` — are stored independently
-        with ``codec``.
+        spec — and every field of ``temporal={}`` — are stored independently.
 
-        ``field_rules`` optionally overrides ``codec`` / ``error_bound`` /
-        ``chunk_shape`` / ``codec_params`` per field (the pipeline's per-field
-        rules route through this).  ``flush`` controls whether the manifest is
-        published after the step: default is to flush in append mode (each
-        appended step becomes durable on its own) and not in write mode
-        (publication happens on close anyway).
+        ``field_rules`` sets ``codec`` / ``error_bound`` / ``chunk_shape`` /
+        ``codec_params`` per field (the pipeline's per-field rules route
+        through this); a field without a rule uses the writer's defaults.
+        ``flush`` controls whether the manifest is published after the step:
+        default is to flush in append mode (each appended step becomes
+        durable on its own) and not in write mode (publication happens on
+        close anyway).
         """
         self._ensure_open()
         if hasattr(fields, "names") and hasattr(fields, "__getitem__"):
@@ -689,8 +685,7 @@ class ArchiveWriter:
         try:
             with _obs.span("store.write.timestep_seconds", step=step, fields=len(items)):
                 self._add_timestep_fields(
-                    items, step, specs, field_rules, codec, error_bound, chunk_shape,
-                    codec_params, stored, temporal_meta,
+                    items, step, specs, field_rules, codec_params, stored, temporal_meta
                 )
         except BaseException:
             # A timestep is all-or-nothing: without this, a mid-step failure
@@ -721,15 +716,14 @@ class ArchiveWriter:
         return entry
 
     def _add_timestep_fields(
-        self, items, step, specs, field_rules, codec, error_bound, chunk_shape,
-        codec_params, stored, temporal_meta,
+        self, items, step, specs, field_rules, codec_params, stored, temporal_meta
     ) -> None:
         """Compress and register every field of one timestep (see add_timestep)."""
         for name, data in items:
             rule = dict(field_rules.get(name, {}))
-            field_codec = rule.get("codec", codec)
-            field_bound = rule.get("error_bound", error_bound)
-            field_chunk = rule.get("chunk_shape", chunk_shape)
+            field_codec = rule.get("codec")
+            field_bound = rule.get("error_bound")
+            field_chunk = rule.get("chunk_shape")
             previous, occurrences = self._field_history(name)
             if field_chunk is None and self.default_chunk_shape is None and previous is not None:
                 # an append session that did not restate the chunk grid keeps

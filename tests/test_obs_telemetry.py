@@ -1,16 +1,22 @@
 """Tests for the telemetry layer (``repro.obs``).
 
-Covers the recorder primitives (counters, gauges, histograms, spans), the
+Covers the recorder primitives (counters, histograms, spans), the
 module-level registry, snapshot serialisation, the render helpers (stage
 table, JSON dump, Chrome trace), thread-safety under concurrent increments,
 and — the load-bearing property for the parallel engine — counter parity: the
 same workload driven through :class:`ChunkScheduler` at ``jobs=1`` (serial
 loop) and ``jobs>1`` (thread pool) must produce identical counter totals.
+Two checks keep the metric namespace honest: each measured value is recorded
+under one name, and every name the stack records has a row in the naming
+table of ``docs/observability.md``.
 """
 
+import ast
 import json
 import pickle
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -62,31 +68,33 @@ class TestHistogram:
         q50 = hist.quantile(0.5)
         assert 0.004 <= q50 <= 0.008
 
-    def test_dict_roundtrip(self):
+    def test_dict_form(self):
         hist = obs.Histogram()
         for v in (0.2, 0.004, 7.0):
             hist.observe(v)
-        clone = obs.Histogram.from_dict(hist.to_dict())
-        assert clone.to_dict() == hist.to_dict()
-        assert clone.quantile(0.95) == hist.quantile(0.95)
+        data = json.loads(json.dumps(hist.to_dict()))
+        assert data["count"] == 3
+        assert data["sum"] == pytest.approx(7.204)
+        assert (data["min"], data["max"]) == (0.004, 7.0)
+        assert data["p95"] == hist.quantile(0.95)
+        assert sum(data["buckets"].values()) == 3
+        assert data["buckets"] == {str(k): n for k, n in sorted(hist.buckets.items())}
+        assert obs.Histogram().to_dict()["min"] == 0.0  # no inf in the JSON
 
 
 # --------------------------------------------------------------------------- #
 # recorder primitives and the registry
 # --------------------------------------------------------------------------- #
 class TestRecorder:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_histograms(self):
         rec = obs.Recorder()
         rec.count("chunks")
         rec.count("chunks", 4)
-        rec.gauge("cache.nbytes", 123.0)
-        rec.gauge("cache.nbytes", 456.0)  # gauges keep the latest value
         rec.observe("io_seconds", 0.25)
         snap = rec.snapshot()
         assert snap.counter("chunks") == 5
-        assert snap.gauges["cache.nbytes"] == 456.0
+        assert snap.counter("never") == 0
         assert snap.histograms["io_seconds"].count == 1
-        assert rec.counter("chunks") == 5  # cheap accessor, no snapshot
 
     def test_span_records_and_observes(self):
         rec = obs.Recorder()
@@ -110,12 +118,19 @@ class TestRecorder:
                 pass
         assert rec.snapshot().histograms["work"].count == 3
 
-    def test_snapshot_reset(self):
+    def test_snapshot_is_a_detached_copy(self):
         rec = obs.Recorder()
         rec.count("a")
-        first = rec.snapshot(reset=True)
+        rec.observe("h", 0.5)
+        first = rec.snapshot()
+        rec.count("a")
+        rec.observe("h", 0.25)
+        # taking a snapshot clears nothing, and later records leave it as it was
         assert first.counter("a") == 1
-        assert rec.snapshot().empty
+        assert first.histograms["h"].count == 1
+        second = rec.snapshot()
+        assert second.counter("a") == 2
+        assert second.histograms["h"].count == 2
 
     def test_null_recorder_is_inert(self):
         null = obs.NullRecorder()
@@ -125,7 +140,6 @@ class TestRecorder:
         with null.span("z", k=1):
             with null.timer("t"):
                 pass
-        assert null.counter("x") == 0
         assert null.snapshot().empty
 
     def test_registry_set_and_restore(self):
@@ -135,19 +149,25 @@ class TestRecorder:
             assert obs.get_recorder() is rec
             assert obs.enabled()
             obs.count("via.module", 2)
-            assert rec.counter("via.module") == 2
+            assert rec.snapshot().counter("via.module") == 2
         finally:
             obs.set_recorder(previous)
         assert obs.get_recorder() is previous
 
-    def test_enable_disable(self):
-        previous = obs.get_recorder()
+    def test_set_recorder_switches_collection(self):
+        previous = obs.set_recorder(obs.NullRecorder())
         try:
-            active = obs.enable()
-            assert obs.enabled()
-            assert obs.enable() is active  # already enabled: keep it
-            obs.disable()
             assert not obs.enabled()
+            obs.count("off")  # the null recorder drops it
+            assert obs.get_recorder().snapshot().empty
+            rec = obs.Recorder()
+            obs.set_recorder(rec)
+            assert obs.enabled()
+            obs.count("on")
+            assert rec.snapshot().counter("on") == 1
+            obs.set_recorder(obs.NullRecorder())
+            assert not obs.enabled()
+            assert rec.snapshot().counter("on") == 1  # the detached one keeps its data
         finally:
             obs.set_recorder(previous)
 
@@ -163,8 +183,9 @@ class TestRecorder:
         monkeypatch.delenv("REPRO_TELEMETRY")
         assert _env_enabled() is False
 
-    def test_span_cap_drops_and_counts(self):
-        rec = obs.Recorder(max_spans=3)
+    def test_span_cap_drops_and_counts(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.recorder.MAX_SPANS", 3)
+        rec = obs.Recorder()
         for _ in range(5):
             with rec.span("s"):
                 pass
@@ -181,27 +202,20 @@ class TestSnapshot:
     def _sample(self):
         rec = obs.Recorder()
         rec.count("c", 3)
-        rec.gauge("g", 9.0)
         rec.observe("h", 0.5)
         with rec.span("sp", step=1):
             pass
         return rec.snapshot()
 
-    def test_json_roundtrip(self):
+    def test_json_form(self):
         snap = self._sample()
         data = json.loads(json.dumps(snap.to_dict()))
-        assert data["schema"] == SNAPSHOT_SCHEMA
-        clone = obs.TelemetrySnapshot.from_dict(data)
-        assert clone.counter("c") == snap.counter("c")
-        assert clone.histograms["h"].sum == snap.histograms["h"].sum
-        assert clone.spans[0].name == "sp"
-        assert clone.spans[0].args == {"step": 1}
-
-    def test_schema_mismatch_rejected(self):
-        data = self._sample().to_dict()
-        data["schema"] = "repro-telemetry/999"
-        with pytest.raises(ValueError, match="telemetry"):
-            obs.TelemetrySnapshot.from_dict(data)
+        assert data["schema"] == SNAPSHOT_SCHEMA == "repro-telemetry/2"
+        assert sorted(data) == ["counters", "histograms", "schema", "spans"]
+        assert data["counters"] == {"c": 3}
+        assert data["histograms"]["h"]["sum"] == snap.histograms["h"].sum
+        assert data["spans"][0]["name"] == "sp"
+        assert data["spans"][0]["args"] == {"step": 1}
 
     def test_pickle_roundtrip(self):
         snap = self._sample()
@@ -218,13 +232,12 @@ class TestRender:
 
     def test_stage_table_contents(self):
         rec = obs.Recorder()
-        rec.observe("store.read.decode_seconds", 0.2)
-        rec.observe("store.read.decode_seconds", 0.1)
+        rec.observe("store.codec.sz.decode_seconds", 0.2)
+        rec.observe("store.codec.sz.decode_seconds", 0.1)
         rec.count("store.cache.hits", 7)
-        rec.gauge("store.cache.nbytes", 4096)
         table = obs.format_stage_table(rec.snapshot(), title="telemetry: test")
         assert "telemetry: test" in table
-        assert "store.read.decode_seconds" in table
+        assert "store.codec.sz.decode_seconds" in table
         assert "store.cache.hits" in table
         assert "7" in table
 
@@ -280,7 +293,7 @@ class TestConcurrency:
         assert snap.histograms["stress.hist"].count == n_threads * n_iter
 
     def test_concurrent_spans_keep_private_depth(self):
-        rec = obs.Recorder(max_spans=100_000)
+        rec = obs.Recorder()
         errors = []
 
         def worker():
@@ -394,8 +407,8 @@ class TestCliProfile:
         assert main(["verify", str(archive), "--deep", "--profile"]) == 0
         captured = capsys.readouterr()
         assert "telemetry: repro verify" in captured.err
-        assert "store.read.decode_seconds" in captured.err
-        assert "store.read.decode_seconds" not in captured.out  # stdout stays clean
+        assert "store.codec.sz.decode_seconds" in captured.err
+        assert "store.codec.sz.decode_seconds" not in captured.out  # stdout stays clean
 
     def test_profile_json_consistent_with_table(self, archive, tmp_path, capsys):
         from repro.store.cli import main
@@ -411,7 +424,13 @@ class TestCliProfile:
         assert decoded > 0
         assert str(int(decoded)) in captured.err
         assert data["counters"]["store.read.bytes_in"] > 0
-        assert data["histograms"]["store.read.decode_seconds"]["count"] == decoded
+        # every full decode is timed once, under its codec's name
+        assert "store.read.decode_seconds" not in data["histograms"]
+        assert decoded == sum(
+            hist["count"]
+            for name, hist in data["histograms"].items()
+            if name.startswith("store.codec.") and name.endswith(".decode_seconds")
+        )
 
     def test_trace_flag_writes_chrome_trace(self, archive, tmp_path):
         from repro.store.cli import main
@@ -506,3 +525,152 @@ def test_archive_read_parity_serial_vs_parallel(tmp_path, recorder):
         }
     assert per_jobs[1] == per_jobs[3]
     assert per_jobs[1]["store.read.chunks_decoded"] == 9
+
+
+# --------------------------------------------------------------------------- #
+# one metric namespace: each value recorded once, each name documented
+# --------------------------------------------------------------------------- #
+def test_each_measured_value_is_observed_under_one_name(tmp_path, monkeypatch, recorder):
+    """No measured float reaches ``observe`` under two names.
+
+    Values are compared by identity: two independent timings are distinct
+    float objects even when equal, while one value passed to two names is the
+    same object.  ``0.0`` is exempt (a constant, not a measurement).  The log
+    keeps every value alive, so no identity is reused during the run.
+    """
+    import numpy as np
+
+    from repro.serve.service import ArchiveService
+    from repro.store import ArchiveReader, ArchiveWriter, SharedChunkCache
+
+    logged = []
+    original = obs.Recorder.observe
+
+    def logging_observe(self, name, value):
+        logged.append((name, value))
+        original(self, name, value)
+
+    monkeypatch.setattr(obs.Recorder, "observe", logging_observe)
+
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(32, 48)).astype(np.float32)
+    path = tmp_path / "names.xfa"
+    with ArchiveWriter(path, chunk_shape=(16, 24)) as writer:
+        writer.add_field("S", data, codec="sz")
+        writer.add_field("Z", data * 2 + 1, codec="zfp")
+    with ArchiveReader(path) as reader:
+        reader.read_region("S", (slice(0, 20), slice(5, 30)))
+        assert reader.verify(deep=True)["ok"]
+    with ArchiveService({"a": path}, cache=SharedChunkCache()) as service:
+        response = service.dispatch(
+            "GET", "/archives/a/fields/Z/region", {"region": "0:16,0:24"}, {}
+        )
+        assert response.status == 200
+
+    names_by_value = {}
+    for name, value in logged:
+        if isinstance(value, float) and value != 0.0:
+            names_by_value.setdefault(id(value), set()).add(name)
+    doubled = sorted(sorted(names) for names in names_by_value.values() if len(names) > 1)
+    assert logged, "the workload must record observations"
+    assert doubled == []
+
+
+_DOC = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+_RECORDING_CALLS = {"count", "observe", "timer", "span", "_observed"}
+
+
+def _literal_names(node, assigned):
+    """Metric names a call argument can take: literals, f-strings (holes
+    become ``<>``), both arms of a conditional, or a local variable assigned
+    from literals."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.JoinedStr):
+        return {
+            "".join(
+                part.value if isinstance(part, ast.Constant) else "<>"
+                for part in node.values
+            )
+        }
+    if isinstance(node, ast.IfExp):
+        return _literal_names(node.body, assigned) | _literal_names(node.orelse, assigned)
+    if isinstance(node, ast.Name):
+        return assigned.get(node.id, set())
+    return set()
+
+
+def _local_string_assignments(function):
+    """``{variable: {literal, ...}}`` for plain and tuple assignments in ``function``."""
+    assigned = {}
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            for name, value in pairs:
+                if isinstance(name, ast.Name):
+                    assigned.setdefault(name.id, set()).update(_literal_names(value, {}))
+    return assigned
+
+
+def _recorded_prefixes():
+    """First two dotted segments of every metric name ``src/repro`` records."""
+    prefixes = set()
+    for path in _SRC.rglob("*.py"):
+        if path.parent.name == "obs":
+            continue  # the recorder itself forwards names it is given
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        scopes = [(tree, {})] + [(fn, _local_string_assignments(fn)) for fn in functions]
+        for scope, assigned in scopes:
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                func = node.func
+                called = getattr(func, "attr", None) or getattr(func, "id", None)
+                if called not in _RECORDING_CALLS:
+                    continue
+                for name in _literal_names(node.args[0], assigned):
+                    if "." in name:
+                        prefixes.add(".".join(name.split(".")[:2]))
+    return prefixes
+
+
+def _documented_prefixes():
+    """Row keys of the ``Metric naming`` table, cut like the recorded names."""
+    text = _DOC.read_text(encoding="utf-8")
+    table = text.split("### Metric naming", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for match in re.finditer(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE):
+        name = re.sub(r"<[^>]*>", "<>", match.group(1))
+        keys.add(".".join(name.split(".")[:2]).removesuffix(".*"))
+    return keys
+
+
+def _covers(key, prefix):
+    return prefix == key or prefix.startswith(key + ".")
+
+
+def test_metric_names_match_the_naming_table():
+    """Every recorded metric prefix has a docs row, and every row is recorded."""
+    recorded = _recorded_prefixes()
+    documented = _documented_prefixes()
+    # the scan resolves f-strings and locally assigned span names
+    assert {"store.codec", "store.read", "store.preview", "http.<>"} <= recorded
+    undocumented = sorted(
+        prefix for prefix in recorded
+        if not any(_covers(key, prefix) for key in documented)
+    )
+    unrecorded = sorted(
+        key for key in documented
+        if not any(_covers(key, prefix) for prefix in recorded)
+    )
+    assert undocumented == [], "add a row to docs/observability.md's naming table"
+    assert unrecorded == [], "naming-table rows no code records"

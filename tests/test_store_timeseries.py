@@ -126,6 +126,34 @@ class TestAddTimestep:
             with pytest.raises(ArchiveError, match="no timestep"):
                 reader.read_timestep(99)
 
+    def test_field_rules_override_writer_defaults_per_field(self, tmp_path):
+        data = _series(steps=1)[0]
+        path = tmp_path / "a.xfa"
+        with ArchiveWriter(
+            path, chunk_shape=(8, 12), error_bound=ErrorBound.absolute(BOUND)
+        ) as writer:
+            writer.add_timestep(
+                {"T": data, "P": data * 2},
+                field_rules={
+                    "P": {
+                        "codec": "zfp",
+                        "chunk_shape": (16, 24),
+                        "error_bound": ErrorBound.absolute(0.1),
+                    }
+                },
+            )
+        with ArchiveReader(path) as reader:
+            t_entry, p_entry = reader.field("T@0"), reader.field("P@0")
+            # a field without a rule takes the writer's defaults
+            assert (t_entry.codec, tuple(t_entry.chunk_shape)) == ("sz", (8, 12))
+            assert t_entry.abs_error_bound == pytest.approx(BOUND)
+            # a rule sets codec, chunk grid and bound for its field alone
+            assert (p_entry.codec, tuple(p_entry.chunk_shape)) == ("zfp", (16, 24))
+            assert p_entry.abs_error_bound == pytest.approx(0.1)
+            snapshot = reader.read_timestep(0)
+            assert np.max(np.abs(snapshot["T"].data - data)) <= BOUND * (1 + 1e-6)
+            assert np.max(np.abs(snapshot["P"].data - data * 2)) <= 0.1 * (1 + 1e-6)
+
     def test_append_inherits_recorded_temporal_spec(self, tmp_path):
         path = tmp_path / "a.xfa"
         data = np.ones((16, 16), dtype=np.float32)
