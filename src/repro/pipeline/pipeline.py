@@ -291,25 +291,6 @@ class CompressionPipeline:
                 "given; provide exactly one wall-time tag per snapshot"
             )
 
-    def _write_steps(self, writer: ArchiveWriter, steps, times) -> int:
-        count = 0
-        for index, fieldset in enumerate(steps):
-            if times is not None and index >= len(times):
-                # unsized (generator) steps still get a clean lazy error
-                raise PipelineConfigError(
-                    f"times has {len(times)} entries but step {index} exists; "
-                    "provide one wall-time tag per snapshot"
-                )
-            field_rules, temporal = self._step_rules(fieldset)
-            writer.add_timestep(
-                fieldset,
-                time=None if times is None else float(times[index]),
-                temporal=temporal or None,
-                field_rules=field_rules,
-            )
-            count += 1
-        return count
-
     def compress_timeseries(
         self,
         steps,
@@ -327,30 +308,10 @@ class CompressionPipeline:
         the archive later — appended steps are bit-identical to what a longer
         single-shot write would have produced.
         """
-        config = self.config
-        self._check_times(steps, times)
-        attrs = dict(config.attrs)
-        attrs["pipeline"] = config.name
-        attrs["pipeline_config"] = config.to_dict()
-        start = time.perf_counter()
-        with ArchiveWriter(
-            path,
-            codec=config.codec,
-            error_bound=config.error_bound,
-            chunk_shape=config.chunk_shape,
-            max_workers=config.jobs,
-            attrs=attrs,
-        ) as writer:
-            count = self._write_steps(writer, steps, times)
-            entries = [writer.manifest[name] for name in writer.manifest.names]
-        seconds = time.perf_counter() - start
-        result = PipelineResult(
-            archive=Path(path),
-            fields=[FieldReport.from_entry(entry) for entry in entries],
-            seconds=seconds,
-        )
-        result.extras["timesteps"] = count
-        return result
+        attrs = dict(self.config.attrs)
+        attrs["pipeline"] = self.config.name
+        attrs["pipeline_config"] = self.config.to_dict()
+        return self._stream(path, steps, times, attrs=attrs)
 
     def append_timesteps(
         self,
@@ -366,29 +327,50 @@ class CompressionPipeline:
         anchor cadence, and durably publishes the manifest after every step —
         a crash loses at most the step in flight.
         """
+        return self._stream(path, steps, times, mode="a", recover=recover)
+
+    def _stream(self, path: PathLike, steps, times, **writer_args) -> PipelineResult:
+        """Write ``steps`` through a writer opened from the config.
+
+        The result reports only the stored fields this call added.
+        """
+        config = self.config
         self._check_times(steps, times)
         start = time.perf_counter()
         with ArchiveWriter(
             path,
-            codec=self.config.codec,
-            error_bound=self.config.error_bound,
-            chunk_shape=self.config.chunk_shape,
-            max_workers=self.config.jobs,
-            mode="a",
-            recover=recover,
+            codec=config.codec,
+            error_bound=config.error_bound,
+            chunk_shape=config.chunk_shape,
+            max_workers=config.jobs,
+            **writer_args,
         ) as writer:
-            known = set(writer.manifest.names)  # report only what this call added
-            count = self._write_steps(writer, steps, times)
+            known = set(writer.manifest.names)
+            count = 0
+            for index, fieldset in enumerate(steps):
+                if times is not None and index >= len(times):
+                    # unsized (generator) steps still get a clean lazy error
+                    raise PipelineConfigError(
+                        f"times has {len(times)} entries but step {index} exists; "
+                        "provide one wall-time tag per snapshot"
+                    )
+                field_rules, temporal = self._step_rules(fieldset)
+                writer.add_timestep(
+                    fieldset,
+                    time=None if times is None else float(times[index]),
+                    temporal=temporal or None,
+                    field_rules=field_rules,
+                )
+                count += 1
             entries = [
                 writer.manifest[name]
                 for name in writer.manifest.names
                 if name not in known
             ]
-        seconds = time.perf_counter() - start
         result = PipelineResult(
             archive=Path(path),
             fields=[FieldReport.from_entry(entry) for entry in entries],
-            seconds=seconds,
+            seconds=time.perf_counter() - start,
         )
         result.extras["timesteps"] = count
         return result

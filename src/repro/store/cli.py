@@ -17,6 +17,11 @@ timestep index (see ``docs/timeseries.md``)::
     repro append series.xfa ./step1_dir --time 0.5
     repro steps series.xfa
 
+An append continues each recorded field's codec, error bound, codec params,
+chunk grid and temporal cadence; ``--codec`` / ``--error-bound`` /
+``--entropy`` override them for every field of the step, and ``--chunk``
+applies only to fields new to the stream.
+
 Pipeline subcommands (see :mod:`repro.pipeline` and ``docs/pipeline.md``)
 run configuration-driven workloads::
 
@@ -278,50 +283,6 @@ def _cmd_unpack(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # time-stepped subcommands
 # --------------------------------------------------------------------------- #
-def _append_inherited_rules(manifest, names, inherit_bound, inherit_codec, entropy) -> Dict:
-    """Per-field rules continuing a recorded stream's codec configuration.
-
-    An append that does not restate ``--error-bound`` / ``--codec`` /
-    ``--entropy`` must keep each field's recorded fidelity, codec *and* codec
-    parameters (a silent reset to the CLI defaults could loosen the bound by
-    orders of magnitude or switch the entropy coder mid-stream); the
-    manifest's latest occurrence of each field is the source of truth.  An
-    explicit ``--entropy`` wins over the recorded one.
-    """
-    from repro.sz.errors import ErrorBound
-
-    latest: Dict[str, str] = {}
-    for ts in manifest.timesteps:
-        for base, stored in ts.fields.items():
-            latest[base] = stored
-    rules: Dict[str, Dict] = {}
-    for name in names:
-        stored = latest.get(name)
-        if stored is None:
-            continue
-        entry = manifest[stored]
-        rule: Dict = {}
-        if inherit_bound and entry.error_bound is not None:
-            rule["error_bound"] = ErrorBound.from_dict(entry.error_bound)
-        if inherit_codec:
-            if entry.codec == "temporal-delta":
-                rule["codec"] = entry.codec_params.get("base", "sz")
-                params = dict(entry.codec_params.get("base_params", {}))
-            else:
-                rule["codec"] = entry.codec
-                params = dict(entry.codec_params)
-            # the writer re-resolves the bound itself; an explicit --entropy
-            # must not be shadowed by the recorded one (rule params would win)
-            params.pop("error_bound", None)
-            if entropy is not None:
-                params.pop("entropy", None)
-            if params:
-                rule["codec_params"] = params
-        if rule:
-            rules[name] = rule
-    return rules
-
-
 def _cmd_append(args: argparse.Namespace) -> int:
     from pathlib import Path as _Path
 
@@ -331,22 +292,24 @@ def _cmd_append(args: argparse.Namespace) -> int:
     from repro.store.writer import ArchiveWriter
     from repro.sz.errors import ErrorBound
 
-    codec_params = {}
+    rule: Dict = {}
+    if args.codec is not None:
+        rule["codec"] = args.codec
+    if args.error_bound is not None:
+        rule["error_bound"] = (
+            ErrorBound.absolute(args.error_bound)
+            if args.mode == "abs"
+            else ErrorBound.relative(args.error_bound)
+        )
     if args.entropy is not None:
-        # fail before loading any data; a field's inherited codec is checked
+        # fail before loading any data; a field's recorded codec is checked
         # when the writer builds it (and the writer rolls the step back)
         get_entropy_coder(args.entropy)
-        codec_params["entropy"] = args.entropy
-        check_codec_params(args.base or args.codec or "sz", codec_params)
+        rule["codec_params"] = {"entropy": args.entropy}
+        check_codec_params(args.base or args.codec or "sz", rule["codec_params"])
     fieldset = _load_source_fieldset(args.source, args.shape, args.seed)
     if args.fields:
         fieldset = fieldset.subset([f.strip() for f in args.fields.split(",")])
-    bound_given = args.error_bound is not None
-    error_bound = (
-        ErrorBound.absolute(args.error_bound)
-        if args.mode == "abs"
-        else ErrorBound.relative(args.error_bound)
-    ) if bound_given else ErrorBound.relative(1e-3)
     exists = _Path(args.archive).exists()
     if args.temporal == "none" and (args.anchor_every is not None or args.base is not None):
         raise ArchiveError(
@@ -375,34 +338,22 @@ def _cmd_append(args: argparse.Namespace) -> int:
             f"archive {args.archive} does not exist; pass --create to start a "
             "new time-stepped archive"
         )
+    # the writer continues each recorded field's codec, bound, params and
+    # chunk grid; the flags given here override them for every field
     with ArchiveWriter(
         args.archive,
-        codec=args.codec or "sz",
-        error_bound=error_bound,
         chunk_shape=_parse_chunk_shape(args.chunk),
         max_workers=args.jobs,
         mode="a" if exists else "w",
         recover=args.recover,
         attrs=None if exists else {"source": str(args.source), "dataset": fieldset.name},
     ) as writer:
-        field_rules = (
-            _append_inherited_rules(
-                writer.manifest,
-                fieldset.names,
-                inherit_bound=not bound_given,
-                inherit_codec=args.codec is None and args.base is None,
-                entropy=args.entropy,
-            )
-            if exists
-            else {}
-        )
         entry = writer.add_timestep(
             fieldset,
             step=args.step,
             time=args.time,
             temporal=temporal,
-            field_rules=field_rules,
-            **codec_params,
+            field_rules={name: rule for name in fieldset.names} if rule else None,
         )
         stored = [writer.manifest[name] for name in entry.fields.values()]
         total_in = sum(e.original_nbytes for e in stored)
@@ -708,19 +659,21 @@ def build_parser() -> argparse.ArgumentParser:
     append.add_argument("--base", default=None,
                         help="base codec for anchors and delta residuals (default: --codec)")
     append.add_argument("--codec", default=None,
-                        help="codec for independent fields (default: each field's "
-                        "recorded codec, sz for new fields)")
+                        help="codec for every field of this step (default: each "
+                        "field's recorded codec, sz for new fields)")
     append.add_argument(
         "--entropy",
-        help="entropy coder for codecs with an entropy stage "
-        "(registered: huffman, zlib, raw; default: the codec's default)",
+        help="entropy coder for every field of this step (registered: huffman, "
+        "zlib, raw; default: each field's recorded coder, the codec's default "
+        "for new fields)",
     )
     append.add_argument("--error-bound", type=float, default=None,
-                        help="error bound value (default: each field's recorded "
-                        "bound, 1e-3 for new fields)")
+                        help="error bound value for every field of this step "
+                        "(default: each field's recorded bound, 1e-3 for new fields)")
     append.add_argument("--mode", choices=("rel", "abs"), default="rel",
                         help="error bound mode (default: rel)")
-    append.add_argument("--chunk", help="chunk shape for new fields, comma separated")
+    append.add_argument("--chunk", help="chunk shape for fields new to the stream, "
+                        "comma separated (recorded fields keep their grid)")
     append.add_argument("--fields", help="comma-separated subset of fields to append")
     append.add_argument("--shape", help="grid shape for synthetic dataset sources")
     append.add_argument("--seed", type=int, default=None, help="seed for synthetic dataset sources")

@@ -114,8 +114,3 @@ class TemporalSpec:
             except ValueError as exc:
                 raise ValueError(f"{context}: {exc}") from exc
         return cls.from_dict(value, context=context)
-
-    @staticmethod
-    def looks_like_spec(value: Mapping) -> bool:
-        """Whether a mapping is one spec (vs a per-field ``{name: spec}`` map)."""
-        return bool(value) and set(value) <= set(_SPEC_KEYS)

@@ -100,6 +100,11 @@ class ArchiveWriter:
         Default error bound for lossy codecs.
     chunk_shape:
         Default chunk tile; ``None`` uses 64 along every axis (clamped).
+
+        In :meth:`add_timestep` these three defaults apply only to fields new
+        to the stream: a field the archive already records continues its
+        latest step's codec, bound and chunk grid unless a per-field rule
+        restates them.
     max_workers:
         Worker count for per-chunk compression, passed to the shared
         :class:`~repro.parallel.engine.ChunkScheduler` as ``jobs``: ``None``
@@ -186,9 +191,9 @@ class ArchiveWriter:
         # keeps repeated anchor use (several cross-field targets sharing
         # anchors, temporal-delta chains) from re-decoding the same chunks.
         self._fetcher: Optional[ChunkFetcher] = None
-        # Lazy {base field: (latest stored name, occurrence count)} map; see
-        # _field_history.
-        self._history: Optional[Dict[str, Tuple[str, int]]] = None
+        # Lazy {base field: (latest stored name, occurrences, recorded spec)}
+        # map; see _stream_history.
+        self._history: Optional[Dict[str, Tuple[str, int, Optional[TemporalSpec]]]] = None
         if mode == "a":
             # Open eagerly: "reopen and validate the manifest" should fail at
             # construction, not at the first add.
@@ -540,72 +545,100 @@ class ArchiveWriter:
     # ------------------------------------------------------------------ #
     # time-stepped streaming
     # ------------------------------------------------------------------ #
-    def _field_history(self, name: str) -> Tuple[Optional[str], int]:
-        """Latest stored name of base field ``name`` and its occurrence count.
+    def _stream_history(self) -> Dict[str, Tuple[str, int, Optional[TemporalSpec]]]:
+        """``{base field: (latest stored name, occurrences, recorded spec)}``.
 
-        Backed by an incrementally maintained map (built lazily from the
-        manifest, updated when a timestep commits), so long streaming
-        sessions do not rescan the whole timestep index per field per step.
+        Built lazily from the manifest's timestep index and updated when a
+        timestep commits, so long streaming sessions do not rescan the index
+        per field per step.  The spec is the *latest* step's: a step stored
+        without one (``temporal={}``) breaks the chain, so a later append does
+        not resurrect delta coding the caller switched off.
         """
         if self._history is None:
-            history: Dict[str, Tuple[str, int]] = {}
+            self._history = {}
             for ts in self.manifest.timesteps:
-                for base, stored in ts.fields.items():
-                    _, count = history.get(base, (None, 0))
-                    history[base] = (stored, count + 1)
-            self._history = history
-        return self._history.get(name, (None, 0))
+                self._record_history(ts)
+        return self._history
 
-    def _recorded_temporal(self, name: str) -> Optional[TemporalSpec]:
-        """The temporal spec of ``name``'s most recent timestep, if any.
+    def _record_history(self, ts: TimestepEntry) -> None:
+        for base, stored in ts.fields.items():
+            count = self._history[base][1] if base in self._history else 0
+            spec = ts.temporal.get(base)
+            self._history[base] = (
+                stored, count + 1, None if spec is None else TemporalSpec.from_dict(spec)
+            )
 
-        Only the *latest* occurrence counts: a step that stored the field
-        without a spec (an explicit ``temporal={}`` opt-out, or a plain
-        independent store) breaks the chain, so a later flagless append does
-        not resurrect delta coding the user switched off.
-        """
-        for ts in reversed(self.manifest.timesteps):
-            if name in ts.fields:
-                spec = ts.temporal.get(name)
-                return TemporalSpec.from_dict(spec) if spec is not None else None
-        return None
-
-    def _resolve_temporal(self, temporal, names) -> Dict[str, Optional[TemporalSpec]]:
-        """Normalise the ``temporal`` argument into a per-field spec map.
-
-        ``None`` means *continue what the archive records*: each field
-        inherits the spec of its most recent timestep (so an append session
-        keeps the anchor cadence it was started with); fields with no
-        recorded spec stay independent.  Pass ``{}`` to explicitly disable
-        temporal policy for every field.
-        """
+    def _resolve_temporal(self, temporal, names) -> Dict[str, TemporalSpec]:
+        """Normalise the ``temporal`` argument into a per-field spec map."""
         if temporal is None:
-            inherited: Dict[str, Optional[TemporalSpec]] = {}
-            for name in names:
-                recorded = self._recorded_temporal(name)
-                if recorded is not None:
-                    inherited[name] = recorded
-            return inherited
-        if isinstance(temporal, (TemporalSpec, str)):
-            spec = TemporalSpec.coerce(temporal)
-            return {name: spec for name in names}
+            history = self._stream_history()
+            return {
+                name: history[name][2]
+                for name in names
+                if name in history and history[name][2] is not None
+            }
+        if isinstance(temporal, TemporalSpec):
+            return {name: temporal for name in names}
         if isinstance(temporal, Mapping):
-            if TemporalSpec.looks_like_spec(temporal):
-                spec = TemporalSpec.from_dict(temporal)
-                return {name: spec for name in names}
-            resolved = {}
             for key, value in temporal.items():
                 if key not in names:
                     raise ArchiveError(
                         f"temporal spec names unknown field {key!r}; "
                         f"timestep fields: {sorted(names)}"
                     )
-                resolved[key] = TemporalSpec.coerce(value, context=f"field {key!r} temporal")
-            return resolved
+                if not isinstance(value, TemporalSpec):
+                    raise ArchiveError(
+                        f"field {key!r} temporal must be a TemporalSpec, "
+                        f"got {type(value).__name__}"
+                    )
+            return dict(temporal)
         raise ArchiveError(
-            "temporal must be a TemporalSpec, a mode string, a spec dict, or a "
-            f"{{field: spec}} mapping, got {type(temporal).__name__}"
+            "temporal must be None, a TemporalSpec or a {field: TemporalSpec} "
+            f"mapping, got {type(temporal).__name__}"
         )
+
+    def _continue_field(
+        self, rule: Mapping, recorded: Optional[FieldEntry], spec: Optional[TemporalSpec]
+    ) -> Tuple[str, Optional[ErrorBound], Optional[Sequence[int]], Dict]:
+        """Codec, bound, chunk grid and codec params of one field's next step.
+
+        Each comes from the caller's ``rule`` if it has it, else from the
+        field's latest stored step ``recorded``, else from the writer's
+        defaults (``None`` here defers to :meth:`add_field`).  Keeping the
+        recorded chunk grid is also what lets a delta step use its previous
+        step as anchor.  A delta spec's ``base`` names the codec ahead of all
+        three.  A ``temporal-delta`` step records its codec as ``base`` /
+        ``base_params``.  Recorded params carry over only while the codec
+        stays the same, and only those that differ from the codec's defaults,
+        so a stream started on defaults keeps recording empty params; the
+        rule's params go on top.
+        """
+        codec = rule.get("codec")
+        if spec is not None and spec.mode == "delta" and spec.base is not None:
+            codec = spec.base
+        error_bound = rule.get("error_bound")
+        chunk_shape = rule.get("chunk_shape")
+        params: Dict = {}
+        if recorded is not None:
+            if recorded.codec == "temporal-delta":
+                recorded_codec = recorded.codec_params["base"]
+                recorded_params = recorded.codec_params.get("base_params", {})
+            else:
+                recorded_codec, recorded_params = recorded.codec, recorded.codec_params
+            codec = codec or recorded_codec
+            if codec_class(codec).name == recorded_codec:
+                defaults = get_codec(recorded_codec).params()
+                params = {
+                    key: value
+                    for key, value in recorded_params.items()
+                    if key != "error_bound" and defaults.get(key) != value
+                }
+            if error_bound is None and recorded.error_bound is not None:
+                error_bound = ErrorBound.from_dict(recorded.error_bound)
+            if chunk_shape is None:
+                chunk_shape = recorded.chunk_shape
+        params.update(rule.get("codec_params", {}))
+        return codec or self.default_codec, error_bound, chunk_shape, params
 
     def add_timestep(
         self,
@@ -614,8 +647,6 @@ class ArchiveWriter:
         time: Optional[float] = None,
         temporal=None,
         field_rules: Optional[Mapping[str, Mapping]] = None,
-        flush: Optional[bool] = None,
-        **codec_params,
     ) -> TimestepEntry:
         """Add one fieldset as timestep ``step`` and record it in the time index.
 
@@ -624,24 +655,28 @@ class ArchiveWriter:
         ``step`` defaults to one past the last recorded step (ids must be
         strictly increasing); ``time`` is a free-form wall-time tag.
 
-        ``temporal`` selects the time coding: a
-        :class:`~repro.store.temporal.TemporalSpec` (or its dict / mode-string
-        form) applied to every field, or a ``{field: spec}`` mapping.  With
-        ``mode="delta"``, occurrence ``0, K, 2K, ...`` of a field is an
-        independent *anchor* step and everything in between is stored with the
-        ``temporal-delta`` codec against the field's decoded previous step.
-        ``None`` (the default) *continues what the archive records*: each
-        field inherits the spec of its latest timestep, so append sessions
-        keep the cadence the stream was started with; fields with no recorded
-        spec — and every field of ``temporal={}`` — are stored independently.
+        Each field continues its recorded stream: its codec, error bound,
+        codec params and chunk grid each come from the first of (1) its
+        ``field_rules`` entry (keys ``codec`` / ``error_bound`` /
+        ``chunk_shape`` / ``codec_params``), (2) its latest stored step,
+        (3) the writer's defaults — which therefore apply only to fields new
+        to the stream.  Recorded codec params carry over only while the codec
+        stays the same; the rule's params are merged over them key by key.
 
-        ``field_rules`` sets ``codec`` / ``error_bound`` / ``chunk_shape`` /
-        ``codec_params`` per field (the pipeline's per-field rules route
-        through this); a field without a rule uses the writer's defaults.
-        ``flush`` controls whether the manifest is published after the step:
-        default is to flush in append mode (each appended step becomes
-        durable on its own) and not in write mode (publication happens on
-        close anyway).
+        ``temporal`` selects the time coding: ``None`` (the default)
+        continues each field's recorded spec, so append sessions keep the
+        cadence the stream was started with; a
+        :class:`~repro.store.temporal.TemporalSpec` applies to every field, a
+        ``{field: TemporalSpec}`` mapping to the fields it names (the others
+        are stored independently), and ``{}`` stores every field
+        independently.  With ``mode="delta"``, occurrence ``0, K, 2K, ...``
+        of a field is an independent *anchor* step and everything in between
+        is stored with the ``temporal-delta`` codec against the field's
+        decoded previous step.
+
+        In append mode the manifest is flushed after the step, so each
+        appended step is durable on its own; in write mode publication
+        happens on :meth:`close`.
         """
         self._ensure_open()
         if hasattr(fields, "names") and hasattr(fields, "__getitem__"):
@@ -684,9 +719,7 @@ class ArchiveWriter:
         temporal_meta: Dict[str, Dict] = {}
         try:
             with _obs.span("store.write.timestep_seconds", step=step, fields=len(items)):
-                self._add_timestep_fields(
-                    items, step, specs, field_rules, codec_params, stored, temporal_meta
-                )
+                self._add_timestep_fields(items, step, specs, field_rules, stored, temporal_meta)
         except BaseException:
             # A timestep is all-or-nothing: without this, a mid-step failure
             # would leave orphan `{name}@{step}` entries in the manifest with
@@ -705,67 +738,50 @@ class ArchiveWriter:
             temporal=temporal_meta,
         )
         self.manifest.add_timestep(entry)
-        if self._history is not None:
-            for name, stored_name in stored.items():
-                _, count = self._history.get(name, (None, 0))
-                self._history[name] = (stored_name, count + 1)
+        self._record_history(entry)
         self._dirty = True
-        should_flush = flush if flush is not None else self.mode == "a"
-        if should_flush:
+        if self.mode == "a":
             self.flush()
         return entry
 
-    def _add_timestep_fields(
-        self, items, step, specs, field_rules, codec_params, stored, temporal_meta
-    ) -> None:
+    def _add_timestep_fields(self, items, step, specs, field_rules, stored, temporal_meta) -> None:
         """Compress and register every field of one timestep (see add_timestep)."""
+        history = self._stream_history()
         for name, data in items:
-            rule = dict(field_rules.get(name, {}))
-            field_codec = rule.get("codec")
-            field_bound = rule.get("error_bound")
-            field_chunk = rule.get("chunk_shape")
-            previous, occurrences = self._field_history(name)
-            if field_chunk is None and self.default_chunk_shape is None and previous is not None:
-                # an append session that did not restate the chunk grid keeps
-                # the field's existing one — delta anchors require alignment,
-                # and uniform grids keep region reads predictable across time
-                field_chunk = self.manifest[previous].chunk_shape
-            field_params = dict(codec_params, **dict(rule.get("codec_params", {})))
-            stored_name = stored_field_name(name, step)
+            previous, occurrences, _ = history.get(name, (None, 0, None))
             spec = specs.get(name)
-            if spec is not None and spec.mode == "delta":
-                base_codec = spec.base or field_codec or self.default_codec
-                if previous is None or occurrences % spec.anchor_every == 0:
-                    # anchor step: independent encode with the base codec
-                    self.add_field(
-                        stored_name,
-                        data,
-                        codec=base_codec,
-                        error_bound=field_bound,
-                        chunk_shape=field_chunk,
-                        **field_params,
-                    )
-                else:
-                    self.add_field(
-                        stored_name,
-                        data,
-                        codec="temporal-delta",
-                        error_bound=field_bound,
-                        chunk_shape=field_chunk,
-                        anchors=(previous,),
-                        base=base_codec,
-                        base_params=field_params,
-                    )
-                temporal_meta[name] = spec.to_dict()
+            codec, error_bound, chunk_shape, params = self._continue_field(
+                field_rules.get(name, {}),
+                None if previous is None else self.manifest[previous],
+                spec,
+            )
+            stored_name = stored_field_name(name, step)
+            if (
+                spec is not None
+                and spec.mode == "delta"
+                and previous is not None
+                and occurrences % spec.anchor_every != 0
+            ):
+                # between anchors: the residual against the decoded previous step
+                self.add_field(
+                    stored_name,
+                    data,
+                    codec="temporal-delta",
+                    error_bound=error_bound,
+                    chunk_shape=chunk_shape,
+                    anchors=(previous,),
+                    base=codec,
+                    base_params=params,
+                )
             else:
                 self.add_field(
                     stored_name,
                     data,
-                    codec=field_codec,
-                    error_bound=field_bound,
-                    chunk_shape=field_chunk,
-                    **field_params,
+                    codec=codec,
+                    error_bound=error_bound,
+                    chunk_shape=chunk_shape,
+                    **params,
                 )
-                if spec is not None:
-                    temporal_meta[name] = spec.to_dict()
+            if spec is not None:
+                temporal_meta[name] = spec.to_dict()
             stored[name] = stored_name

@@ -471,6 +471,26 @@ class TestAppendSteps:
         assert code == 2
         assert "contradicts" in capsys.readouterr().err
 
+    def test_append_chunk_applies_to_new_fields_only(self, tmp_path, capsys):
+        from repro.store.reader import ArchiveReader
+
+        archive = tmp_path / "s.xfa"
+        synthetic = ["cesm", "--shape", "32,64"]
+        assert main([
+            "append", str(archive), *synthetic, "--create", "--fields", "FLNT",
+            "--chunk", "16,32", "--anchor-every", "4",
+        ]) == 0
+        # FLNT@1 is delta-coded against FLNT@0, so it must keep the 16x32
+        # grid; only LWCF, new to the stream, takes --chunk
+        assert main([
+            "append", str(archive), *synthetic, "--fields", "FLNT,LWCF", "--chunk", "8,8",
+        ]) == 0
+        capsys.readouterr()
+        with ArchiveReader(archive) as reader:
+            assert reader.field("FLNT@1").codec == "temporal-delta"
+            assert reader.field("FLNT@1").chunk_shape == (16, 32)
+            assert reader.field("LWCF@1").chunk_shape == (8, 8)
+
     def test_steps_on_plain_archive(self, cli_archive_master, capsys):
         assert main(["steps", str(cli_archive_master)]) == 0
         assert "no timestep index" in capsys.readouterr().out

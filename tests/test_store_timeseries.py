@@ -182,6 +182,38 @@ class TestAddTimestep:
         with ArchiveReader(path) as reader:
             assert reader.field("x@4").codec == "sz"
 
+    def test_append_without_rules_continues_bound_and_codec_params(self, tmp_path):
+        path = tmp_path / "a.xfa"
+        series = _series(steps=2)
+        with ArchiveWriter(path) as writer:
+            writer.add_timestep(
+                {"T": series[0]},
+                field_rules={
+                    "T": {
+                        "error_bound": ErrorBound.absolute(1e-5),
+                        "codec_params": {"entropy": "zlib"},
+                    }
+                },
+            )
+        # no rule: the recorded bound and entropy coder carry over instead of
+        # the writer's defaults (rel 1e-3, huffman)
+        with ArchiveWriter(path, mode="a") as writer:
+            writer.add_timestep({"T": series[1]})
+        with ArchiveReader(path) as reader:
+            entry = reader.field("T@1")
+            assert entry.error_bound == {"mode": "abs", "value": 1e-5}
+            assert entry.codec_params["entropy"] == "zlib"
+
+    def test_temporal_string_and_spec_dict_forms_rejected(self, tmp_path):
+        with ArchiveWriter(tmp_path / "a.xfa") as writer:
+            data = {"x": np.ones((8, 8), dtype=np.float32)}
+            with pytest.raises(ArchiveError, match="temporal must be"):
+                writer.add_timestep(data, temporal="delta")
+            with pytest.raises(ArchiveError, match="unknown field 'mode'"):
+                writer.add_timestep(data, temporal={"mode": "delta"})
+            with pytest.raises(ArchiveError, match="must be a TemporalSpec"):
+                writer.add_timestep(data, temporal={"x": "delta"})
+
     def test_append_inherits_chunk_grid(self, tmp_path):
         path = tmp_path / "a.xfa"
         data = np.ones((32, 32), dtype=np.float32)
@@ -231,9 +263,7 @@ class TestAppendMode:
         good = path.read_bytes()
         with pytest.raises(RuntimeError):
             with ArchiveWriter(path, mode="a") as writer:
-                writer.add_timestep(
-                    {"T": series[0]}, temporal=TemporalSpec(anchor_every=2), flush=False
-                )
+                writer.add_field("extra", series[0])  # written, not yet flushed
                 raise RuntimeError("boom mid-append")
         # the archive is byte-identical to its last flushed state
         assert path.read_bytes() == good
