@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.fields import FieldSet
+from repro.data.synthetic import DATASET_ALIASES
 from repro.metrics.correlation import mutual_information_score
 
 __all__ = ["AnchorSpec", "ANCHOR_TABLE", "get_anchor_spec", "list_anchor_specs", "suggest_anchors"]
@@ -60,11 +61,15 @@ _register(AnchorSpec("cesm", "LWCF", ("FLUTC", "FLNT"), "longwave cloud forcing 
 _register(AnchorSpec("cesm", "FLUT", ("FLNT", "FLNTC", "FLUTC", "LWCF"), "upwelling flux from related fluxes"))
 
 
+def _dataset_key(dataset: str) -> str:
+    """Lower-cased dataset name with its alias resolved (``cesm-atm`` -> ``cesm``)."""
+    key = dataset.lower()
+    return DATASET_ALIASES.get(key, key)
+
+
 def get_anchor_spec(dataset: str, target: str) -> AnchorSpec:
     """Return the paper's anchor specification for ``(dataset, target)``."""
-    key = (dataset.lower(), target)
-    aliases = {"cesm-atm": "cesm", "scale-letkf": "scale", "hurricane-isabel": "hurricane"}
-    key = (aliases.get(key[0], key[0]), key[1])
+    key = (_dataset_key(dataset), target)
     if key not in ANCHOR_TABLE:
         available = sorted(f"{d}:{t}" for d, t in ANCHOR_TABLE)
         raise KeyError(f"no anchor spec for {dataset}:{target}; available: {available}")
@@ -75,9 +80,7 @@ def list_anchor_specs(dataset: Optional[str] = None) -> List[AnchorSpec]:
     """All registered specs, optionally filtered by dataset name."""
     specs = list(ANCHOR_TABLE.values())
     if dataset is not None:
-        dataset = dataset.lower()
-        aliases = {"cesm-atm": "cesm", "scale-letkf": "scale", "hurricane-isabel": "hurricane"}
-        dataset = aliases.get(dataset, dataset)
+        dataset = _dataset_key(dataset)
         specs = [s for s in specs if s.dataset == dataset]
     return specs
 

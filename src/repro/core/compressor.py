@@ -40,7 +40,12 @@ from repro.sz.decode import decode_weighted_wavefront, weighted_predict_full
 from repro.sz.errors import ErrorBound
 from repro.sz.pipeline import CompressionResult, decode_integer_stream, encode_integer_stream
 from repro.sz.predictors import lorenzo_predict
-from repro.sz.quantizer import dequantize, effective_error_bound, prequantize
+from repro.sz.quantizer import (
+    cast_safe_error_bound,
+    dequantize,
+    effective_error_bound,
+    prequantize,
+)
 from repro.utils.validation import ensure_array
 
 __all__ = ["CrossFieldCompressor"]
@@ -148,7 +153,8 @@ class CrossFieldCompressor:
 
         # stage 1: prequantization (identical to the baseline)
         abs_eb = self.error_bound.resolve(target_data)
-        quant_eb = effective_error_bound(abs_eb)
+        payload_eb = cast_safe_error_bound(abs_eb, target_data)
+        quant_eb = effective_error_bound(payload_eb)
         codes = prequantize(target_data, quant_eb)
 
         # stage 2a: cross-field model
@@ -209,7 +215,7 @@ class CrossFieldCompressor:
             "shape": list(target_data.shape),
             "dtype": str(target_data.dtype),
             "error_bound": self.error_bound.to_dict(),
-            "abs_error_bound": abs_eb,
+            "abs_error_bound": payload_eb,
             "stream": stream_meta,
             "hybrid": hybrid.to_dict(),
             "mode": mode,

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.encoding.entropy import get_entropy_coder
 from repro.store.codecs import check_codec_params, codec_class
-from repro.store.temporal import TemporalSpec
 from repro.sz.errors import ErrorBound
 
 __all__ = ["PipelineConfigError", "FieldRule", "PipelineConfig"]
@@ -88,28 +87,6 @@ def _check_codec(name: str, context: str) -> None:
         raise PipelineConfigError(f"{context}: {exc}") from exc
 
 
-def _as_temporal(value, context: str) -> Optional[Dict]:
-    """Coerce a temporal rule into its canonical, validated dict form.
-
-    Accepts ``None``, a :class:`~repro.store.temporal.TemporalSpec`, its dict
-    form, or a bare mode string (``"delta"`` / ``"independent"``).
-    """
-    if value is None:
-        return None
-    try:
-        spec = TemporalSpec.coerce(value, context=context)
-    except ValueError as exc:
-        raise PipelineConfigError(f"{context}: {exc}") from exc
-    if spec.base is not None:
-        _check_codec(spec.base, f"{context}: temporal base")
-        if codec_class(spec.base).requires_anchors:
-            raise PipelineConfigError(
-                f"{context}: temporal base codec {spec.base!r} must decode "
-                "without anchors"
-            )
-    return spec.to_dict()
-
-
 @dataclass
 class FieldRule:
     """Per-field override of the pipeline defaults.
@@ -119,10 +96,7 @@ class FieldRule:
     required for (and only valid with) codecs that declare
     ``requires_anchors`` (the cross-field codec).  ``codec_params`` is passed
     through to the codec constructor and must stay JSON-serialisable — it ends
-    up in the archive manifest.  ``temporal`` is the streaming-ingest rule
-    (see :class:`~repro.store.temporal.TemporalSpec`): for time-stepped runs
-    it chooses delta vs independent coding and the anchor cadence; one-shot
-    compression ignores it.
+    up in the archive manifest.
     """
 
     codec: Optional[str] = None
@@ -130,7 +104,6 @@ class FieldRule:
     anchors: Tuple[str, ...] = ()
     chunk_shape: Optional[Tuple[int, ...]] = None
     codec_params: Dict = field(default_factory=dict)
-    temporal: Optional[Dict] = None
 
     def __post_init__(self) -> None:
         if self.error_bound is not None:
@@ -142,7 +115,6 @@ class FieldRule:
             )
         self.anchors = tuple(str(a) for a in self.anchors)
         self.chunk_shape = _as_chunk_shape(self.chunk_shape, "field rule")
-        self.temporal = _as_temporal(self.temporal, "field rule")
 
     def to_dict(self) -> Dict:
         """JSON-serialisable representation (inverse of :meth:`from_dict`)."""
@@ -157,8 +129,6 @@ class FieldRule:
             payload["chunk_shape"] = list(self.chunk_shape)
         if self.codec_params:
             payload["codec_params"] = dict(self.codec_params)
-        if self.temporal is not None:
-            payload["temporal"] = dict(self.temporal)
         return payload
 
     @classmethod
@@ -168,7 +138,7 @@ class FieldRule:
             raise PipelineConfigError(f"{context}: expected an object, got {type(payload).__name__}")
         _check_keys(
             payload,
-            ("codec", "error_bound", "anchors", "chunk_shape", "codec_params", "temporal"),
+            ("codec", "error_bound", "anchors", "chunk_shape", "codec_params"),
             context,
         )
         codec_params = payload.get("codec_params", {})
@@ -186,7 +156,6 @@ class FieldRule:
             anchors=payload.get("anchors", ()),
             chunk_shape=payload.get("chunk_shape"),
             codec_params=dict(codec_params),
-            temporal=payload.get("temporal"),
         )
 
 
@@ -211,11 +180,6 @@ class PipelineConfig:
         :meth:`~repro.pipeline.pipeline.CompressionPipeline.decompress` /
         ``verify``.  ``jobs=None`` sizes the thread pool to the machine,
         ``jobs=1`` forces the serial reference loop.
-    temporal:
-        Default streaming-ingest rule applied to every field of a
-        time-stepped run (``{"mode": "delta", "anchor_every": K, "base": ...}``,
-        see :class:`~repro.store.temporal.TemporalSpec`); per-field
-        ``FieldRule.temporal`` overrides it.  One-shot compression ignores it.
     fields:
         ``{field_name: FieldRule}`` overrides, including cross-field rules.
     source / output:
@@ -231,7 +195,6 @@ class PipelineConfig:
     error_bound: ErrorBound = field(default_factory=lambda: ErrorBound.relative(1e-3))
     chunk_shape: Optional[Tuple[int, ...]] = None
     jobs: Optional[int] = None
-    temporal: Optional[Dict] = None
     fields: Dict[str, FieldRule] = field(default_factory=dict)
     source: Optional[str] = None
     output: Optional[str] = None
@@ -240,7 +203,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         self.error_bound = _as_error_bound(self.error_bound, "pipeline")
         self.chunk_shape = _as_chunk_shape(self.chunk_shape, "pipeline")
-        self.temporal = _as_temporal(self.temporal, "pipeline")
 
     # ------------------------------------------------------------------ #
     # resolution helpers
@@ -258,24 +220,6 @@ class PipelineConfig:
         """Effective error bound for ``field_name``."""
         rule = self.rule_for(field_name)
         return rule.error_bound if rule.error_bound is not None else self.error_bound
-
-    def temporal_for(self, field_name: str) -> Optional[TemporalSpec]:
-        """Effective temporal spec for ``field_name`` in a time-stepped run.
-
-        The per-field rule wins over the pipeline default; fields whose
-        effective base codec comes from their rule keep it as the residual /
-        anchor codec unless the spec names its own ``base``.
-        """
-        rule = self.rule_for(field_name)
-        payload = rule.temporal if rule.temporal is not None else self.temporal
-        if payload is None:
-            return None
-        spec = TemporalSpec.from_dict(payload)
-        if spec.base is None:
-            spec = TemporalSpec(
-                mode=spec.mode, anchor_every=spec.anchor_every, base=self.codec_for(field_name)
-            )
-        return spec
 
     # ------------------------------------------------------------------ #
     # validation
@@ -322,11 +266,6 @@ class PipelineConfig:
             if rule.anchors and not cls.requires_anchors:
                 raise PipelineConfigError(
                     f"{context}: codec {codec_name!r} does not accept anchor fields"
-                )
-            if rule.temporal is not None and rule.anchors:
-                raise PipelineConfigError(
-                    f"{context}: a rule cannot set both anchors (cross-field) and "
-                    "temporal (time-delta) coding"
                 )
             if field_name in rule.anchors:
                 raise PipelineConfigError(f"{context}: a field cannot anchor itself")
@@ -401,8 +340,6 @@ class PipelineConfig:
             payload["chunk_shape"] = list(self.chunk_shape)
         if self.jobs is not None:
             payload["jobs"] = int(self.jobs)
-        if self.temporal is not None:
-            payload["temporal"] = dict(self.temporal)
         if self.fields:
             payload["fields"] = {name: rule.to_dict() for name, rule in self.fields.items()}
         if self.source is not None:
@@ -437,7 +374,6 @@ class PipelineConfig:
                 "error_bound",
                 "chunk_shape",
                 "jobs",
-                "temporal",
                 "fields",
                 "source",
                 "output",
@@ -463,7 +399,6 @@ class PipelineConfig:
             ),
             chunk_shape=payload.get("chunk_shape"),
             jobs=payload.get("jobs"),
-            temporal=payload.get("temporal"),
             fields={
                 str(name): FieldRule.from_dict(rule, context=f"field {name!r}")
                 for name, rule in fields_payload.items()

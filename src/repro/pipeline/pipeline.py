@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.data.fields import Field, FieldSet
 from repro.obs import recorder as _obs
-from repro.pipeline.config import FieldRule, PipelineConfig, PipelineConfigError
+from repro.pipeline.config import PipelineConfig, PipelineConfigError
 from repro.store.manifest import FieldEntry
 from repro.store.reader import ArchiveReader
 from repro.store.writer import ArchiveWriter
@@ -247,133 +247,6 @@ class CompressionPipeline:
             fields=[FieldReport.from_entry(entry) for entry in entries],
             seconds=seconds,
         )
-
-    # ------------------------------------------------------------------ #
-    # time-stepped streaming
-    # ------------------------------------------------------------------ #
-    def _step_rules(self, fieldset: FieldSet) -> Tuple[Dict, Dict]:
-        """Per-field writer rules and temporal specs for one timestep."""
-        config = self.config
-        field_rules: Dict = {}
-        temporal: Dict = {}
-        for name in fieldset.names:
-            rule = config.rule_for(name)
-            if rule.anchors:
-                raise PipelineConfigError(
-                    f"field {name!r}: cross-field rules are not supported in "
-                    "time-stepped runs (anchors live within one snapshot); "
-                    "use a temporal rule instead"
-                )
-            field_rules[name] = {
-                "codec": config.codec_for(name),
-                "error_bound": config.error_bound_for(name),
-                "chunk_shape": rule.chunk_shape,
-                "codec_params": dict(rule.codec_params),
-            }
-            spec = config.temporal_for(name)
-            if spec is not None:
-                temporal[name] = spec
-        return field_rules, temporal
-
-    @staticmethod
-    def _check_times(steps, times) -> None:
-        """Reject a mismatched ``times`` list before any step is written.
-
-        Appended steps are durably flushed one by one, so a late length error
-        would leave the earlier steps of a "failed" call published; when
-        ``steps`` is sized, fail eagerly instead.
-        """
-        if times is None or not hasattr(steps, "__len__"):
-            return
-        if len(times) != len(steps):
-            raise PipelineConfigError(
-                f"times has {len(times)} entries but {len(steps)} snapshots were "
-                "given; provide exactly one wall-time tag per snapshot"
-            )
-
-    def compress_timeseries(
-        self,
-        steps,
-        path: PathLike,
-        times: Optional[Sequence[float]] = None,
-    ) -> PipelineResult:
-        """Write a sequence of field sets as timesteps of one fresh archive.
-
-        ``steps`` is an iterable of :class:`~repro.data.fields.FieldSet`
-        snapshots (one per timestep, ids ``0..n-1``); ``times`` optionally
-        tags each with a wall time.  Each field follows its effective
-        ``temporal`` rule (pipeline default, overridden per field): delta
-        coding against the decoded previous step with periodic anchors, or
-        independent per-step storage.  Use :meth:`append_timesteps` to extend
-        the archive later — appended steps are bit-identical to what a longer
-        single-shot write would have produced.
-        """
-        attrs = dict(self.config.attrs)
-        attrs["pipeline"] = self.config.name
-        attrs["pipeline_config"] = self.config.to_dict()
-        return self._stream(path, steps, times, attrs=attrs)
-
-    def append_timesteps(
-        self,
-        path: PathLike,
-        steps,
-        times: Optional[Sequence[float]] = None,
-        recover: bool = False,
-    ) -> PipelineResult:
-        """Append snapshots to an existing archive, one flush per timestep.
-
-        Reopens the archive (``recover=True`` resumes past a torn tail from a
-        crashed session), continues the timestep numbering and each field's
-        anchor cadence, and durably publishes the manifest after every step —
-        a crash loses at most the step in flight.
-        """
-        return self._stream(path, steps, times, mode="a", recover=recover)
-
-    def _stream(self, path: PathLike, steps, times, **writer_args) -> PipelineResult:
-        """Write ``steps`` through a writer opened from the config.
-
-        The result reports only the stored fields this call added.
-        """
-        config = self.config
-        self._check_times(steps, times)
-        start = time.perf_counter()
-        with ArchiveWriter(
-            path,
-            codec=config.codec,
-            error_bound=config.error_bound,
-            chunk_shape=config.chunk_shape,
-            max_workers=config.jobs,
-            **writer_args,
-        ) as writer:
-            known = set(writer.manifest.names)
-            count = 0
-            for index, fieldset in enumerate(steps):
-                if times is not None and index >= len(times):
-                    # unsized (generator) steps still get a clean lazy error
-                    raise PipelineConfigError(
-                        f"times has {len(times)} entries but step {index} exists; "
-                        "provide one wall-time tag per snapshot"
-                    )
-                field_rules, temporal = self._step_rules(fieldset)
-                writer.add_timestep(
-                    fieldset,
-                    time=None if times is None else float(times[index]),
-                    temporal=temporal or None,
-                    field_rules=field_rules,
-                )
-                count += 1
-            entries = [
-                writer.manifest[name]
-                for name in writer.manifest.names
-                if name not in known
-            ]
-        result = PipelineResult(
-            archive=Path(path),
-            fields=[FieldReport.from_entry(entry) for entry in entries],
-            seconds=time.perf_counter() - start,
-        )
-        result.extras["timesteps"] = count
-        return result
 
     # ------------------------------------------------------------------ #
     # decompression / verification

@@ -16,14 +16,18 @@ immediately runnable and tested.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.data.fields import FieldSet
 from repro.data.synthetic import make_dataset, make_timeseries
 from repro.pipeline.config import FieldRule, PipelineConfig
-from repro.pipeline.pipeline import CompressionPipeline, PipelineResult
+from repro.pipeline.pipeline import CompressionPipeline, FieldReport, PipelineResult
 from repro.store.reader import ArchiveReader
+from repro.store.temporal import TemporalSpec
+from repro.store.writer import ArchiveWriter
 
 __all__ = [
     "Scenario",
@@ -39,6 +43,10 @@ PathLike = Union[str, os.PathLike]
 #: Tiny cross-field training budget: per-chunk CFNNs on scenario-sized chunks
 #: need only a few epochs to beat the Lorenzo fallback on synthetic data.
 _FAST_CROSS_FIELD: Dict = {"epochs": 2, "n_patches": 8}
+
+#: Time coding of every field of a streaming scenario: SZ-coded deltas against
+#: the decoded previous step, with an independent anchor step every fourth.
+_STREAM_TEMPORAL = TemporalSpec(mode="delta", anchor_every=4, base="sz")
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,11 @@ class Scenario:
         ``0`` (default) runs the scenario as a one-shot snapshot compression;
         ``> 0`` makes it a *streaming* scenario: :func:`run_scenario` builds a
         temporally correlated series (:func:`~repro.data.synthetic.make_timeseries`)
-        and writes it as timesteps through
-        :meth:`~repro.pipeline.pipeline.CompressionPipeline.compress_timeseries`,
-        honouring the config's ``temporal`` rules.
+        and writes each snapshot as one timestep through
+        :meth:`~repro.store.writer.ArchiveWriter.add_timestep`, delta-coded
+        with an anchor step every fourth.  The config supplies the writer's
+        codec, bound, chunk grid and ``jobs``; its per-field rules do not
+        apply.
     dt:
         Wall-time spacing between steps of a streaming scenario.
     preview_fraction:
@@ -131,6 +141,11 @@ def register_scenario(scenario: Scenario) -> Scenario:
     if not scenario.name:
         raise ValueError("scenario must have a non-empty name")
     scenario.build_config()  # fail at registration, not at run time
+    if scenario.steps > 0 and scenario.config.fields:
+        raise ValueError(
+            f"streaming scenario {scenario.name!r} must not set per-field rules; "
+            "every field continues its stream through ArchiveWriter.add_timestep"
+        )
     _REGISTRY[scenario.name] = scenario
     return scenario
 
@@ -183,11 +198,7 @@ def run_scenario(
         config = replace(config, jobs=jobs).validate()
     pipeline = CompressionPipeline(config)
     if scenario.steps > 0:
-        series = scenario.build_timeseries(seed=seed)
-        times = [index * scenario.dt for index in range(len(series))]
-        result = pipeline.compress_timeseries(series, output, times=times)
-        with ArchiveReader(output, jobs=jobs) as reader:
-            result.extras["steps"] = reader.steps
+        result = _write_timeseries(scenario, config, output, seed)
     else:
         fieldset = scenario.build_fieldset(seed=seed)
         result = pipeline.compress(fieldset, output)
@@ -221,6 +232,31 @@ def run_scenario(
             scenario, output, jobs=jobs
         )
     return result
+
+
+def _write_timeseries(
+    scenario: Scenario, config: PipelineConfig, output: PathLike, seed: int
+) -> PipelineResult:
+    """Write the streaming scenario's snapshots as timesteps of one archive."""
+    series = scenario.build_timeseries(seed=seed)
+    attrs = dict(config.attrs, pipeline=config.name, pipeline_config=config.to_dict())
+    start = time.perf_counter()
+    with ArchiveWriter(
+        output,
+        codec=config.codec,
+        error_bound=config.error_bound,
+        chunk_shape=config.chunk_shape,
+        max_workers=config.jobs,
+        attrs=attrs,
+    ) as writer:
+        for index, fieldset in enumerate(series):
+            writer.add_timestep(fieldset, time=index * scenario.dt, temporal=_STREAM_TEMPORAL)
+        entries = [writer.manifest[name] for name in writer.manifest.names]
+    return PipelineResult(
+        archive=Path(output),
+        fields=[FieldReport.from_entry(entry) for entry in entries],
+        seconds=time.perf_counter() - start,
+    )
 
 
 def _replay_serving_traffic(
@@ -364,7 +400,6 @@ register_scenario(
             codec="sz",
             error_bound=1e-3,
             chunk_shape=(24, 48),
-            temporal={"mode": "delta", "anchor_every": 4},
         ),
     )
 )

@@ -28,7 +28,11 @@ import numpy as np
 from repro.encoding.container import CompressedBlob
 from repro.encoding.lossless import get_backend
 from repro.sz.errors import ErrorBound
-from repro.sz.quantizer import QUANT_RADIUS_DEFAULT, check_quant_radius
+from repro.sz.quantizer import (
+    QUANT_RADIUS_DEFAULT,
+    cast_safe_error_bound,
+    check_quant_radius,
+)
 
 __all__ = [
     "Codec",
@@ -375,8 +379,21 @@ class TemporalDeltaCodec(Codec):
         return np.asarray(anchors[0], dtype=np.float64)
 
     def encode(self, chunk: np.ndarray, anchors: Optional[Sequence[np.ndarray]] = None) -> bytes:
-        residual = np.asarray(chunk, dtype=np.float64) - self._previous(anchors)
-        return self._base.encode(np.ascontiguousarray(residual))
+        chunk = np.asarray(chunk)
+        residual = np.ascontiguousarray(
+            np.asarray(chunk, dtype=np.float64) - self._previous(anchors)
+        )
+        base = self._base
+        if self.error_bound is not None:
+            # the reader casts previous + residual back to the chunk's dtype,
+            # so the residual's bound must leave room for that cast
+            abs_eb = self.error_bound.resolve(residual)
+            payload_eb = cast_safe_error_bound(abs_eb, chunk)
+            if payload_eb != abs_eb:
+                base = get_codec(
+                    self.base, error_bound=ErrorBound.absolute(payload_eb), **self.base_params
+                )
+        return base.encode(residual)
 
     def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         residual = self._base.decode(payload)

@@ -13,15 +13,15 @@ prediction), the per-point error bound holds at every step without drift —
 anchors exist for access locality, not error control.
 
 The spec is deliberately tiny and JSON-round-trippable: it is what
-:class:`~repro.pipeline.config.FieldRule` stores under ``temporal``, what
-:meth:`~repro.store.writer.ArchiveWriter.add_timestep` consumes, and what the
-manifest's timestep index records per field.
+:meth:`~repro.store.writer.ArchiveWriter.add_timestep` consumes (and ``repro
+append`` builds from its ``--temporal`` flags), and what the manifest's
+timestep index records per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional
 
 __all__ = ["TemporalSpec", "TEMPORAL_MODES", "DEFAULT_ANCHOR_EVERY"]
 
@@ -100,17 +100,3 @@ class TemporalSpec:
             )
         except ValueError as exc:
             raise ValueError(f"{context}: {exc}") from exc
-
-    @classmethod
-    def coerce(
-        cls, value: Union["TemporalSpec", str, Mapping, None], context: str = "temporal spec"
-    ) -> Optional["TemporalSpec"]:
-        """Accept a spec, its dict form, a bare mode string, or ``None``."""
-        if value is None or isinstance(value, TemporalSpec):
-            return value
-        if isinstance(value, str):
-            try:
-                return cls(mode=value)
-            except ValueError as exc:
-                raise ValueError(f"{context}: {exc}") from exc
-        return cls.from_dict(value, context=context)

@@ -44,6 +44,7 @@ from repro.sz.predictors import (
 )
 from repro.sz.quantizer import (
     QUANT_RADIUS_DEFAULT,
+    cast_safe_error_bound,
     check_quant_radius,
     dequantize,
     effective_error_bound,
@@ -382,7 +383,8 @@ class SZCompressor:
 
         with recorder.timer("sz.quantize.prequantize_seconds"):
             abs_eb = self.error_bound.resolve(data)
-            codes = prequantize(data, effective_error_bound(abs_eb))
+            payload_eb = cast_safe_error_bound(abs_eb, data)
+            codes = prequantize(data, effective_error_bound(payload_eb))
 
         extra_sections: Dict[str, bytes] = {}
         extra_meta: Dict = {}
@@ -415,7 +417,7 @@ class SZCompressor:
             "shape": list(data.shape),
             "dtype": str(data.dtype),
             "error_bound": self.error_bound.to_dict(),
-            "abs_error_bound": abs_eb,
+            "abs_error_bound": payload_eb,
             "predictor": self.predictor,
             "stream": stream_meta,
         }

@@ -33,6 +33,7 @@ __all__ = [
     "check_quant_radius",
     "QUANT_SAFETY_MARGIN",
     "effective_error_bound",
+    "cast_safe_error_bound",
 ]
 
 #: Default quantization-code radius: residuals with magnitude above this are
@@ -45,10 +46,13 @@ QUANT_RADIUS_DEFAULT = 32768
 QUANT_RADIUS_MAX = 2**30 - 1
 
 #: Relative safety margin applied to the user's error bound before
-#: quantization.  The compressors quantize against ``abs_eb * (1 - margin)`` so
-#: that the half-ULP rounding introduced by casting the reconstruction back to
-#: ``float32`` can never push the final point-wise error above the requested
-#: bound.  The impact on the compression ratio is below 0.1%.
+#: quantization.  The compressors quantize against ``abs_eb * (1 - margin)``,
+#: which absorbs the float64 rounding of dequantization and, while
+#: ``margin * abs_eb`` is at least half the dtype's spacing at the data's
+#: magnitude, the rounding of the cast back to ``float32``.  Below that the
+#: margin alone does not cover the cast; :func:`cast_safe_error_bound` then
+#: tightens the bound itself.  The impact on the compression ratio is below
+#: 0.1%.
 QUANT_SAFETY_MARGIN = 1e-3
 
 
@@ -67,6 +71,29 @@ def effective_error_bound(abs_eb: float) -> float:
     before prequantization.
     """
     return float(abs_eb) * (1.0 - QUANT_SAFETY_MARGIN)
+
+
+def cast_safe_error_bound(abs_eb: float, data: np.ndarray) -> float:
+    """Absolute bound to record and quantise with so that ``abs_eb`` holds in ``data.dtype``.
+
+    A reconstruction ``x_hat`` within ``e`` of ``x`` moves by at most half the
+    dtype's spacing ``h`` at ``|x_hat| <= max|x| + abs_eb`` when cast back to
+    ``data.dtype``, and, since ``x`` itself is representable, by at most
+    ``e``.  While ``QUANT_SAFETY_MARGIN * abs_eb >= h`` the margin covers the
+    cast and ``abs_eb`` is returned unchanged (so such payloads are unchanged
+    too).  Otherwise the bound shrinks to ``max(abs_eb / 2, abs_eb - h)``,
+    which keeps ``min(2e, e + h)`` within ``abs_eb`` with
+    ``e = effective_error_bound(bound)``.  Decoders read the recorded bound,
+    so they need no change.
+    """
+    data = np.asarray(data)
+    top = float(np.max(np.abs(data))) + abs_eb
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_spacing = float(np.spacing(data.dtype.type(top))) / 2.0
+    if QUANT_SAFETY_MARGIN * abs_eb >= half_spacing:
+        return abs_eb
+    # abs_eb / 2 first: a non-finite spacing (overflowing data) falls back to it
+    return max(abs_eb / 2.0, abs_eb - half_spacing)
 
 
 def prequantize(data: np.ndarray, abs_eb: float) -> np.ndarray:

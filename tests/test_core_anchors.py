@@ -23,6 +23,7 @@ class TestAnchorSpec:
 
     def test_dataset_alias(self):
         assert get_anchor_spec("CESM-ATM", "LWCF").anchors == ("FLUTC", "FLNT")
+        assert {s.target for s in list_anchor_specs("scale-letkf")} == {"RH", "W"}
 
     def test_unknown_spec(self):
         with pytest.raises(KeyError):

@@ -190,89 +190,3 @@ class TestReconstructAnchors:
         via_float = reconstruct_anchors(cesm, ["FLNTC"], 1e-3)
         via_bound = reconstruct_anchors(cesm, ["FLNTC"], ErrorBound.relative(1e-3))
         assert np.array_equal(via_float[0], via_bound[0])
-
-
-class TestTimeseries:
-    @pytest.fixture(scope="class")
-    def series(self):
-        from repro.data import make_timeseries
-
-        return make_timeseries(
-            "cesm", shape=(24, 48), steps=4, seed=6, fields=("FLNT", "FLNTC"),
-            drift=0.2, noise_level=0.005,
-        )
-
-    @pytest.fixture(scope="class")
-    def config(self):
-        return PipelineConfig(
-            codec="sz",
-            error_bound=1e-3,
-            chunk_shape=(12, 24),
-            temporal={"mode": "delta", "anchor_every": 3},
-        )
-
-    def test_compress_timeseries_round_trip(self, series, config, tmp_path):
-        path = tmp_path / "series.xfa"
-        pipeline = CompressionPipeline(config)
-        result = pipeline.compress_timeseries(series, path, times=[0.5 * t for t in range(4)])
-        assert result.extras["timesteps"] == 4
-        assert len(result.fields) == 8  # 2 fields x 4 steps
-        assert pipeline.verify(path, deep=True)["ok"]
-        with ArchiveReader(path) as reader:
-            assert reader.steps == [0, 1, 2, 3]
-            assert reader.manifest.timestep(2).time == 1.0
-            # anchors at occurrences 0 and 3 with anchor_every=3
-            codecs = [reader.field(f"FLNT@{t}").codec for t in range(4)]
-            assert codecs == ["sz", "temporal-delta", "temporal-delta", "sz"]
-            for t, snapshot in enumerate(series):
-                restored = reader.read_timestep(t)
-                for field in snapshot:
-                    err = np.max(
-                        np.abs(
-                            restored[field.name].data.astype(np.float64)
-                            - field.data.astype(np.float64)
-                        )
-                    )
-                    bound = reader.field(f"{field.name}@{t}").abs_error_bound
-                    assert err <= bound * (1 + 1e-6), (t, field.name)
-
-    def test_append_timesteps_continues_cadence(self, series, config, tmp_path):
-        path = tmp_path / "series.xfa"
-        pipeline = CompressionPipeline(config)
-        pipeline.compress_timeseries(series[:2], path)
-        result = pipeline.append_timesteps(path, series[2:])
-        assert result.extras["timesteps"] == 2
-        assert len(result.fields) == 4  # only the appended stored fields
-        with ArchiveReader(path) as reader:
-            assert reader.steps == [0, 1, 2, 3]
-            # occurrence 2 continues the delta chain started before the append
-            assert reader.field("FLNT@2").codec == "temporal-delta"
-            assert reader.field("FLNT@2").anchors == ("FLNT@1",)
-            assert reader.field("FLNT@3").codec == "sz"
-        assert pipeline.verify(path, deep=True)["ok"]
-
-    def test_append_equals_single_shot(self, series, config, tmp_path):
-        single, split = tmp_path / "single.xfa", tmp_path / "split.xfa"
-        pipeline = CompressionPipeline(config)
-        pipeline.compress_timeseries(series, single)
-        pipeline.compress_timeseries(series[:1], split)
-        pipeline.append_timesteps(split, series[1:])
-        with ArchiveReader(single) as ref, ArchiveReader(split) as got:
-            assert ref.steps == got.steps
-            for t in ref.steps:
-                want, have = ref.read_timestep(t), got.read_timestep(t)
-                for name in want.names:
-                    assert np.array_equal(want[name].data, have[name].data), (t, name)
-
-    def test_cross_field_rule_rejected_for_timeseries(self, series, tmp_path):
-        config = PipelineConfig(
-            fields={"FLNTC": FieldRule(codec="cross-field", anchors=("FLNT",))}
-        )
-        with pytest.raises(PipelineConfigError, match="not supported in"):
-            CompressionPipeline(config).compress_timeseries(series[:1], tmp_path / "x.xfa")
-
-    def test_times_length_mismatch_rejected(self, series, config, tmp_path):
-        with pytest.raises(PipelineConfigError, match="one wall-time tag"):
-            CompressionPipeline(config).compress_timeseries(
-                series, tmp_path / "x.xfa", times=[0.0]
-            )

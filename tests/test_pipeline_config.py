@@ -17,7 +17,6 @@ def _full_config() -> PipelineConfig:
         error_bound=ErrorBound.relative(1e-3),
         chunk_shape=(8, 16, 16),
         jobs=3,
-        temporal={"mode": "delta", "anchor_every": 6},
         fields={
             "Wf": FieldRule(
                 codec="cross-field",
@@ -26,7 +25,6 @@ def _full_config() -> PipelineConfig:
                 codec_params={"epochs": 2, "n_patches": 8},
             ),
             "Pf": FieldRule(codec="lossless", chunk_shape=(4, 8, 8)),
-            "TCf": FieldRule(temporal={"mode": "independent", "anchor_every": 1}),
         },
         source="hurricane",
         output="out.xfa",
@@ -242,59 +240,17 @@ class TestStrictParsing:
             PipelineConfig.load(tmp_path / "absent.json")
 
 
-class TestTemporalRules:
-    def test_temporal_round_trips_and_resolves(self):
-        config = _full_config()
-        rebuilt = PipelineConfig.from_json(config.to_json())
-        assert rebuilt.temporal == {"mode": "delta", "anchor_every": 6}
-        assert rebuilt.fields["TCf"].temporal == {"mode": "independent", "anchor_every": 1}
-        # per-field rule wins; pipeline default fills the rest; base falls
-        # back to the field's effective codec
-        assert rebuilt.temporal_for("TCf").mode == "independent"
-        spec = rebuilt.temporal_for("Uf")
-        assert spec.mode == "delta" and spec.anchor_every == 6 and spec.base == "sz"
-        assert rebuilt.temporal_for("Pf").base == "lossless"
+class TestTemporalKeysRejected:
+    """Time coding belongs to ``ArchiveWriter.add_timestep``, not to pack configs."""
 
-    def test_no_temporal_resolves_to_none(self):
-        assert PipelineConfig().temporal_for("X") is None
+    def test_pipeline_level_temporal_rejected(self):
+        with pytest.raises(PipelineConfigError, match=r"unknown key.*'temporal'"):
+            PipelineConfig.from_json(json.dumps({"temporal": {"mode": "delta"}}))
 
-    def test_bad_temporal_mode_rejected(self):
-        with pytest.raises(PipelineConfigError, match="mode"):
-            PipelineConfig(temporal={"mode": "sideways"})
-
-    def test_bad_anchor_every_rejected(self):
-        with pytest.raises(PipelineConfigError, match="anchor_every"):
-            PipelineConfig(temporal={"mode": "delta", "anchor_every": 0})
-
-    def test_unknown_temporal_key_rejected(self):
-        with pytest.raises(PipelineConfigError, match="unknown key"):
-            PipelineConfig(temporal={"mode": "delta", "cadence": 4})
-
-    def test_anchored_temporal_base_rejected(self):
-        with pytest.raises(PipelineConfigError, match="without anchors"):
-            PipelineConfig(temporal={"mode": "delta", "base": "cross-field"})
-
-    def test_temporal_plus_anchors_on_one_rule_rejected(self):
-        config = PipelineConfig(
-            fields={
-                "W": FieldRule(
-                    codec="cross-field",
-                    anchors=("U",),
-                    temporal={"mode": "delta"},
-                )
-            }
-        )
-        with pytest.raises(PipelineConfigError, match="anchors .* and"):
-            config.validate()
-
-    def test_temporal_on_anchorless_cross_field_rule_rejected(self):
-        # a cross-field rule without anchors is already invalid; adding a
-        # temporal rule must not change that verdict
-        bad = PipelineConfig(
-            fields={"W": FieldRule(codec="cross-field", temporal={"mode": "delta"})}
-        )
-        with pytest.raises(PipelineConfigError, match="requires at least one anchor"):
-            bad.validate()
+    def test_field_rule_temporal_rejected(self):
+        payload = {"fields": {"FLNT": {"temporal": {"mode": "delta", "anchor_every": 4}}}}
+        with pytest.raises(PipelineConfigError, match=r"field 'FLNT'.*unknown key.*'temporal'"):
+            PipelineConfig.from_json(json.dumps(payload))
 
 
 class TestDocs:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pipeline import (
+    FieldRule,
     PipelineConfig,
     Scenario,
     available_scenarios,
@@ -59,6 +60,19 @@ class TestRegistry:
         finally:
             _REGISTRY.pop("tmp-test-scenario", None)
 
+    def test_streaming_scenario_rejects_field_rules(self):
+        bad = Scenario(
+            name="bad-stream",
+            description="per-field rules on a stream",
+            dataset="cesm",
+            shape=(16, 32),
+            steps=2,
+            config=PipelineConfig(fields={"FLNT": FieldRule(codec="zfp")}),
+        )
+        with pytest.raises(ValueError, match="must not set per-field rules"):
+            register_scenario(bad)
+        assert "bad-stream" not in available_scenarios()
+
     def test_build_fieldset_respects_subset_and_seed(self):
         scenario = get_scenario("cross-field")
         fieldset = scenario.build_fieldset(seed=11)
@@ -73,6 +87,21 @@ class TestRunScenario:
         result = run_scenario("lossless-audit", tmp_path / "a.xfa", seed=2)
         assert result.verified_ok is True
         assert result.archive.exists()
+
+    def test_timeseries_written_through_add_timestep(self, tmp_path):
+        result = run_scenario("climate-timeseries", tmp_path / "ts.xfa", seed=1)
+        assert result.verified_ok is True
+        assert len(result.fields) == 15  # 3 fields x 5 steps
+        spec = {"mode": "delta", "anchor_every": 4, "base": "sz"}
+        with ArchiveReader(result.archive) as reader:
+            assert reader.steps == [0, 1, 2, 3, 4]
+            assert reader.manifest.timestep(4).time == 1.0
+            assert "temporal" not in reader.attrs["pipeline_config"]
+            assert reader.attrs["pipeline"] == "scenario:climate-timeseries"
+            for ts in reader.timesteps:
+                assert ts.temporal == {name: spec for name in ts.fields}
+            codecs = [reader.field(f"FLNT@{t}").codec for t in reader.steps]
+        assert codecs == ["sz", "temporal-delta", "temporal-delta", "temporal-delta", "sz"]
 
     def test_random_access_demo_stats(self, tmp_path):
         result = run_scenario("random-access", tmp_path / "ra.xfa", seed=2)

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.store import ArchiveWriter
+from repro.store import ArchiveReader, ArchiveWriter, TemporalSpec
 from repro.store.codecs import (
     Codec,
     CrossFieldChunkCodec,
@@ -245,3 +245,43 @@ class TestRoundTrips:
         payload = original.encode(data)
         assert np.array_equal(clone.decode(payload), original.decode(payload))
         assert clone.params() == original.params()
+
+
+class TestFloat32Bound:
+    """The absolute bound holds on what the reader returns: float32, no ulp slack."""
+
+    @staticmethod
+    def _steps():
+        # |x| reaches ~9, where half a float32 ulp (4.8e-7) exceeds the
+        # quantizer's relative margin of a 1e-5 bound (1e-8)
+        rng = np.random.default_rng(0)
+        base = np.cumsum(rng.normal(size=(16, 24)), axis=1).astype(np.float32)
+        return [
+            base + 0.05 * t + 0.01 * rng.normal(size=base.shape).astype(np.float32)
+            for t in range(2)
+        ]
+
+    @pytest.mark.parametrize("codec", ["sz", "cross-field", "temporal-delta", "zfp"])
+    def test_absolute_bound_holds_after_the_cast(self, tmp_path, codec):
+        bound = 1e-5
+        previous, data = self._steps()
+        assert data.dtype == np.float32
+        path = tmp_path / "a.xfa"
+        with ArchiveWriter(path, error_bound=ErrorBound.absolute(bound)) as writer:
+            if codec == "temporal-delta":
+                for step in (previous, data):
+                    writer.add_timestep({"T": step}, temporal=TemporalSpec(anchor_every=2))
+                name = "T@1"
+            elif codec == "cross-field":
+                writer.add_field("A", previous)
+                writer.add_field("T", data, codec=codec, anchors=("A",), epochs=1, n_patches=4)
+                name = "T"
+            else:
+                writer.add_field("T", data, codec=codec)
+                name = "T"
+        with ArchiveReader(path) as reader:
+            assert reader.field(name).codec == codec
+            assert reader.field(name).abs_error_bound == bound
+            recon = reader.read_field(name)
+        assert recon.dtype == np.float32
+        assert np.max(np.abs(recon.astype(np.float64) - data.astype(np.float64))) <= bound

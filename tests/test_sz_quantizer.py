@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.sz.quantizer import (
+    QUANT_SAFETY_MARGIN,
+    cast_safe_error_bound,
     classic_dequantize_lorenzo,
     classic_quantize_lorenzo,
     dequantize,
@@ -52,6 +54,36 @@ class TestPrequantize:
         codes = prequantize(data, eb)
         recon = dequantize(codes, eb, dtype=np.float64)
         assert np.max(np.abs(recon - data)) <= eb * (1 + 1e-9)
+
+
+class TestCastSafeErrorBound:
+    def test_unchanged_while_the_margin_covers_the_cast(self):
+        data = np.linspace(-9.0, 9.0, 50, dtype=np.float32)
+        # half a float32 ulp at 9 is 4.8e-7, below 1e-3 * 1e-3
+        assert cast_safe_error_bound(1e-3, data) == 1e-3
+        assert cast_safe_error_bound(1e-5, data.astype(np.float64)) == 1e-5
+
+    def test_tightened_by_half_a_spacing_otherwise(self):
+        data = np.linspace(-9.0, 9.0, 50, dtype=np.float32)
+        half = float(np.spacing(np.float32(9.0 + 1e-5))) / 2
+        assert QUANT_SAFETY_MARGIN * 1e-5 < half
+        assert cast_safe_error_bound(1e-5, data) == 1e-5 - half
+
+    @pytest.mark.parametrize(
+        "dataset, shape", [("cesm", (64, 128)), ("scale", (8, 48, 48)), ("hurricane", (8, 48, 48))]
+    )
+    def test_synthetic_fields_keep_their_margin_at_rel_1e_3(self, dataset, shape):
+        # their payloads therefore stay byte-identical to margin-only encoding
+        from repro.data import make_dataset
+        from repro.sz.errors import ErrorBound
+
+        for field in make_dataset(dataset, shape=shape, seed=727):
+            eb = ErrorBound.relative(1e-3).resolve(field.data)
+            assert cast_safe_error_bound(eb, field.data) == eb, field.name
+
+    def test_never_below_half_the_bound(self):
+        data = np.full(4, 9.0, dtype=np.float32)
+        assert cast_safe_error_bound(1e-7, data) == 5e-8
 
 
 class TestClassicQuantizer:
