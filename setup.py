@@ -24,11 +24,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.9",
     install_requires=["numpy"],
-    extras_require={
-        # optional ASGI frontend for `repro serve`; the stdlib
-        # ThreadingHTTPServer frontend needs nothing beyond numpy
-        "serve": ["fastapi", "uvicorn"],
-    },
     entry_points={
         "console_scripts": [
             "repro=repro.store.cli:main",

@@ -23,7 +23,6 @@ See ``docs/pipeline.md`` for the configuration reference and CLI usage.
 from repro.pipeline.config import FieldRule, PipelineConfig, PipelineConfigError
 from repro.pipeline.pipeline import (
     CompressionPipeline,
-    FieldReport,
     PipelineResult,
     reconstruct_anchors,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "PipelineConfigError",
     "CompressionPipeline",
     "PipelineResult",
-    "FieldReport",
     "reconstruct_anchors",
     "Scenario",
     "register_scenario",

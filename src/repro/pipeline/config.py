@@ -355,17 +355,6 @@ class PipelineConfig:
         """Parse the dict form strictly and validate the result."""
         if not isinstance(payload, dict):
             raise PipelineConfigError(f"config must be an object, got {type(payload).__name__}")
-        if "max_workers" in payload:
-            raise PipelineConfigError("config: 'max_workers' was removed; set 'jobs' instead")
-        if "executor_kind" in payload:
-            raise PipelineConfigError(
-                "config: 'executor_kind' was removed; set 'jobs' (1 = serial) instead"
-            )
-        if "io_backend" in payload:
-            raise PipelineConfigError(
-                "config: 'io_backend' was removed; archives are read through mmap "
-                "where possible, file reads otherwise"
-            )
         _check_keys(
             payload,
             (

@@ -40,7 +40,6 @@ from repro.sz.errors import ErrorBound
 
 __all__ = [
     "CompressionPipeline",
-    "FieldReport",
     "PipelineResult",
     "reconstruct_anchors",
 ]
@@ -53,42 +52,12 @@ def _human_ratio(value: float) -> str:
 
 
 @dataclass
-class FieldReport:
-    """Per-field outcome of one pipeline compression."""
-
-    name: str
-    codec: str
-    shape: Tuple[int, ...]
-    original_nbytes: int
-    compressed_nbytes: int
-    anchors: Tuple[str, ...] = ()
-
-    @property
-    def ratio(self) -> float:
-        """Compression ratio of this field (manifest overhead excluded)."""
-        if self.compressed_nbytes == 0:
-            return float("inf")
-        return self.original_nbytes / self.compressed_nbytes
-
-    @classmethod
-    def from_entry(cls, entry: FieldEntry) -> "FieldReport":
-        """Summarise an archive manifest entry."""
-        return cls(
-            name=entry.name,
-            codec=entry.codec,
-            shape=entry.shape,
-            original_nbytes=entry.original_nbytes,
-            compressed_nbytes=entry.compressed_nbytes,
-            anchors=entry.anchors,
-        )
-
-
-@dataclass
 class PipelineResult:
     """Outcome of :meth:`CompressionPipeline.compress` (and ``repro run``)."""
 
     archive: Path
-    fields: List[FieldReport] = field(default_factory=list)
+    #: the archive manifest's entry for every field written
+    fields: List[FieldEntry] = field(default_factory=list)
     seconds: float = 0.0
     verify_report: Optional[Dict] = None
     extras: Dict = field(default_factory=dict)
@@ -123,12 +92,12 @@ class PipelineResult:
         lines = [
             f"{'field':<12} {'codec':<12} {'shape':<16} {'ratio':>8}  anchors",
         ]
-        for report in self.fields:
-            anchors = ",".join(report.anchors) if report.anchors else "-"
+        for entry in self.fields:
+            anchors = ",".join(entry.anchors) if entry.anchors else "-"
             lines.append(
-                f"{report.name:<12} {report.codec:<12} "
-                f"{'x'.join(map(str, report.shape)):<16} "
-                f"{_human_ratio(report.ratio):>8}  {anchors}"
+                f"{entry.name:<12} {entry.codec:<12} "
+                f"{'x'.join(map(str, entry.shape)):<16} "
+                f"{_human_ratio(entry.ratio):>8}  {anchors}"
             )
         lines.append(
             f"total: {self.original_nbytes} -> {self.compressed_nbytes} bytes "
@@ -244,7 +213,7 @@ class CompressionPipeline:
         seconds = time.perf_counter() - start
         return PipelineResult(
             archive=Path(path),
-            fields=[FieldReport.from_entry(entry) for entry in entries],
+            fields=entries,
             seconds=seconds,
         )
 

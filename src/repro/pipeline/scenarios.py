@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.data.fields import FieldSet
 from repro.data.synthetic import make_dataset, make_timeseries
 from repro.pipeline.config import FieldRule, PipelineConfig
-from repro.pipeline.pipeline import CompressionPipeline, FieldReport, PipelineResult
+from repro.pipeline.pipeline import CompressionPipeline, PipelineResult
 from repro.store.reader import ArchiveReader
 from repro.store.temporal import TemporalSpec
 from repro.store.writer import ArchiveWriter
@@ -254,7 +254,7 @@ def _write_timeseries(
         entries = [writer.manifest[name] for name in writer.manifest.names]
     return PipelineResult(
         archive=Path(output),
-        fields=[FieldReport.from_entry(entry) for entry in entries],
+        fields=entries,
         seconds=time.perf_counter() - start,
     )
 

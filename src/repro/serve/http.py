@@ -1,12 +1,18 @@
-"""Dependency-free HTTP frontend for :class:`~repro.serve.service.ArchiveService`.
+"""The HTTP transport of :class:`~repro.serve.service.ArchiveService`.
 
 A ``ThreadingHTTPServer`` whose request handler parses the URL and headers,
 calls :meth:`ArchiveService.dispatch`, and writes the
-:class:`~repro.serve.service.ServiceResponse` back — nothing more.  Because
-the service core owns routing, ETags, error mapping and telemetry, this
-frontend stays ~100 lines and needs only the stdlib, which keeps ``repro
-serve`` runnable (and the serve tests + the spine's ``serve-http`` workload
-meaningful) in environments without the optional FastAPI/uvicorn extra.
+:class:`~repro.serve.service.ServiceResponse` back.  The service core owns
+routing, ETags, error mapping and telemetry, so this module needs only the
+stdlib; it is what ``repro serve``, the serve tests and the benchmark spine's
+``serve-http`` workload run.
+
+The handler answers ``GET``, ``HEAD`` (the ``GET`` it mirrors, status and
+headers without the body) and ``POST``.  No route takes a request body: a
+declared ``Content-Length`` body of up to :data:`MAX_BODY_BYTES` is read and
+discarded, so the next request on a keep-alive connection starts where it
+should.  A larger body, any ``Transfer-Encoding`` or a malformed length is
+refused (413, 501, 400) without reading it, and the connection closes.
 
 Concurrency model: one thread per connection (``ThreadingHTTPServer``), with
 all decoded-chunk reuse delegated to the service's
@@ -24,7 +30,10 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.serve.service import ArchiveService, ServiceResponse
 
-__all__ = ["ArchiveHTTPServer", "serve", "serve_in_thread"]
+__all__ = ["MAX_BODY_BYTES", "ArchiveHTTPServer", "serve", "serve_in_thread"]
+
+#: Largest request body the server reads (and discards) before answering.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -35,33 +44,70 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     server: "ArchiveHTTPServer"
 
-    def _respond(self, response: ServiceResponse) -> None:
+    def _respond(self, response: ServiceResponse, send_body: bool) -> None:
         self.send_response(response.status)
         self.send_header("Content-Type", response.media_type)
         self.send_header("Content-Length", str(len(response.body)))
         for name, value in response.headers.items():
             self.send_header(name, value)
         self.end_headers()
-        if response.body:
+        if send_body and response.body:
             self.wfile.write(response.body)
 
-    def _handle(self, method: str) -> None:
-        parts = urlsplit(self.path)
-        query = dict(parse_qsl(parts.query, keep_blank_values=True))
-        try:
-            response = self.server.service.dispatch(
-                method, parts.path, query=query, headers=dict(self.headers.items())
+    def _discard_body(self) -> Optional[ServiceResponse]:
+        """Read and drop the declared request body; the refusal when it is not read.
+
+        Request input is never read without a bound: a body over
+        :data:`MAX_BODY_BYTES`, a transfer-coded one or a length that is not
+        one non-negative decimal is answered at once, and its bytes are left
+        unread on a connection that then closes.
+        """
+        if "Transfer-Encoding" in self.headers:
+            return ServiceResponse.error(
+                501, "request bodies with a Transfer-Encoding are not supported"
             )
-        except Exception as exc:  # dispatch maps expected errors; this is a bug
-            response = ServiceResponse.error(500, f"internal error: {exc}")
+        lengths = self.headers.get_all("Content-Length", [])
+        if not lengths:
+            return None
+        text = lengths[0].strip()
+        if len(lengths) > 1 or not (text.isascii() and text.isdigit()):
+            return ServiceResponse.error(
+                400, f"Content-Length must be one non-negative decimal integer, got {lengths}"
+            )
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            return ServiceResponse.error(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+        self.rfile.read(length)
+        return None
+
+    def _handle(self, method: str, send_body: bool = True) -> None:
+        response = self._discard_body()
+        if response is not None:
+            # the unread body would be parsed as the next request
+            response.headers["Connection"] = "close"
+            self.close_connection = True
+        else:
+            parts = urlsplit(self.path)
+            query = dict(parse_qsl(parts.query, keep_blank_values=True))
+            try:
+                response = self.server.service.dispatch(
+                    method, parts.path, query=query, headers=dict(self.headers.items())
+                )
+            except Exception as exc:  # dispatch maps expected errors; this is a bug
+                response = ServiceResponse.error(500, f"internal error: {exc}")
         try:
-            self._respond(response)
+            self._respond(response, send_body)
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
         self.server.note_request()
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler naming
         self._handle("GET")
+
+    def do_HEAD(self) -> None:  # noqa: N802
+        self._handle("GET", send_body=False)
 
     def do_POST(self) -> None:  # noqa: N802
         self._handle("POST")

@@ -1,14 +1,14 @@
-"""Framework-agnostic core of the ``repro serve`` archive service.
+"""Socket-free core of the ``repro serve`` archive service.
 
 :class:`ArchiveService` exposes the read stack of one or more ``XFA1``
 archives as HTTP-shaped request handlers: manifest listings, binary/JSON
 region reads, progressive previews, timestep and time-range reads.  The class
 itself speaks no socket protocol — every handler returns a
-:class:`ServiceResponse` (status, headers, body) that an adapter transmits.
-Both adapters — the stdlib threaded server in :mod:`repro.serve.http` and the
-FastAPI app in :mod:`repro.serve.app` (the optional ``[serve]`` extra) —
-iterate the one route table :data:`ROUTES` and end in :meth:`ArchiveService.call`,
-so routing, query defaults, error mapping and telemetry are identical.
+:class:`ServiceResponse` (status, headers, body) that the stdlib threaded
+server in :mod:`repro.serve.http` transmits.  :meth:`ArchiveService.dispatch`
+routes a request through the one route table :data:`ROUTES`; in-process
+callers (scenario smoke traffic) use it too, so they see the same routing,
+query defaults, error mapping and telemetry as HTTP clients.
 
 **Shared decode cache.**  Every served archive is opened with
 ``ArchiveReader(shared_cache=...)`` on one
@@ -57,7 +57,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import unquote
 
 import numpy as np
@@ -346,7 +346,7 @@ class ArchiveHandle:
 
 
 # --------------------------------------------------------------------------- #
-# the route table both frontends iterate
+# the route table dispatch() iterates
 # --------------------------------------------------------------------------- #
 @dataclass
 class Route:
@@ -441,10 +441,8 @@ class ArchiveService:
                 self.add_archive(path, archive_id=archive_id)
 
     @staticmethod
-    def _parse_spec(spec) -> Tuple[Optional[str], PathLike]:
+    def _parse_spec(spec: PathLike) -> Tuple[Optional[str], PathLike]:
         """Split an ``"id=path"`` CLI spec; a bare path gets a stem-derived id."""
-        if isinstance(spec, (tuple, list)) and len(spec) == 2:
-            return spec[0], spec[1]
         text = os.fspath(spec)
         archive_id, sep, path = text.partition("=")
         if sep and archive_id.strip() and not os.sep in archive_id:
@@ -837,30 +835,8 @@ class ArchiveService:
         return stats
 
     # ------------------------------------------------------------------ #
-    # routing: both frontends end in call()
+    # routing
     # ------------------------------------------------------------------ #
-    def call(
-        self,
-        route: Route,
-        path_params: Mapping[str, str],
-        query: Optional[Mapping[str, str]] = None,
-        headers: Optional[Mapping[str, str]] = None,
-    ) -> ServiceResponse:
-        """Answer one request for ``route``.
-
-        ``path_params`` are the decoded ``{name}`` segments, ``query`` holds
-        one string per key, and ``headers`` keys are matched
-        case-insensitively.  The handler is looked up by name on every call,
-        so a method replaced on the class is the one that runs.
-        """
-        kwargs = dict(path_params)
-        query = query or {}
-        kwargs.update((word, query[key]) for key, word in route.query.items() if key in query)
-        if route.conditional:
-            lowered = {str(k).lower(): v for k, v in (headers or {}).items()}
-            kwargs["if_none_match"] = lowered.get("if-none-match")
-        return getattr(self, route.handler)(**kwargs)
-
     def dispatch(
         self,
         method: str,
@@ -868,12 +844,16 @@ class ArchiveService:
         query: Optional[Dict[str, str]] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> ServiceResponse:
-        """Route one request through :data:`ROUTES` to :meth:`call`.
+        """Route one request through :data:`ROUTES` to its handler.
 
-        ``query`` values are plain strings (last value wins for repeats).  A
-        path served under other methods answers ``405`` with an ``Allow``
-        header; an unknown path answers ``404``.  Used by the stdlib HTTP
-        server and by in-process callers (scenario smoke traffic).
+        ``query`` values are plain strings (last value wins for repeats), and
+        ``headers`` keys are matched case-insensitively.  The decoded
+        ``{name}`` path segments and the route's query keys become handler
+        keywords; the handler is looked up by name on every call, so a method
+        replaced on the class is the one that runs.  A path served under other
+        methods answers ``405`` with an ``Allow`` header; an unknown path
+        answers ``404``.  Used by the stdlib HTTP server and by in-process
+        callers (scenario smoke traffic).
         """
         started = time.perf_counter()
         allowed = []
@@ -882,8 +862,15 @@ class ArchiveService:
             if match is None:
                 continue
             if method.upper() == route.method:
-                params = {key: unquote(value) for key, value in match.groupdict().items()}
-                return self.call(route, params, query, headers)
+                kwargs = {key: unquote(value) for key, value in match.groupdict().items()}
+                query = query or {}
+                kwargs.update(
+                    (word, query[key]) for key, word in route.query.items() if key in query
+                )
+                if route.conditional:
+                    lowered = {str(k).lower(): v for k, v in (headers or {}).items()}
+                    kwargs["if_none_match"] = lowered.get("if-none-match")
+                return getattr(self, route.handler)(**kwargs)
             allowed.append(route.method)
         if allowed:
             response = ServiceResponse.error(405, f"method {method} not allowed for {path}")

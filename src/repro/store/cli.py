@@ -464,17 +464,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service = ArchiveService(list(args.archives), refresh=args.refresh, jobs=args.jobs)
     try:
-        if args.frontend == "fastapi":
-            try:
-                import uvicorn
-
-                from repro.serve.app import create_app
-            except ImportError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            uvicorn.run(create_app(service), host=args.host, port=args.port)
-            return 0
-
         def ready(server) -> None:
             print(f"serving {len(service.archive_ids)} archive(s) at {server.url}")
             for archive_id in service.archive_ids:
@@ -766,13 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="pick up appended generations automatically on the next request "
         "(auto, default) or only on POST /archives/{id}/refresh (manual)",
-    )
-    serve.add_argument(
-        "--frontend",
-        choices=("stdlib", "fastapi"),
-        default="stdlib",
-        help="HTTP frontend: the dependency-free stdlib server (default) or "
-        "the FastAPI app under uvicorn (requires the [serve] extra)",
     )
     serve.add_argument(
         "--max-requests",

@@ -92,18 +92,19 @@ class TestValidationErrors:
             PipelineConfig(fields={"A": FieldRule(codec_params={"entropy": entropy})}).validate()
 
     def test_bad_executor_kind(self):
-        # the key is gone: an old config is told which knob replaced it
-        message = r"'executor_kind' was removed; set 'jobs' \(1 = serial\)"
+        # the key is gone: an old config is rejected and told the allowed keys,
+        # 'jobs' (1 = serial) among them
+        message = r"unknown key\(s\) \['executor_kind'\]; allowed: .*'jobs'"
         for kind in ("thread", "serial"):
             with pytest.raises(PipelineConfigError, match=message):
                 PipelineConfig.from_dict({"executor_kind": kind})
 
     def test_bad_max_workers(self):
-        # the legacy alias is gone: an old config is told which knob replaced it
-        with pytest.raises(PipelineConfigError, match="max_workers.*'jobs'"):
-            PipelineConfig.from_dict({"max_workers": 2})
-        with pytest.raises(PipelineConfigError, match="'io_backend' was removed"):
-            PipelineConfig.from_dict({"io_backend": "file"})
+        # the legacy alias and the I/O backend switch are gone: unknown keys
+        for key, value in (("max_workers", 2), ("io_backend", "file")):
+            message = rf"unknown key\(s\) \['{key}'\]; allowed: .*'jobs'"
+            with pytest.raises(PipelineConfigError, match=message):
+                PipelineConfig.from_dict({key: value})
 
     def test_bad_jobs(self):
         with pytest.raises(PipelineConfigError, match="jobs"):

@@ -6,10 +6,12 @@ archive CRC covers those bytes, so only the codec notices.  The reader must
 raise :class:`~repro.store.manifest.ArchiveCorruptionError` naming the field
 and chunk, and the service must answer 500 as ``docs/service.md`` documents —
 not 404 (a bare ``KeyError``), 422 (a bare ``ValueError``) or an escaping
-``zlib.error`` / ``AttributeError``.  The FastAPI frontend test runs where the
-optional ``[serve]`` extra is installed (CI serve-smoke).
+``zlib.error`` / ``AttributeError`` — in process and over HTTP.
 """
 
+import json
+import urllib.error
+import urllib.request
 import zlib
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 
 from repro.encoding.container import CompressedBlob
 from repro.encoding.huffman import _V2_HEADER
+from repro.serve.http import serve_in_thread
 from repro.serve.service import ArchiveService
 from repro.store import ArchiveReader, ArchiveWriter
 from repro.store.codecs import LosslessChunkCodec, SZChunkCodec
@@ -112,16 +115,17 @@ def test_non_object_metadata_is_a_value_error(decode):
         decode(CompressedBlob(metadata=[1, 2]).to_bytes())
 
 
-def test_fastapi_frontend_answers_500(corrupt_archive):
-    pytest.importorskip("fastapi")
-    testclient = pytest.importorskip("fastapi.testclient")
-    from repro.serve.app import create_app
-
+def test_http_server_answers_500(corrupt_archive):
     service = ArchiveService({"a": corrupt_archive}, cache=SharedChunkCache())
+    server, thread = serve_in_thread(service)
     try:
-        with testclient.TestClient(create_app(service)) as client:
-            response = client.get("/archives/a/fields/x/region")
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(server.url + "/archives/a/fields/x/region", timeout=10)
+        status, body = caught.value.code, caught.value.read()
     finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
         service.close()
-    assert response.status_code == 500
-    assert "field 'x' chunk 0" in response.json()["detail"]
+    assert status == 500
+    assert "field 'x' chunk 0" in json.loads(body)["detail"]

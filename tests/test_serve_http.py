@@ -1,23 +1,20 @@
-"""Tests for the serve transports: the stdlib HTTP server, the ``repro
-serve`` CLI verb, and (when the optional ``[serve]`` extra is installed) the
-FastAPI app.
+"""Tests for the serve transport: the stdlib HTTP server and the ``repro
+serve`` CLI verb.
 
-The stdlib-server tests run real sockets through ``urllib`` — including
+The server tests run real sockets through ``urllib`` — including
 append-while-serving over HTTP and concurrent-client shared-cache dedup,
 mirroring the in-process versions in ``test_serve_service.py`` at the
-transport level.  FastAPI tests are ``importorskip``-gated: they skip
-cleanly in the dependency-free tier-1 environment and run in the CI
-serve-smoke job.
+transport level — and raw sockets where the framing itself is under test
+(request bodies on a keep-alive connection).
 """
 
 import http.client
 import io
 import json
+import socket
 import statistics
-import sys
 import threading
 import time
-import types
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -25,8 +22,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve.http import serve_in_thread
-from repro.serve.service import ROUTES, ArchiveService
+from repro.serve.http import MAX_BODY_BYTES, serve_in_thread
+from repro.serve.service import ArchiveService
 from repro.store.cli import main
 from repro.store.shared_cache import SharedChunkCache
 from repro.store.writer import ArchiveWriter
@@ -57,13 +54,30 @@ def served(snapshot_archive):
         service.close()
 
 
-def http_get(url, headers=None):
-    request = urllib.request.Request(url, headers=headers or {})
+def http_get(url, headers=None, method="GET"):
+    request = urllib.request.Request(url, headers=headers or {}, method=method)
     try:
         with urllib.request.urlopen(request, timeout=10) as response:
             return response.status, response.read(), dict(response.headers)
     except urllib.error.HTTPError as error:
         return error.code, error.read(), dict(error.headers)
+
+
+def raw_connection(url):
+    """A socket to the server at ``url`` with a 5 s timeout, and its read stream."""
+    parts = urllib.parse.urlsplit(url)
+    sock = socket.create_connection((parts.hostname, parts.port), timeout=5)
+    return sock, sock.makefile("rb")
+
+
+def read_response(stream):
+    """One ``(status, headers, body)`` off ``stream``; header names lower-cased."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, stream.read(int(headers.get("content-length", 0)))
 
 
 class TestStdlibServer:
@@ -131,6 +145,112 @@ class TestStdlibServer:
         )
         assert status == 200
         assert headers["X-Repro-Preview-Fallback"] == "false"
+
+    def test_request_body_is_drained_before_the_next_request(self, served):
+        """A body no route reads must not be parsed as the next request line."""
+        url, _ = served
+        sock, stream = raw_connection(url)
+        with sock, stream:
+            sock.sendall(
+                b"POST /archives/a/refresh HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 8\r\n\r\n"
+                b'{"x": 1}'
+                b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            refresh, health = read_response(stream), read_response(stream)
+        assert [refresh[0], health[0]] == [200, 200]
+        assert json.loads(refresh[2])["id"] == "a"
+        assert json.loads(health[2])["status"] == "ok"
+
+    def test_oversized_body_is_refused_unread(self, served):
+        """A huge declared body is answered at once: nothing of it is awaited."""
+        url, _ = served
+        sock, stream = raw_connection(url)
+        with sock, stream:
+            sock.sendall(
+                b"POST /archives/a/refresh HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 1000000000000\r\n\r\n"
+            )
+            status, headers, body = read_response(stream)  # the socket timeout is 5 s
+            assert stream.read() == b""  # and the server closed the connection
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert str(MAX_BODY_BYTES) in json.loads(body)["detail"]
+
+    @pytest.mark.parametrize(
+        "header, status",
+        [
+            (b"Transfer-Encoding: chunked", 501),
+            (b"Content-Length: -1", 400),
+            (b"Content-Length: 1_0", 400),
+            (b"Content-Length: 8\r\nContent-Length: 8", 400),
+        ],
+        ids=["chunked", "negative", "underscore", "repeated"],
+    )
+    def test_unreadable_body_is_refused(self, served, header, status):
+        url, _ = served
+        sock, stream = raw_connection(url)
+        with sock, stream:
+            request = b"POST /archives/a/refresh HTTP/1.1\r\nHost: test\r\n" + header
+            sock.sendall(request + b"\r\n\r\n")
+            answer = read_response(stream)
+            assert stream.read() == b""
+        assert answer[0] == status
+        assert answer[1]["connection"] == "close"
+        assert "detail" in json.loads(answer[2])
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/archives/a/manifest",
+            "/archives/a/fields/T/region?region=0:8,0:16",
+            "/archives/a/fields/T/preview?fraction=0.25",
+        ],
+        ids=["manifest", "region", "preview"],
+    )
+    def test_head_mirrors_get(self, served, path):
+        url, _ = served
+        get_status, get_body, get_headers = http_get(url + path)
+        status, body, headers = http_get(url + path, method="HEAD")
+        assert status == get_status == 200
+        assert body == b""
+        for name in ("ETag", "Content-Type", "Content-Length"):
+            assert headers[name] == get_headers[name]
+        assert headers["Content-Length"] == str(len(get_body))
+        status, body, _ = http_get(
+            url + path, {"If-None-Match": headers["ETag"]}, method="HEAD"
+        )
+        assert (status, body) == (304, b"")
+
+    def test_head_errors_are_json(self, served):
+        url, _ = served
+        status, body, headers = http_get(url + "/archives/a/fields/NOPE/region", method="HEAD")
+        assert status == 404
+        assert headers["Content-Type"] == "application/json"
+        assert int(headers["Content-Length"]) > 0 and body == b""
+        status, _, headers = http_get(url + "/archives/a/refresh", method="HEAD")
+        assert (status, headers["Allow"]) == (405, "POST")
+
+    def test_head_keeps_the_connection_alive(self, served):
+        url, _ = served
+        parts = urllib.parse.urlsplit(url)
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        try:
+            statuses = []
+            for method in ("HEAD", "GET"):
+                connection.request(method, "/archives/a/fields/T/region?region=0:4,0:4")
+                response = connection.getresponse()
+                body = response.read()
+                statuses.append(response.status)
+                if method == "HEAD":
+                    sock = connection.sock
+                    assert body == b""
+            assert connection.sock is sock
+            assert statuses == [200, 200]
+            assert np.load(io.BytesIO(body)).shape == (4, 4)
+        finally:
+            connection.close()
 
     def test_concurrent_clients_share_one_decode_per_chunk(self, served):
         url, service = served
@@ -262,115 +382,3 @@ class TestServeCLI:
     def test_serve_missing_archive_errors(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.xfa")]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestFastAPIFrontendOnStub:
-    """``create_app`` against a stand-in ``fastapi`` module, so tier-1 covers it."""
-
-    class _Response:
-        def __init__(self, content, status_code, media_type, headers):
-            self.body, self.status, self.media_type = content, status_code, media_type
-            self.headers = dict(headers)
-
-    class _FastAPI:
-        def __init__(self, **metadata):
-            self.state = types.SimpleNamespace()
-            self.registered = []
-
-        def add_api_route(self, path, endpoint, *, methods, **options):
-            self.registered.append((tuple(methods), path, endpoint))
-
-    @pytest.fixture()
-    def app(self, snapshot_archive, monkeypatch):
-        stub = types.ModuleType("fastapi")
-        stub.FastAPI, stub.Response, stub.Request = self._FastAPI, self._Response, object
-        monkeypatch.setitem(sys.modules, "fastapi", stub)
-        monkeypatch.delitem(sys.modules, "repro.serve.app", raising=False)
-        from repro.serve.app import create_app
-
-        path, _ = snapshot_archive
-        service = ArchiveService({"a": path}, cache=SharedChunkCache())
-        try:
-            yield create_app(service), service
-        finally:
-            sys.modules.pop("repro.serve.app", None)  # the next import sees real fastapi
-            service.close()
-
-    def test_every_route_registered_once(self, app):
-        fastapi_app, service = app
-        assert fastapi_app.state.service is service
-        registered = sorted((methods, path) for methods, path, _ in fastapi_app.registered)
-        assert registered == sorted(((route.method,), route.path) for route in ROUTES)
-
-    @pytest.mark.parametrize(
-        "path, query, conditional",
-        [
-            ("/archives/a/fields/T/region", {"region": "0:4,0:8", "format": "json"}, False),
-            ("/archives/a/fields/T/region", {"region": "0:4,0:8"}, True),
-            ("/archives/a/fields/T/preview", {"fraction": "7"}, False),
-            ("/archives/missing/manifest", {}, False),
-        ],
-        ids=["json", "304", "422", "404"],
-    )
-    def test_endpoint_answers_like_dispatch(self, app, path, query, conditional):
-        fastapi_app, service = app
-        headers = {}
-        if conditional:
-            headers["if-none-match"] = service.handle_manifest("a").headers["ETag"]
-        expected = service.dispatch("GET", path, query, headers)
-        route = next(r for r in ROUTES if r.method == "GET" and r.pattern.match(path))
-        (endpoint,) = [
-            endpoint
-            for methods, template, endpoint in fastapi_app.registered
-            if (methods, template) == (("GET",), route.path)
-        ]
-        request = types.SimpleNamespace(
-            path_params=route.pattern.match(path).groupdict(), query_params=query, headers=headers
-        )
-        response = endpoint(request)
-        assert response.status == expected.status
-        assert response.headers == expected.headers
-        assert response.media_type == expected.media_type
-        assert response.body == expected.body
-
-
-class TestFastAPIApp:
-    """Runs only where the optional [serve] extra is installed (CI serve-smoke)."""
-
-    @pytest.fixture()
-    def client(self, snapshot_archive):
-        pytest.importorskip("fastapi")
-        testclient = pytest.importorskip("fastapi.testclient")
-        from repro.serve.app import create_app
-
-        path, _ = snapshot_archive
-        service = ArchiveService({"a": path}, cache=SharedChunkCache())
-        with testclient.TestClient(create_app(service)) as client:
-            yield client
-        service.close()
-
-    def test_manifest_and_etag(self, client):
-        response = client.get("/archives/a/manifest")
-        assert response.status_code == 200
-        etag = response.headers["ETag"]
-        again = client.get("/archives/a/manifest", headers={"If-None-Match": etag})
-        assert again.status_code == 304
-
-    def test_region_npy(self, client):
-        response = client.get("/archives/a/fields/T/region", params={"region": "0:8,0:8"})
-        assert response.status_code == 200
-        assert response.headers["content-type"].startswith("application/x-npy")
-        window = np.load(io.BytesIO(response.content))
-        assert window.shape == (8, 8)
-
-    def test_error_mapping_matches_core(self, client):
-        assert client.get("/archives/a/fields/NOPE/region").status_code == 404
-        assert client.get("/archives/a/fields/T/region", params={"region": "999"}).status_code == 416
-        assert client.get(
-            "/archives/a/fields/T/preview", params={"fraction": "0"}
-        ).status_code == 422
-
-    def test_preview_headers(self, client):
-        response = client.get("/archives/a/fields/T/preview", params={"fraction": "0.25"})
-        assert response.status_code == 200
-        assert response.headers["X-Repro-Preview-Fallback"] == "false"
