@@ -106,10 +106,7 @@ def train_field_cfnn(
     ndim = target_data.ndim
     if training is None:
         training = default_training_config(ndim, scale)
-    if ndim == 2:
-        config = CFNNConfig(n_anchors=len(anchors), ndim=2, hidden_channels=8, expanded_channels=16)
-    else:
-        config = CFNNConfig(n_anchors=len(anchors), ndim=3, hidden_channels=8, expanded_channels=16)
+    config = CFNNConfig(n_anchors=len(anchors), ndim=ndim, hidden_channels=8, expanded_channels=16)
     model = CFNN(config)
     model.train(anchors, target_data, training)
     return model

@@ -40,20 +40,11 @@ class PipelineConfigError(ValueError):
 
 
 def _as_error_bound(value, context: str) -> ErrorBound:
-    """Coerce an :class:`ErrorBound`, its dict form, or a bare number (relative)."""
+    """:meth:`ErrorBound.coerce`, failures reported with their ``context``."""
     try:
-        if isinstance(value, ErrorBound):
-            return value
-        if isinstance(value, dict):
-            return ErrorBound.from_dict(value)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return ErrorBound.relative(float(value))
+        return ErrorBound.coerce(value)
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineConfigError(f"{context}: invalid error bound {value!r}: {exc}") from exc
-    raise PipelineConfigError(
-        f"{context}: error bound must be an ErrorBound, a {{mode, value}} dict, "
-        f"or a number (relative), got {type(value).__name__}"
-    )
 
 
 def _as_chunk_shape(value, context: str) -> Optional[Tuple[int, ...]]:

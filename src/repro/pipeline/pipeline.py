@@ -260,7 +260,7 @@ class CompressionPipeline:
 def reconstruct_anchors(
     fieldset: FieldSet,
     anchor_names: Sequence[str],
-    error_bound: Union[ErrorBound, float],
+    error_bound: Union[ErrorBound, Dict, float],
     cache: Optional[Dict] = None,
     cache_key: Tuple = (),
 ) -> List[np.ndarray]:
@@ -273,16 +273,16 @@ def reconstruct_anchors(
     guarantee from the store itself, which reconstructs anchor chunks from the
     archive.
 
-    ``error_bound`` may be an :class:`ErrorBound` or a bare float (interpreted
-    as a value-range-relative bound).  ``cache`` is an optional mutable mapping
+    ``error_bound`` is anything :meth:`ErrorBound.coerce` accepts: an
+    :class:`ErrorBound`, its dict form, or a bare number (interpreted as a
+    value-range-relative bound).  ``cache`` is an optional mutable mapping
     shared across calls; reconstructions are memoised under
     ``(*cache_key, name)`` so several targets with overlapping anchors reuse
     them.
     """
     from repro.sz.pipeline import SZCompressor
 
-    if not isinstance(error_bound, ErrorBound):
-        error_bound = ErrorBound.relative(float(error_bound))
+    error_bound = ErrorBound.coerce(error_bound)
     baseline = SZCompressor(error_bound=error_bound)
     reconstructed: List[np.ndarray] = []
     for name in anchor_names:

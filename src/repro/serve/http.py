@@ -7,12 +7,16 @@ routing, ETags, error mapping and telemetry, so this module needs only the
 stdlib; it is what ``repro serve``, the serve tests and the benchmark spine's
 ``serve-http`` workload run.
 
-The handler answers ``GET``, ``HEAD`` (the ``GET`` it mirrors, status and
-headers without the body) and ``POST``.  No route takes a request body: a
+Every method goes through ``dispatch``: ``HEAD`` answers the ``GET`` it
+mirrors (status and headers without the body), and a method no route serves
+(``PUT``, ``DELETE``, ``PATCH``, ``OPTIONS``) gets its JSON ``405`` with
+``Allow`` on a known path, or ``404``.  No route takes a request body: a
 declared ``Content-Length`` body of up to :data:`MAX_BODY_BYTES` is read and
 discarded, so the next request on a keep-alive connection starts where it
 should.  A larger body, any ``Transfer-Encoding`` or a malformed length is
-refused (413, 501, 400) without reading it, and the connection closes.
+refused (413, 501, 400) without reading it, and the connection closes.  A
+connection that sends nothing for :data:`SOCKET_TIMEOUT_S` seconds (mid
+headers, mid body or idle between requests) is closed.
 
 Concurrency model: one thread per connection (``ThreadingHTTPServer``), with
 all decoded-chunk reuse delegated to the service's
@@ -30,10 +34,12 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.serve.service import ArchiveService, ServiceResponse
 
-__all__ = ["MAX_BODY_BYTES", "ArchiveHTTPServer", "serve", "serve_in_thread"]
+__all__ = ["MAX_BODY_BYTES", "SOCKET_TIMEOUT_S", "ArchiveHTTPServer", "serve", "serve_in_thread"]
 
 #: Largest request body the server reads (and discards) before answering.
 MAX_BODY_BYTES = 64 * 1024
+#: Seconds a connection may block one read or write before it is closed.
+SOCKET_TIMEOUT_S = 30.0
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -43,6 +49,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # TCP_NODELAY: a small body sent after the headers must not wait ~40 ms for their ACK
     disable_nagle_algorithm = True
     server: "ArchiveHTTPServer"
+
+    @property
+    def timeout(self) -> float:  # read by StreamRequestHandler.setup()
+        return SOCKET_TIMEOUT_S
 
     def _respond(self, response: ServiceResponse, send_body: bool) -> None:
         self.send_response(response.status)
@@ -103,14 +113,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             pass
         self.server.note_request()
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler naming
-        self._handle("GET")
+    def _handle_command(self) -> None:
+        self._handle(self.command)
 
-    def do_HEAD(self) -> None:  # noqa: N802
+    # dispatch answers a method no route serves with its JSON 405 or 404
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_OPTIONS = _handle_command
+
+    def do_HEAD(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler naming
         self._handle("GET", send_body=False)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._handle("POST")
 
     def log_message(self, format: str, *args) -> None:
         # request logging flows through the service's http.* telemetry instead

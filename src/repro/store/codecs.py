@@ -49,15 +49,8 @@ __all__ = [
 ]
 
 
-def _as_error_bound(value: Union[ErrorBound, Dict, float, None]) -> ErrorBound:
-    """Accept an :class:`ErrorBound`, its dict form, or a bare float (relative)."""
-    if value is None:
-        return ErrorBound.relative(1e-3)
-    if isinstance(value, ErrorBound):
-        return value
-    if isinstance(value, dict):
-        return ErrorBound.from_dict(value)
-    return ErrorBound.relative(float(value))
+#: The bound a lossy codec uses when none is given.
+_DEFAULT_ERROR_BOUND = ErrorBound.relative(1e-3)
 
 
 class Codec(ABC):
@@ -129,7 +122,7 @@ class SZChunkCodec(Codec):
     ) -> None:
         from repro.sz.pipeline import SZCompressor
 
-        self.error_bound = _as_error_bound(error_bound)
+        self.error_bound = ErrorBound.coerce(error_bound, default=_DEFAULT_ERROR_BOUND)
         self.predictor = predictor
         self.entropy = entropy
         self.backend = backend
@@ -182,7 +175,7 @@ class ZFPChunkCodec(Codec):
     ) -> None:
         from repro.zfp.codec import ZFPLikeCompressor
 
-        self.error_bound = _as_error_bound(error_bound)
+        self.error_bound = ErrorBound.coerce(error_bound, default=_DEFAULT_ERROR_BOUND)
         self.block_size = int(block_size)
         self.entropy = entropy
         self.backend = backend
@@ -246,7 +239,7 @@ class CrossFieldChunkCodec(Codec):
         from repro.core.compressor import CrossFieldCompressor
         from repro.core.training import TrainingConfig
 
-        self.error_bound = _as_error_bound(error_bound)
+        self.error_bound = ErrorBound.coerce(error_bound, default=_DEFAULT_ERROR_BOUND)
         self.epochs = int(epochs)
         self.n_patches = int(n_patches)
         self.entropy = entropy
@@ -367,7 +360,7 @@ class TemporalDeltaCodec(Codec):
             self.error_bound = None
             self._base = get_codec(base, **self.base_params)
         else:
-            self.error_bound = _as_error_bound(error_bound)
+            self.error_bound = ErrorBound.coerce(error_bound, default=_DEFAULT_ERROR_BOUND)
             self._base = get_codec(base, error_bound=self.error_bound, **self.base_params)
 
     def _previous(self, anchors: Optional[Sequence[np.ndarray]]) -> np.ndarray:

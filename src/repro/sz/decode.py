@@ -37,15 +37,14 @@ and ``docs/observability.md`` for the ``sz.wavefront.*`` metric names.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import recorder as _obs
+from repro.utils.memo import Memo
 from repro.utils.validation import ensure_ndim
 
 __all__ = [
@@ -218,11 +217,6 @@ class _WavefrontPlan:
         return int(self.pidx.size)
 
 
-_PLAN_CACHE: "OrderedDict[Tuple, _WavefrontPlan]" = OrderedDict()
-_PLAN_LOCK = threading.Lock()
-_PLAN_STATS = {"hits": 0, "misses": 0}
-
-
 def _active_axes(shape: Tuple[int, ...], weights: np.ndarray) -> Tuple[int, ...]:
     """Axes that can carry a decode dependency given the weights.
 
@@ -258,42 +252,16 @@ def _build_plan(shape: Tuple[int, ...], active: Tuple[int, ...]) -> _WavefrontPl
     return _WavefrontPlan(shape, active, bounds, pidx_all[order], order)
 
 
-def _plan_for(shape: Tuple[int, ...], active: Tuple[int, ...]) -> _WavefrontPlan:
-    key = (shape, active)
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _PLAN_CACHE.move_to_end(key)
-            _PLAN_STATS["hits"] += 1
-            return plan
-        _PLAN_STATS["misses"] += 1
-    plan = _build_plan(shape, active)
-    with _PLAN_LOCK:
-        _PLAN_CACHE[key] = plan
-        total = sum(p.n_points for p in _PLAN_CACHE.values())
-        while total > _PLAN_CACHE_MAX_ELEMENTS and len(_PLAN_CACHE) > 1:
-            _, evicted = _PLAN_CACHE.popitem(last=False)
-            total -= evicted.n_points
-    return plan
-
-
-def wavefront_plan_info() -> Dict[str, int]:
-    """Cache statistics of the wavefront planner (for tests and benchmarks)."""
-    with _PLAN_LOCK:
-        return {
-            "entries": len(_PLAN_CACHE),
-            "points": sum(p.n_points for p in _PLAN_CACHE.values()),
-            "hits": _PLAN_STATS["hits"],
-            "misses": _PLAN_STATS["misses"],
-        }
-
-
-def clear_wavefront_plans() -> None:
-    """Drop every cached plan and reset the hit/miss counters."""
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
-        _PLAN_STATS["hits"] = 0
-        _PLAN_STATS["misses"] = 0
+_PLANS = Memo(
+    lambda key: _build_plan(*key),
+    max_cost=_PLAN_CACHE_MAX_ELEMENTS,
+    cost=lambda plan: plan.n_points,
+    unit="points",
+)
+#: Cache statistics of the wavefront planner (for tests and benchmarks).
+wavefront_plan_info = _PLANS.info
+#: Drop every cached plan and reset the hit/miss counters.
+clear_wavefront_plans = _PLANS.clear
 
 
 def _decode_block(
@@ -393,7 +361,7 @@ def decode_weighted_wavefront(
             rows = min(slab_rows, shape[0] - row)
             block_shape = (rows,) + shape[1:]
             block_active = _active_axes(block_shape, weights)
-            plan = _plan_for(block_shape, block_active)
+            plan = _PLANS.get((block_shape, block_active))
             n_waves += _decode_block(
                 plan, padded_flat, residual_flat, diff_flats, weights,
                 lorenzo_offsets, axis_offsets,
@@ -402,7 +370,7 @@ def decode_weighted_wavefront(
             )
             row += rows
     else:
-        plan = _plan_for(shape, active)
+        plan = _PLANS.get((shape, active))
         n_waves = _decode_block(
             plan, padded_flat, residual_flat, diff_flats, weights,
             lorenzo_offsets, axis_offsets,

@@ -15,7 +15,8 @@ the quantizer for a given array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from numbers import Real
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -46,6 +47,25 @@ class ErrorBound:
     def relative(cls, value: float) -> "ErrorBound":
         """Value-range-relative error bound (the mode used in the paper)."""
         return cls("rel", float(value))
+
+    @classmethod
+    def coerce(cls, value, default: Optional["ErrorBound"] = None) -> "ErrorBound":
+        """An :class:`ErrorBound`, its ``{mode, value}`` dict, or a number (relative).
+
+        ``None`` gives ``default`` when one is set; other types raise ``TypeError``.
+        """
+        if value is None and default is not None:
+            return default
+        if isinstance(value, ErrorBound):
+            return value
+        if isinstance(value, dict):
+            return cls.from_dict(value)
+        if isinstance(value, Real) and not isinstance(value, bool):
+            return cls.relative(float(value))
+        raise TypeError(
+            "error bound must be an ErrorBound, a {mode, value} dict, "
+            f"or a number (relative), got {type(value).__name__}"
+        )
 
     def resolve(self, data: np.ndarray) -> float:
         """Return the absolute error bound for ``data``.

@@ -33,15 +33,14 @@ cached index tables and the parity-testing contract fit together.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.slicing import iter_blocks
-from repro.utils.validation import ensure_array, ensure_ndim
+from repro.utils.memo import Memo
+from repro.utils.validation import ensure_ndim
 
 __all__ = [
     "lorenzo_predict",
@@ -164,42 +163,19 @@ class _BlockGroup:
         self.gather = gather  # (nb, elems) flat indices into the full array
 
 
-_DESIGN_CACHE: "OrderedDict[Tuple[int, ...], _DesignInfo]" = OrderedDict()
-_GROUP_CACHE: "OrderedDict[Tuple, List[_BlockGroup]]" = OrderedDict()
-_PREDICTOR_CACHE_LOCK = threading.Lock()
-_DESIGN_CACHE_MAX = 128
+_DESIGN_CACHE_MAX = 128  # design matrices kept, one per block shape
 _GROUP_CACHE_MAX_ELEMENTS = 1 << 22  # total gather-table entries kept
 
 
-def _design_info(block_shape: Tuple[int, ...]) -> _DesignInfo:
-    key = tuple(int(s) for s in block_shape)
-    with _PREDICTOR_CACHE_LOCK:
-        info = _DESIGN_CACHE.get(key)
-        if info is not None:
-            _DESIGN_CACHE.move_to_end(key)
-            return info
-    info = _DesignInfo(key)
-    with _PREDICTOR_CACHE_LOCK:
-        _DESIGN_CACHE[key] = info
-        while len(_DESIGN_CACHE) > _DESIGN_CACHE_MAX:
-            _DESIGN_CACHE.popitem(last=False)
-    return info
-
-
-def _block_groups(shape: Tuple[int, ...], block_shape: Tuple[int, ...]) -> List[_BlockGroup]:
+def _build_block_groups(key: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> List[_BlockGroup]:
     """Group the C-order block decomposition of ``shape`` by block shape.
 
     Every group carries an ``(n_blocks, block_elems)`` table of flat indices, so
     extracting (or scattering back) all same-shaped blocks is one fancy-indexing
-    operation.  Tables are cached per ``(shape, block_shape)``, mirroring the
-    wavefront decoder's plan cache.
+    operation.  Tables are memoised per ``(shape, block_shape)`` in
+    :data:`_BLOCK_GROUPS`, like the wavefront decoder's plans.
     """
-    key = (tuple(shape), tuple(block_shape))
-    with _PREDICTOR_CACHE_LOCK:
-        groups = _GROUP_CACHE.get(key)
-        if groups is not None:
-            _GROUP_CACHE.move_to_end(key)
-            return groups
+    shape, block_shape = key
     strides = [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
     by_shape: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
     for position, block_slices in enumerate(iter_blocks(shape, block_shape)):
@@ -214,13 +190,15 @@ def _block_groups(shape: Tuple[int, ...], block_shape: Tuple[int, ...]) -> List[
         within = sum(coords[d] * strides[d] for d in range(len(bshape)))
         gather = np.asarray(bases, dtype=np.int64)[:, None] + np.asarray(within, dtype=np.int64)[None, :]
         groups.append(_BlockGroup(bshape, np.asarray(positions, dtype=np.int64), gather))
-    with _PREDICTOR_CACHE_LOCK:
-        _GROUP_CACHE[key] = groups
-        total = sum(g.gather.size for gs in _GROUP_CACHE.values() for g in gs)
-        while total > _GROUP_CACHE_MAX_ELEMENTS and len(_GROUP_CACHE) > 1:
-            _, evicted = _GROUP_CACHE.popitem(last=False)
-            total -= sum(g.gather.size for g in evicted)
     return groups
+
+
+_DESIGNS = Memo(_DesignInfo, max_cost=_DESIGN_CACHE_MAX)
+_BLOCK_GROUPS = Memo(
+    _build_block_groups,
+    max_cost=_GROUP_CACHE_MAX_ELEMENTS,
+    cost=lambda groups: sum(g.gather.size for g in groups),
+)
 
 
 def _fit_batch(info: _DesignInfo, y: np.ndarray) -> np.ndarray:
@@ -307,13 +285,13 @@ class RegressionPredictor:
         codes = np.ascontiguousarray(np.asarray(codes, dtype=np.int64))
         ensure_ndim(codes, (1, 2, 3), "codes")
         block_shape = self._block_shape(codes.ndim)
-        groups = _block_groups(codes.shape, block_shape)
+        groups = _BLOCK_GROUPS.get((codes.shape, block_shape))
         n_blocks = sum(len(g.positions) for g in groups)
         flat = codes.reshape(-1)
         residual_flat = np.empty_like(flat)
         coeff_arr = np.zeros((n_blocks, codes.ndim + 1), dtype=np.float32)
         for group in groups:
-            info = _design_info(group.block_shape)
+            info = _DESIGNS.get(group.block_shape)
             y_int = flat[group.gather]
             coeffs = _fit_batch(info, y_int.astype(np.float64))
             coeff_arr[group.positions] = coeffs
@@ -329,7 +307,7 @@ class RegressionPredictor:
         all_coeffs: List[np.ndarray] = []
         for block_slices in iter_blocks(codes.shape, block_shape):
             block = codes[block_slices]
-            info = _design_info(block.shape)
+            info = _DESIGNS.get(block.shape)
             y = np.ascontiguousarray(block).reshape(-1)
             coeffs = _fit_single(info, y.astype(np.float64))
             pred = _predict_single(info, coeffs).reshape(block.shape)
@@ -362,13 +340,13 @@ class RegressionPredictor:
         residuals = np.ascontiguousarray(np.asarray(residuals, dtype=np.int64))
         ensure_ndim(residuals, (1, 2, 3), "residuals")
         self._check_rank(residuals, coefficients)
-        groups = _block_groups(residuals.shape, coefficients.block_shape)
+        groups = _BLOCK_GROUPS.get((residuals.shape, tuple(coefficients.block_shape)))
         n_blocks = sum(len(g.positions) for g in groups)
         self._check_coefficients(residuals, coefficients, n_blocks)
         res_flat = residuals.reshape(-1)
         out_flat = np.empty_like(res_flat)
         for group in groups:
-            info = _design_info(group.block_shape)
+            info = _DESIGNS.get(group.block_shape)
             coeffs = coefficients.coefficients[group.positions]
             out_flat[group.gather] = _predict_batch(info, coeffs) + res_flat[group.gather]
         return out_flat.reshape(residuals.shape)
@@ -385,7 +363,7 @@ class RegressionPredictor:
         self._check_coefficients(residuals, coefficients, len(blocks))
         for block_slices, coeffs in zip(blocks, coefficients.coefficients):
             block_shape = tuple(s.stop - s.start for s in block_slices)
-            info = _design_info(block_shape)
+            info = _DESIGNS.get(block_shape)
             pred = _predict_single(info, coeffs).reshape(block_shape)
             codes[block_slices] = pred + residuals[block_slices]
         return codes
@@ -394,8 +372,7 @@ class RegressionPredictor:
 # --------------------------------------------------------------------------- #
 # Interpolation predictor
 # --------------------------------------------------------------------------- #
-_INTERP_PASS_CACHE: "OrderedDict[Tuple[int, ...], List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]" = OrderedDict()
-_INTERP_CACHE_MAX = 64
+_INTERP_CACHE_MAX = 64  # pass tables kept, one per array shape
 
 
 class InterpolationPredictor:
@@ -411,27 +388,14 @@ class InterpolationPredictor:
     """
 
     # -------------------------- traversal ----------------------------- #
-    def _passes(self, shape: Tuple[int, ...]) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Return the (cached) interpolation passes for ``shape``.
+    @staticmethod
+    def _build_passes(shape: Tuple[int, ...]) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The interpolation passes for ``shape``, in traversal order.
 
         Each pass is ``(targets, left, right)`` where the entries are arrays of
         flat indices; ``right`` entries equal to ``-1`` mean "no right
         neighbour" (boundary), in which case prediction copies the left value.
         """
-        with _PREDICTOR_CACHE_LOCK:
-            cached = _INTERP_PASS_CACHE.get(shape)
-            if cached is not None:
-                _INTERP_PASS_CACHE.move_to_end(shape)
-                return cached
-        passes = self._build_passes(shape)
-        with _PREDICTOR_CACHE_LOCK:
-            _INTERP_PASS_CACHE[shape] = passes
-            while len(_INTERP_PASS_CACHE) > _INTERP_CACHE_MAX:
-                _INTERP_PASS_CACHE.popitem(last=False)
-        return passes
-
-    @staticmethod
-    def _build_passes(shape: Tuple[int, ...]) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         ndim = len(shape)
         max_dim = max(shape)
         max_level = max(int(np.ceil(np.log2(max_dim))), 1)
@@ -521,7 +485,7 @@ class InterpolationPredictor:
         residuals = np.zeros_like(flat)
         base_index = 0
         residuals[base_index] = flat[base_index]
-        for targets, left, right in self._passes(codes.shape):
+        for targets, left, right in _INTERP_PASSES.get(codes.shape):
             pred = self._predict(flat, left, right)
             residuals[targets] = flat[targets] - pred
         return residuals.reshape(codes.shape)
@@ -533,7 +497,10 @@ class InterpolationPredictor:
         flat_res = residuals.ravel()
         flat = np.zeros_like(flat_res)
         flat[0] = flat_res[0]
-        for targets, left, right in self._passes(residuals.shape):
+        for targets, left, right in _INTERP_PASSES.get(residuals.shape):
             pred = self._predict(flat, left, right)
             flat[targets] = pred + flat_res[targets]
         return flat.reshape(residuals.shape)
+
+
+_INTERP_PASSES = Memo(InterpolationPredictor._build_passes, max_cost=_INTERP_CACHE_MAX)

@@ -128,6 +128,28 @@ def dequantize(codes: np.ndarray, abs_eb: float, dtype=np.float32) -> np.ndarray
 # --------------------------------------------------------------------------- #
 # classic (sequential) SZ quantization — ablation reference
 # --------------------------------------------------------------------------- #
+def _lorenzo_at(recon: np.ndarray, index: Tuple[int, ...]) -> float:
+    """Lorenzo prediction of ``recon[index]`` from its reconstructed neighbours."""
+    if recon.ndim == 1:
+        (i,) = index
+        return recon[i - 1] if i > 0 else 0.0
+    if recon.ndim == 2:
+        i, j = index
+        a = recon[i - 1, j] if i > 0 else 0.0
+        b = recon[i, j - 1] if j > 0 else 0.0
+        c = recon[i - 1, j - 1] if i > 0 and j > 0 else 0.0
+        return a + b - c
+    i, j, k = index
+    a = recon[i - 1, j, k] if i > 0 else 0.0
+    b = recon[i, j - 1, k] if j > 0 else 0.0
+    c = recon[i, j, k - 1] if k > 0 else 0.0
+    ab = recon[i - 1, j - 1, k] if i > 0 and j > 0 else 0.0
+    ac = recon[i - 1, j, k - 1] if i > 0 and k > 0 else 0.0
+    bc = recon[i, j - 1, k - 1] if j > 0 and k > 0 else 0.0
+    abc = recon[i - 1, j - 1, k - 1] if i > 0 and j > 0 and k > 0 else 0.0
+    return a + b + c - ab - ac - bc + abc
+
+
 def classic_quantize_lorenzo(
     data: np.ndarray, abs_eb: float, radius: int = QUANT_RADIUS_DEFAULT
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,28 +176,8 @@ def classic_quantize_lorenzo(
     outlier_mask = np.zeros(data.shape, dtype=bool)
     two_eb = 2.0 * abs_eb
 
-    def predict(index):
-        if data.ndim == 1:
-            (i,) = index
-            return recon[i - 1] if i > 0 else 0.0
-        if data.ndim == 2:
-            i, j = index
-            a = recon[i - 1, j] if i > 0 else 0.0
-            b = recon[i, j - 1] if j > 0 else 0.0
-            c = recon[i - 1, j - 1] if i > 0 and j > 0 else 0.0
-            return a + b - c
-        i, j, k = index
-        a = recon[i - 1, j, k] if i > 0 else 0.0
-        b = recon[i, j - 1, k] if j > 0 else 0.0
-        c = recon[i, j, k - 1] if k > 0 else 0.0
-        ab = recon[i - 1, j - 1, k] if i > 0 and j > 0 else 0.0
-        ac = recon[i - 1, j, k - 1] if i > 0 and k > 0 else 0.0
-        bc = recon[i, j - 1, k - 1] if j > 0 and k > 0 else 0.0
-        abc = recon[i - 1, j - 1, k - 1] if i > 0 and j > 0 and k > 0 else 0.0
-        return a + b + c - ab - ac - bc + abc
-
     for index in np.ndindex(*data.shape):
-        predicted = predict(index)
+        predicted = _lorenzo_at(recon, index)
         error = data[index] - predicted
         bin_index = int(np.rint(error / two_eb))
         if abs(bin_index) >= radius:
@@ -208,29 +210,9 @@ def classic_dequantize_lorenzo(
     two_eb = 2.0 * abs_eb
     outliers = iter(np.asarray(outlier_values, dtype=np.float64).ravel())
 
-    def predict(index):
-        if codes.ndim == 1:
-            (i,) = index
-            return recon[i - 1] if i > 0 else 0.0
-        if codes.ndim == 2:
-            i, j = index
-            a = recon[i - 1, j] if i > 0 else 0.0
-            b = recon[i, j - 1] if j > 0 else 0.0
-            c = recon[i - 1, j - 1] if i > 0 and j > 0 else 0.0
-            return a + b - c
-        i, j, k = index
-        a = recon[i - 1, j, k] if i > 0 else 0.0
-        b = recon[i, j - 1, k] if j > 0 else 0.0
-        c = recon[i, j, k - 1] if k > 0 else 0.0
-        ab = recon[i - 1, j - 1, k] if i > 0 and j > 0 else 0.0
-        ac = recon[i - 1, j, k - 1] if i > 0 and k > 0 else 0.0
-        bc = recon[i, j - 1, k - 1] if j > 0 and k > 0 else 0.0
-        abc = recon[i - 1, j - 1, k - 1] if i > 0 and j > 0 and k > 0 else 0.0
-        return a + b + c - ab - ac - bc + abc
-
     for index in np.ndindex(*codes.shape):
         if outlier_mask[index]:
             recon[index] = next(outliers)
         else:
-            recon[index] = predict(index) + codes[index] * two_eb
+            recon[index] = _lorenzo_at(recon, index) + codes[index] * two_eb
     return recon

@@ -1,4 +1,4 @@
-"""Shared utilities: argument validation and lightweight logging.
+"""Shared utilities: argument validation, lightweight logging and a bounded memo.
 
 These helpers are intentionally dependency-free (NumPy only) so that every other
 subpackage can rely on them without import cycles.
@@ -13,6 +13,7 @@ from repro.utils.validation import (
     ensure_ndim,
 )
 from repro.utils.logging import get_logger
+from repro.utils.memo import Memo
 
 __all__ = [
     "ensure_array",
@@ -22,4 +23,5 @@ __all__ = [
     "ensure_shape_match",
     "ensure_ndim",
     "get_logger",
+    "Memo",
 ]

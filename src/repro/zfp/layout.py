@@ -17,21 +17,22 @@ orthonormal the squared reconstruction error is exactly the energy of the
 dropped coefficients — a computable estimate, monotonically shrinking as
 groups are added.
 
-The permutation depends only on ``(shape, block_size)``, so plans are cached
-in a bounded, thread-safe LRU mirroring the SZ wavefront planner
-(:mod:`repro.sz.decode`).  A plan also carries the per-element *block point
-count* (the number of samples in the block containing each element), which the
-codec uses for the per-block quantization step on ragged edge blocks.
+The permutation depends only on ``(shape, block_size)``, so plans are kept in
+a :class:`~repro.utils.memo.Memo` bounded by total points, like the SZ
+wavefront planner (:mod:`repro.sz.decode`).  A plan also carries the
+per-element *block point count* (the number of samples in the block containing
+each element), which the codec uses for the per-block quantization step on
+ragged edge blocks.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from repro.utils.memo import Memo
 
 __all__ = [
     "SignificancePlan",
@@ -122,50 +123,23 @@ def _build_plan(shape: Tuple[int, ...], block_size: int) -> SignificancePlan:
     return SignificancePlan(shape, b, perm, group_bounds, group_levels, point_counts)
 
 
-_PLAN_CACHE: "OrderedDict[Tuple[Tuple[int, ...], int], SignificancePlan]" = OrderedDict()
-_PLAN_LOCK = threading.Lock()
-_PLAN_STATS = {"hits": 0, "misses": 0}
+_PLANS = Memo(
+    lambda key: _build_plan(*key),
+    max_cost=_PLAN_CACHE_MAX_ELEMENTS,
+    cost=lambda plan: plan.n_points,
+    unit="points",
+)
+#: Cache statistics of the significance planner (for tests and benchmarks).
+significance_plan_info = _PLANS.info
+#: Drop every cached plan and reset the hit/miss counters.
+clear_significance_plans = _PLANS.clear
 
 
 def significance_plan(shape: Sequence[int], block_size: int) -> SignificancePlan:
     """Return the (cached) significance plan for ``shape`` / ``block_size``."""
     if block_size < 1:
         raise ValueError("block_size must be positive")
-    key = (tuple(int(s) for s in shape), int(block_size))
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _PLAN_CACHE.move_to_end(key)
-            _PLAN_STATS["hits"] += 1
-            return plan
-        _PLAN_STATS["misses"] += 1
-    plan = _build_plan(key[0], key[1])
-    with _PLAN_LOCK:
-        _PLAN_CACHE[key] = plan
-        total = sum(p.n_points for p in _PLAN_CACHE.values())
-        while total > _PLAN_CACHE_MAX_ELEMENTS and len(_PLAN_CACHE) > 1:
-            _, evicted = _PLAN_CACHE.popitem(last=False)
-            total -= evicted.n_points
-    return plan
-
-
-def significance_plan_info() -> Dict[str, int]:
-    """Cache statistics of the significance planner (for tests and benchmarks)."""
-    with _PLAN_LOCK:
-        return {
-            "entries": len(_PLAN_CACHE),
-            "points": sum(p.n_points for p in _PLAN_CACHE.values()),
-            "hits": _PLAN_STATS["hits"],
-            "misses": _PLAN_STATS["misses"],
-        }
-
-
-def clear_significance_plans() -> None:
-    """Drop every cached plan and reset the hit/miss counters."""
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
-        _PLAN_STATS["hits"] = 0
-        _PLAN_STATS["misses"] = 0
+    return _PLANS.get((tuple(int(s) for s in shape), int(block_size)))
 
 
 def groups_for_fraction(group_bytes: Sequence[int], fraction: float) -> int:

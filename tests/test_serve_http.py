@@ -22,6 +22,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.serve import http as serve_http
 from repro.serve.http import MAX_BODY_BYTES, serve_in_thread
 from repro.serve.service import ArchiveService
 from repro.store.cli import main
@@ -199,6 +200,51 @@ class TestStdlibServer:
         assert answer[0] == status
         assert answer[1]["connection"] == "close"
         assert "detail" in json.loads(answer[2])
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /archives/a/refresh HTTP/1.1\r\nHost: test\r\nContent-Length: 8\r\n\r\n{\"x\"",
+            b"GET /healthz HTTP/1.1\r\nHost: te",
+        ],
+        ids=["mid-body", "mid-headers"],
+    )
+    def test_stalled_request_is_closed_after_the_socket_timeout(
+        self, served, monkeypatch, partial
+    ):
+        monkeypatch.setattr(serve_http, "SOCKET_TIMEOUT_S", 0.2)
+        url, _ = served
+        sock, stream = raw_connection(url)
+        with sock, stream:
+            sock.sendall(partial)
+            started = time.perf_counter()
+            assert stream.read() == b""  # closed without an answer, within 5 s
+        assert time.perf_counter() - started < 4.0
+
+    def test_other_methods_get_the_dispatch_json_405(self, served):
+        url, service = served
+        before = service.request_stats().get("http.request.count", 0)
+        parts = urllib.parse.urlsplit(url)
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        try:
+            connection.request("DELETE", "/archives/a/manifest")
+            response = connection.getresponse()
+            body = response.read()
+            sock = connection.sock
+            assert response.status == 405
+            assert response.getheader("Content-Type") == "application/json"
+            assert response.getheader("Allow") == "GET"
+            assert "detail" in json.loads(body)
+            for method in ("PUT", "PATCH", "OPTIONS"):
+                connection.request(method, "/nowhere")
+                response = connection.getresponse()
+                assert response.status == 404
+                assert response.getheader("Content-Type") == "application/json"
+                response.read()
+            assert connection.sock is sock  # the connection stays open
+        finally:
+            connection.close()
+        assert service.request_stats()["http.request.count"] == before + 4
 
     @pytest.mark.parametrize(
         "path",

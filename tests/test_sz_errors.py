@@ -34,6 +34,21 @@ class TestErrorBound:
         eb = ErrorBound.relative(5e-4)
         assert ErrorBound.from_dict(eb.to_dict()) == eb
 
+    def test_coerce(self):
+        eb = ErrorBound.absolute(0.5)
+        assert ErrorBound.coerce(eb) is eb
+        assert ErrorBound.coerce({"mode": "abs", "value": 0.5}) == eb
+        assert ErrorBound.coerce(1e-3) == ErrorBound.relative(1e-3)
+        assert ErrorBound.coerce(np.float32(0.25)) == ErrorBound.relative(0.25)
+        assert ErrorBound.coerce(None, default=eb) is eb
+        for bad in (None, True, "1e-3", [1e-3]):
+            with pytest.raises(TypeError, match="error bound must be"):
+                ErrorBound.coerce(bad)
+        with pytest.raises(KeyError):
+            ErrorBound.coerce({"mode": "abs"})
+        with pytest.raises(ValueError):
+            ErrorBound.coerce(-1.0)
+
     def test_frozen(self):
         eb = ErrorBound.absolute(1.0)
         with pytest.raises(Exception):

@@ -194,7 +194,8 @@ class TestWavefrontParity:
         info = wavefront_plan_info()
         assert info["entries"] == 1
         # the single cached plan has exactly shape[0] waves, not sum(shape)-1
-        [(plan_key, plan)] = list(sz_decode._PLAN_CACHE.items())
+        plan = sz_decode._PLANS.get((shape, (0,)))
+        assert wavefront_plan_info()["misses"] == 1
         assert plan.n_waves == shape[0]
         # all-zero weights: the whole array decodes in one wave
         zero = decode_weighted_wavefront(residuals, diffs, np.zeros(3))

@@ -183,7 +183,7 @@ class TestSignificancePlans:
         assert significance_plan_info()["entries"] == 0
 
     def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(zfp_layout, "_PLAN_CACHE_MAX_ELEMENTS", 1000)
+        monkeypatch.setattr(zfp_layout._PLANS, "max_cost", 1000)
         clear_significance_plans()
         for n in range(20, 40):
             significance_plan((n,), 4)
