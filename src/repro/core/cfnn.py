@@ -261,11 +261,19 @@ class CFNN:
                 validation = (inputs[-n_val:], targets[-n_val:])
                 inputs, targets = inputs[:-n_val], targets[:-n_val]
 
-            optimizer = Adam(self.network.parameters(), lr=training.learning_rate)
-            trainer = Trainer(self.network, optimizer, batch_size=training.batch_size, rng=rng)
-            self.history = trainer.fit(
-                inputs, targets, epochs=training.epochs, validation=validation
-            )
+            # Train in float32, infer in float64: the stream stores float16
+            # weights, so wider training arithmetic never reaches a stored
+            # byte.  The optimizer's moments follow the parameters' dtype, and
+            # the cast back is exact, so to_bytes rounds the float32 values.
+            self.network.astype(np.float32)
+            try:
+                optimizer = Adam(self.network.parameters(), lr=training.learning_rate)
+                trainer = Trainer(self.network, optimizer, batch_size=training.batch_size, rng=rng)
+                self.history = trainer.fit(
+                    inputs, targets, epochs=training.epochs, validation=validation
+                )
+            finally:
+                self.network.astype(np.float64)
         return self.history
 
     # ------------------------------------------------------------------ #

@@ -112,6 +112,12 @@ def train_field_cfnn(
     return model
 
 
+def _bound_margin(original: np.ndarray, reconstruction: np.ndarray, abs_bound: float) -> float:
+    """``max|x - x̂| / abs_bound``: at most 1 wherever the error bound holds."""
+    error = np.abs(reconstruction.astype(np.float64) - original.astype(np.float64))
+    return float(np.max(error)) / abs_bound
+
+
 def _compress_pair(
     fieldset: FieldSet,
     dataset: str,
@@ -120,11 +126,14 @@ def _compress_pair(
     cfnn: CFNN,
     anchor_cache: Dict[Tuple[str, float, str], np.ndarray],
 ) -> Tuple[float, float, Dict]:
-    """Compress one (field, error bound) cell with baseline and ours.
+    """Compress and decode one (field, error bound) cell with baseline and ours.
 
-    Returns ``(baseline_ratio, ours_ratio, extras)``; anchor reconstructions at
-    each error bound are cached (via :func:`repro.pipeline.reconstruct_anchors`)
-    so several targets of the same dataset reuse them.
+    Returns ``(baseline_ratio, ours_ratio, extras)``; ``extras["bound_margin"]``
+    is the larger of the two codecs' :func:`_bound_margin`, and a cell above 1
+    raises ``RuntimeError``: a ratio bought by breaking the bound is no ratio.
+    Anchor reconstructions at each error bound are cached (via
+    :func:`repro.pipeline.reconstruct_anchors`) so several targets of the same
+    dataset reuse them; ours decodes with those same anchors.
     """
     spec = get_anchor_spec(dataset, target)
     eb = ErrorBound.relative(error_bound)
@@ -136,16 +145,30 @@ def _compress_pair(
 
     target_data = fieldset[target].data
     baseline_result = baseline.compress(target_data, field_name=target)
+    baseline_recon = baseline.decompress(baseline_result.payload)
 
     ours = CrossFieldCompressor(error_bound=eb)
     ours_result = ours.compress(target_data, decompressed_anchors, field_name=target, cfnn=cfnn)
+    ours_recon = ours.decompress(ours_result.payload, decompressed_anchors)
+
+    margins = {
+        "baseline": _bound_margin(target_data, baseline_recon, baseline_result.abs_error_bound),
+        "ours": _bound_margin(target_data, ours_recon, ours_result.abs_error_bound),
+    }
+    if max(margins.values()) > 1.0:
+        raise RuntimeError(
+            f"{dataset}:{target} at error bound {error_bound:g} breaks the bound: "
+            + ", ".join(f"{name} max|x - x̂| is {m:.6g}x the bound" for name, m in margins.items())
+        )
     extras = {
         "baseline_bit_rate": baseline_result.bit_rate,
         "ours_bit_rate": ours_result.bit_rate,
         "hybrid_weights": ours_result.metadata["hybrid"]["weights"],
+        "bound_margin": max(margins.values()),
         "baseline_result": baseline_result,
         "ours_result": ours_result,
-        "anchors": decompressed_anchors,
+        "baseline_recon": baseline_recon,
+        "ours_recon": ours_recon,
     }
     return baseline_result.ratio, ours_result.ratio, extras
 
@@ -260,7 +283,10 @@ def run_table2(
     """Regenerate paper Table II: baseline vs cross-field compression ratios.
 
     One CFNN is trained per target field (on original anchors) and reused for
-    every error bound of that field, exactly as the paper does.
+    every error bound of that field, exactly as the paper does.  Both payloads
+    of every cell are decoded: each row carries its ``bound_margin``
+    (``max|x - x̂| / bound``, the larger of the two codecs'), and a cell above 1
+    raises ``RuntimeError``.
     """
     scale = resolve_scale(scale)
     if experiments is None:
@@ -289,6 +315,7 @@ def run_table2(
                 "baseline_bit_rate": extras["baseline_bit_rate"],
                 "ours_bit_rate": extras["ours_bit_rate"],
                 "hybrid_weights": extras["hybrid_weights"],
+                "bound_margin": extras["bound_margin"],
                 "seconds": elapsed,
             }
             paper_base = PAPER_TABLE2_BASELINE.get(experiment.key, {}).get(eb)
@@ -640,14 +667,8 @@ def run_figure8(
             _, _, extras = _compress_pair(
                 fieldset, experiment.dataset, experiment.target, eb, cfnn, anchor_cache
             )
-            baseline_result = extras["baseline_result"]
-            ours_result = extras["ours_result"]
-            baseline_recon = SZCompressor(error_bound=ErrorBound.relative(eb)).decompress(
-                baseline_result.payload
-            )
-            ours_recon = CrossFieldCompressor(error_bound=ErrorBound.relative(eb)).decompress(
-                ours_result.payload, extras["anchors"]
-            )
+            baseline_result, baseline_recon = extras["baseline_result"], extras["baseline_recon"]
+            ours_result, ours_recon = extras["ours_result"], extras["ours_recon"]
             baseline_curve.add_measurement(
                 baseline_result.bit_rate,
                 psnr(target_data, baseline_recon),

@@ -71,7 +71,7 @@ class ChannelAttention(Module):
     # forward / backward
     # ------------------------------------------------------------------ #
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.w1.data.dtype)
         if x.ndim < 3:
             raise ValueError("ChannelAttention expects (batch, channels, *spatial) input")
         if x.shape[1] != self.channels:
@@ -98,7 +98,7 @@ class ChannelAttention(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, attention, avg_cache, max_cache, argmax, n_spatial = self._cache
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output, dtype=x.dtype)
         batch = x.shape[0]
         spatial_ndim = x.ndim - 2
 

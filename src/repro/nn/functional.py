@@ -18,11 +18,14 @@ single GEMM.  Depthwise (per-channel) convolution uses the same shifts with
 per-channel multiplies.  ``docs/architecture.md`` ("CFNN compute path") has
 the worked picture.
 
-All functions operate on ``(batch, channels, *spatial)`` arrays in float64.
-Identical calls give identical bits on one build: every sum over taps runs in
-ascending tap order whatever the block width, and the only reductions left to
-BLAS are the channel sums inside one GEMM call (the architecture note spells
-out what that means across BLAS thread counts).
+All functions operate on ``(batch, channels, *spatial)`` arrays and compute in
+their input's dtype: the layers hand them inputs cast to their parameters'
+dtype, which is float32 while :meth:`repro.core.CFNN.train` runs and float64
+for inference (the stored weights are float16, so training precision never
+reaches the stream).  Identical calls give identical bits on one build: every
+sum over taps runs in ascending tap order whatever the block width, and the
+only reductions left to BLAS are the channel sums inside one GEMM call (the
+architecture note spells out what that means across BLAS thread counts).
 """
 
 from __future__ import annotations
@@ -55,20 +58,21 @@ class Workspace:
     """Reusable scratch buffers of one layer instance, keyed by role.
 
     Buffers only grow, so the 8 / 3 / 5-sample batches of a training run share
-    one allocation.  A workspace belongs to exactly one layer (chunk encodes
-    run concurrently, each on its own model); kernels called without one make
-    a throwaway of their own.
+    one allocation; a call in another dtype (float64 inference after float32
+    training) replaces the role's buffer.  A workspace belongs to exactly one
+    layer (chunk encodes run concurrently, each on its own model); kernels
+    called without one make a throwaway of their own.
     """
 
     def __init__(self) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
 
-    def take(self, role: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float64 array of ``shape`` backed by the ``role`` buffer."""
+    def take(self, role: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """An uninitialised ``dtype`` array of ``shape`` backed by the ``role`` buffer."""
         size = prod(shape)
         buffer = self._buffers.get(role)
-        if buffer is None or buffer.size < size:
-            buffer = self._buffers[role] = np.empty(size, dtype=np.float64)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[role] = np.empty(size, dtype=dtype)
         return buffer[:size].reshape(shape)
 
 
@@ -124,7 +128,7 @@ def _extract(flat: np.ndarray, n: int, padded: Tuple[int, ...], box: Tuple[slice
     fresh contiguous ``(N, C, *box)`` tensor, plus a per-channel ``bias``."""
     channels = flat.shape[0]
     source = flat.reshape((channels, n) + padded)[(slice(None), slice(None)) + box]
-    out = np.empty((n, channels) + source.shape[2:], dtype=np.float64)
+    out = np.empty((n, channels) + source.shape[2:], dtype=flat.dtype)
     target = np.moveaxis(out, 0, 1)
     if bias is None:
         target[...] = source
@@ -240,17 +244,17 @@ def conv_forward(
     padded, out_spatial, shifts = _geometry(x.shape[2:], weight.shape[2:], padding)
     n, taps = x.shape[0], len(shifts)
     cout, cin = weight.shape[:2]
-    columns = _embed(x, padding, workspace.take("input", (cin, n) + padded))
+    columns = _embed(x, padding, workspace.take("input", (cin, n) + padded, x.dtype))
     total = columns.shape[1]
     step = _step(total, taps)
-    result = workspace.take("output", (cout, total))
+    result = workspace.take("output", (cout, total), x.dtype)
     taps_last = weight.reshape(cout, cin, taps)
     if _gemm_first(cout, cin, taps):
         # rows (k, co): every tap's contribution to every column in one GEMM,
         # then slab k lands `shifts[k]` columns to the left
         matrix = np.ascontiguousarray(np.moveaxis(taps_last, 2, 0)).reshape(taps * cout, cin)
         left = tuple(-s for s in shifts)
-        product = workspace.take("stack", (taps * cout, step))
+        product = workspace.take("stack", (taps * cout, step), x.dtype)
         result[...] = 0.0
         for lo, hi in _blocks(total, step):
             block = np.matmul(matrix, columns[:, lo:hi], out=product[:, : hi - lo])
@@ -258,7 +262,7 @@ def conv_forward(
     else:
         # columns (k, ci): the taps of every column stacked, then one deep GEMM
         matrix = np.ascontiguousarray(np.moveaxis(taps_last, 2, 1)).reshape(cout, taps * cin)
-        buffer = workspace.take("stack", (taps, cin, step)) if taps > 1 else None
+        buffer = workspace.take("stack", (taps, cin, step), x.dtype) if taps > 1 else None
         for lo, hi in _blocks(total, step):
             np.matmul(matrix, _stack(columns, lo, hi, shifts, buffer), out=result[:, lo:hi])
     box = tuple(slice(0, size) for size in out_spatial)
@@ -286,14 +290,18 @@ def conv_backward(
 
     grad_bias = grad_output.sum(axis=(0,) + tuple(range(2, 2 + spatial)))
     # zeros at the cropped positions, so wrapped taps contribute nothing below
-    grads = _embed(grad_output, (0,) * spatial, workspace.take("grad", (cout, n) + padded))
-    grad_columns = workspace.take("grad_input", (cin, total)) if need_input_grad else None
+    grads = _embed(
+        grad_output, (0,) * spatial, workspace.take("grad", (cout, n) + padded, columns.dtype)
+    )
+    grad_columns = (
+        workspace.take("grad_input", (cin, total), columns.dtype) if need_input_grad else None
+    )
     grad_matrix = np.zeros_like(matrix)
     if _gemm_first(cout, cin, taps):
         # adjoint of GEMM-then-shift-add: stack the gradient shifted back, then
         # both gradients are one GEMM each on that stack
         left = tuple(-s for s in shifts)
-        buffer = workspace.take("stack", (taps, cout, step))
+        buffer = workspace.take("stack", (taps, cout, step), columns.dtype)
         for lo, hi in _blocks(total, step):
             stack = _stack(grads, lo, hi, left, buffer)
             grad_matrix += np.matmul(stack, columns[:, lo:hi].T)
@@ -301,10 +309,10 @@ def conv_backward(
                 np.matmul(matrix.T, stack, out=grad_columns[:, lo:hi])
         grad_weight = np.moveaxis(grad_matrix.reshape(taps, cout, cin), 0, 2)
     else:
-        buffer = workspace.take("stack", (taps, cin, step)) if taps > 1 else None
+        buffer = workspace.take("stack", (taps, cin, step), columns.dtype) if taps > 1 else None
         if need_input_grad:
             grad_columns[...] = 0.0
-            product = workspace.take("grad_stack", (taps * cin, step))
+            product = workspace.take("grad_stack", (taps * cin, step), columns.dtype)
         for lo, hi in _blocks(total, step):
             stack = _stack(columns, lo, hi, shifts, buffer)
             grad_matrix += np.matmul(grads[:, lo:hi], stack.T)
@@ -334,7 +342,7 @@ def _tap_sum(
     """
     total = src.shape[1]
     step = _step(total, len(shifts))
-    scratch = workspace.take("stack", (src.shape[0], step))
+    scratch = workspace.take("stack", (src.shape[0], step), src.dtype)
     dst[...] = 0.0
     for lo, hi in _blocks(total, step):
         for k, shift in enumerate(shifts):
@@ -361,8 +369,8 @@ def depthwise_conv_forward(
     padding = tuple(int(p) for p in padding)
     padded, out_spatial, shifts = _geometry(x.shape[2:], weight.shape[1:], padding)
     n = x.shape[0]
-    columns = _embed(x, padding, workspace.take("input", (channels, n) + padded))
-    result = workspace.take("output", columns.shape)
+    columns = _embed(x, padding, workspace.take("input", (channels, n) + padded, x.dtype))
+    result = workspace.take("output", columns.shape, x.dtype)
     taps = weight.reshape(channels, -1)
     _tap_sum(columns, taps, shifts, result, workspace)
     box = tuple(slice(0, size) for size in out_spatial)
@@ -383,7 +391,7 @@ def depthwise_conv_backward(
 
     grad_bias = grad_output.sum(axis=(0,) + tuple(range(2, 2 + spatial)))
     grads = _embed(
-        grad_output, (0,) * spatial, workspace.take("grad", (channels, n) + padded)
+        grad_output, (0,) * spatial, workspace.take("grad", (channels, n) + padded, columns.dtype)
     )
     grad_taps = np.empty_like(taps)
     for k, shift in enumerate(shifts):
@@ -391,7 +399,7 @@ def depthwise_conv_backward(
 
     grad_input = None
     if need_input_grad:
-        grad_columns = workspace.take("grad_input", columns.shape)
+        grad_columns = workspace.take("grad_input", columns.shape, columns.dtype)
         _tap_sum(grads, taps, tuple(-s for s in shifts), grad_columns, workspace)
         box = tuple(slice(p, p + size) for p, size in zip(padding, x_shape[2:]))
         grad_input = _extract(grad_columns, n, padded, box)
@@ -402,8 +410,8 @@ def depthwise_conv_backward(
 # activation (stateless helper)
 # --------------------------------------------------------------------------- #
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
+    """Numerically stable logistic sigmoid, in ``x``'s dtype."""
+    out = np.empty_like(x)
     positive = x >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
     exp_x = np.exp(x[~positive])

@@ -28,16 +28,16 @@ def he_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """Kaiming/He normal initialisation (suited to ReLU activations)."""
     fan_in, _ = fan_in_out(shape)
     std = np.sqrt(2.0 / max(fan_in, 1))
-    return rng.normal(0.0, std, size=tuple(shape)).astype(np.float64)
+    return rng.normal(0.0, std, size=tuple(shape))
 
 
 def xavier_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform initialisation (suited to sigmoid/tanh activations)."""
     fan_in, fan_out = fan_in_out(shape)
     limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=tuple(shape)).astype(np.float64)
+    return rng.uniform(-limit, limit, size=tuple(shape))
 
 
 def zeros_init(shape: Sequence[int], rng: np.random.Generator | None = None) -> np.ndarray:
     """All-zeros initialisation (biases)."""
-    return np.zeros(tuple(shape), dtype=np.float64)
+    return np.zeros(tuple(shape))

@@ -5,8 +5,9 @@ and 3D (NCDHW) inputs — initial and output convolution, the depthwise and
 pointwise halves of the depthwise separable convolution — and the ReLU between
 them.  Every convolution has stride 1, an odd square kernel ``k`` padded by
 ``k // 2`` on each side (so the output keeps the input's size; a 1x1 kernel
-pads nothing) and a bias.  The channel attention block lives in
-:mod:`repro.nn.attention`.
+pads nothing) and a bias.  A layer computes in its parameters' dtype (see
+:meth:`repro.nn.Module.astype`) and casts its input to it.  The channel
+attention block lives in :mod:`repro.nn.attention`.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class ConvNd(Module):
         self._workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weight.data.dtype)
         if x.ndim != self.spatial_ndim + 2:
             raise ValueError(
                 f"expected a {self.spatial_ndim + 2}D input (batch, channels, *spatial), got {x.ndim}D"
@@ -93,7 +94,7 @@ class ConvNd(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         grad_input, grad_weight, grad_bias = conv_backward(
-            np.asarray(grad_output, dtype=np.float64),
+            np.asarray(grad_output, dtype=self.weight.data.dtype),
             self._cache,
             need_input_grad=self.needs_input_grad,
         )
@@ -143,7 +144,7 @@ class DepthwiseConvNd(Module):
         self._workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weight.data.dtype)
         if x.ndim != self.spatial_ndim + 2:
             raise ValueError(
                 f"expected a {self.spatial_ndim + 2}D input (batch, channels, *spatial), got {x.ndim}D"
@@ -159,7 +160,7 @@ class DepthwiseConvNd(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         grad_input, grad_weight, grad_bias = depthwise_conv_backward(
-            np.asarray(grad_output, dtype=np.float64),
+            np.asarray(grad_output, dtype=self.weight.data.dtype),
             self._cache,
             need_input_grad=self.needs_input_grad,
         )
@@ -235,11 +236,11 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return np.where(self._mask, np.asarray(grad_output, dtype=np.float64), 0.0)
+        return np.where(self._mask, grad_output, 0.0)

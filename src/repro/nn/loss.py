@@ -21,8 +21,8 @@ class MSELoss:
         self._count: int = 0
 
     def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        prediction = np.asarray(prediction, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
+        prediction = np.asarray(prediction)
+        target = np.asarray(target, dtype=prediction.dtype)
         if prediction.shape != target.shape:
             raise ValueError(
                 f"prediction shape {prediction.shape} does not match target shape {target.shape}"

@@ -89,6 +89,18 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter, and its gradient, to ``dtype`` in place.
+
+        Layers compute in their parameters' dtype, so this is what selects the
+        arithmetic: float64 as built, float32 while the CFNN trains.  Returns
+        ``self``.
+        """
+        for param in self.parameters():
+            param.data = param.data.astype(dtype)
+            param.grad = np.zeros_like(param.data)
+        return self
+
     # ------------------------------------------------------------------ #
     # computation
     # ------------------------------------------------------------------ #
@@ -121,7 +133,7 @@ class Module:
         for name, param in own.items():
             if name not in state:
                 raise KeyError(f"state dict is missing parameter {name!r}")
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.asarray(state[name])
             if value.shape != param.data.shape:
                 raise ValueError(
                     f"parameter {name!r} has shape {param.data.shape}, "

@@ -105,7 +105,7 @@ def state_from_bytes(model: Module, payload: bytes) -> Module:
     for name, shape in expected:
         count = prod(shape)
         values = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        state[name] = values.reshape(shape).astype(np.float64)
+        state[name] = values.reshape(shape)
         offset += count * dtype.itemsize
     model.load_state_dict(state)
     return model

@@ -109,13 +109,20 @@ class Trainer:
         epochs: int = 10,
         validation: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> TrainingHistory:
-        """Train for ``epochs`` epochs and return the loss history."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
+        """Train for ``epochs`` epochs and return the loss history.
+
+        The samples are cast once to the model's parameter dtype, the dtype its
+        layers compute in.
+        """
+        dtype = self.model.parameters()[0].data.dtype
+        inputs = np.asarray(inputs, dtype=dtype)
+        targets = np.asarray(targets, dtype=dtype)
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and targets must have the same number of samples")
         if epochs < 1:
             raise ValueError("epochs must be positive")
+        if validation is not None:
+            validation = tuple(np.asarray(part, dtype=dtype) for part in validation)
 
         history = TrainingHistory()
         for epoch in range(1, epochs + 1):
@@ -137,10 +144,7 @@ class Trainer:
             train_loss = epoch_loss / max(seen, 1)
             val_loss = None
             if validation is not None:
-                val_loss = self.evaluate(
-                    np.asarray(validation[0], dtype=np.float64),
-                    np.asarray(validation[1], dtype=np.float64),
-                )
+                val_loss = self.evaluate(*validation)
             elapsed = time.perf_counter() - start
             history.record(epoch, train_loss, val_loss, elapsed)
         return history

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.cfnn import CFNN, CFNNConfig, build_cfnn_network
 from repro.core.training import TrainingConfig
+from repro.nn import Trainer
 
 
 def _toy_problem(ndim, rng, size=24):
@@ -102,6 +103,45 @@ class TestCFNNTrainingAndInference:
         restored_pred = restored.predict_differences(anchors)
         for a, b in zip(original_pred, restored_pred):
             assert np.array_equal(a, b)
+
+    def test_trains_in_float32_and_leaves_float64_parameters(self, monkeypatch):
+        seen = []
+        fit = Trainer.fit
+
+        def recording_fit(trainer, *args, **kwargs):
+            dtypes = {param.data.dtype for param in trainer.model.parameters()}
+            seen.append(dtypes | {moment.dtype for moment in trainer.optimizer._m})
+            return fit(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", recording_fit)
+        rng = np.random.default_rng(6)
+        anchors, target = _toy_problem(2, rng)
+        model = CFNN(CFNNConfig(n_anchors=2, ndim=2, hidden_channels=4, expanded_channels=8))
+        model.train(anchors, target, TrainingConfig(epochs=1, n_patches=8, patch_size_2d=16))
+        assert seen == [{np.dtype(np.float32)}]
+        for name, param in model.network.named_parameters():
+            assert param.data.dtype == np.float64 and param.grad.dtype == np.float64, name
+
+    def test_two_trainings_with_one_seed_give_identical_bytes(self):
+        rng = np.random.default_rng(7)
+        anchors, target = _toy_problem(3, rng, size=16)
+        blobs = []
+        for _ in range(2):
+            model = CFNN(CFNNConfig(n_anchors=2, ndim=3, hidden_channels=4, expanded_channels=8))
+            model.train(anchors, target, TrainingConfig(epochs=2, n_patches=8, patch_size_3d=8))
+            blobs.append(model.to_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_loaded_model_predicts_in_float64(self):
+        rng = np.random.default_rng(8)
+        anchors, target = _toy_problem(2, rng)
+        model = CFNN(CFNNConfig(n_anchors=2, ndim=2, hidden_channels=4, expanded_channels=8))
+        model.train(anchors, target, TrainingConfig(epochs=1, n_patches=8, patch_size_2d=16))
+        restored = CFNN.from_bytes(model.to_bytes())
+        assert all(param.data.dtype == np.float64 for param in restored.network.parameters())
+        # the layers cast whatever they are fed to their float64 parameters
+        assert restored.network(np.zeros((1, 4, 16, 16), dtype=np.float32)).dtype == np.float64
+        assert all(d.dtype == np.float64 for d in restored.predict_differences(anchors))
 
     def test_serialize_untrained_rejected(self):
         with pytest.raises(RuntimeError):

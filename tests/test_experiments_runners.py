@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import CrossFieldCompressor
 from repro.core.training import TrainingConfig
 from repro.experiments import run_figure1, run_figure5, run_figure6, run_table1, run_table2, run_table3
 from repro.experiments.config import FieldExperiment
+from repro.sz import SZCompressor
 
 FAST = TrainingConfig(epochs=2, n_patches=12, batch_size=4, patch_size_2d=16, patch_size_3d=8)
 
@@ -66,3 +68,27 @@ class TestHeavyRunnersSmoke:
         assert result.metrics["hybrid"]["psnr"] >= worst
         assert result.best_predictor() in result.metrics
         assert "Predictor" in result.format()
+
+
+class TestTable2BoundCheck:
+    """Every Table II cell decodes both payloads and holds the error bound."""
+
+    def test_every_smoke_cell_holds_the_bound(self):
+        result = run_table2("smoke")
+        assert len(result.rows) == 23
+        for row in result.rows:
+            assert 0.0 < row["bound_margin"] <= 1.0, row
+
+    @pytest.mark.parametrize("codec", [SZCompressor, CrossFieldCompressor], ids=["sz", "cross-field"])
+    def test_a_corrupted_reconstruction_raises(self, codec, monkeypatch):
+        decompress = codec.decompress
+
+        def corrupted(self, *args, **kwargs):
+            values = decompress(self, *args, **kwargs)
+            values.flat[0] += np.ptp(values)  # far outside any relative bound below 1
+            return values
+
+        monkeypatch.setattr(codec, "decompress", corrupted)
+        experiments = [FieldExperiment("cesm", "LWCF", (1e-3,))]
+        with pytest.raises(RuntimeError, match="cesm:LWCF at error bound 0.001 breaks the bound"):
+            run_table2("smoke", experiments=experiments, training=FAST)

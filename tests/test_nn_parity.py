@@ -7,13 +7,19 @@ the four kernels against a direct-summation oracle that lives *here*, not in
 textbook definition.  Hypothesis draws 1-D/2-D/3-D grids (non-cubic, size-1
 axes), per-axis kernels from {1, 3, 5}, ``same``/``valid``/explicit padding,
 batch sizes and channel counts on both sides of the stack-side switch, and a
-block width small enough that every case spans several blocks.  Forward and
-all three gradients must agree to ``rtol=1e-10``.
+block width small enough that every case spans several blocks, and the dtype
+(float64, the inference arithmetic, or float32, the training one).  The
+kernels compute in their input's dtype: every output and gradient has it, and
+against the float64 oracle float64 agrees to ``rtol=1e-10`` and float32 to
+``rtol=1e-4`` (``atol=1e-4``; a sum of up to 875 float32 products of unit-scale
+values carries a few 1e-6 of rounding).
 
 The finite-difference checks stay in ``tests/test_nn_functional.py``; this
 file pins the layer-level contracts the kernels' new keywords carry: the
-first-layer path (no ``grad_input``, identical parameter gradients) and
-workspace reuse across changing batch sizes.
+first-layer path (no ``grad_input``, identical parameter gradients),
+workspace reuse across changing batch sizes, and a layer's float64 forward
+after float32 training (what ``CFNN.train`` leaves behind) matching a fresh
+layer bit for bit.
 """
 
 from contextlib import contextmanager
@@ -38,7 +44,9 @@ COMMON_SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-RTOL, ATOL = 1e-10, 1e-12
+#: ``(rtol, atol)`` against the float64 oracle, per compute dtype.
+TOLERANCE = {np.dtype(np.float64): (1e-10, 1e-12), np.dtype(np.float32): (1e-4, 1e-4)}
+DTYPES = st.sampled_from([np.float64, np.float32])
 
 
 @contextmanager
@@ -142,14 +150,22 @@ def geometries(draw):
     return draw(st.integers(1, 3)), spatial, kernel, padding
 
 
-def _tensors(seed, *shapes):
+def _tensors(seed, *shapes, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    return [rng.normal(size=shape) for shape in shapes]
+    return [rng.normal(size=shape).astype(dtype) for shape in shapes]
 
 
-def _assert_close(actual, expected, what):
+def _assert_close(actual, expected, what, dtype=np.float64):
+    """``actual`` (computed in ``dtype``) matches the float64 oracle's ``expected``."""
     assert actual.shape == expected.shape, what
-    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=ATOL, err_msg=what)
+    assert actual.dtype == dtype, f"{what} is {actual.dtype}, computed in {np.dtype(dtype)}"
+    rtol, atol = TOLERANCE[np.dtype(dtype)]
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol, err_msg=what)
+
+
+def _widen(*arrays):
+    """The oracle's float64 copies of the kernels' (possibly float32) operands."""
+    return [None if a is None else a.astype(np.float64) for a in arrays]
 
 
 # --------------------------------------------------------------------------- #
@@ -162,23 +178,26 @@ def _assert_close(actual, expected, what):
     cout=st.integers(1, 7),
     with_bias=st.booleans(),
     block=st.sampled_from([64, 128, F.BLOCK]),
+    dtype=DTYPES,
     seed=st.integers(0, 2**16),
 )
-def test_conv_matches_direct_summation(geometry, cin, cout, with_bias, block, seed):
+def test_conv_matches_direct_summation(geometry, cin, cout, with_bias, block, dtype, seed):
     batch, spatial, kernel, padding = geometry
-    x, weight, bias = _tensors(seed, (batch, cin) + spatial, (cout, cin) + kernel, (cout,))
+    x, weight, bias = _tensors(
+        seed, (batch, cin) + spatial, (cout, cin) + kernel, (cout,), dtype=dtype
+    )
     bias = bias if with_bias else None
     with block_width(block):
         out, cache = conv_forward(x, weight, bias, padding)
-        (grad_out,) = _tensors(seed + 1, out.shape)
+        (grad_out,) = _tensors(seed + 1, out.shape, dtype=dtype)
         grad_input, grad_weight, grad_bias = conv_backward(grad_out, cache)
-    expected = oracle_conv(x, weight, bias, padding, grad_out)
+    expected = oracle_conv(*_widen(x, weight, bias), padding, *_widen(grad_out))
     for actual, reference, what in zip(
         (out, grad_input, grad_weight, grad_bias),
         expected,
         ("output", "grad_input", "grad_weight", "grad_bias"),
     ):
-        _assert_close(actual, reference, what)
+        _assert_close(actual, reference, what, dtype)
     assert out.flags.c_contiguous and grad_input.flags.c_contiguous
 
 
@@ -188,40 +207,47 @@ def test_conv_matches_direct_summation(geometry, cin, cout, with_bias, block, se
     channels=st.integers(1, 6),
     with_bias=st.booleans(),
     block=st.sampled_from([64, 128, F.BLOCK]),
+    dtype=DTYPES,
     seed=st.integers(0, 2**16),
 )
-def test_depthwise_matches_direct_summation(geometry, channels, with_bias, block, seed):
+def test_depthwise_matches_direct_summation(geometry, channels, with_bias, block, dtype, seed):
     batch, spatial, kernel, padding = geometry
-    x, weight, bias = _tensors(seed, (batch, channels) + spatial, (channels,) + kernel, (channels,))
+    x, weight, bias = _tensors(
+        seed, (batch, channels) + spatial, (channels,) + kernel, (channels,), dtype=dtype
+    )
     bias = bias if with_bias else None
     with block_width(block):
         out, cache = depthwise_conv_forward(x, weight, bias, padding)
-        (grad_out,) = _tensors(seed + 1, out.shape)
+        (grad_out,) = _tensors(seed + 1, out.shape, dtype=dtype)
         grad_input, grad_weight, grad_bias = depthwise_conv_backward(grad_out, cache)
-    expected = oracle_depthwise(x, weight, bias, padding, grad_out)
+    expected = oracle_depthwise(*_widen(x, weight, bias), padding, *_widen(grad_out))
     for actual, reference, what in zip(
         (out, grad_input, grad_weight, grad_bias),
         expected,
         ("output", "grad_input", "grad_weight", "grad_bias"),
     ):
-        _assert_close(actual, reference, what)
+        _assert_close(actual, reference, what, dtype)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize(
     "cin, cout, gemm_first",
     [(16, 3, True), (9, 8, False), (6, 8, False), (3, 16, False), (8, 4, True)],
     ids=["16->3", "9->8", "6->8", "3->16", "8->4"],
 )
-def test_both_stack_sides_on_cfnn_shapes(cin, cout, gemm_first):
+def test_both_stack_sides_on_cfnn_shapes(cin, cout, gemm_first, dtype):
     """The CFNN's own layer shapes, on both sides of the stack-side switch,
     over enough columns that the default block width splits them."""
     assert F._gemm_first(cout, cin, 27) is gemm_first
-    x, weight, bias = _tensors(cin * 100 + cout, (2, cin, 12, 13, 14), (cout, cin, 3, 3, 3), (cout,))
+    x, weight, bias = _tensors(
+        cin * 100 + cout, (2, cin, 12, 13, 14), (cout, cin, 3, 3, 3), (cout,), dtype=dtype
+    )
     out, cache = conv_forward(x, weight, bias, (1, 1, 1))
-    (grad_out,) = _tensors(5, out.shape)
+    (grad_out,) = _tensors(5, out.shape, dtype=dtype)
     actual = (out,) + conv_backward(grad_out, cache)
-    for got, reference in zip(actual, oracle_conv(x, weight, bias, (1, 1, 1), grad_out)):
-        _assert_close(got, reference, f"{cin}->{cout}")
+    expected = oracle_conv(*_widen(x, weight, bias), (1, 1, 1), *_widen(grad_out))
+    for got, reference in zip(actual, expected):
+        _assert_close(got, reference, f"{cin}->{cout}", dtype)
 
 
 def test_depthwise_result_does_not_depend_on_the_block_width():
@@ -328,6 +354,38 @@ def test_layer_reuses_its_buffers_and_outputs_stay_independent():
     assert np.array_equal(again, kept)
     for role, buffer in layer._workspace._buffers.items():
         assert buffer is buffers[role], f"{role} buffer was reallocated for a smaller batch"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: Conv3d(9, 8, 3, rng=rng),
+        lambda rng: Conv3d(16, 3, 3, rng=rng),
+        lambda rng: DepthwiseConv3d(8, 3, rng=rng),
+    ],
+    ids=["Conv3d-stack-first", "Conv3d-gemm-first", "DepthwiseConv3d"],
+)
+def test_float64_forward_after_float32_training_matches_a_fresh_layer(make):
+    """A float32 forward/backward leaves float32 buffers in the layer's
+    workspace; the float64 forward after it must not reuse them."""
+    layer = make(np.random.default_rng(6)).astype(np.float32)
+    channels = getattr(layer, "in_channels", None) or layer.channels
+    (x,) = _tensors(7, (8, channels, 6, 7, 5))
+    out = layer(x)
+    assert out.dtype == np.float32
+    (grad_out,) = _tensors(8, out.shape)
+    assert layer.backward(grad_out).dtype == np.float32
+    assert all(param.grad.dtype == np.float32 for param in layer.parameters())
+
+    layer.astype(np.float64)
+    fresh = make(np.random.default_rng(0))
+    fresh.load_state_dict(layer.state_dict())
+    out = layer(x)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, fresh(x))
+    assert np.array_equal(layer.backward(grad_out), fresh.backward(grad_out))
+    for (name, param), twin in zip(layer.named_parameters(), fresh.parameters()):
+        assert np.array_equal(param.grad, twin.grad), name
 
 
 def test_kernels_reject_what_they_always_rejected():
