@@ -4,13 +4,16 @@ Two cases:
 
 - the classic ratio ablation over the local predictor choices (Lorenzo /
   interpolation / regression / ZFP-like), and
-- a decode-throughput case pitting the scalar reference decoders
-  (``decode_weighted_sequential``, ``RegressionPredictor.decode_reference``) against the
-  vectorised batch-state-machine paths on a ~1M-point 2D field — mirroring how
+- a decode-throughput case pitting the scalar reference decoder
+  (``decode_weighted_sequential``) against the vectorised
+  batch-state-machine path on a ~1M-point 2D field — mirroring how
   ``bench_ablation_entropy_backends.py`` guards the Huffman speedup.  The
   scalar wavefront decode is timed on a crop (it is minutes-slow at the full
   size) and compared on throughput (points/second); the ``>= 4x`` assertion is
-  the roadmap acceptance bar and runs in CI's bench-smoke job.
+  the roadmap acceptance bar and runs in CI's bench-smoke job.  The
+  regression predictor's per-block reference decoder lives in
+  ``tests/test_sz_parity.py``, with its gate: the batched decode must not be
+  slower than the block loop.
 """
 
 import os
@@ -48,7 +51,6 @@ def _measure_sz_decode_throughput():
         decode_weighted_wavefront,
         weighted_predict_full,
     )
-    from repro.sz.predictors import RegressionPredictor
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "default")
     shape = _FIELD_SHAPES.get(scale, _FIELD_SHAPES["default"])
@@ -85,15 +87,6 @@ def _measure_sz_decode_throughput():
     assert np.array_equal(vector_out, codes)
     assert np.array_equal(scalar_out, codes[crop])
 
-    # regression predictor: batched vs per-block reference at full size
-    reg = RegressionPredictor(block_size=6)
-    reg_residuals, reg_coeffs = reg.encode(codes)
-    reg_vec_seconds, reg_vec = best_of(3, lambda: reg.decode(reg_residuals, reg_coeffs))
-    reg_ref_seconds, reg_ref = best_of(
-        1, lambda: reg.decode_reference(reg_residuals, reg_coeffs)
-    )
-    assert np.array_equal(reg_vec, reg_ref)
-
     scalar_tp = scalar_out.size / scalar_seconds
     vector_tp = vector_out.size / vector_seconds
     return {
@@ -104,9 +97,6 @@ def _measure_sz_decode_throughput():
         "scalar_points_per_second": scalar_tp,
         "vector_points_per_second": vector_tp,
         "wavefront_speedup": vector_tp / scalar_tp,
-        "regression_reference_seconds": reg_ref_seconds,
-        "regression_vectorised_seconds": reg_vec_seconds,
-        "regression_speedup": reg_ref_seconds / reg_vec_seconds,
     }
 
 
@@ -127,15 +117,8 @@ def test_sz_decode_throughput(benchmark):
         f"({result['vector_seconds'] * 1e3:.1f} ms full field)   "
         f"speedup {result['wavefront_speedup']:.1f}x"
     )
-    print(
-        f"regression decode: reference {result['regression_reference_seconds'] * 1e3:.1f} ms, "
-        f"batched {result['regression_vectorised_seconds'] * 1e3:.1f} ms "
-        f"({result['regression_speedup']:.1f}x)"
-    )
 
     bench_report("sz_decode_throughput", result)
 
     # the acceptance bar: batch wavefront decode >= 4x scalar throughput
     assert result["wavefront_speedup"] >= 4.0
-    # the batched regression decode must never regress below the block loop
-    assert result["regression_speedup"] >= 1.0

@@ -85,6 +85,20 @@ class Codec(ABC):
     def encode(self, chunk: np.ndarray, anchors: Optional[Sequence[np.ndarray]] = None) -> bytes:
         """Compress one chunk into opaque bytes."""
 
+    def encode_many(
+        self,
+        chunks: Sequence[np.ndarray],
+        anchors: Optional[Sequence[Sequence[np.ndarray]]] = None,
+    ) -> List[bytes]:
+        """Compress several chunks; one :meth:`encode` payload per chunk, in order.
+
+        ``anchors`` is ``None`` or one anchor list per chunk.  The default
+        encodes the chunks one by one; a codec that overrides it must return
+        :meth:`encode`'s bytes for every chunk.
+        """
+        anchors = [None] * len(chunks) if anchors is None else anchors
+        return [self.encode(chunk, anchors=own) for chunk, own in zip(chunks, anchors)]
+
     @abstractmethod
     def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """Inverse of :meth:`encode`.
@@ -137,6 +151,14 @@ class SZChunkCodec(Codec):
 
     def encode(self, chunk: np.ndarray, anchors: Optional[Sequence[np.ndarray]] = None) -> bytes:
         return self._compressor.compress(chunk).payload
+
+    def encode_many(
+        self,
+        chunks: Sequence[np.ndarray],
+        anchors: Optional[Sequence[Sequence[np.ndarray]]] = None,
+    ) -> List[bytes]:
+        """One :meth:`~repro.sz.pipeline.SZCompressor.compress_many` pass over all chunks."""
+        return [result.payload for result in self._compressor.compress_many(chunks)]
 
     def decode(self, payload: bytes, anchors: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         return self._compressor.decompress(payload)

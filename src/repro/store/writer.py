@@ -51,9 +51,9 @@ import numpy as np
 
 from repro.data.slicing import iter_blocks
 from repro.obs import recorder as _obs
-from repro.parallel.engine import ChunkScheduler
+from repro.parallel.engine import ChunkScheduler, ChunkTaskError
 from repro.store.bytestore import FileByteStore
-from repro.store.codecs import codec_class, get_codec
+from repro.store.codecs import Codec, codec_class, get_codec
 from repro.store.manifest import (
     FOOTER_SIZE,
     ArchiveError,
@@ -82,6 +82,14 @@ PathLike = Union[str, os.PathLike]
 
 #: Default chunk edge length along every axis (clamped to the field size).
 DEFAULT_CHUNK_EDGE = 64
+
+#: Points per writer task: a field's consecutive chunks go to
+#: :meth:`~repro.store.codecs.Codec.encode_many` in batches of about this
+#: many points (at least one chunk, and a multiple of ``jobs`` batches per
+#: field).  A codec that keeps the base ``encode_many`` gets one chunk a task.
+#: SZ's batched encode is on its plateau from ~16 chunks of 64², and a batch
+#: holds ~86 B of transient memory per point (see docs/architecture.md).
+WRITE_BATCH_POINTS = 1 << 16
 
 
 
@@ -471,33 +479,54 @@ class ArchiveWriter:
         instance = get_codec(codec_name, **codec_params)
 
         blocks = list(enumerate(iter_blocks(data.shape, resolved_chunk_shape)))
+        per_batch = 1  # a codec that loops over encode gains nothing from batches
+        if type(instance).encode_many is not Codec.encode_many:
+            # ~WRITE_BATCH_POINTS per batch, and a multiple of `jobs` batches
+            # so the workers finish together
+            jobs = self._scheduler.effective_jobs
+            n = -(-len(blocks) // max(1, WRITE_BATCH_POINTS // int(np.prod(resolved_chunk_shape))))
+            n = -(-max(n, jobs) // jobs) * jobs
+            per_batch = max(1, -(-len(blocks) // n))
+        batches = [blocks[i : i + per_batch] for i in range(0, len(blocks), per_batch)]
         recorder = _obs.get_recorder()
 
         # Anchor chunks are reconstructed per target chunk, on demand — the
         # fetcher serialises only its file reads and cache bookkeeping
         # internally, so anchor decodes and target encodes both run in
-        # parallel while memory stays bounded by the in-flight workers plus
+        # parallel while memory stays bounded by the in-flight batches plus
         # the fetcher's cache budget, not the whole anchor fields.
-        def encode(block):
-            index, slices = block
-            chunk_data = np.ascontiguousarray(data[slices])
+        def encode(batch):
+            chunks = [np.ascontiguousarray(data[slices]) for _, slices in batch]
             anchor_arrays = (
-                [self._fetcher.get_chunk(a, index) for a in anchors]
+                [[self._fetcher.get_chunk(a, index) for a in anchors] for index, _ in batch]
                 if anchors
                 else None
             )
             encode_start = _time.perf_counter()
-            if anchor_arrays is not None:
-                payload = instance.encode(chunk_data, anchors=anchor_arrays)
-            else:
-                payload = instance.encode(chunk_data)
+            try:
+                payloads = instance.encode_many(chunks, anchor_arrays)
+            except Exception:
+                if len(batch) > 1:
+                    # a batch error names no chunk: encoding one at a time finds it
+                    for k, (index, _) in enumerate(batch):
+                        try:
+                            instance.encode(chunks[k], anchors=anchor_arrays[k] if anchors else None)
+                        except Exception as exc:
+                            raise ChunkTaskError(f"field {name!r} chunk {index}", exc) from exc
+                raise
+            if len(payloads) != len(batch):
+                raise ValueError(
+                    f"codec {cls.name!r} returned {len(payloads)} payloads for {len(batch)} chunks"
+                )
             if recorder.enabled:
                 recorder.observe(
                     f"store.codec.{cls.name}.encode_seconds", _time.perf_counter() - encode_start
                 )
-                recorder.count(f"store.codec.{cls.name}.bytes_in", int(chunk_data.nbytes))
-                recorder.count(f"store.codec.{cls.name}.bytes_out", len(payload))
-            return payload
+                recorder.count(
+                    f"store.codec.{cls.name}.bytes_in", sum(int(c.nbytes) for c in chunks)
+                )
+                recorder.count(f"store.codec.{cls.name}.bytes_out", sum(map(len, payloads)))
+            return payloads
 
         entry = FieldEntry(
             name=name,
@@ -511,33 +540,40 @@ class ArchiveWriter:
             error_bound=None if cls.is_lossless else eb.to_dict(),
             original_nbytes=int(data.nbytes),
         )
-        # Stream each payload to disk as it is produced (in chunk order):
-        # memory holds only results completed ahead of the write position,
-        # never the field's whole compressed output.  Appends share the file
-        # handle with the fetcher's anchor reads, hence the io_lock.
+        # Stream each batch's payloads to disk as they are produced (in chunk
+        # order), one write per batch: memory holds only batches completed
+        # ahead of the write position, never the field's whole compressed
+        # output.  Appends share the file handle with the fetcher's anchor
+        # reads, hence the io_lock.
         with _obs.span(
             "store.write.field_seconds", field=name, codec=cls.name, chunks=len(blocks)
         ):
-            payloads = self._scheduler.imap(
-                encode, blocks, context=lambda i, block: f"field {name!r} chunk {i}"
+            results = self._scheduler.imap(
+                encode,
+                batches,
+                context=lambda i, batch: f"field {name!r} chunk"
+                + (f" {batch[0][0]}" if len(batch) == 1 else f"s {batch[0][0]}-{batch[-1][0]}"),
             )
-            for (index, slices), payload in zip(blocks, payloads):
-                entry.chunks.append(
-                    ChunkEntry(
-                        index=index,
-                        start=tuple(s.start for s in slices),
-                        stop=tuple(s.stop for s in slices),
-                        offset=self._offset,
-                        length=len(payload),
-                        crc32=zlib.crc32(payload) & 0xFFFFFFFF,
+            for batch, payloads in zip(batches, results):
+                offset = self._offset
+                for (index, slices), payload in zip(batch, payloads):
+                    entry.chunks.append(
+                        ChunkEntry(
+                            index=index,
+                            start=tuple(s.start for s in slices),
+                            stop=tuple(s.stop for s in slices),
+                            offset=offset,
+                            length=len(payload),
+                            crc32=zlib.crc32(payload) & 0xFFFFFFFF,
+                        )
                     )
-                )
+                    offset += len(payload)
                 io_start = _time.perf_counter()
                 with self._fetcher.io_lock:
                     self._fh.seek(self._offset)
-                    self._fh.write(payload)
+                    self._fh.write(b"".join(payloads))
                 recorder.observe("store.write.io_seconds", _time.perf_counter() - io_start)
-                self._offset += len(payload)
+                self._offset = offset
         self.manifest.add(entry)
         self._dirty = True
         return entry

@@ -376,65 +376,95 @@ class SZCompressor:
     # ------------------------------------------------------------------ #
     def compress(self, data: np.ndarray, field_name: str = "") -> CompressionResult:
         """Compress ``data`` and return a :class:`CompressionResult`."""
-        data = ensure_array(data, "data")
-        if data.ndim not in (1, 2, 3):
+        return self.compress_many([data], field_name)[0]
+
+    def compress_many(
+        self, chunks: Sequence[np.ndarray], field_name: str = ""
+    ) -> List[CompressionResult]:
+        """Compress each array of ``chunks`` on its own, as :meth:`compress` would.
+
+        Arrays of one shape and dtype go through each stage together: one
+        :func:`~repro.sz.quantizer.prequantize` per group of equal cast-safe
+        bounds, and the predictor over a leading batch axis.  Then one
+        :func:`encode_integer_streams` call codes every array's residuals.  A
+        relative bound resolves per array.  Each payload is byte-identical to
+        compressing its array alone; an error names no array.
+        """
+        arrays = [ensure_array(chunk, "data") for chunk in chunks]
+        if any(array.ndim not in (1, 2, 3) for array in arrays):
             raise ValueError("SZCompressor supports 1D, 2D and 3D data")
         recorder = _obs.get_recorder()
+        abs_ebs = [self.error_bound.resolve(array) for array in arrays]
+        payload_ebs = [0.0] * len(arrays)
+        residuals: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(arrays)
+        extras: List[Tuple[Dict[str, bytes], Dict]] = [({}, {})] * len(arrays)
+        batches: Dict[Tuple, List[int]] = {}
+        for k, array in enumerate(arrays):
+            batches.setdefault((array.shape, array.dtype), []).append(k)
 
-        with recorder.timer("sz.quantize.prequantize_seconds"):
-            abs_eb = self.error_bound.resolve(data)
-            payload_eb = cast_safe_error_bound(abs_eb, data)
-            codes = prequantize(data, effective_error_bound(payload_eb))
+        for members in batches.values():
+            stack = np.stack([arrays[k] for k in members])
+            with recorder.timer("sz.quantize.prequantize_seconds"):
+                rows_by_eb: Dict[float, List[int]] = {}
+                for row, k in enumerate(members):
+                    payload_ebs[k] = cast_safe_error_bound(abs_ebs[k], arrays[k])
+                    rows_by_eb.setdefault(effective_error_bound(payload_ebs[k]), []).append(row)
+                codes = np.empty(stack.shape, dtype=np.int64)
+                for eb, rows in rows_by_eb.items():
+                    codes[rows] = prequantize(stack[rows], eb)
 
-        extra_sections: Dict[str, bytes] = {}
-        extra_meta: Dict = {}
-        with recorder.timer(f"sz.predict.{self.predictor}.encode_seconds"):
-            if self.predictor == "lorenzo":
-                residuals = lorenzo_transform(codes)
-            elif self.predictor == "interpolation":
-                residuals = InterpolationPredictor().encode(codes)
-            else:  # regression
-                reg = RegressionPredictor(REGRESSION_BLOCK_SIZE)
-                residuals, coefficients = reg.encode(codes)
-                backend = get_backend(self.backend)
-                extra_sections["regression.coefficients"] = backend.compress(
-                    coefficients.coefficients.astype(np.float32).tobytes()
+            with recorder.timer(f"sz.predict.{self.predictor}.encode_seconds"):
+                if self.predictor == "lorenzo":
+                    stack_residuals = lorenzo_transform(codes, batched=True)
+                elif self.predictor == "interpolation":
+                    stack_residuals = InterpolationPredictor().encode(codes, batched=True)
+                else:  # regression
+                    reg = RegressionPredictor(REGRESSION_BLOCK_SIZE)
+                    stack_residuals, coefficients = reg.encode(codes, batched=True)
+                    backend = get_backend(self.backend)
+                    for k, table in zip(members, coefficients.coefficients):
+                        section = backend.compress(table.astype(np.float32).tobytes())
+                        meta = {"block_size": REGRESSION_BLOCK_SIZE, "n_blocks": int(table.shape[0])}
+                        extras[k] = ({"regression.coefficients": section}, {"regression": meta})
+            recorder.count("sz.predict.points", int(stack.size))
+            for k, array_residuals in zip(members, stack_residuals):
+                residuals[k] = array_residuals
+
+        streams = encode_integer_streams(
+            residuals, self.entropy, self.backend, self.quant_radius, ["residual"] * len(arrays)
+        )
+        results = []
+        for array, abs_eb, payload_eb, (sections, stream_meta), (extra_sections, extra_meta) in zip(
+            arrays, abs_ebs, payload_ebs, streams, extras
+        ):
+            sections.update(extra_sections)
+            metadata = {
+                "format": self.format_name,
+                "field_name": field_name,
+                "shape": list(array.shape),
+                "dtype": str(array.dtype),
+                "error_bound": self.error_bound.to_dict(),
+                "abs_error_bound": payload_eb,
+                "predictor": self.predictor,
+                "stream": stream_meta,
+            }
+            metadata.update(extra_meta)
+
+            blob = CompressedBlob(metadata=metadata, sections=sections)
+            payload = blob.to_bytes()
+            results.append(
+                CompressionResult(
+                    payload=payload,
+                    original_nbytes=int(array.nbytes),
+                    compressed_nbytes=len(payload),
+                    abs_error_bound=abs_eb,
+                    element_count=int(array.size),
+                    element_size=int(array.dtype.itemsize),
+                    section_sizes=blob.section_sizes(),
+                    metadata=metadata,
                 )
-                extra_meta["regression"] = {
-                    "block_size": REGRESSION_BLOCK_SIZE,
-                    "n_blocks": int(coefficients.coefficients.shape[0]),
-                }
-        recorder.count("sz.predict.points", int(data.size))
-
-        sections, stream_meta = encode_integer_stream(
-            residuals, self.entropy, self.backend, self.quant_radius
-        )
-        sections.update(extra_sections)
-
-        metadata = {
-            "format": self.format_name,
-            "field_name": field_name,
-            "shape": list(data.shape),
-            "dtype": str(data.dtype),
-            "error_bound": self.error_bound.to_dict(),
-            "abs_error_bound": payload_eb,
-            "predictor": self.predictor,
-            "stream": stream_meta,
-        }
-        metadata.update(extra_meta)
-
-        blob = CompressedBlob(metadata=metadata, sections=sections)
-        payload = blob.to_bytes()
-        return CompressionResult(
-            payload=payload,
-            original_nbytes=int(data.nbytes),
-            compressed_nbytes=len(payload),
-            abs_error_bound=abs_eb,
-            element_count=int(data.size),
-            element_size=int(data.dtype.itemsize),
-            section_sizes=blob.section_sizes(),
-            metadata=metadata,
-        )
+            )
+        return results
 
     # ------------------------------------------------------------------ #
     # decompression

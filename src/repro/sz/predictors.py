@@ -16,16 +16,20 @@ Predictors implemented:
 - **Regression**: SZ-style block-wise linear (hyperplane) fit.  Every block of
   a given shape shares one design matrix, so the fit is a *batched* normal-
   equation solve — one tensor contraction over all same-shaped blocks at once
-  instead of a per-block Python loop.  The per-block scalar paths are kept as
-  :meth:`RegressionPredictor.encode_reference` /
-  :meth:`RegressionPredictor.decode_reference`; both paths share the exact
-  fixed-order float64 arithmetic, so their outputs are bit-identical — the
-  contract enforced by ``tests/test_sz_parity.py``.
+  instead of a per-block Python loop.  The arithmetic is fixed-order float64
+  and row by row, so a block's coefficients do not depend on which other
+  blocks share the batch; ``tests/test_sz_parity.py`` holds the per-block
+  scalar oracle it is pinned to.
 - **Interpolation**: SZ3-style multi-level linear interpolation along each
   dimension; prediction only ever uses points reconstructed in earlier passes.
   The per-shape pass tables (flat index tables, like the wavefront decoder's
   plans) are cached at module level so the thousands of same-shaped chunks of
   an archive build them once.
+
+The encoders take ``batched=True`` for a stack of same-shape arrays (the
+first axis indexes the arrays): each array's residuals are exactly those of
+encoding it alone, which is how the SZ codec encodes a batch of chunks in one
+pass.
 
 See ``docs/architecture.md`` ("The wavefront batch decoder") for how the
 cached index tables and the parity-testing contract fit together.
@@ -49,6 +53,13 @@ __all__ = [
     "RegressionPredictor",
     "InterpolationPredictor",
 ]
+
+
+def _as_codes(codes: np.ndarray, batched: bool) -> np.ndarray:
+    """``codes`` as ``int64`` with a leading batch axis (added when not ``batched``)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    ensure_ndim(codes, (2, 3, 4) if batched else (1, 2, 3), "codes")
+    return codes if batched else codes[None]
 
 
 # --------------------------------------------------------------------------- #
@@ -89,15 +100,19 @@ def lorenzo_predict(codes: np.ndarray) -> np.ndarray:
     return pred
 
 
-def lorenzo_transform(codes: np.ndarray) -> np.ndarray:
+def lorenzo_transform(codes: np.ndarray, batched: bool = False) -> np.ndarray:
     """Residuals of the Lorenzo predictor: ``q - lorenzo_predict(q)``.
 
-    Equivalent to applying the first-order backward-difference operator along
-    every axis (with zero boundary), which is what makes the inverse a chain of
-    cumulative sums.
+    Computed as the first-order backward difference (zero boundary) along
+    every axis, which equals the inclusion–exclusion form in wrapping
+    ``int64`` arithmetic and is what makes the inverse a chain of cumulative
+    sums.  With ``batched=True`` the first axis indexes independent arrays
+    and is not differenced.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    return codes - lorenzo_predict(codes)
+    codes = _as_codes(codes, batched)
+    for axis in range(1, codes.ndim):
+        codes = np.diff(codes, axis=axis, prepend=0)
+    return codes if batched else codes[0]
 
 
 def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
@@ -119,7 +134,7 @@ class RegressionCoefficients:
     """Per-block hyperplane coefficients produced by :class:`RegressionPredictor`."""
 
     block_shape: Tuple[int, ...]
-    coefficients: np.ndarray  # (n_blocks, ndim + 1) float32
+    coefficients: np.ndarray  # (n_blocks, ndim + 1) float32; batched encodes add a leading axis
 
     def nbytes(self) -> int:
         """Bytes needed to store the coefficients in the compressed stream."""
@@ -208,7 +223,7 @@ def _fit_batch(info: _DesignInfo, y: np.ndarray) -> np.ndarray:
     arithmetic — per-column products summed along the last axis, then the
     inverse applied row by row in fixed order — is elementwise over the block
     batch, so fitting ``n`` blocks at once is bit-identical to fitting each
-    alone (:func:`_fit_single`).
+    alone.
     """
     k = len(info.active_cols)
     dty = np.empty((y.shape[0], k), dtype=np.float64)
@@ -219,20 +234,6 @@ def _fit_batch(info: _DesignInfo, y: np.ndarray) -> np.ndarray:
         coeffs += dty[:, j : j + 1] * info.inv_normal[j][None, :]
     full = np.zeros((y.shape[0], len(info.block_shape) + 1), dtype=np.float32)
     full[:, list(info.active_cols)] = coeffs.astype(np.float32)
-    return full
-
-
-def _fit_single(info: _DesignInfo, y: np.ndarray) -> np.ndarray:
-    """Scalar-path fit of one raveled float64 block; mirrors :func:`_fit_batch`."""
-    k = len(info.active_cols)
-    dty = np.empty(k, dtype=np.float64)
-    for c in range(k):
-        dty[c] = (y * info.design[:, c]).sum()
-    coeffs = np.zeros(k, dtype=np.float64)
-    for j in range(k):
-        coeffs += dty[j] * info.inv_normal[j]
-    full = np.zeros(len(info.block_shape) + 1, dtype=np.float32)
-    full[list(info.active_cols)] = coeffs.astype(np.float32)
     return full
 
 
@@ -250,15 +251,6 @@ def _predict_batch(info: _DesignInfo, coeffs: np.ndarray) -> np.ndarray:
     return np.rint(pred).astype(np.int64)
 
 
-def _predict_single(info: _DesignInfo, coeffs: np.ndarray) -> np.ndarray:
-    """Scalar-path counterpart of :func:`_predict_batch` for one block."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    pred = np.full(info.grids[0].size, c[0], dtype=np.float64)
-    for d in range(len(info.block_shape)):
-        pred += c[d + 1] * info.grids[d]
-    return np.rint(pred).astype(np.int64)
-
-
 class RegressionPredictor:
     """SZ-style block-wise linear regression predictor.
 
@@ -267,8 +259,7 @@ class RegressionPredictor:
     decoding is independent of neighbouring values.  All same-shaped blocks
     share one design matrix, so :meth:`encode`/:meth:`decode` run the fit and
     the prediction as batched tensor operations over the whole block
-    population at once; :meth:`encode_reference`/:meth:`decode_reference` keep
-    the per-block scalar loop for the parity suite.
+    population at once.
     """
 
     def __init__(self, block_size: int = 6) -> None:
@@ -280,40 +271,35 @@ class RegressionPredictor:
         return tuple(self.block_size for _ in range(ndim))
 
     # ------------------------------ encode ----------------------------- #
-    def encode(self, codes: np.ndarray) -> Tuple[np.ndarray, RegressionCoefficients]:
-        """Fit block hyperplanes (batched) and return ``(residuals, coefficients)``."""
-        codes = np.ascontiguousarray(np.asarray(codes, dtype=np.int64))
-        ensure_ndim(codes, (1, 2, 3), "codes")
-        block_shape = self._block_shape(codes.ndim)
-        groups = _BLOCK_GROUPS.get((codes.shape, block_shape))
+    def encode(
+        self, codes: np.ndarray, batched: bool = False
+    ) -> Tuple[np.ndarray, RegressionCoefficients]:
+        """Fit block hyperplanes (batched) and return ``(residuals, coefficients)``.
+
+        With ``batched=True`` every row of the first axis is an array of its
+        own: its blocks are gathered from its row, and the coefficients gain a
+        leading axis with one ``(n_blocks, ndim + 1)`` table per row.
+        """
+        codes = np.ascontiguousarray(_as_codes(codes, batched))
+        shape = codes.shape[1:]
+        block_shape = self._block_shape(len(shape))
+        groups = _BLOCK_GROUPS.get((shape, block_shape))
         n_blocks = sum(len(g.positions) for g in groups)
-        flat = codes.reshape(-1)
-        residual_flat = np.empty_like(flat)
-        coeff_arr = np.zeros((n_blocks, codes.ndim + 1), dtype=np.float32)
+        rows = codes.reshape(codes.shape[0], -1)
+        residual_rows = np.empty_like(rows)
+        coeff_arr = np.zeros((rows.shape[0], n_blocks, len(shape) + 1), dtype=np.float32)
         for group in groups:
             info = _DESIGNS.get(group.block_shape)
-            y_int = flat[group.gather]
-            coeffs = _fit_batch(info, y_int.astype(np.float64))
-            coeff_arr[group.positions] = coeffs
-            residual_flat[group.gather] = y_int - _predict_batch(info, coeffs)
-        return residual_flat.reshape(codes.shape), RegressionCoefficients(block_shape, coeff_arr)
-
-    def encode_reference(self, codes: np.ndarray) -> Tuple[np.ndarray, RegressionCoefficients]:
-        """Per-block scalar fit; bit-identical to :meth:`encode` by construction."""
-        codes = np.asarray(codes, dtype=np.int64)
-        ensure_ndim(codes, (1, 2, 3), "codes")
-        block_shape = self._block_shape(codes.ndim)
-        residuals = np.empty_like(codes)
-        all_coeffs: List[np.ndarray] = []
-        for block_slices in iter_blocks(codes.shape, block_shape):
-            block = codes[block_slices]
-            info = _DESIGNS.get(block.shape)
-            y = np.ascontiguousarray(block).reshape(-1)
-            coeffs = _fit_single(info, y.astype(np.float64))
-            pred = _predict_single(info, coeffs).reshape(block.shape)
-            residuals[block_slices] = block - pred
-            all_coeffs.append(coeffs)
-        coeff_arr = np.stack(all_coeffs, axis=0)
+            y_int = rows[:, group.gather]  # (rows, blocks, elems)
+            flat_blocks = y_int.reshape(-1, y_int.shape[-1])
+            coeffs = _fit_batch(info, flat_blocks.astype(np.float64))
+            coeff_arr[:, group.positions] = coeffs.reshape(rows.shape[0], -1, coeffs.shape[-1])
+            residual_rows[:, group.gather] = (
+                flat_blocks - _predict_batch(info, coeffs)
+            ).reshape(y_int.shape)
+        residuals = residual_rows.reshape(codes.shape)
+        if not batched:
+            residuals, coeff_arr = residuals[0], coeff_arr[0]
         return residuals, RegressionCoefficients(block_shape, coeff_arr)
 
     # ------------------------------ decode ----------------------------- #
@@ -350,23 +336,6 @@ class RegressionPredictor:
             coeffs = coefficients.coefficients[group.positions]
             out_flat[group.gather] = _predict_batch(info, coeffs) + res_flat[group.gather]
         return out_flat.reshape(residuals.shape)
-
-    def decode_reference(
-        self, residuals: np.ndarray, coefficients: RegressionCoefficients
-    ) -> np.ndarray:
-        """Per-block scalar decode; bit-identical to :meth:`decode` by construction."""
-        residuals = np.asarray(residuals, dtype=np.int64)
-        ensure_ndim(residuals, (1, 2, 3), "residuals")
-        self._check_rank(residuals, coefficients)
-        codes = np.empty_like(residuals)
-        blocks = list(iter_blocks(residuals.shape, coefficients.block_shape))
-        self._check_coefficients(residuals, coefficients, len(blocks))
-        for block_slices, coeffs in zip(blocks, coefficients.coefficients):
-            block_shape = tuple(s.stop - s.start for s in block_slices)
-            info = _DESIGNS.get(block_shape)
-            pred = _predict_single(info, coeffs).reshape(block_shape)
-            codes[block_slices] = pred + residuals[block_slices]
-        return codes
 
 
 # --------------------------------------------------------------------------- #
@@ -467,28 +436,31 @@ class InterpolationPredictor:
 
     @staticmethod
     def _predict(flat: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        pred = flat[left].astype(np.float64)
+        """Predictions at one pass's targets, along the last axis of ``flat``."""
+        pred = flat[..., left].astype(np.float64)
         has_right = right >= 0
         if np.any(has_right):
-            pred[has_right] = (
-                flat[left[has_right]].astype(np.float64)
-                + flat[right[has_right]].astype(np.float64)
+            pred[..., has_right] = (
+                flat[..., left[has_right]].astype(np.float64)
+                + flat[..., right[has_right]].astype(np.float64)
             ) / 2.0
         return np.rint(pred).astype(np.int64)
 
     # -------------------------- API ----------------------------------- #
-    def encode(self, codes: np.ndarray) -> np.ndarray:
-        """Return residuals of the interpolation predictor (same shape as input)."""
-        codes = np.asarray(codes, dtype=np.int64)
-        ensure_ndim(codes, (1, 2, 3), "codes")
-        flat = codes.ravel()
-        residuals = np.zeros_like(flat)
-        base_index = 0
-        residuals[base_index] = flat[base_index]
-        for targets, left, right in _INTERP_PASSES.get(codes.shape):
-            pred = self._predict(flat, left, right)
-            residuals[targets] = flat[targets] - pred
-        return residuals.reshape(codes.shape)
+    def encode(self, codes: np.ndarray, batched: bool = False) -> np.ndarray:
+        """Return residuals of the interpolation predictor (same shape as input).
+
+        With ``batched=True`` the first axis indexes independent arrays, and
+        every pass indexes each row with the same memoised tables.
+        """
+        codes = _as_codes(codes, batched)
+        rows = codes.reshape(codes.shape[0], -1)
+        residuals = np.zeros_like(rows)
+        residuals[:, 0] = rows[:, 0]  # the base point is coded directly
+        for targets, left, right in _INTERP_PASSES.get(codes.shape[1:]):
+            residuals[:, targets] = rows[:, targets] - self._predict(rows, left, right)
+        residuals = residuals.reshape(codes.shape)
+        return residuals if batched else residuals[0]
 
     def decode(self, residuals: np.ndarray) -> np.ndarray:
         """Reconstruct codes from interpolation residuals."""

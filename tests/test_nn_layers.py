@@ -188,3 +188,41 @@ class TestSequential:
     def test_sequential_rejects_non_module(self):
         with pytest.raises(TypeError):
             Sequential(lambda x: x)
+
+
+class TestReLUBits:
+    """``ReLU`` keeps ``np.where``'s bits in both directions, special values included."""
+
+    @staticmethod
+    def _seeded(dtype, seed):
+        info = np.finfo(dtype)
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.tiny / 4, -info.tiny / 4,
+                    info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
+        x = np.random.default_rng(seed).normal(size=(4, 3, 5, 6, 7)).astype(dtype)
+        flat = x.reshape(-1)
+        flat[: len(specials)] = specials
+        flat[-len(specials):] = specials[::-1]
+        # a NaN with a non-default payload must pass through backward unchanged
+        flat[len(specials)] = np.frombuffer(
+            np.array([-1], dtype=f"i{np.dtype(dtype).itemsize}").tobytes(), dtype=dtype
+        )[0]
+        return x
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_match_np_where_bitwise(self, dtype):
+        x = self._seeded(dtype, 0)
+        grad = self._seeded(dtype, 1)[:, :, ::-1]  # a non-contiguous gradient too
+        layer = ReLU()
+        assert self._same_bits(layer.forward(x), np.where(x > 0, x, 0.0))
+        assert self._same_bits(layer.backward(grad), np.where(x > 0, grad, 0.0))
+
+    def test_backward_of_integer_gradient_follows_np_where(self):
+        x = np.array([-1.0, 2.0, 0.0, 3.0])
+        layer = ReLU()
+        layer.forward(x)
+        grad = np.array([5, 6, 7, 8])
+        assert self._same_bits(layer.backward(grad), np.where(x > 0, grad, 0.0))

@@ -22,7 +22,7 @@ from repro.encoding.huffman import _V2_HEADER
 from repro.serve.http import serve_in_thread
 from repro.serve.service import ArchiveService
 from repro.store import ArchiveReader, ArchiveWriter
-from repro.store.codecs import LosslessChunkCodec, SZChunkCodec
+from repro.store.codecs import Codec, LosslessChunkCodec, SZChunkCodec
 from repro.store.manifest import ArchiveCorruptionError
 from repro.store.shared_cache import SharedChunkCache
 from repro.sz import ErrorBound, SZCompressor
@@ -78,6 +78,8 @@ def corrupt_archive(request, tmp_path, monkeypatch):
     path = tmp_path / "a.xfa"
     data = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
     monkeypatch.setattr(codec, "encode", encode)
+    # the writer calls encode_many; the default one loops over the patched encode
+    monkeypatch.setattr(codec, "encode_many", Codec.encode_many)
     with ArchiveWriter(path, chunk_shape=shape) as writer:
         writer.add_field("x", data, codec=codec.name)
     monkeypatch.undo()

@@ -308,6 +308,9 @@ class TestCLI:
         def broken_encode(self, chunk, anchors=None):
             raise ValueError("encode exploded")
 
+        # the writer encodes batches of chunks, then one chunk at a time to
+        # name the chunk that failed
+        monkeypatch.setattr(SZChunkCodec, "encode_many", broken_encode)
         monkeypatch.setattr(SZChunkCodec, "encode", broken_encode)
         assert main(["pack", str(cli_fieldset_dir), str(tmp_path / "x.xfa"), "--chunk", "24,24"]) == 2
         err = capsys.readouterr().err
